@@ -9,100 +9,4 @@ baselines over JSONL datasets and reports accuracy, confusion matrices, and
 projected cost, fully offline against a scripted backend.
 """
 
-from .config import RunSettings, load_settings, question_seed
-from .dataset import load_dataset, question_from_record, write_dataset
-from .derailment import (
-    Consistent,
-    ConsistencyVerdict,
-    Derailed,
-    GenerationFailure,
-    check_consistency,
-    generate_rps,
-    judge,
-    route,
-)
-from .gateway import (
-    CallContext,
-    CompletionParams,
-    CompletionResult,
-    Gateway,
-    LiveBackend,
-    NoFenceFound,
-    MalformedJson,
-    PromptCapture,
-    PromptPair,
-    ProviderError,
-    ScriptExhausted,
-    ScriptedBackend,
-    StageUsage,
-    StructuredOutputFailure,
-    Usage,
-    UsageLedger,
-    cache_key,
-    complete_structured,
-    parse_structured_output,
-    serialize_structured,
-)
-from .grading import answers_equal, clean_text, grade, grade_safe, normalize_answer, parse_numeric
-from .harness import (
-    MissingPrice,
-    ModeResult,
-    QuestionOutcome,
-    build_report,
-    cell_for,
-    confusion_matrix,
-    cost_report,
-    make_gateway,
-    replay,
-    run,
-    run_cot,
-    run_mad_baseline,
-    run_question,
-    run_rerailer_mode,
-    run_sc_baseline,
-    usage_totals,
-)
-from .parsing import (
-    count_steps,
-    parse_reasoning_path,
-    serialize_path,
-    serialize_steps,
-    step_section,
-)
-from .prompts import MissingVariable, format_question, render_prompt, template_placeholders
-from .rerailer import (
-    DebateOutcome,
-    DebateTurn,
-    EvaluationResult,
-    IndexOutOfRange,
-    PassResult,
-    RerailResult,
-    debate,
-    evaluate_step,
-    mask,
-    reanswer,
-    rerail,
-    rerail_pass,
-    splice,
-)
-from .types import (
-    Category,
-    DatasetError,
-    KindMismatch,
-    NormalizedAnswer,
-    NumericValue,
-    Option,
-    OptionLabel,
-    ParseFailure,
-    Provenance,
-    Question,
-    QuestionKind,
-    ReasoningPath,
-    RerailError,
-    Step,
-    StepStatus,
-    TextValue,
-    UnnormalizableAnswer,
-)
-
 __version__ = "0.1.0"

@@ -169,9 +169,5 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME_ERROR
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

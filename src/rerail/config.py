@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from .gateway import CompletionParams
 from .types import RerailError
 
 MODES = ("cot", "sc", "mad", "rerailer")
@@ -71,14 +72,19 @@ class RunSettings:
             "max_rerail_iterations": self.max_rerail_iterations,
             "parallelism": self.parallelism,
         }
+        for name in ("max_in_flight", "requests_per_minute"):
+            if getattr(self, name) is not None:
+                positive[name] = getattr(self, name)
         for name, value in positive.items():
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"config field {name!r} must be an integer >= 1, got {value!r}")
         if self.mad_agents < 2:
             raise ConfigError("config field 'mad_agents' must be >= 2")
-        for name, value in (("temperature", self.temperature), ("sampling_temperature", self.sampling_temperature)):
-            if value < 0:
+        for name in ("temperature", "sampling_temperature", "abs_tolerance", "rel_tolerance"):
+            if getattr(self, name) < 0:
                 raise ConfigError(f"config field {name!r} must be >= 0")
+        if not self.timeout_s > 0:
+            raise ConfigError(f"config field 'timeout_s' must be > 0, got {self.timeout_s!r}")
         if not self.model_id:
             raise ConfigError("config field 'model_id' must be non-empty")
 
@@ -135,6 +141,24 @@ def question_seed(base_seed: int, question_id: str) -> int:
     parameters because each question derives its own seed space."""
     digest = hashlib.sha256(f"{base_seed}:{question_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:6], "big")
+
+
+def call_params(
+    settings: RunSettings, question_id: str, *tag, offset: int = 0, sampling: bool = False
+) -> CompletionParams:
+    """Parameters of one model call.
+
+    The seed is ``question_seed`` of the question id joined with the call's
+    tag (``"q1:debate:2:1:3"`` for step 2, agent 1, round 3), plus ``offset``
+    for sample indices and retries. Sampling calls run at the sampling
+    temperature, every other call at the deterministic one.
+    """
+    key = ":".join([question_id, *map(str, tag)])
+    return CompletionParams(
+        model_id=settings.model_id,
+        temperature=settings.sampling_temperature if sampling else settings.temperature,
+        seed=question_seed(settings.seed, key) + offset,
+    )
 
 
 def load_settings(path: str | Path) -> RunSettings:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
 
 from .grading import clean_text
 from .types import (
@@ -146,22 +145,3 @@ def load_dataset(path: str | Path) -> list[Question]:
     if not questions:
         raise DatasetError(f"{path}: dataset is empty")
     return questions
-
-
-def write_dataset(path: str | Path, questions: Iterable[Question]) -> None:
-    """Serialize questions back to the JSONL schema (test-fixture helper)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for q in questions:
-            record: dict = {
-                "id": q.id,
-                "subject": q.subject,
-                "category": q.category.value,
-                "question": q.text,
-                "ground_truth": q.ground_truth.as_text(),
-                "kind": q.kind.value,
-            }
-            if q.context is not None:
-                record["context"] = q.context
-            if q.options is not None:
-                record["options"] = [{"label": o.label, "text": o.text} for o in q.options]
-            handle.write(json.dumps(record, sort_keys=True) + "\n")

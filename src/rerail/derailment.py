@@ -11,15 +11,9 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .config import RunSettings, question_seed
-from .gateway import (
-    CallContext,
-    CompletionParams,
-    Gateway,
-    StructuredOutputFailure,
-    complete_structured,
-)
-from .grading import clean_text, normalize_answer
+from .config import RunSettings, call_params
+from .gateway import CallContext, Gateway, StructuredOutputFailure, complete_structured
+from .grading import majority_answer, normalize_answer
 from .parsing import parse_reasoning_path, serialize_path
 from .prompts import (
     TEMPLATE_JUDGE,
@@ -113,14 +107,6 @@ def check_consistency(answers: list[str]) -> ConsistencyVerdict:
     return ConsistencyVerdict(False, frozen, RULE_INCONSISTENT)
 
 
-def _cot_params(settings: RunSettings, seed: int) -> CompletionParams:
-    return CompletionParams(
-        model_id=settings.model_id,
-        temperature=settings.sampling_temperature,
-        seed=seed,
-    )
-
-
 def generate_rps(
     question: Question,
     gateway: Gateway,
@@ -137,7 +123,6 @@ def generate_rps(
     count = settings.n_samples if n is None else n
     if count < 1:
         raise ValueError("n must be >= 1")
-    base = question_seed(settings.seed, question.id)
     prompt = render_prompt(
         TEMPLATE_RAW_COT,
         {
@@ -150,15 +135,15 @@ def generate_rps(
     paths: list[ReasoningPath] = []
     retries_used = 0
     for i in range(count):
-        result = gateway.complete(prompt, _cot_params(settings, base + i), context)
+        params = call_params(settings, question.id, offset=i, sampling=True)
+        result = gateway.complete(prompt, params, context)
         try:
             paths.append(parse_reasoning_path(result.text, Provenance.raw_cot()))
             continue
         except ParseFailure:
             pass
-        retry = gateway.complete(
-            prompt, _cot_params(settings, base + count + retries_used), context
-        )
+        retry_params = call_params(settings, question.id, offset=count + retries_used, sampling=True)
+        retry = gateway.complete(prompt, retry_params, context)
         retries_used += 1
         try:
             paths.append(parse_reasoning_path(retry.text, Provenance.raw_cot()))
@@ -215,11 +200,7 @@ def judge(
             "rp3": serialize_path(candidates[2]),
         },
     )
-    params = CompletionParams(
-        model_id=settings.model_id,
-        temperature=settings.temperature,
-        seed=question_seed(settings.seed, question.id),
-    )
+    params = call_params(settings, question.id)
     context = CallContext(stage=STAGE_JUDGE, question_id=question.id)
     try:
         parsed = complete_structured(
@@ -257,31 +238,15 @@ class Derailed:
 Routed = Union[Consistent, Derailed]
 
 
-def _answer_bucket(raw: str, question: Question):
-    """Hashable identity of an answer for majority counting."""
-    try:
-        return normalize_answer(raw, question.kind)
-    except UnnormalizableAnswer:
-        return ("unnormalizable", clean_text(raw))
-
-
 def _resolve_consistent_answer(
     paths: list[ReasoningPath], verdict: ConsistencyVerdict, question: Question
 ) -> tuple[str, Optional[NormalizedAnswer], list[str]]:
     flags: list[str] = []
     if verdict.rule_fired == RULE_ALL_LONG and len(paths) > 1:
         # Long answers are deemed consistent without agreeing; output the
-        # majority answer, first-reached on ties.
+        # majority answer, the first-listed leader on ties.
         flags.append(FLAG_ALL_LONG)
-        buckets = [_answer_bucket(p.final_answer, question) for p in paths]
-        counts: dict = {}
-        for bucket in buckets:
-            counts[bucket] = counts.get(bucket, 0) + 1
-        best = max(counts.values())
-        winner = next(b for b in buckets if counts[b] == best)
-        raw = next(
-            p.final_answer for p, b in zip(paths, buckets) if b == winner
-        )
+        raw, _ = majority_answer([p.final_answer for p in paths], question)
     else:
         raw = paths[0].final_answer
 

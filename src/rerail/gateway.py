@@ -23,7 +23,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -80,7 +80,6 @@ class CompletionParams:
     model_id: str
     temperature: float = 0.0
     seed: Optional[int] = None
-    max_output_tokens: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.temperature < 0:
@@ -216,10 +215,6 @@ class ScriptedBackend:
             f"agent_id={context.agent_id} round={context.round}"
         )
 
-    def remaining(self) -> int:
-        with self._lock:
-            return sum(1 for entry in self._entries if not entry.consumed)
-
 
 class LiveBackend:
     """Chat-completions HTTP backend (OpenAI-compatible payload shape)."""
@@ -260,8 +255,6 @@ class LiveBackend:
         }
         if params.seed is not None:
             payload["seed"] = params.seed
-        if params.max_output_tokens is not None:
-            payload["max_tokens"] = params.max_output_tokens
 
         started = time.monotonic()
         try:
@@ -325,15 +318,7 @@ class StageUsage:
         self.wall_time_s += other.wall_time_s
 
     def to_json(self) -> dict:
-        return {
-            "live_calls": self.live_calls,
-            "cached_calls": self.cached_calls,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "billed_prompt_tokens": self.billed_prompt_tokens,
-            "billed_completion_tokens": self.billed_completion_tokens,
-            "wall_time_s": self.wall_time_s,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, payload: dict) -> "StageUsage":
@@ -348,35 +333,35 @@ class UsageLedger:
     """Thread-safe per-(question, stage) usage accumulation."""
 
     def __init__(self) -> None:
-        self._rows: dict[tuple[str, str], StageUsage] = {}
+        self._rows: dict[str, dict[str, StageUsage]] = {}
         self._lock = threading.Lock()
 
     def record(self, question_id: str, stage: str, result: CompletionResult) -> None:
         with self._lock:
-            row = self._rows.setdefault((question_id, stage), StageUsage())
+            row = self._rows.setdefault(question_id, {}).setdefault(stage, StageUsage())
             row.add(result)
 
     def question_usage(self, question_id: str) -> dict[str, StageUsage]:
         with self._lock:
             return {
                 stage: StageUsage(**vars(row))
-                for (qid, stage), row in self._rows.items()
-                if qid == question_id
+                for stage, row in self._rows.get(question_id, {}).items()
             }
 
     def question_calls(self, question_id: str, stage: Optional[str] = None) -> int:
         with self._lock:
             return sum(
                 row.calls
-                for (qid, st), row in self._rows.items()
-                if qid == question_id and (stage is None or st == stage)
+                for st, row in self._rows.get(question_id, {}).items()
+                if stage is None or st == stage
             )
 
     def totals(self) -> StageUsage:
         total = StageUsage()
         with self._lock:
-            for row in self._rows.values():
-                total.merge(row)
+            for rows in self._rows.values():
+                for row in rows.values():
+                    total.merge(row)
         return total
 
 
@@ -433,7 +418,7 @@ class Gateway:
         self.ledger = ledger if ledger is not None else UsageLedger()
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._cache_enabled = cache_enabled
-        self._gate = threading.Semaphore(max_in_flight) if max_in_flight else None
+        self._gate = threading.Semaphore(max_in_flight) if max_in_flight is not None else None
         self._rpm = requests_per_minute
         self._recent_calls: deque[float] = deque()
         self._rpm_lock = threading.Lock()
@@ -481,7 +466,6 @@ class Gateway:
                     self._gate.release()
             self._sleep(delay)
             delay *= RETRY_FACTOR
-        raise AssertionError("unreachable: retry loop exited without return or raise")
 
     def _throttle(self) -> None:
         if self._rpm is None:
@@ -525,7 +509,6 @@ class Gateway:
                 "prompt_tokens": result.usage.prompt_tokens,
                 "completion_tokens": result.usage.completion_tokens,
             },
-            "latency_s": result.latency_s,
         }
         # Write-temp-then-rename keeps concurrent readers off partial files.
         fd, temp_path = tempfile.mkstemp(dir=self._cache_dir, suffix=".tmp")
@@ -566,11 +549,6 @@ def parse_structured_output(text: str) -> dict[str, str]:
     return output
 
 
-def serialize_structured(mapping: dict[str, str]) -> str:
-    """Inverse of parse_structured_output for fence-free string maps."""
-    return "```json\n" + json.dumps(mapping, sort_keys=True) + "\n```"
-
-
 def complete_structured(
     gateway: Gateway,
     prompt: PromptPair,
@@ -598,19 +576,8 @@ def complete_structured(
         return attempt(prompt, params)
     except (NoFenceFound, MalformedJson, ValueError):
         pass
-    retry_prompt = PromptPair(
-        system=prompt.system,
-        user=f"{prompt.user}\n{REASK_REMINDER}",
-        format_instructions=prompt.format_instructions,
-    )
-    retry_params = params
-    if params.seed is not None:
-        retry_params = CompletionParams(
-            model_id=params.model_id,
-            temperature=params.temperature,
-            seed=params.seed + 1,
-            max_output_tokens=params.max_output_tokens,
-        )
+    retry_prompt = replace(prompt, user=f"{prompt.user}\n{REASK_REMINDER}")
+    retry_params = params if params.seed is None else replace(params, seed=params.seed + 1)
     try:
         return attempt(retry_prompt, retry_params)
     except (NoFenceFound, MalformedJson, ValueError) as exc:

@@ -24,6 +24,7 @@ from .types import (
     NormalizedAnswer,
     NumericValue,
     OptionLabel,
+    Question,
     QuestionKind,
     TextValue,
     UnnormalizableAnswer,
@@ -103,6 +104,26 @@ def normalize_answer(raw: str, kind: QuestionKind) -> NormalizedAnswer:
     if not cleaned:
         raise UnnormalizableAnswer(f"text answer {raw!r} is empty after cleaning")
     return TextValue(cleaned)
+
+
+def answer_bucket(raw: str, question: Question):
+    """Hashable identity of an answer for vote counting."""
+    try:
+        return normalize_answer(raw, question.kind)
+    except UnnormalizableAnswer:
+        return ("unnormalizable", clean_text(raw))
+
+
+def majority_answer(raws: list[str], question: Question) -> tuple[str, bool]:
+    """Majority answer by normalized value. Returns (raw answer, tied); on a
+    tie the leader listed first wins, as its first raw spelling."""
+    buckets = [answer_bucket(raw, question) for raw in raws]
+    counts: dict = {}
+    for bucket in buckets:
+        counts[bucket] = counts.get(bucket, 0) + 1
+    best = max(counts.values())
+    tied = sum(1 for count in counts.values() if count == best) > 1
+    return next(raw for raw, bucket in zip(raws, buckets) if counts[bucket] == best), tied
 
 
 def _as_fraction(value) -> Fraction:

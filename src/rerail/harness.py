@@ -22,18 +22,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .config import RunSettings, question_seed
-from .derailment import (
-    Consistent,
-    Derailed,
-    FLAG_UNNORMALIZABLE,
-    _answer_bucket,
-    generate_rps,
-    route,
-)
+from .config import RunSettings, call_params
+from .derailment import Consistent, Derailed, generate_rps, route
 from .gateway import (
     CallContext,
-    CompletionParams,
     Gateway,
     LiveBackend,
     PromptCapture,
@@ -42,7 +34,7 @@ from .gateway import (
     StructuredOutputFailure,
     complete_structured,
 )
-from .grading import grade_safe
+from .grading import answer_bucket, grade_safe, majority_answer
 from .parsing import ANSWER_MARKER_RE, parse_reasoning_path
 from .prompts import (
     TEMPLATE_MAD_INITIAL,
@@ -116,19 +108,7 @@ class QuestionOutcome:
     error: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "category": self.category,
-            "routing": self.routing,
-            "baseline_answer": self.baseline_answer,
-            "final_answer": self.final_answer,
-            "correct_baseline": self.correct_baseline,
-            "correct_final": self.correct_final,
-            "cell": self.cell,
-            "flags": self.flags,
-            "usage": self.usage,
-            "error": self.error,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, payload: dict) -> "QuestionOutcome":
@@ -169,38 +149,17 @@ def run_cot(question: Question, gateway: Gateway, settings: RunSettings) -> Mode
             "question": format_question(question.text, question.context, question.options),
         },
     )
-    params = CompletionParams(
-        model_id=settings.model_id,
-        temperature=settings.temperature,
-        seed=question_seed(settings.seed, question.id),
-    )
+    params = call_params(settings, question.id)
     result = gateway.complete(prompt, params, CallContext(STAGE_COT, question.id))
     answer = _extract_answer(result.text)
     flags = () if answer is not None else (FLAG_COT_UNPARSEABLE,)
     return ModeResult(answer, answer, None, flags, {"mode": MODE_COT})
 
 
-def _modal_answer(
-    raws: list[str], question: Question
-) -> tuple[str, bool]:
-    """Majority answer by normalized value; first-reached mode on ties.
-
-    Returns (raw answer, tied)."""
-    buckets = [_answer_bucket(raw, question) for raw in raws]
-    counts: dict = {}
-    for bucket in buckets:
-        counts[bucket] = counts.get(bucket, 0) + 1
-    best = max(counts.values())
-    tied = sum(1 for c in counts.values() if c == best) > 1
-    winner = next(b for b in buckets if counts[b] == best)
-    raw = next(r for r, b in zip(raws, buckets) if b == winner)
-    return raw, tied
-
-
 def run_sc_baseline(question: Question, gateway: Gateway, settings: RunSettings) -> ModeResult:
     """Self-consistency: sample sc_budget paths, majority-vote the answer."""
     paths = generate_rps(question, gateway, settings, n=settings.sc_budget)
-    answer, tied = _modal_answer([p.final_answer for p in paths], question)
+    answer, tied = majority_answer([p.final_answer for p in paths], question)
     flags = (FLAG_SC_TIE,) if tied else ()
     trace = {
         "mode": MODE_SC,
@@ -223,11 +182,7 @@ def _mad_structured(
     context = CallContext(
         stage=STAGE_MAD, question_id=question.id, agent_id=agent_id, round=round_no
     )
-    params = CompletionParams(
-        model_id=settings.model_id,
-        temperature=settings.temperature,
-        seed=question_seed(settings.seed, f"{question.id}:mad:{agent_id}:{round_no}"),
-    )
+    params = call_params(settings, question.id, "mad", agent_id, round_no)
 
     def validate(parsed: dict[str, str]) -> None:
         if not parsed.get("answer", "").strip():
@@ -243,18 +198,14 @@ def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings
     """Debate baseline: independent answers, then revision rounds.
 
     Stops early when all agents agree; the final answer is the last-round
-    majority, tie going to agent 1. A parse failure keeps that agent's
-    previous answer (fail-open).
+    majority, a tie going to the first-listed leader. A parse failure keeps
+    that agent's previous answer (fail-open).
     """
     agents = settings.mad_agents
     question_slot = format_question(question.text, question.context, question.options)
     answers: list[Optional[str]] = [None] * agents
     flags: list[str] = []
     transcript: list[dict] = []
-
-    def bucket(raw: Optional[str]):
-        return ("missing",) if raw is None else _answer_bucket(raw, question)
-
     rounds_run = 0
     for round_no in range(1, settings.mad_rounds + 1):
         rounds_run = round_no
@@ -286,24 +237,15 @@ def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings
                 {"agent_id": agent_index + 1, "round": round_no, "answer": answers[agent_index]}
             )
 
-        if len({bucket(a) for a in answers}) == 1 and answers[0] is not None:
+        if None not in answers and len({answer_bucket(a, question) for a in answers}) == 1:
             break
 
     present = [a for a in answers if a is not None]
     if not present:
         return ModeResult(None, None, None, tuple(flags), {"mode": MODE_MAD, "transcript": transcript})
-    counts: dict = {}
-    for raw in answers:
-        if raw is not None:
-            key = bucket(raw)
-            counts[key] = counts.get(key, 0) + 1
-    best = max(counts.values())
-    winners = [key for key, count in counts.items() if count == best]
-    if len(winners) > 1:
+    final, tied = majority_answer(present, question)
+    if tied:
         flags.append(FLAG_MAD_TIE)
-        final = answers[0] if answers[0] is not None else present[0]
-    else:
-        final = next(a for a in answers if a is not None and bucket(a) == winners[0])
     trace = {"mode": MODE_MAD, "transcript": transcript, "rounds_run": rounds_run}
     return ModeResult(final, final, None, tuple(flags), trace)
 
@@ -657,13 +599,13 @@ def run(
             json.dump(trace_payload, handle, sort_keys=True, indent=2)
             handle.write("\n")
 
-    if pending:
-        if settings.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=settings.parallelism) as pool:
-                list(pool.map(execute, pending))
-        else:
-            for question in pending:
-                execute(question)
+    # Leaving the pool waits for every question at once; waiting on each
+    # future in turn would wake this thread, and hand the GIL back and forth,
+    # after every question.
+    with ThreadPoolExecutor(max_workers=settings.parallelism) as pool:
+        futures = [pool.submit(execute, question) for question in pending]
+    for future in futures:
+        future.result()
 
     ordered_outcomes = [
         existing.get(q.id) or fresh[q.id] for q in questions

@@ -108,14 +108,3 @@ def serialize_steps(
 def serialize_path(path: ReasoningPath) -> str:
     """Steps plus the final-answer line, the inverse of parsing."""
     return f"{serialize_steps(path)}\nFinal answer: {path.final_answer}"
-
-
-def count_steps(path: ReasoningPath) -> int:
-    return path.num_steps
-
-
-def step_section(path: ReasoningPath, index: int) -> str:
-    """The text of one step (1-based), marker stripped."""
-    if not 1 <= index <= path.num_steps:
-        raise IndexError(f"step index {index} out of range 1..{path.num_steps}")
-    return path.steps[index - 1].text

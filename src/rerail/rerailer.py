@@ -12,17 +12,11 @@ the iteration cap is hit; steps settled by earlier passes carry a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .config import RunSettings, question_seed
-from .gateway import (
-    CallContext,
-    CompletionParams,
-    Gateway,
-    StructuredOutputFailure,
-    complete_structured,
-)
+from .config import RunSettings, call_params
+from .gateway import CallContext, Gateway, StructuredOutputFailure, complete_structured
 from .parsing import parse_reasoning_path, serialize_steps
 from .prompts import (
     TEMPLATE_DEBATE_MITIGATOR,
@@ -106,21 +100,15 @@ def mask(rp: ReasoningPath, index: int) -> str:
     return serialize_steps(rp, upto=index)
 
 
-def _call_seed(settings: RunSettings, question_id: str, *parts) -> int:
-    tag = ":".join(str(p) for p in parts)
-    return question_seed(settings.seed, f"{question_id}:{tag}")
-
-
-def _agent_params(settings: RunSettings, seed: int) -> CompletionParams:
-    return CompletionParams(
-        model_id=settings.model_id, temperature=settings.temperature, seed=seed
-    )
+def _verdict_token(value: Optional[str]) -> str:
+    """A verdict as the agents write it ("[yes] ", "AGREE") in canonical form."""
+    return (value or "").strip().strip("[]").strip().upper()
 
 
 def _parse_yes_no(value: Optional[str]) -> bool:
     if value is None:
         raise ValueError("missing hallucination verdict")
-    token = value.strip().strip("[]").strip().upper()
+    token = _verdict_token(value)
     if token == "YES":
         return True
     if token == "NO":
@@ -163,7 +151,7 @@ def evaluate_step(
         },
     )
     context = CallContext(stage=STAGE_EVALUATOR, question_id=question.id, step_index=index)
-    params = _agent_params(settings, _call_seed(settings, question.id, "eval", index))
+    params = call_params(settings, question.id, "eval", index)
     try:
         parsed = complete_structured(gateway, prompt, params, context, validate=_validate_evaluation)
     except StructuredOutputFailure:
@@ -179,7 +167,7 @@ def evaluate_step(
 
 
 def _validate_debate(parsed: dict[str, str]) -> None:
-    verdict = (parsed.get("verdict") or "").strip().strip("[]").strip().upper()
+    verdict = _verdict_token(parsed.get("verdict"))
     if verdict not in (VERDICT_AGREE, VERDICT_REVISE):
         raise ValueError(f"debate verdict must be AGREE or REVISE, got {parsed.get('verdict')!r}")
     if verdict == VERDICT_REVISE and not parsed.get("correction", "").strip():
@@ -244,17 +232,13 @@ def debate(
                 agent_id=agent_id,
                 round=round_no,
             )
-            params = _agent_params(
-                settings,
-                _call_seed(settings, question.id, "debate", current_index, agent_id, round_no),
-            )
+            params = call_params(settings, question.id, "debate", current_index, agent_id, round_no)
             try:
                 parsed = complete_structured(gateway, prompt, params, context, validate=_validate_debate)
-                verdict = parsed["verdict"].strip().strip("[]").strip().upper()
                 turn = DebateTurn(
                     agent_id=agent_id,
                     round=round_no,
-                    verdict=verdict,
+                    verdict=_verdict_token(parsed["verdict"]),
                     reasoning=parsed.get("reasoning", ""),
                     correction=parsed.get("correction", "").strip(),
                 )
@@ -312,21 +296,16 @@ def splice(rp: ReasoningPath, index: int, corrected_text: str) -> ReasoningPath:
     new_steps = []
     for step in rp.steps:
         if step.index < index:
-            new_steps.append(
-                Step(step.index, step.text, StepStatus.VERIFIED, step.original, stale=False)
-            )
+            new_steps.append(replace(step, status=StepStatus.VERIFIED, stale=False))
         elif step.index == index:
             new_steps.append(
-                Step(step.index, corrected_text, StepStatus.CORRECTED, original=step.text)
+                replace(
+                    step, text=corrected_text, status=StepStatus.CORRECTED, original=step.text, stale=False
+                )
             )
         else:
-            new_steps.append(Step(step.index, step.text, step.status, step.original, stale=True))
-    return ReasoningPath(
-        steps=tuple(new_steps),
-        final_answer=rp.final_answer,
-        provenance=rp.provenance,
-        raw_text=rp.raw_text,
-    )
+            new_steps.append(replace(step, stale=True))
+    return replace(rp, steps=tuple(new_steps))
 
 
 def _normalize_ws(text: str) -> str:
@@ -363,12 +342,12 @@ def reanswer(
         },
     )
     context = CallContext(stage=STAGE_REANSWER, question_id=question.id)
-    seed = _call_seed(settings, question.id, "reanswer", iteration)
 
     parsed: Optional[ReasoningPath] = None
     last_error: Optional[ParseFailure] = None
     for attempt in range(2):
-        result = gateway.complete(prompt, _agent_params(settings, seed + attempt), context)
+        params = call_params(settings, question.id, "reanswer", iteration, offset=attempt)
+        result = gateway.complete(prompt, params, context)
         try:
             parsed = parse_reasoning_path(result.text, Provenance.rerailed(iteration))
             break
@@ -389,29 +368,16 @@ def reanswer(
         for i in range(len(prefix_steps))
     )
     if prefix_preserved:
-        rebuilt = [
-            Step(i + 1, steps[i].text, prefix_steps[i].status, prefix_steps[i].original)
-            for i in range(len(prefix_steps))
+        # The prefix keeps its trusted statuses; freshly parsed steps after
+        # it are unverified.
+        steps[: len(prefix_steps)] = [
+            replace(kept, text=new.text, stale=False) for kept, new in zip(prefix_steps, steps)
         ]
-        rebuilt.extend(
-            Step(i + 1, steps[i].text, StepStatus.UNVERIFIED) for i in range(len(prefix_steps), len(steps))
-        )
-        steps = rebuilt
     else:
-        # The model ignored its instructions; keep its output but drop the
-        # trusted statuses so the next pass re-checks everything.
+        # The model ignored its instructions; keep its output, every step
+        # unverified, so the next pass re-checks everything.
         flags.append(FLAG_PREFIX_DIVERGENCE)
-        steps = [Step(i + 1, s.text, StepStatus.UNVERIFIED) for i, s in enumerate(steps)]
-
-    return (
-        ReasoningPath(
-            steps=tuple(steps),
-            final_answer=parsed.final_answer,
-            provenance=Provenance.rerailed(iteration),
-            raw_text=parsed.raw_text,
-        ),
-        flags,
-    )
+    return replace(parsed, steps=tuple(steps)), flags
 
 
 @dataclass(frozen=True)
@@ -486,13 +452,8 @@ def rerail_pass(
         }
         return PassResult(changed=True, rp_out=rp_new, flags=tuple(flags), trace=trace)
 
-    verified = ReasoningPath(
-        steps=tuple(
-            Step(s.index, s.text, StepStatus.VERIFIED, s.original) for s in rp.steps
-        ),
-        final_answer=rp.final_answer,
-        provenance=rp.provenance,
-        raw_text=rp.raw_text,
+    verified = replace(
+        rp, steps=tuple(replace(s, status=StepStatus.VERIFIED, stale=False) for s in rp.steps)
     )
     trace = {
         "iteration": iteration,

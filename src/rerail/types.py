@@ -21,14 +21,6 @@ STAGE_EVALUATOR = "evaluator"
 STAGE_DEBATE = "debate"
 STAGE_REANSWER = "reanswer"
 STAGE_MAD = "mad"
-ALL_STAGES = (
-    STAGE_COT,
-    STAGE_JUDGE,
-    STAGE_EVALUATOR,
-    STAGE_DEBATE,
-    STAGE_REANSWER,
-    STAGE_MAD,
-)
 
 
 class RerailError(Exception):
@@ -107,36 +99,6 @@ class TextValue:
 
 NormalizedAnswer = Union[OptionLabel, NumericValue, TextValue]
 
-# Ground truths share the normalized-answer shape.
-GroundTruth = NormalizedAnswer
-
-
-def answer_to_json(answer: Optional[NormalizedAnswer]) -> Optional[dict]:
-    """JSON-able encoding of a normalized answer (None passes through)."""
-    if answer is None:
-        return None
-    if isinstance(answer, OptionLabel):
-        return {"kind": "option", "value": answer.label}
-    if isinstance(answer, NumericValue):
-        return {"kind": "numeric", "value": str(answer.value)}
-    if isinstance(answer, TextValue):
-        return {"kind": "text", "value": answer.text}
-    raise TypeError(f"not a normalized answer: {answer!r}")
-
-
-def answer_from_json(payload: Optional[dict]) -> Optional[NormalizedAnswer]:
-    if payload is None:
-        return None
-    kind = payload.get("kind")
-    value = payload.get("value", "")
-    if kind == "option":
-        return OptionLabel(value)
-    if kind == "numeric":
-        return NumericValue(Fraction(value))
-    if kind == "text":
-        return TextValue(value)
-    raise DatasetError(f"unknown answer kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class Option:
@@ -154,7 +116,7 @@ class Question:
     subject: str
     category: Category
     text: str
-    ground_truth: GroundTruth
+    ground_truth: NormalizedAnswer
     kind: QuestionKind
     context: Optional[str] = None
     options: Optional[tuple[Option, ...]] = None
@@ -189,7 +151,6 @@ class Question:
 
 # Provenance origins for reasoning paths.
 PROV_RAW_COT = "raw_cot"
-PROV_JUDGE_SELECTED = "judge_selected"
 PROV_RERAILED = "rerailed"
 
 
@@ -203,10 +164,6 @@ class Provenance:
     @classmethod
     def raw_cot(cls) -> "Provenance":
         return cls(PROV_RAW_COT)
-
-    @classmethod
-    def judge_selected(cls) -> "Provenance":
-        return cls(PROV_JUDGE_SELECTED)
 
     @classmethod
     def rerailed(cls, iteration: int) -> "Provenance":

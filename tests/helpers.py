@@ -21,7 +21,6 @@ from rerail.gateway import (
     PromptCapture,
     ScriptedBackend,
     Usage,
-    serialize_structured,
 )
 from rerail.types import (
     Category,
@@ -30,6 +29,7 @@ from rerail.types import (
     OptionLabel,
     Question,
     QuestionKind,
+    ReasoningPath,
     STAGE_COT,
     STAGE_DEBATE,
     STAGE_EVALUATOR,
@@ -103,13 +103,44 @@ def text_question(
     )
 
 
+def write_dataset(path: str | Path, questions: list[Question]) -> None:
+    """Serialize questions back to the JSONL dataset schema."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for q in questions:
+            record: dict = {
+                "id": q.id,
+                "subject": q.subject,
+                "category": q.category.value,
+                "question": q.text,
+                "ground_truth": q.ground_truth.as_text(),
+                "kind": q.kind.value,
+            }
+            if q.context is not None:
+                record["context"] = q.context
+            if q.options is not None:
+                record["options"] = [{"label": o.label, "text": o.text} for o in q.options]
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # raw generations and fenced agent responses
+
+def step_section(path: ReasoningPath, index: int) -> str:
+    """The text of one step (1-based), marker stripped."""
+    if not 1 <= index <= path.num_steps:
+        raise IndexError(f"step index {index} out of range 1..{path.num_steps}")
+    return path.steps[index - 1].text
+
 
 def cot_text(steps: list[str], answer: str) -> str:
     lines = [f"Step {i}: {text}" for i, text in enumerate(steps, start=1)]
     lines.append(f"Answer: {answer}")
     return "\n".join(lines)
+
+
+def serialize_structured(mapping: dict[str, str]) -> str:
+    """Inverse of parse_structured_output for fence-free string maps."""
+    return "```json\n" + json.dumps(mapping, sort_keys=True) + "\n```"
 
 
 def fenced(**fields) -> str:
@@ -178,6 +209,11 @@ def scripted_gateway(
     **gateway_kwargs,
 ) -> Gateway:
     return Gateway(ScriptedBackend(entries), capture=capture, **gateway_kwargs)
+
+
+def remaining(backend: ScriptedBackend) -> int:
+    """Script entries the backend has not served yet."""
+    return sum(1 for item in backend._entries if not item.consumed)
 
 
 def write_script(path: str | Path, entries: list[dict]) -> Path:

@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from helpers import consistent_script, mcqa_question, write_script
+from helpers import consistent_script, mcqa_question, write_dataset, write_script
 from rerail.cli import main
-from rerail.dataset import write_dataset
 
 
 @pytest.fixture
@@ -117,6 +116,11 @@ class TestRun:
 
     def test_unknown_flag_is_a_usage_error(self, small_run, capsys):
         assert main(run_args(small_run) + ["--bogus"]) == 1
+
+    def test_negative_max_in_flight_is_a_config_error(self, small_run, config_file, capsys):
+        small_run["config"] = config_file(max_in_flight=-1)
+        assert main(run_args(small_run)) == 1
+        assert "max_in_flight" in capsys.readouterr().err
 
     def test_seed_override_lands_in_the_config_snapshot(self, small_run, tmp_path):
         assert main(run_args(small_run, seed=9)) == 0

@@ -55,11 +55,33 @@ class TestValidation:
             ("max_rerail_iterations", 0),
             ("parallelism", 0),
             ("n_samples", 2.5),
+            ("max_in_flight", 0),
+            ("max_in_flight", -1),
+            ("requests_per_minute", 0),
+            ("requests_per_minute", 1.5),
         ],
     )
     def test_counts_must_be_positive_integers(self, field, value):
         with pytest.raises(ConfigError, match=field):
             settings_from_dict({field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("timeout_s", 0),
+            ("timeout_s", -1.0),
+            ("abs_tolerance", -1e-6),
+            ("rel_tolerance", -0.1),
+        ],
+    )
+    def test_timeout_positive_and_tolerances_non_negative(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            settings_from_dict({field: value})
+
+    def test_throttles_may_stay_unset_or_be_one(self):
+        assert settings_from_dict({"max_in_flight": None}).max_in_flight is None
+        s = settings_from_dict({"max_in_flight": 1, "requests_per_minute": 1, "abs_tolerance": 0})
+        assert (s.max_in_flight, s.requests_per_minute, s.abs_tolerance) == (1, 1, 0)
 
     def test_mad_needs_at_least_two_agents(self):
         with pytest.raises(ConfigError, match="mad_agents"):

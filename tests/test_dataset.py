@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import mcqa_question, numeric_question, text_question
-from rerail.dataset import load_dataset, question_from_record, write_dataset
+from helpers import mcqa_question, numeric_question, text_question, write_dataset
+from rerail.dataset import load_dataset, question_from_record
 from rerail.types import (
     Category,
     DatasetError,

@@ -14,7 +14,9 @@ from helpers import (
     entry,
     fenced,
     judge_selects,
+    remaining,
     scripted_gateway,
+    serialize_structured,
     write_script,
 )
 from rerail.gateway import (
@@ -40,7 +42,6 @@ from rerail.gateway import (
     cache_key,
     complete_structured,
     parse_structured_output,
-    serialize_structured,
 )
 from rerail.prompts import PromptPair
 from rerail.types import STAGE_COT, STAGE_JUDGE
@@ -65,7 +66,7 @@ class TestScriptedBackend:
         )
         assert backend.call(PROMPT, PARAMS, CTX).text == "first"
         assert backend.call(PROMPT, PARAMS, CTX).text == "second"
-        assert backend.remaining() == 0
+        assert remaining(backend) == 0
 
     def test_specific_entry_never_matches_generic_context(self):
         backend = ScriptedBackend([entry(STAGE_COT, "q1", "x", step_index=2)])
@@ -148,7 +149,7 @@ class TestCache:
         assert first.from_cache is False
         assert second.from_cache is True
         assert second.text == "cached answer"
-        assert backend.remaining() == 1
+        assert remaining(backend) == 1
 
         row = gw.ledger.question_usage("q1")[STAGE_COT]
         assert (row.live_calls, row.cached_calls) == (1, 1)
@@ -176,7 +177,7 @@ class TestCache:
         gw.complete(PROMPT, PARAMS, CTX)
         other = CompletionParams(model_id="m1", temperature=0.0, seed=8)
         assert gw.complete(PROMPT, other, CTX).text == "b"
-        assert backend.remaining() == 0
+        assert remaining(backend) == 0
 
     def test_cache_disabled_by_default(self, tmp_path):
         backend = ScriptedBackend(

@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import mcqa_question, text_question
 from rerail.grading import (
+    answer_bucket,
     clean_text,
     grade,
     grade_safe,
+    majority_answer,
     normalize_answer,
     answers_equal,
     parse_numeric,
@@ -195,3 +198,20 @@ class TestGradeSafe:
         correct, flags = grade_safe("A", OptionLabel("A"), QuestionKind.MCQA)
         assert correct is True
         assert flags == []
+
+
+class TestMajorityAnswer:
+    def test_clear_majority_returns_its_first_raw_spelling(self):
+        assert majority_answer(["A", "b) B", "B."], mcqa_question()) == ("b) B", False)
+
+    def test_tie_keeps_the_first_listed_leader(self):
+        assert majority_answer(["A", "B", "B", "C", "C"], mcqa_question()) == ("B", True)
+        assert majority_answer(["C", "B"], mcqa_question()) == ("C", True)
+
+    def test_unnormalizable_answers_vote_by_cleaned_text(self):
+        question = mcqa_question()
+        assert answer_bucket("?? none", question) == ("unnormalizable", "NONE")
+        assert majority_answer(["?? none", "none!", "A"], question) == ("?? none", False)
+
+    def test_text_answers_pool_after_cleaning(self):
+        assert majority_answer(["gravity", "Gravity!", "mass"], text_question()) == ("gravity", False)

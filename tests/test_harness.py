@@ -164,6 +164,19 @@ class TestRunMadBaseline:
         assert FLAG_MAD_TIE in result.flags
         assert result.trace["rounds_run"] == 3
 
+    def test_tie_among_five_agents_keeps_a_leading_answer(self):
+        answers = ["A", "B", "B", "C", "C"]
+        entries = [
+            mad_entry(answer, agent, round_no)
+            for round_no in (1, 2, 3)
+            for agent, answer in enumerate(answers, start=1)
+        ]
+        gw = scripted_gateway(entries)
+        result = run_mad_baseline(mcqa_question(), gw, make_settings(mad_agents=5))
+        assert result.final_raw == "B"  # agent 1's "A" has a single vote
+        assert FLAG_MAD_TIE in result.flags
+        assert gw.ledger.question_calls("q1", STAGE_MAD) == 15
+
     def test_unparseable_agent_keeps_its_prior_answer(self):
         gw = scripted_gateway(
             [

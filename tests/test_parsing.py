@@ -3,15 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rerail.parsing import (
-    parse_reasoning_path,
-    serialize_path,
-    serialize_steps,
-    step_section,
-)
+from rerail.parsing import parse_reasoning_path, serialize_path, serialize_steps
 from rerail.types import ParseFailure, Provenance, ReasoningPath, Step, StepStatus
 
-from helpers import cot_text
+from helpers import cot_text, step_section
 
 
 class TestParseReasoningPath:
