@@ -23,7 +23,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -324,10 +324,6 @@ class StageUsage:
     def from_json(cls, payload: dict) -> "StageUsage":
         return cls(**payload)
 
-    @property
-    def calls(self) -> int:
-        return self.live_calls + self.cached_calls
-
 
 class UsageLedger:
     """Thread-safe per-(question, stage) usage accumulation."""
@@ -347,38 +343,6 @@ class UsageLedger:
                 stage: StageUsage(**vars(row))
                 for stage, row in self._rows.get(question_id, {}).items()
             }
-
-    def question_calls(self, question_id: str, stage: Optional[str] = None) -> int:
-        with self._lock:
-            return sum(
-                row.calls
-                for st, row in self._rows.get(question_id, {}).items()
-                if stage is None or st == stage
-            )
-
-    def totals(self) -> StageUsage:
-        total = StageUsage()
-        with self._lock:
-            for rows in self._rows.values():
-                for row in rows.values():
-                    total.merge(row)
-        return total
-
-
-@dataclass
-class PromptCapture:
-    """Optional hook recording every rendered prompt, for audit and tests."""
-
-    records: list[tuple[CallContext, PromptPair]] = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def add(self, context: CallContext, prompt: PromptPair) -> None:
-        with self._lock:
-            self.records.append((context, prompt))
-
-    def for_stage(self, stage: str) -> list[tuple[CallContext, PromptPair]]:
-        with self._lock:
-            return [(c, p) for c, p in self.records if c.stage == stage]
 
 
 def cache_key(prompt: PromptPair, params: CompletionParams) -> str:
@@ -410,7 +374,6 @@ class Gateway:
         max_in_flight: Optional[int] = None,
         requests_per_minute: Optional[int] = None,
         sleeper: Callable[[float], None] = time.sleep,
-        capture: Optional[PromptCapture] = None,
     ) -> None:
         if cache_enabled and cache_dir is None:
             raise ValueError("cache_enabled requires a cache_dir")
@@ -423,7 +386,6 @@ class Gateway:
         self._recent_calls: deque[float] = deque()
         self._rpm_lock = threading.Lock()
         self._sleep = sleeper
-        self.capture = capture
 
     def complete(
         self,
@@ -432,9 +394,6 @@ class Gateway:
         context: CallContext,
     ) -> CompletionResult:
         """One completion: cache lookup, throttled backend call, recording."""
-        if self.capture is not None:
-            self.capture.add(context, prompt)
-
         key = cache_key(prompt, params)
         if self._cache_enabled:
             cached = self._cache_read(key)

@@ -6,7 +6,7 @@ pipeline), grades the answers, and emits:
 
 * outcomes.jsonl — one graded record per question (the persistence layer;
   a re-run over the same directory replays these instead of re-executing)
-* trace/<question_id>.json — the per-question audit trail
+* traces.jsonl — the per-question audit trail, one line per question
 * report.json — accuracy, confusion matrix, usage, and cost projections,
   a pure function of the outcomes plus the config snapshot
 * accuracy_by_category.csv, confusion_matrix.csv, cost.csv
@@ -22,13 +22,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .config import RunSettings, call_params
+from .config import ConfigError, RunSettings, call_params
 from .derailment import Consistent, Derailed, generate_rps, route
 from .gateway import (
     CallContext,
     Gateway,
     LiveBackend,
-    PromptCapture,
     ScriptedBackend,
     StageUsage,
     StructuredOutputFailure,
@@ -71,7 +70,7 @@ FLAG_COT_UNPARSEABLE = "cot-unparseable"
 OUTCOMES_FILE = "outcomes.jsonl"
 REPORT_FILE = "report.json"
 CONFIG_FILE = "resolved_config.json"
-TRACE_DIR = "trace"
+TRACES_FILE = "traces.jsonl"
 
 
 class MissingPrice(RerailError):
@@ -79,7 +78,8 @@ class MissingPrice(RerailError):
 
 
 class IncompleteTrace(RerailError):
-    """A replay directory lacks outcomes or the config snapshot."""
+    """A run directory lacks outcomes or the config snapshot, or holds a
+    malformed outcome."""
 
 
 def cell_for(correct_baseline: bool, correct_final: bool) -> str:
@@ -296,7 +296,6 @@ def make_gateway(
     backend_kind: str,
     script_path: Optional[str | Path] = None,
     out_dir: Optional[str | Path] = None,
-    capture: Optional[PromptCapture] = None,
 ) -> Gateway:
     """Gateway wired for a run: scripted replays, live caches by default."""
     if backend_kind == "scripted":
@@ -321,7 +320,6 @@ def make_gateway(
         cache_enabled=cache_enabled and cache_dir is not None,
         max_in_flight=settings.max_in_flight,
         requests_per_minute=settings.requests_per_minute,
-        capture=capture,
     )
 
 
@@ -545,12 +543,51 @@ def _write_csvs(report: dict, out_dir: Path) -> None:
 
 
 def load_outcomes(path: Path) -> list[QuestionOutcome]:
-    outcomes = []
+    """The outcome of each question, the last line for an id winning.
+
+    A line is committed once its newline is written, so an unterminated last
+    line (an append cut short) is ignored. A malformed committed line raises
+    IncompleteTrace.
+    """
+    latest: dict[str, QuestionOutcome] = {}
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                outcomes.append(QuestionOutcome.from_json(json.loads(line)))
-    return outcomes
+        for line_no, line in enumerate(handle, start=1):
+            if not line.endswith("\n") or not line.strip():
+                continue
+            try:
+                outcome = QuestionOutcome.from_json(json.loads(line))
+            except (ValueError, TypeError) as exc:
+                raise IncompleteTrace(f"{path} line {line_no}: malformed outcome ({exc})") from None
+            latest[outcome.question_id] = outcome
+    return list(latest.values())
+
+
+def _check_resumable(config_path: Path, config_snapshot: dict) -> None:
+    """Refuse to add to outcomes written under a different config.
+
+    Only the worker pool width may change between runs. A directory without
+    a readable snapshot resumes as it is.
+    """
+    try:
+        with open(config_path, encoding="utf-8") as handle:
+            stored = json.load(handle)
+    except (FileNotFoundError, json.JSONDecodeError):
+        return
+    for key in sorted(set(stored) | set(config_snapshot)):
+        if key != "parallelism" and stored.get(key) != config_snapshot.get(key):
+            raise ConfigError(
+                f"{config_path.parent} holds outcomes of a run with {key}={stored.get(key)!r}, "
+                f"not {config_snapshot.get(key)!r}; use a new --out directory"
+            )
+
+
+def _drop_torn_tail(path: Path) -> None:
+    """Cut an append-only stream back to its last newline, so the next line
+    is not glued onto what a crashed append left behind."""
+    with open(path, "rb+") as handle:
+        data = handle.read()
+        if not data.endswith(b"\n"):
+            handle.truncate(data.rfind(b"\n") + 1)
 
 
 def run(
@@ -562,55 +599,58 @@ def run(
 ) -> dict:
     """Run a mode over a dataset and write the full artifact set.
 
-    Questions already present in the directory's outcomes.jsonl are replayed
-    from disk (no calls, no billing); only the rest execute, in a worker
-    pool of width settings.parallelism.
+    Questions with a successful outcome in the directory's outcomes.jsonl
+    are replayed from disk (no calls, no billing); the rest, failed ones
+    included, execute in a worker pool of width settings.parallelism. Each
+    finished question appends its trace line, then its outcome line.
     """
     if mode not in _MODE_RUNNERS:
         raise ValueError(f"unknown mode {mode!r}")
     out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
-    (out_path / TRACE_DIR).mkdir(exist_ok=True)
-
+    outcomes_path = out_path / OUTCOMES_FILE
+    traces_path = out_path / TRACES_FILE
     config_snapshot = settings.to_json()
     config_snapshot["mode"] = mode
+    outcomes: dict[str, QuestionOutcome] = {}
+    if outcomes_path.exists():
+        _check_resumable(out_path / CONFIG_FILE, config_snapshot)
+        _drop_torn_tail(outcomes_path)
+        outcomes = {o.question_id: o for o in load_outcomes(outcomes_path) if o.error is None}
+    if traces_path.exists():
+        _drop_torn_tail(traces_path)
+
+    out_path.mkdir(parents=True, exist_ok=True)
     with open(out_path / CONFIG_FILE, "w", encoding="utf-8") as handle:
         json.dump(config_snapshot, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
-    outcomes_path = out_path / OUTCOMES_FILE
-    existing: dict[str, QuestionOutcome] = {}
-    if outcomes_path.exists():
-        for outcome in load_outcomes(outcomes_path):
-            existing[outcome.question_id] = outcome
-
-    pending = [q for q in questions if q.id not in existing]
+    pending = [q for q in questions if q.id not in outcomes]
     write_lock = threading.Lock()
-    fresh: dict[str, QuestionOutcome] = {}
+    with (
+        open(traces_path, "a", encoding="utf-8") as traces,
+        open(outcomes_path, "a", encoding="utf-8") as rows,
+    ):
 
-    def execute(question: Question) -> None:
-        outcome, trace = run_question(question, mode, gateway, settings)
-        with write_lock:
-            fresh[question.id] = outcome
-            with open(outcomes_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(outcome.to_json(), sort_keys=True) + "\n")
-        trace_payload = {"question_id": question.id, "trace": trace}
-        with open(out_path / TRACE_DIR / f"{question.id}.json", "w", encoding="utf-8") as handle:
-            json.dump(trace_payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        def execute(question: Question) -> None:
+            outcome, trace = run_question(question, mode, gateway, settings)
+            trace_line = json.dumps({"question_id": question.id, "trace": trace}, sort_keys=True)
+            outcome_line = json.dumps(outcome.to_json(), sort_keys=True)
+            with write_lock:
+                traces.write(trace_line + "\n")
+                traces.flush()
+                rows.write(outcome_line + "\n")
+                rows.flush()
+                outcomes[question.id] = outcome
 
-    # Leaving the pool waits for every question at once; waiting on each
-    # future in turn would wake this thread, and hand the GIL back and forth,
-    # after every question.
-    with ThreadPoolExecutor(max_workers=settings.parallelism) as pool:
-        futures = [pool.submit(execute, question) for question in pending]
+        # Leaving the pool waits for every question at once; waiting on each
+        # future in turn would wake this thread, and hand the GIL back and
+        # forth, after every question.
+        with ThreadPoolExecutor(max_workers=settings.parallelism) as pool:
+            futures = [pool.submit(execute, question) for question in pending]
     for future in futures:
         future.result()
 
-    ordered_outcomes = [
-        existing.get(q.id) or fresh[q.id] for q in questions
-    ]
-    report = build_report(ordered_outcomes, config_snapshot, mode)
+    report = build_report([outcomes[q.id] for q in questions], config_snapshot, mode)
     with open(out_path / REPORT_FILE, "wb") as handle:
         handle.write(report_to_bytes(report))
     _write_csvs(report, out_path)

@@ -34,12 +34,6 @@ class PromptPair:
     user: str
     format_instructions: str = ""
 
-    def full_text(self) -> str:
-        """Everything the model sees, for prompt-capture assertions."""
-        if self.format_instructions:
-            return f"{self.system}\n{self.user}\n{self.format_instructions}"
-        return f"{self.system}\n{self.user}"
-
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -237,11 +231,6 @@ _CATALOG: dict[str, tuple[str, str, str]] = {
     TEMPLATE_MAD_INITIAL: (MAD_INITIAL_SYSTEM, MAD_INITIAL_HUMAN, MAD_FORMAT),
     TEMPLATE_MAD_REVISION: (MAD_REVISION_SYSTEM, MAD_REVISION_HUMAN, MAD_FORMAT),
 }
-
-
-def template_placeholders(template_id: str) -> set[str]:
-    system, human, _ = _catalog_entry(template_id)
-    return set(_PLACEHOLDER_RE.findall(system)) | set(_PLACEHOLDER_RE.findall(human))
 
 
 def _catalog_entry(template_id: str) -> tuple[str, str, str]:

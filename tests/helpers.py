@@ -12,16 +12,19 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from rerail import prompts
 from rerail.config import RunSettings
 from rerail.gateway import (
     CallContext,
     CompletionParams,
     CompletionResult,
     Gateway,
-    PromptCapture,
     ScriptedBackend,
+    StageUsage,
     Usage,
+    UsageLedger,
 )
+from rerail.prompts import PromptPair
 from rerail.types import (
     Category,
     NumericValue,
@@ -203,12 +206,54 @@ def entry(
     return payload
 
 
-def scripted_gateway(
-    entries: list[dict],
-    capture: Optional[PromptCapture] = None,
-    **gateway_kwargs,
-) -> Gateway:
-    return Gateway(ScriptedBackend(entries), capture=capture, **gateway_kwargs)
+class RecordingGateway(Gateway):
+    """Gateway that records (context, prompt) for every completion asked of it."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.records: list[tuple[CallContext, PromptPair]] = []
+
+    def complete(self, prompt, params, context) -> CompletionResult:
+        self.records.append((context, prompt))
+        return super().complete(prompt, params, context)
+
+    def for_stage(self, stage: str) -> list[tuple[CallContext, PromptPair]]:
+        return [(c, p) for c, p in self.records if c.stage == stage]
+
+
+def scripted_gateway(entries: list[dict], **gateway_kwargs) -> RecordingGateway:
+    return RecordingGateway(ScriptedBackend(entries), **gateway_kwargs)
+
+
+def question_calls(ledger: UsageLedger, question_id: str, stage: Optional[str] = None) -> int:
+    """Completions the ledger holds for a question, optionally one stage's."""
+    return sum(
+        row.live_calls + row.cached_calls
+        for st, row in ledger.question_usage(question_id).items()
+        if stage is None or st == stage
+    )
+
+
+def ledger_totals(ledger: UsageLedger) -> StageUsage:
+    """Usage summed over every question and stage the ledger holds."""
+    total = StageUsage()
+    for question_id in list(ledger._rows):
+        for row in ledger.question_usage(question_id).values():
+            total.merge(row)
+    return total
+
+
+def full_text(prompt: PromptPair) -> str:
+    """Everything the model sees of a prompt."""
+    if prompt.format_instructions:
+        return f"{prompt.system}\n{prompt.user}\n{prompt.format_instructions}"
+    return f"{prompt.system}\n{prompt.user}"
+
+
+def template_placeholders(template_id: str) -> set[str]:
+    """Placeholder names in a catalog template's system and human text."""
+    system, human, _ = prompts._CATALOG[template_id]
+    return set(prompts._PLACEHOLDER_RE.findall(system)) | set(prompts._PLACEHOLDER_RE.findall(human))
 
 
 def remaining(backend: ScriptedBackend) -> int:

@@ -22,18 +22,20 @@ from helpers import (
     evaluator_no,
     evaluator_yes,
     fixable_script,
+    full_text,
     judge_selects,
+    ledger_totals,
     mad_answer,
     make_settings,
     mcqa_question,
     numeric_question,
+    question_calls,
     scripted_gateway,
     stage_calls,
     unfixable_script,
     write_script,
 )
 from rerail.derailment import check_consistency
-from rerail.gateway import PromptCapture
 from rerail.harness import (
     QuestionOutcome,
     cell_for,
@@ -195,15 +197,13 @@ def test_criterion_03_masking_soundness():
     rng = random.Random(21)
     indices = sorted({1, 100, *rng.sample(range(2, 100), 10)})
     for index in indices:
-        capture = PromptCapture()
         gw = scripted_gateway(
             [entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=index)],
-            capture=capture,
         )
         result = evaluate_step(question, rp, index, gw, settings)
         assert result.hallucination is False
-        ((_, prompt),) = capture.for_stage(STAGE_EVALUATOR)
-        rendered = prompt.full_text()
+        ((_, prompt),) = gw.for_stage(STAGE_EVALUATOR)
+        rendered = full_text(prompt)
         for position, text in enumerate(texts, 1):
             if position <= index:
                 assert text in rendered, (index, position)
@@ -241,9 +241,9 @@ def test_criterion_04_algorithm_one_fidelity():
 
         assert result.changed is True
         assert result.trace["corrected_step"] == k
-        assert gw.ledger.question_calls("q1", STAGE_EVALUATOR) == k  # early return
-        assert gw.ledger.question_calls("q1", STAGE_DEBATE) == 2
-        assert gw.ledger.question_calls("q1", STAGE_REANSWER) == 1
+        assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == k  # early return
+        assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 2
+        assert question_calls(gw.ledger, "q1", STAGE_REANSWER) == 1
         assert result.rp_out.steps[k - 1].status is StepStatus.CORRECTED
 
 
@@ -442,7 +442,8 @@ def test_criterion_09_determinism(tmp_path):
     # resuming over the same directory consumes nothing and changes nothing
     idle = scripted_gateway([])
     run(questions, settings, "rerailer", tmp_path / "a", idle)
-    assert idle.ledger.totals().calls == 0
+    total = ledger_totals(idle.ledger)
+    assert total.live_calls + total.cached_calls == 0
     assert (tmp_path / "a" / "report.json").read_bytes() == first
 
 
@@ -456,7 +457,7 @@ def test_criterion_10_baseline_budgets():
     ]
     gw = scripted_gateway(sc_entries)
     run_sc_baseline(mcqa_question(), gw, settings)
-    assert gw.ledger.question_calls("q1", STAGE_COT) == 40
+    assert question_calls(gw.ledger, "q1", STAGE_COT) == 40
 
     agree = scripted_gateway(
         [
@@ -465,7 +466,7 @@ def test_criterion_10_baseline_budgets():
         ]
     )
     run_mad_baseline(mcqa_question(), agree, settings)
-    assert agree.ledger.question_calls("q1", STAGE_MAD) == 2
+    assert question_calls(agree.ledger, "q1", STAGE_MAD) == 2
 
     disagree_entries = []
     for round_no in (1, 2, 3):
@@ -473,8 +474,8 @@ def test_criterion_10_baseline_budgets():
         disagree_entries.append(entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=2, round_no=round_no))
     disagree = scripted_gateway(disagree_entries)
     run_mad_baseline(mcqa_question(), disagree, settings)
-    assert disagree.ledger.question_calls("q1", STAGE_MAD) <= 6
-    assert disagree.ledger.question_calls("q1", STAGE_MAD) == 6
+    assert question_calls(disagree.ledger, "q1", STAGE_MAD) <= 6
+    assert question_calls(disagree.ledger, "q1", STAGE_MAD) == 6
 
 
 # --- criterion 11 ----------------------------------------------------------

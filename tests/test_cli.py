@@ -142,6 +142,75 @@ class TestRun:
         assert "line 2" in capsys.readouterr().err
 
 
+ARTIFACTS = [
+    "accuracy_by_category.csv",
+    "confusion_matrix.csv",
+    "cost.csv",
+    "outcomes.jsonl",
+    "report.json",
+    "resolved_config.json",
+    "traces.jsonl",
+]
+
+
+class TestResume:
+    def test_ids_are_never_file_paths(self, small_run, tmp_path):
+        questions = [mcqa_question(qid=qid) for qid in ("a/b", "../x", "../../y")]
+        write_dataset(small_run["dataset"], questions)
+        entries = [e for q in questions for e in consistent_script(q.id)]
+        write_script(small_run["script"], entries)
+        small_run["out"] = str(tmp_path / "runs" / "out")
+        assert main(run_args(small_run)) == 0
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["out"]
+        assert sorted(p.name for p in (tmp_path / "runs" / "out").iterdir()) == ARTIFACTS
+        lines = (tmp_path / "runs" / "out" / "traces.jsonl").read_text().splitlines()
+        assert [json.loads(line)["question_id"] for line in lines] == [q.id for q in questions]
+
+    def test_torn_tails_are_dropped_on_resume(self, small_run, tmp_path):
+        assert main(run_args(small_run)) == 0
+        out = tmp_path / "out"
+        uninterrupted = (out / "report.json").read_bytes()
+        for name in ("outcomes.jsonl", "traces.jsonl"):
+            data = (out / name).read_bytes()
+            (out / name).write_bytes(data[:-40])
+        (out / "report.json").unlink()
+        assert main(run_args(small_run)) == 0
+        assert (out / "report.json").read_bytes() == uninterrupted
+        lines = (out / "traces.jsonl").read_text().splitlines()
+        assert [json.loads(line)["question_id"] for line in lines] == ["q1", "q2", "q3"]
+
+    def test_malformed_committed_outcome_is_a_user_error(self, small_run, tmp_path, capsys):
+        assert main(run_args(small_run)) == 0
+        outcomes = tmp_path / "out" / "outcomes.jsonl"
+        lines = outcomes.read_text().splitlines(keepends=True)
+        outcomes.write_text(lines[0] + "{not json\n" + lines[2])
+        capsys.readouterr()
+        assert main(run_args(small_run)) == 1
+        assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changed", [{"mode": "cot"}, {"seed": 9}])
+    def test_resume_under_a_different_config_is_refused(self, small_run, tmp_path, capsys, changed):
+        assert main(run_args(small_run)) == 0
+        out = tmp_path / "out"
+        before = {name: (out / name).read_bytes() for name in ARTIFACTS}
+        capsys.readouterr()
+        assert main(run_args(small_run, **changed)) == 1
+        ((field, _),) = changed.items()
+        assert f"{field}=" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+
+    def test_resume_may_change_parallelism_or_lack_a_snapshot(self, small_run, tmp_path):
+        assert main(run_args(small_run)) == 0
+        out = tmp_path / "out"
+        outcomes = (out / "outcomes.jsonl").read_bytes()
+        report = (out / "report.json").read_bytes()
+        assert main(run_args(small_run, parallelism=2)) == 0
+        (out / "resolved_config.json").unlink()
+        assert main(run_args(small_run)) == 0
+        assert (out / "outcomes.jsonl").read_bytes() == outcomes
+        assert (out / "report.json").read_bytes() == report
+
+
 class TestReplayCommand:
     def test_replay_confirms_a_matching_report(self, small_run, capsys):
         assert main(run_args(small_run)) == 0

@@ -14,6 +14,7 @@ from helpers import (
     make_settings,
     mcqa_question,
     numeric_question,
+    question_calls,
     scripted_gateway,
 )
 from rerail.config import question_seed
@@ -36,7 +37,7 @@ from rerail.derailment import (
     judge,
     route,
 )
-from rerail.gateway import Gateway, PromptCapture, ScriptedBackend
+from rerail.gateway import Gateway, ScriptedBackend
 from rerail.types import (
     NumericValue,
     OptionLabel,
@@ -226,17 +227,15 @@ class TestJudge:
 
     def test_two_paths_duplicate_the_second_slot(self):
         paths = self.paths(n=2)
-        capture = PromptCapture()
         gw = scripted_gateway(
             [entry(STAGE_JUDGE, "q1", judge_selects(3)),
              entry(STAGE_JUDGE, "q1", judge_selects(2))],
-            capture=capture,
         )
         index, _, flags = judge(mcqa_question(), paths, gw, make_settings())
         # "3" names the duplicated slot, so it is rejected and re-asked
         assert index == 2
         assert FLAG_JUDGE_DUPLICATED_RP3 in flags
-        prompt = capture.records[0][1]
+        prompt = gw.records[0][1]
         rp2_block = prompt.user.split("RP 2: ")[1].split("RP 3: ")[0].strip()
         rp3_block = prompt.user.split("RP 3: ")[1].strip()
         assert rp2_block == rp3_block
@@ -262,8 +261,8 @@ class TestRoute:
         assert routed.answer_raw == "B"
         assert routed.answer == OptionLabel("B")
         assert routed.verdict.rule_fired == RULE_SAME_LEADING_OPTION
-        assert gw.ledger.question_calls("q1", STAGE_JUDGE) == 0
-        assert gw.ledger.question_calls("q1", STAGE_COT) == 3
+        assert question_calls(gw.ledger, "q1", STAGE_JUDGE) == 0
+        assert question_calls(gw.ledger, "q1", STAGE_COT) == 3
 
     def test_disagreeing_samples_go_through_the_judge(self):
         gw = scripted_gateway(
@@ -280,7 +279,7 @@ class TestRoute:
         assert routed.selected is routed.all_paths[1]
         assert routed.selected.final_answer == "B"
         assert routed.verdict.consistent is False
-        assert gw.ledger.question_calls("q1", STAGE_JUDGE) == 1
+        assert question_calls(gw.ledger, "q1", STAGE_JUDGE) == 1
 
     def test_single_sample_is_trivially_consistent(self):
         gw = scripted_gateway([sample(GOOD_COT)])

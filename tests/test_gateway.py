@@ -11,9 +11,12 @@ from hypothesis import given, strategies as st
 from helpers import (
     FlakyBackend,
     RecordingBackend,
+    RecordingGateway,
     entry,
     fenced,
     judge_selects,
+    ledger_totals,
+    question_calls,
     remaining,
     scripted_gateway,
     serialize_structured,
@@ -28,7 +31,6 @@ from rerail.gateway import (
     LiveBackend,
     MalformedJson,
     NoFenceFound,
-    PromptCapture,
     ProviderError,
     REASK_REMINDER,
     RETRY_MAX_ATTEMPTS,
@@ -311,21 +313,21 @@ class TestUsageLedger:
         row = ledger.question_usage("q1")[STAGE_COT]
         assert row.prompt_tokens == 300
         assert row.completion_tokens == 120
-        assert row.calls == 2
+        assert row.live_calls + row.cached_calls == 2
         assert row.wall_time_s == pytest.approx(0.5)
-        assert ledger.question_calls("q1") == 3
-        assert ledger.question_calls("q1", STAGE_JUDGE) == 1
+        assert question_calls(ledger, "q1") == 3
+        assert question_calls(ledger, "q1", STAGE_JUDGE) == 1
 
     def test_unknown_question_has_no_usage(self):
         ledger = UsageLedger()
         assert ledger.question_usage("ghost") == {}
-        assert ledger.question_calls("ghost") == 0
+        assert question_calls(ledger, "ghost") == 0
 
     def test_totals_merge_all_rows(self):
         ledger = UsageLedger()
         ledger.record("q1", STAGE_COT, self.result(100, 50, 0.2))
         ledger.record("q2", STAGE_JUDGE, self.result(50, 25, 0.1, cached=True))
-        total = ledger.totals()
+        total = ledger_totals(ledger)
         assert total.live_calls == 1
         assert total.cached_calls == 1
         assert total.prompt_tokens == 150
@@ -396,30 +398,29 @@ class TestParseStructuredOutput:
 class TestCompleteStructured:
     def recording_gateway(self, entries, **kwargs):
         backend = RecordingBackend(ScriptedBackend(entries))
-        capture = PromptCapture()
-        return Gateway(backend, capture=capture, **kwargs), backend, capture
+        return RecordingGateway(backend, **kwargs), backend
 
     def test_clean_response_needs_one_call(self):
-        gw, backend, _ = self.recording_gateway([entry(STAGE_COT, "q1", fenced(answer="B"))])
+        gw, backend = self.recording_gateway([entry(STAGE_COT, "q1", fenced(answer="B"))])
         assert complete_structured(gw, PROMPT, PARAMS, CTX) == {"answer": "B"}
         assert len(backend.calls) == 1
         assert backend.calls[0][0].seed == 7
 
     def test_reask_appends_reminder_and_shifts_seed(self):
-        gw, backend, capture = self.recording_gateway(
+        gw, backend = self.recording_gateway(
             [entry(STAGE_COT, "q1", "no fence here"),
              entry(STAGE_COT, "q1", fenced(answer="B"))]
         )
         assert complete_structured(gw, PROMPT, PARAMS, CTX) == {"answer": "B"}
         assert len(backend.calls) == 2
         assert backend.calls[1][0].seed == 8
-        first_prompt = capture.records[0][1]
-        retry_prompt = capture.records[1][1]
+        first_prompt = gw.records[0][1]
+        retry_prompt = gw.records[1][1]
         assert retry_prompt.user == f"{first_prompt.user}\n{REASK_REMINDER}"
         assert retry_prompt.system == first_prompt.system
 
     def test_unseeded_calls_stay_unseeded_on_reask(self):
-        gw, backend, _ = self.recording_gateway(
+        gw, backend = self.recording_gateway(
             [entry(STAGE_COT, "q1", "junk"), entry(STAGE_COT, "q1", fenced(a="1"))]
         )
         params = CompletionParams(model_id="m1", temperature=0.0)
@@ -427,7 +428,7 @@ class TestCompleteStructured:
         assert backend.calls[1][0].seed is None
 
     def test_two_failures_raise(self):
-        gw, backend, _ = self.recording_gateway(
+        gw, backend = self.recording_gateway(
             [entry(STAGE_COT, "q1", "junk"), entry(STAGE_COT, "q1", "more junk")]
         )
         with pytest.raises(StructuredOutputFailure, match="'cot'"):
@@ -439,7 +440,7 @@ class TestCompleteStructured:
             if mapping["selected"] not in {"1", "2", "3"}:
                 raise ValueError("selection out of range")
 
-        gw, backend, _ = self.recording_gateway(
+        gw, backend = self.recording_gateway(
             [entry(STAGE_JUDGE, "q1", judge_selects(5)),
              entry(STAGE_JUDGE, "q1", judge_selects(2))]
         )
@@ -452,7 +453,7 @@ class TestCompleteStructured:
         def validate(mapping):
             raise ValueError("never acceptable")
 
-        gw, _, _ = self.recording_gateway(
+        gw, _ = self.recording_gateway(
             [entry(STAGE_JUDGE, "q1", judge_selects(5)),
              entry(STAGE_JUDGE, "q1", judge_selects(5))]
         )

@@ -13,16 +13,18 @@ from helpers import (
     cot_text,
     entry,
     fixable_script,
+    ledger_totals,
     make_settings,
     mad_answer,
     mcqa_question,
+    question_calls,
     scripted_gateway,
     stage_calls,
     unfixable_script,
     write_script,
 )
 from rerail.config import question_seed
-from rerail.gateway import Gateway, PromptCapture, ProviderError, ScriptedBackend
+from rerail.gateway import Gateway, ProviderError, ScriptedBackend
 from rerail.harness import (
     CELL_FN,
     CELL_FP,
@@ -99,7 +101,7 @@ class TestRunScBaseline:
         result = run_sc_baseline(mcqa_question(), gw, make_settings())
         assert result.final_raw == "A"
         assert result.flags == ()
-        assert gw.ledger.question_calls("q1", STAGE_COT) == 40
+        assert question_calls(gw.ledger, "q1", STAGE_COT) == 40
 
     def test_tie_takes_the_first_reached_answer_and_flags(self):
         entries = [sc_entry("A") for _ in range(20)] + [sc_entry("B") for _ in range(20)]
@@ -112,7 +114,7 @@ class TestRunScBaseline:
         gw = scripted_gateway([sc_entry("B") for _ in range(5)])
         result = run_sc_baseline(mcqa_question(), gw, make_settings(sc_budget=5))
         assert result.final_raw == "B"
-        assert gw.ledger.question_calls("q1", STAGE_COT) == 5
+        assert question_calls(gw.ledger, "q1", STAGE_COT) == 5
 
     def test_votes_are_pooled_by_normalized_answer(self):
         entries = [sc_entry("b) choice B"), sc_entry("B."), sc_entry("A")]
@@ -131,11 +133,10 @@ class TestRunMadBaseline:
         result = run_mad_baseline(mcqa_question(), gw, make_settings())
         assert result.final_raw == "B"
         assert result.flags == ()
-        assert gw.ledger.question_calls("q1", STAGE_MAD) == 2
+        assert question_calls(gw.ledger, "q1", STAGE_MAD) == 2
         assert result.trace["rounds_run"] == 1
 
     def test_convergence_in_round_two_costs_four_calls(self):
-        capture = PromptCapture()
         gw = scripted_gateway(
             [
                 mad_entry("A", 1, 1),
@@ -143,12 +144,11 @@ class TestRunMadBaseline:
                 mad_entry("B", 1, 2),
                 mad_entry("B", 2, 2),
             ],
-            capture=capture,
         )
         result = run_mad_baseline(mcqa_question(), gw, make_settings())
         assert result.final_raw == "B"
-        assert gw.ledger.question_calls("q1", STAGE_MAD) == 4
-        round_two = [p for c, p in capture.for_stage(STAGE_MAD) if c.round == 2]
+        assert question_calls(gw.ledger, "q1", STAGE_MAD) == 4
+        round_two = [p for c, p in gw.for_stage(STAGE_MAD) if c.round == 2]
         assert "Agent 1 answered: A" in round_two[0].user
         assert "Agent 2 answered: B" in round_two[0].user
 
@@ -159,7 +159,7 @@ class TestRunMadBaseline:
             entries.append(mad_entry("B", 2, round_no))
         gw = scripted_gateway(entries)
         result = run_mad_baseline(mcqa_question(), gw, make_settings())
-        assert gw.ledger.question_calls("q1", STAGE_MAD) == 6
+        assert question_calls(gw.ledger, "q1", STAGE_MAD) == 6
         assert result.final_raw == "A"
         assert FLAG_MAD_TIE in result.flags
         assert result.trace["rounds_run"] == 3
@@ -175,7 +175,7 @@ class TestRunMadBaseline:
         result = run_mad_baseline(mcqa_question(), gw, make_settings(mad_agents=5))
         assert result.final_raw == "B"  # agent 1's "A" has a single vote
         assert FLAG_MAD_TIE in result.flags
-        assert gw.ledger.question_calls("q1", STAGE_MAD) == 15
+        assert question_calls(gw.ledger, "q1", STAGE_MAD) == 15
 
     def test_unparseable_agent_keeps_its_prior_answer(self):
         gw = scripted_gateway(
@@ -190,7 +190,7 @@ class TestRunMadBaseline:
         result = run_mad_baseline(mcqa_question(), gw, make_settings())
         assert result.final_raw == "B"
         assert FLAG_MAD_FAIL_OPEN in result.flags
-        assert gw.ledger.question_calls("q1", STAGE_MAD) == 5
+        assert question_calls(gw.ledger, "q1", STAGE_MAD) == 5
 
 
 class TestGrading:
@@ -399,9 +399,10 @@ class TestRun:
         for name in ("outcomes.jsonl", "report.json", "resolved_config.json",
                      "accuracy_by_category.csv", "confusion_matrix.csv", "cost.csv"):
             assert (out_dir / name).exists()
-        assert sorted(p.stem for p in (out_dir / "trace").glob("*.json")) == [
-            q.id for q in questions
-        ]
+        assert not (out_dir / "trace").exists()
+        with open(out_dir / "traces.jsonl", encoding="utf-8") as handle:
+            traced = [json.loads(line)["question_id"] for line in handle]
+        assert traced == [q.id for q in questions]
 
         assert report["counts"] == {"total": 10, "failed": 0, "consistent": 4, "derailed": 6}
         assert report["confusion_matrix"]["overall"] == {"TP": 0, "TN": 4, "FN": 2, "FP": 0}
@@ -444,7 +445,7 @@ class TestRun:
         entries = [entry(STAGE_COT, q.id, cot_text(["Think."], "B")) for q in questions]
         gw = scripted_gateway(entries)
         report = run(questions, make_settings(), "cot", tmp_path / "cot", gw)
-        assert gw.ledger.totals().live_calls == 3
+        assert ledger_totals(gw.ledger).live_calls == 3
         assert report["accuracy"]["overall"]["correct"] == 3
         assert report["confusion_matrix"] is None
 
@@ -458,6 +459,15 @@ class TestRun:
         assert "ScriptExhausted" in outcomes["q2"].error
         assert outcomes["q2"].flags == ["question-failed"]
         assert report["accuracy"]["overall"]["total"] == 1
+
+    def test_failed_question_reruns_on_resume(self, tmp_path):
+        questions = [mcqa_question(qid="ok"), mcqa_question(qid="flaky")]
+        out_dir = tmp_path / "r"
+        first = run(questions, make_settings(), "rerailer", out_dir, scripted_gateway(consistent_script("ok")))
+        assert first["counts"]["failed"] == 1
+        second = run(questions, make_settings(), "rerailer", out_dir, scripted_gateway(consistent_script("flaky")))
+        assert second["counts"]["failed"] == 0
+        assert report_to_bytes(replay(out_dir)) == (out_dir / "report.json").read_bytes()
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="mode"):
@@ -475,6 +485,30 @@ class TestReplay:
     def test_missing_artifacts_raise(self, tmp_path):
         with pytest.raises(IncompleteTrace):
             replay(tmp_path)
+
+
+class TestLoadOutcomes:
+    def write(self, path, text):
+        path.write_text(text)
+        return path
+
+    def test_unterminated_last_line_is_ignored(self, tmp_path):
+        row = json.dumps(outcome("q1").to_json())
+        path = self.write(tmp_path / "o.jsonl", row + "\n" + row[:-5])
+        assert [o.question_id for o in load_outcomes(path)] == ["q1"]
+
+    def test_last_line_for_an_id_wins(self, tmp_path):
+        failed = json.dumps(outcome("q1", error="ProviderError: boom").to_json())
+        ok = json.dumps(outcome("q1").to_json())
+        path = self.write(tmp_path / "o.jsonl", failed + "\n" + ok + "\n")
+        (loaded,) = load_outcomes(path)
+        assert loaded.error is None
+
+    def test_malformed_committed_line_names_its_number(self, tmp_path):
+        row = json.dumps(outcome("q1").to_json())
+        path = self.write(tmp_path / "o.jsonl", row + "\n" + row[:-5] + "\n" + row + "\n")
+        with pytest.raises(IncompleteTrace, match="line 2"):
+            load_outcomes(path)
 
 
 class TestRunQuestion:
@@ -508,7 +542,7 @@ class TestMakeGateway:
         gw = make_gateway(make_settings(), "scripted", script_path=script, out_dir=tmp_path)
         run_cot(mcqa_question(), gw, make_settings())
         run_cot(mcqa_question(), gw, make_settings())
-        assert gw.ledger.totals().cached_calls == 0
+        assert ledger_totals(gw.ledger).cached_calls == 0
         assert not (tmp_path / "cache").exists()
 
     def test_scripted_cache_can_be_opted_in(self, tmp_path):
@@ -520,5 +554,5 @@ class TestMakeGateway:
         gw = make_gateway(settings, "scripted", script_path=script, out_dir=tmp_path)
         run_cot(mcqa_question(), gw, settings)
         run_cot(mcqa_question(), gw, settings)
-        assert gw.ledger.totals().cached_calls == 1
+        assert ledger_totals(gw.ledger).cached_calls == 1
         assert (tmp_path / "cache").exists()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import mcqa_question
+from helpers import full_text, mcqa_question, template_placeholders
 from rerail.prompts import (
     MissingVariable,
     PromptPair,
@@ -18,7 +18,6 @@ from rerail.prompts import (
     format_instructions,
     format_question,
     render_prompt,
-    template_placeholders,
 )
 
 
@@ -112,11 +111,11 @@ class TestFormatInstructions:
 class TestFullText:
     def test_concatenation_with_instructions(self):
         pair = PromptPair(system="sys", user="usr", format_instructions="fmt")
-        assert pair.full_text() == "sys\nusr\nfmt"
+        assert full_text(pair) == "sys\nusr\nfmt"
 
     def test_concatenation_without_instructions(self):
         pair = PromptPair(system="sys", user="usr")
-        assert pair.full_text() == "sys\nusr"
+        assert full_text(pair) == "sys\nusr"
 
 
 class TestFormatQuestion:

@@ -14,10 +14,11 @@ from helpers import (
     fenced,
     make_settings,
     mcqa_question,
+    question_calls,
     scripted_gateway,
 )
 from rerail.config import question_seed
-from rerail.gateway import Gateway, PromptCapture, ScriptedBackend
+from rerail.gateway import Gateway, ScriptedBackend
 from rerail.parsing import parse_reasoning_path
 from rerail.rerailer import (
     DebateOutcome,
@@ -156,7 +157,7 @@ class TestEvaluateStep:
         result = evaluate_step(Q, rp, 1, gw, SETTINGS)
         assert result.auto is True
         assert result.hallucination is False
-        assert gw.ledger.question_calls("q1") == 0
+        assert question_calls(gw.ledger, "q1") == 0
 
     def test_unparseable_twice_fails_open(self):
         gw, backend = self.recording(
@@ -178,12 +179,9 @@ class TestEvaluateStep:
         assert len(backend.calls) == 2
 
     def test_prompt_shows_step_number_and_masked_prefix(self):
-        capture = PromptCapture()
-        gw = scripted_gateway(
-            [entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=2)], capture=capture
-        )
+        gw = scripted_gateway([entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=2)])
         evaluate_step(Q, path_from(FIVE_TEXTS), 2, gw, SETTINGS)
-        _, prompt = capture.records[0]
+        _, prompt = gw.records[0]
         assert "I am currently at step #2" in prompt.system
         assert FIVE_TEXTS[1] in prompt.user
         assert FIVE_TEXTS[2] not in prompt.user
@@ -205,8 +203,8 @@ class TestDebate:
     MASKED = "Step 1: context.\nStep 2: the flagged step."
     ORIGINAL = "The evaluator's proposed correction."
 
-    def run(self, entries, capture=None, **settings_overrides):
-        gw = scripted_gateway(entries, capture=capture)
+    def run(self, entries, **settings_overrides):
+        gw = scripted_gateway(entries)
         outcome = debate(
             Q, self.MASKED, 2, self.ORIGINAL, gw, make_settings(**settings_overrides)
         )
@@ -221,7 +219,7 @@ class TestDebate:
         assert outcome.rounds_run == 1
         assert len(outcome.transcript) == 2
         assert outcome.flags == ()
-        assert gw.ledger.question_calls("q1", STAGE_DEBATE) == 2
+        assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 2
 
     def test_revision_then_unanimous_agreement(self):
         revised = "A sharper correction."
@@ -237,7 +235,7 @@ class TestDebate:
         assert outcome.final_correction == revised
         assert outcome.rounds_run == 2
         assert len(outcome.transcript) == 4
-        assert gw.ledger.question_calls("q1", STAGE_DEBATE) == 4
+        assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 4
 
     def test_last_reviser_in_a_round_wins_the_standing_slot(self):
         first = "First revision."
@@ -304,22 +302,20 @@ class TestDebate:
         assert outcome.accepted is True
         assert outcome.rounds_run == 1
         assert FLAG_DEBATE_FAIL_OPEN in outcome.flags
-        assert gw.ledger.question_calls("q1", STAGE_DEBATE) == 3
+        assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 3
 
     def test_second_round_prompt_replays_round_one(self):
-        capture = PromptCapture()
         revised = "A sharper correction."
-        self.run(
+        _, gw = self.run(
             [
                 debate_entry(debate_revise(revised), 1, 1),
                 debate_entry(debate_agree(), 2, 1),
                 debate_entry(debate_agree(), 1, 2),
                 debate_entry(debate_agree(), 2, 2),
             ],
-            capture=capture,
         )
-        round_one = [p for c, p in capture.for_stage(STAGE_DEBATE) if c.round == 1]
-        round_two = [p for c, p in capture.for_stage(STAGE_DEBATE) if c.round == 2]
+        round_one = [p for c, p in gw.for_stage(STAGE_DEBATE) if c.round == 1]
+        round_two = [p for c, p in gw.for_stage(STAGE_DEBATE) if c.round == 2]
         assert f"The proposed correction for the current step: {self.ORIGINAL}" in round_one[0].user
         assert "Agent 1 (round 1)" not in round_one[0].user
         assert f"The proposed correction for the current step: {revised}" in round_two[0].user
@@ -454,12 +450,9 @@ class TestReanswer:
             reanswer(Q, loose, 1, scripted_gateway([]), SETTINGS)
 
     def test_prompt_never_shows_verified_markers(self):
-        capture = PromptCapture()
-        gw = scripted_gateway(
-            [entry(STAGE_REANSWER, "q1", self.continuation("Done."))], capture=capture
-        )
+        gw = scripted_gateway([entry(STAGE_REANSWER, "q1", self.continuation("Done."))])
         reanswer(Q, self.PREFIX, 1, gw, SETTINGS)
-        _, prompt = capture.records[0]
+        _, prompt = gw.records[0]
         assert "(verified)" not in prompt.user
         assert "Write down the knowns." in prompt.user
 
@@ -475,16 +468,15 @@ class TestRerailPass:
         assert result.changed is False
         assert all(s.status is StepStatus.VERIFIED for s in result.rp_out.steps)
         assert [s.text for s in result.rp_out.steps] == FIVE_TEXTS[:4]
-        assert gw.ledger.question_calls("q1", STAGE_EVALUATOR) == 4
-        assert gw.ledger.question_calls("q1", STAGE_DEBATE) == 0
-        assert gw.ledger.question_calls("q1", STAGE_REANSWER) == 0
+        assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == 4
+        assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 0
+        assert question_calls(gw.ledger, "q1", STAGE_REANSWER) == 0
         assert result.trace["corrected_step"] is None
         assert len(result.trace["evaluations"]) == 4
 
     def test_first_flag_stops_the_sweep(self):
         rp = path_from(FIVE_TEXTS)
         corrected = "Pick the correct relation."
-        capture = PromptCapture()
         entries = [
             entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=1),
             entry(STAGE_EVALUATOR, "q1", evaluator_yes(corrected), step_index=2),
@@ -493,11 +485,11 @@ class TestRerailPass:
             entry(STAGE_REANSWER, "q1",
                   cot_text([FIVE_TEXTS[0], corrected, "Finish from here."], "B")),
         ]
-        gw = scripted_gateway(entries, capture=capture)
+        gw = scripted_gateway(entries)
         result = rerail_pass(Q, rp, 1, gw, SETTINGS)
         assert result.changed is True
-        assert gw.ledger.question_calls("q1", STAGE_EVALUATOR) == 2
-        evaluated = [c.step_index for c, _ in capture.for_stage(STAGE_EVALUATOR)]
+        assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == 2
+        evaluated = [c.step_index for c, _ in gw.for_stage(STAGE_EVALUATOR)]
         assert max(evaluated) == 2  # steps 3..5 were never looked at
         assert result.trace["corrected_step"] == 2
         assert result.rp_out.final_answer == "B"
@@ -569,9 +561,9 @@ class TestRerail:
         assert result.path.final_answer == "B"
         # provenance remembers the pass that last rewrote the path
         assert result.path.provenance == Provenance.rerailed(2)
-        assert gw.ledger.question_calls("q1", STAGE_EVALUATOR) == 5
-        assert gw.ledger.question_calls("q1", STAGE_DEBATE) == 4
-        assert gw.ledger.question_calls("q1", STAGE_REANSWER) == 2
+        assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == 5
+        assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 4
+        assert question_calls(gw.ledger, "q1", STAGE_REANSWER) == 2
         assert len(result.trace["passes"]) == 3
 
     def test_never_clean_path_hits_the_cap_uncertified(self):
@@ -596,8 +588,8 @@ class TestRerail:
         assert FLAG_UNCERTIFIED in result.flags
         assert result.path.provenance == Provenance.rerailed(3)
         assert len(result.trace["passes"]) == 3
-        assert gw.ledger.question_calls("q1", STAGE_EVALUATOR) == 3
-        assert gw.ledger.question_calls("q1", STAGE_REANSWER) == 3
+        assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == 3
+        assert question_calls(gw.ledger, "q1", STAGE_REANSWER) == 3
 
     def test_cap_is_configurable(self):
         rp = path_from(["Assume the wrong model."], answer="A")

@@ -8,6 +8,7 @@ cached completion of every earlier run.
 
 from helpers import (
     RecordingBackend,
+    RecordingGateway,
     entry,
     fixable_script,
     mad_answer,
@@ -15,7 +16,7 @@ from helpers import (
     mcqa_question,
 )
 from rerail.config import question_seed
-from rerail.gateway import Gateway, PromptCapture, ScriptedBackend, cache_key
+from rerail.gateway import Gateway, ScriptedBackend, cache_key
 from rerail.harness import run_mad_baseline, run_rerailer_mode
 from rerail.types import STAGE_MAD
 
@@ -27,10 +28,10 @@ def seed_of(tag: str, offset: int = 0) -> int:
     return question_seed(SEED, tag) + offset
 
 
-def recorded(entries, runner, capture=None):
+def recorded(entries, runner):
     backend = RecordingBackend(ScriptedBackend(entries))
     settings = make_settings(seed=SEED)
-    runner(mcqa_question(), Gateway(backend, capture=capture), settings)
+    runner(mcqa_question(), Gateway(backend), settings)
     return [
         (ctx.stage, ctx.step_index, ctx.agent_id, ctx.round, params.temperature, params.seed)
         for params, ctx in backend.calls
@@ -73,9 +74,9 @@ def test_mad_scenario_seeds_include_the_reask_bump():
 
 
 def test_golden_cache_key_of_the_first_sample():
-    capture = PromptCapture()
     backend = RecordingBackend(ScriptedBackend(fixable_script("q1")))
-    run_rerailer_mode(mcqa_question(), Gateway(backend, capture=capture), make_settings(seed=SEED))
-    (_, prompt), (params, _) = capture.records[0], backend.calls[0]
+    gw = RecordingGateway(backend)
+    run_rerailer_mode(mcqa_question(), gw, make_settings(seed=SEED))
+    (_, prompt), (params, _) = gw.records[0], backend.calls[0]
     assert params.seed == 61982573072121
     assert cache_key(prompt, params) == GOLDEN_FIRST_SAMPLE_KEY
