@@ -4,9 +4,9 @@ Subcommands: validate (check a config and echo resolved defaults), run
 (execute a mode over a dataset), replay (recompute a run's report from its
 persisted outcomes), report (print a run's report).
 
-Exit codes: 0 success, 1 user/config error, 2 runtime failure. Secrets never
-appear in arguments or output; live mode reads the API key from the
-environment variable named in the config.
+Exit codes: 0 success, 1 user/config/file-system error, 2 runtime failure.
+Secrets never appear in arguments or output; live mode reads the API key from
+the environment variable named in the config.
 """
 
 from __future__ import annotations
@@ -149,13 +149,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
-    except (ConfigError, DatasetError, IncompleteTrace, ScriptFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
-    except FileNotFoundError as exc:
+    except (UsageError, ConfigError, DatasetError, IncompleteTrace, ScriptFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
     except ProviderError as exc:

@@ -89,12 +89,7 @@ class RunSettings:
             raise ConfigError("config field 'model_id' must be non-empty")
 
     def to_json(self) -> dict:
-        payload = asdict(self)
-        payload["price_table"] = {
-            model: {"prompt_per_1k": p.prompt_per_1k, "completion_per_1k": p.completion_per_1k}
-            for model, p in self.price_table.items()
-        }
-        return payload
+        return asdict(self)
 
     def with_overrides(self, **overrides) -> "RunSettings":
         filtered = {k: v for k, v in overrides.items() if v is not None}
@@ -114,10 +109,13 @@ def _parse_price_table(raw, source: str) -> dict[str, PriceEntry]:
                 f"{source}: price_table[{model!r}] must have exactly "
                 "prompt_per_1k and completion_per_1k"
             )
-        table[model] = PriceEntry(
-            prompt_per_1k=float(entry["prompt_per_1k"]),
-            completion_per_1k=float(entry["completion_per_1k"]),
-        )
+        try:
+            table[model] = PriceEntry(
+                prompt_per_1k=float(entry["prompt_per_1k"]),
+                completion_per_1k=float(entry["completion_per_1k"]),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{source}: price_table[{model!r}] prices must be numbers ({exc})") from None
     return table
 
 

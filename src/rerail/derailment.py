@@ -112,7 +112,6 @@ def generate_rps(
     gateway: Gateway,
     settings: RunSettings,
     n: Optional[int] = None,
-    stage: str = STAGE_COT,
 ) -> list[ReasoningPath]:
     """Sample n reasoning paths from independent raw chain-of-thought calls.
 
@@ -130,7 +129,7 @@ def generate_rps(
             "question": format_question(question.text, question.context, question.options),
         },
     )
-    context = CallContext(stage=stage, question_id=question.id)
+    context = CallContext(stage=STAGE_COT, question_id=question.id)
 
     paths: list[ReasoningPath] = []
     retries_used = 0

@@ -134,7 +134,6 @@ class _ScriptEntry:
     response: str
     usage: Usage
     latency_s: float
-    consumed: bool = False
 
 
 class ScriptedBackend:
@@ -144,11 +143,17 @@ class ScriptedBackend:
     "agent_id"?, "round"?}, "response": str, "usage": {"prompt_tokens": int,
     "completion_tokens": int}, "latency_ms"?: number}. A call consumes the
     first unconsumed entry whose match keys all equal the call's context, in
-    file order, so several entries with the same match form a queue.
+    file order, so several entries with the same match form a queue. Entries
+    are kept in per-(stage, question_id) queues, since both keys are required
+    and a call can only match entries that carry its own.
     """
 
     def __init__(self, entries: list[dict]) -> None:
-        self._entries = [self._parse_entry(e, i + 1) for i, e in enumerate(entries)]
+        self._queues: dict[tuple[str, str], list[_ScriptEntry]] = {}
+        for line_no, raw in enumerate(entries, start=1):
+            parsed = self._parse_entry(raw, line_no)
+            key = (parsed.match["stage"], parsed.match["question_id"])
+            self._queues.setdefault(key, []).append(parsed)
         self._lock = threading.Lock()
 
     @classmethod
@@ -168,9 +173,9 @@ class ScriptedBackend:
     def _parse_entry(raw: dict, line_no: int) -> _ScriptEntry:
         if not isinstance(raw, dict):
             raise ScriptFormatError(f"script entry {line_no}: expected an object")
-        unknown = sorted(set(raw) - _ENTRY_KEYS)
+        unknown = raw.keys() - _ENTRY_KEYS
         if unknown:
-            raise ScriptFormatError(f"script entry {line_no}: unknown field {unknown[0]!r}")
+            raise ScriptFormatError(f"script entry {line_no}: unknown field {min(unknown)!r}")
         for required in ("match", "response", "usage"):
             if required not in raw:
                 raise ScriptFormatError(f"script entry {line_no}: missing field {required!r}")
@@ -179,31 +184,34 @@ class ScriptedBackend:
             raise ScriptFormatError(
                 f"script entry {line_no}: match must be an object with at least stage and question_id"
             )
-        bad = sorted(set(match) - set(_MATCH_KEYS))
+        if not isinstance(match["stage"], str) or not isinstance(match["question_id"], str):
+            raise ScriptFormatError(f"script entry {line_no}: stage and question_id must be strings")
+        bad = match.keys() - _MATCH_KEYS
         if bad:
-            raise ScriptFormatError(f"script entry {line_no}: unknown match field {bad[0]!r}")
+            raise ScriptFormatError(f"script entry {line_no}: unknown match field {min(bad)!r}")
         usage_raw = raw["usage"]
         if not isinstance(usage_raw, dict):
             raise ScriptFormatError(f"script entry {line_no}: usage must be an object")
-        usage = Usage(
-            prompt_tokens=int(usage_raw.get("prompt_tokens", 0)),
-            completion_tokens=int(usage_raw.get("completion_tokens", 0)),
-        )
-        return _ScriptEntry(
-            match=dict(match),
-            response=str(raw["response"]),
-            usage=usage,
-            latency_s=float(raw.get("latency_ms", 0)) / 1000.0,
-        )
+        try:
+            return _ScriptEntry(
+                match=dict(match),
+                response=str(raw["response"]),
+                usage=Usage(
+                    prompt_tokens=int(usage_raw.get("prompt_tokens", 0)),
+                    completion_tokens=int(usage_raw.get("completion_tokens", 0)),
+                ),
+                latency_s=float(raw.get("latency_ms", 0)) / 1000.0,
+            )
+        except (TypeError, ValueError) as exc:
+            raise ScriptFormatError(f"script entry {line_no}: {exc}") from None
 
     def call(self, prompt: PromptPair, params: CompletionParams, context: CallContext) -> CompletionResult:
         values = context.match_values()
         with self._lock:
-            for entry in self._entries:
-                if entry.consumed:
-                    continue
+            queue = self._queues.get((context.stage, context.question_id), [])
+            for position, entry in enumerate(queue):
                 if all(entry.match[key] == values[key] for key in entry.match):
-                    entry.consumed = True
+                    del queue[position]
                     return CompletionResult(
                         text=entry.response,
                         usage=entry.usage,
@@ -368,7 +376,6 @@ class Gateway:
     def __init__(
         self,
         backend,
-        ledger: Optional[UsageLedger] = None,
         cache_dir: Optional[str | Path] = None,
         cache_enabled: bool = False,
         max_in_flight: Optional[int] = None,
@@ -378,7 +385,7 @@ class Gateway:
         if cache_enabled and cache_dir is None:
             raise ValueError("cache_enabled requires a cache_dir")
         self._backend = backend
-        self.ledger = ledger if ledger is not None else UsageLedger()
+        self.ledger = UsageLedger()
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._cache_enabled = cache_enabled
         self._gate = threading.Semaphore(max_in_flight) if max_in_flight is not None else None

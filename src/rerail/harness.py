@@ -34,7 +34,7 @@ from .gateway import (
     complete_structured,
 )
 from .grading import answer_bucket, grade_safe, majority_answer
-from .parsing import ANSWER_MARKER_RE, parse_reasoning_path
+from .parsing import ANSWER_MARKER_RE
 from .prompts import (
     TEMPLATE_MAD_INITIAL,
     TEMPLATE_MAD_REVISION,
@@ -43,13 +43,7 @@ from .prompts import (
     render_prompt,
 )
 from .rerailer import rerail
-from .types import (
-    ParseFailure,
-    Question,
-    RerailError,
-    STAGE_COT,
-    STAGE_MAD,
-)
+from .types import Question, RerailError, STAGE_COT, STAGE_MAD
 
 MODE_COT = "cot"
 MODE_SC = "sc"
@@ -71,6 +65,8 @@ OUTCOMES_FILE = "outcomes.jsonl"
 REPORT_FILE = "report.json"
 CONFIG_FILE = "resolved_config.json"
 TRACES_FILE = "traces.jsonl"
+
+COST_COLUMNS = ("model_id", "n_questions", "cost_usd", "cost_per_1000_usd", "wall_time_s", "hours_per_1000")
 
 
 class MissingPrice(RerailError):
@@ -127,17 +123,13 @@ class ModeResult:
 
 
 def _extract_answer(text: str) -> Optional[str]:
-    """Final answer of a generation; tolerates missing step structure."""
-    try:
-        return parse_reasoning_path(text).final_answer
-    except ParseFailure:
-        pass
+    """Text after the last answer marker; tolerates missing step structure."""
     last = None
     for last in ANSWER_MARKER_RE.finditer(text):
         pass
-    if last is not None and last.group(1).strip():
-        return last.group(1).strip()
-    return None
+    if last is None:
+        return None
+    return last.group(1).strip() or None
 
 
 def run_cot(question: Question, gateway: Gateway, settings: RunSettings) -> ModeResult:
@@ -206,9 +198,7 @@ def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings
     answers: list[Optional[str]] = [None] * agents
     flags: list[str] = []
     transcript: list[dict] = []
-    rounds_run = 0
     for round_no in range(1, settings.mad_rounds + 1):
-        rounds_run = round_no
         if round_no == 1:
             variables_base = {"subject": question.subject, "question": question_slot}
             template = TEMPLATE_MAD_INITIAL
@@ -246,7 +236,7 @@ def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings
     final, tied = majority_answer(present, question)
     if tied:
         flags.append(FLAG_MAD_TIE)
-    trace = {"mode": MODE_MAD, "transcript": transcript, "rounds_run": rounds_run}
+    trace = {"mode": MODE_MAD, "transcript": transcript, "rounds_run": round_no}
     return ModeResult(final, final, None, tuple(flags), trace)
 
 
@@ -380,9 +370,10 @@ def run_question(
     return outcome, trace
 
 
-def _accuracy_block(outcomes: list[QuestionOutcome]) -> dict:
+def _accuracy_block(outcomes: list[QuestionOutcome], correct_field: str = "correct_final") -> dict:
+    """Correct count, graded total and accuracy of one correctness field."""
     graded = [o for o in outcomes if o.error is None]
-    correct = sum(1 for o in graded if o.correct_final)
+    correct = sum(1 for o in graded if getattr(o, correct_field))
     total = len(graded)
     return {
         "correct": correct,
@@ -470,15 +461,10 @@ def build_report(outcomes: list[QuestionOutcome], config_snapshot: dict, mode: s
     if mode == MODE_RERAILER:
         consistent_rows = [o for o in graded if o.routing == "consistent"]
         derailed_rows = [o for o in graded if o.routing == "derailed"]
-        derailed_baseline_correct = sum(1 for o in derailed_rows if o.correct_baseline)
         accuracy["split"] = {
             "consistent_route": _accuracy_block(consistent_rows),
             "derailed_route": _accuracy_block(derailed_rows),
-            "derailed_before_repair": {
-                "correct": derailed_baseline_correct,
-                "total": len(derailed_rows),
-                "accuracy": (derailed_baseline_correct / len(derailed_rows)) if derailed_rows else None,
-            },
+            "derailed_before_repair": _accuracy_block(derailed_rows, "correct_baseline"),
         }
 
     usage = usage_totals(ordered)
@@ -525,21 +511,10 @@ def _write_csvs(report: dict, out_dir: Path) -> None:
 
     with open(out_dir / "cost.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["model_id", "n_questions", "cost_usd", "cost_per_1000_usd", "wall_time_s", "hours_per_1000"]
-        )
+        writer.writerow(COST_COLUMNS)
         cost = report.get("cost")
         if cost:
-            writer.writerow(
-                [
-                    cost["model_id"],
-                    cost["n_questions"],
-                    cost["cost_usd"],
-                    cost["cost_per_1000_usd"],
-                    cost["wall_time_s"],
-                    cost["hours_per_1000"],
-                ]
-            )
+            writer.writerow([cost[column] for column in COST_COLUMNS])
 
 
 def load_outcomes(path: Path) -> list[QuestionOutcome]:
@@ -581,6 +556,14 @@ def _check_resumable(config_path: Path, config_snapshot: dict) -> None:
             )
 
 
+def _merge_usage(earlier: dict[str, dict], later: dict[str, dict]) -> dict[str, dict]:
+    """Per-stage usage of two attempts at one question, summed."""
+    merged = {stage: StageUsage.from_json(payload) for stage, payload in earlier.items()}
+    for stage, payload in later.items():
+        merged.setdefault(stage, StageUsage()).merge(StageUsage.from_json(payload))
+    return {stage: row.to_json() for stage, row in sorted(merged.items())}
+
+
 def _drop_torn_tail(path: Path) -> None:
     """Cut an append-only stream back to its last newline, so the next line
     is not glued onto what a crashed append left behind."""
@@ -601,8 +584,10 @@ def run(
 
     Questions with a successful outcome in the directory's outcomes.jsonl
     are replayed from disk (no calls, no billing); the rest, failed ones
-    included, execute in a worker pool of width settings.parallelism. Each
-    finished question appends its trace line, then its outcome line.
+    included, execute in a worker pool of width settings.parallelism. A
+    re-run failed question keeps the usage of its earlier attempts. Each
+    finished question appends its trace line, then its outcome line. A
+    directory holding outcomes of questions the dataset lacks is refused.
     """
     if mode not in _MODE_RUNNERS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -611,13 +596,21 @@ def run(
     traces_path = out_path / TRACES_FILE
     config_snapshot = settings.to_json()
     config_snapshot["mode"] = mode
-    outcomes: dict[str, QuestionOutcome] = {}
+    stored: dict[str, QuestionOutcome] = {}
     if outcomes_path.exists():
         _check_resumable(out_path / CONFIG_FILE, config_snapshot)
+        stored = {o.question_id: o for o in load_outcomes(outcomes_path)}
+        ids = {q.id for q in questions}
+        extra = next((qid for qid in stored if qid not in ids), None)
+        if extra is not None:
+            raise ConfigError(
+                f"{out_path} holds an outcome of question {extra!r}, which the dataset lacks; "
+                "use a new --out directory"
+            )
         _drop_torn_tail(outcomes_path)
-        outcomes = {o.question_id: o for o in load_outcomes(outcomes_path) if o.error is None}
     if traces_path.exists():
         _drop_torn_tail(traces_path)
+    outcomes = {qid: o for qid, o in stored.items() if o.error is None}
 
     out_path.mkdir(parents=True, exist_ok=True)
     with open(out_path / CONFIG_FILE, "w", encoding="utf-8") as handle:
@@ -633,6 +626,8 @@ def run(
 
         def execute(question: Question) -> None:
             outcome, trace = run_question(question, mode, gateway, settings)
+            if question.id in stored:  # a failed attempt, run again
+                outcome.usage = _merge_usage(stored[question.id].usage, outcome.usage)
             trace_line = json.dumps({"question_id": question.id, "trace": trace}, sort_keys=True)
             outcome_line = json.dumps(outcome.to_json(), sort_keys=True)
             with write_lock:

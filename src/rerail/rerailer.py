@@ -93,10 +93,16 @@ class RerailResult:
     trace: dict = field(default_factory=dict)
 
 
-def mask(rp: ReasoningPath, index: int) -> str:
-    """Steps 1..index rendered for the evaluator; nothing after leaks in."""
+def _step(rp: ReasoningPath, index: int) -> Step:
+    """Step `index` (1-based) of the path."""
     if not 1 <= index <= rp.num_steps:
         raise IndexOutOfRange(f"step index {index} out of range 1..{rp.num_steps}")
+    return rp.steps[index - 1]
+
+
+def mask(rp: ReasoningPath, index: int) -> str:
+    """Steps 1..index rendered for the evaluator; nothing after leaks in."""
+    _step(rp, index)
     return serialize_steps(rp, upto=index)
 
 
@@ -135,10 +141,7 @@ def evaluate_step(
     call. A parse failure after the single re-ask fails open: the step is
     treated as clean and the result is flagged.
     """
-    if not 1 <= index <= rp.num_steps:
-        raise IndexOutOfRange(f"step index {index} out of range 1..{rp.num_steps}")
-    step = rp.steps[index - 1]
-    if step.status is StepStatus.VERIFIED:
+    if _step(rp, index).status is StepStatus.VERIFIED:
         return EvaluationResult(False, "previously verified", auto=True)
 
     prompt = render_prompt(
@@ -193,25 +196,24 @@ def debate(
 
     Unanimous agreement at a round end accepts the standing correction and
     stops early. A revision replaces the standing correction at the round
-    boundary. After the last round the majority verdict decides; a tie keeps
-    the standing correction and is flagged.
+    boundary. After the last round its majority decides between the
+    correction that round debated and its latest revision; a tie keeps the
+    debated one and is flagged.
     """
     if not correction.strip():
         raise ValueError("debate needs a non-empty proposed correction")
 
-    original = correction
     standing = correction
     transcript: list[DebateTurn] = []
     flags: list[str] = []
     question_slot = format_question(question.text, question.context, question.options)
-    rounds_run = 0
 
     for round_no in range(1, settings.n_debate_rounds + 1):
-        rounds_run = round_no
-        prior = [t for t in transcript if t.round < round_no]
-        response_parts = [f"The proposed correction for the current step: {standing}"]
-        response_parts.extend(_turn_text(t) for t in prior)
-        response_slot = "\n".join(response_parts)
+        debated = standing
+        response_slot = "\n".join(
+            [f"The proposed correction for the current step: {standing}"]
+            + [_turn_text(t) for t in transcript]
+        )
 
         round_turns: list[DebateTurn] = []
         for agent_id in range(1, settings.n_debate_agents + 1):
@@ -248,39 +250,21 @@ def debate(
             round_turns.append(turn)
         transcript.extend(round_turns)
 
-        if all(t.verdict == VERDICT_AGREE for t in round_turns):
-            return DebateOutcome(
-                accepted=standing == original,
-                final_correction=standing,
-                transcript=tuple(transcript),
-                rounds_run=rounds_run,
-                flags=tuple(flags),
-            )
+        revisions = [t.correction for t in round_turns if t.verdict == VERDICT_REVISE]
+        if not revisions:
+            break
         # Revisions land at the round boundary; the last reviser wins.
-        for turn in round_turns:
-            if turn.verdict == VERDICT_REVISE:
-                standing = turn.correction
+        standing = revisions[-1]
 
-    last_round = [t for t in transcript if t.round == rounds_run]
-    agrees = sum(1 for t in last_round if t.verdict == VERDICT_AGREE)
-    revises = len(last_round) - agrees
-    # The correction debated in the final round: all revisions before it,
-    # none from it. `standing` has already absorbed the final round's.
-    debated_in_last = original
-    for turn in transcript:
-        if turn.round < rounds_run and turn.verdict == VERDICT_REVISE:
-            debated_in_last = turn.correction
-    if revises > agrees:
-        final = standing  # majority revised; the latest revision carries
-    else:
-        final = debated_in_last
-        if agrees == revises:
-            flags.append(FLAG_DEBATE_TIE)
+    agreements = len(round_turns) - len(revisions)
+    final = standing if len(revisions) > agreements else debated
+    if len(revisions) == agreements:
+        flags.append(FLAG_DEBATE_TIE)
     return DebateOutcome(
-        accepted=final == original,
+        accepted=final == correction,
         final_correction=final,
         transcript=tuple(transcript),
-        rounds_run=rounds_run,
+        rounds_run=round_no,
         flags=tuple(flags),
     )
 
@@ -291,8 +275,7 @@ def splice(rp: ReasoningPath, index: int, corrected_text: str) -> ReasoningPath:
     Steps before it become Verified; steps after it stay but are marked
     stale (a re-answer is expected to regenerate them).
     """
-    if not 1 <= index <= rp.num_steps:
-        raise IndexOutOfRange(f"step index {index} out of range 1..{rp.num_steps}")
+    _step(rp, index)
     new_steps = []
     for step in rp.steps:
         if step.index < index:
@@ -484,18 +467,13 @@ def rerail(
         passes.append(result.trace)
         current = result.rp_out
         if not result.changed:
-            return RerailResult(
-                path=current,
-                iterations_run=iteration,
-                certified=True,
-                flags=tuple(sorted(set(flags))),
-                trace={"passes": passes},
-            )
-    flags.append(FLAG_UNCERTIFIED)
+            break
+    if result.changed:
+        flags.append(FLAG_UNCERTIFIED)
     return RerailResult(
         path=current,
-        iterations_run=settings.max_rerail_iterations,
-        certified=False,
+        iterations_run=iteration,
+        certified=not result.changed,
         flags=tuple(sorted(set(flags))),
         trace={"passes": passes},
     )

@@ -258,7 +258,7 @@ def template_placeholders(template_id: str) -> set[str]:
 
 def remaining(backend: ScriptedBackend) -> int:
     """Script entries the backend has not served yet."""
-    return sum(1 for item in backend._entries if not item.consumed)
+    return sum(len(queue) for queue in backend._queues.values())
 
 
 def write_script(path: str | Path, entries: list[dict]) -> Path:

@@ -74,6 +74,10 @@ class TestValidate:
         assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_config_naming_a_directory_fails_validation(self, tmp_path, capsys):
+        assert main(["validate", "--config", str(tmp_path)]) == 1
+        assert "error" in capsys.readouterr().err
+
     def test_never_echoes_a_secret(self, config_file, capsys, monkeypatch):
         monkeypatch.setenv("RERAIL_API_KEY", "sk-supersecret")
         assert main(["validate", "--config", config_file()]) == 0
@@ -141,6 +145,28 @@ class TestRun:
         assert main(run_args(small_run, script=str(script))) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tokens", ["abc", -5])
+    def test_bad_token_count_in_the_script_fails_cleanly(self, small_run, capsys, tokens):
+        entries = [json.loads(line) for line in open(small_run["script"])]
+        entries[1]["usage"]["prompt_tokens"] = tokens
+        write_script(small_run["script"], entries)
+        assert main(run_args(small_run)) == 1
+        assert "script entry 2" in capsys.readouterr().err
+
+    def test_unparseable_price_is_a_config_error(self, small_run, config_file, capsys):
+        small_run["config"] = config_file(
+            price_table={"gpt-4": {"prompt_per_1k": "x", "completion_per_1k": 0.06}}
+        )
+        assert main(run_args(small_run)) == 1
+        assert "price_table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["dataset", "config", "out"])
+    def test_file_system_errors_exit_one(self, small_run, tmp_path, capsys, where):
+        # a directory where a file is expected, or an --out below a regular file
+        small_run[where] = small_run["dataset"] + "/out" if where == "out" else str(tmp_path)
+        assert main(run_args(small_run)) == 1
+        assert "error" in capsys.readouterr().err
+
 
 ARTIFACTS = [
     "accuracy_by_category.csv",
@@ -198,6 +224,27 @@ class TestResume:
         ((field, _),) = changed.items()
         assert f"{field}=" in capsys.readouterr().err
         assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+
+    def test_directory_with_questions_the_dataset_lacks_is_refused(self, small_run, tmp_path, capsys):
+        assert main(run_args(small_run)) == 0
+        out = tmp_path / "out"
+        before = {name: (out / name).read_bytes() for name in ARTIFACTS}
+        write_dataset(small_run["dataset"], [mcqa_question(qid=qid) for qid in ("q1", "q2")])
+        capsys.readouterr()
+        assert main(run_args(small_run)) == 1
+        assert "'q3'" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+
+    def test_a_larger_dataset_may_resume_into_a_directory(self, small_run, capsys):
+        questions = [mcqa_question(qid=f"q{i}") for i in range(1, 4)]
+        write_dataset(small_run["dataset"], questions[:2])
+        assert main(run_args(small_run)) == 0
+        write_dataset(small_run["dataset"], questions)
+        capsys.readouterr()
+        assert main(run_args(small_run)) == 0
+        assert "questions=3 failed=0" in capsys.readouterr().out
+        assert main(["replay", "--trace", small_run["out"]]) == 0
+        assert "replay matches" in capsys.readouterr().out
 
     def test_resume_may_change_parallelism_or_lack_a_snapshot(self, small_run, tmp_path):
         assert main(run_args(small_run)) == 0

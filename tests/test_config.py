@@ -99,11 +99,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="price_table"):
             settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": 0.03}}})
 
+    @pytest.mark.parametrize("price", ["x", None, [1]])
+    def test_price_must_be_a_number(self, price):
+        with pytest.raises(ConfigError, match="price_table"):
+            settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": price, "completion_per_1k": 0.06}}})
+
     def test_price_table_parsed(self):
         s = settings_from_dict(
             {"price_table": {"gpt-4": {"prompt_per_1k": 0.03, "completion_per_1k": 0.06}}}
         )
         assert s.price_table["gpt-4"] == PriceEntry(0.03, 0.06)
+
+    def test_snapshot_spells_out_every_price(self):
+        table = {
+            "gpt-4": {"prompt_per_1k": 0.03, "completion_per_1k": 0.06},
+            "small": {"prompt_per_1k": 0.001, "completion_per_1k": 0.002},
+        }
+        assert settings_from_dict({"price_table": table}).to_json()["price_table"] == table
 
     def test_source_prefix_in_diagnostics(self):
         with pytest.raises(ConfigError, match="run.json"):

@@ -128,11 +128,46 @@ class TestScriptedBackend:
                  "usage": 3},
                 "usage",
             ),
+            (
+                {"match": {"stage": "cot", "question_id": "q"}, "response": "x",
+                 "usage": {"prompt_tokens": "abc"}},
+                "abc",
+            ),
+            (
+                {"match": {"stage": "cot", "question_id": "q"}, "response": "x",
+                 "usage": {"prompt_tokens": -5}},
+                "non-negative",
+            ),
+            (
+                {"match": {"stage": "cot", "question_id": "q"}, "response": "x",
+                 "usage": {}, "latency_ms": "slow"},
+                "slow",
+            ),
+            ({"match": {"stage": "cot", "question_id": ["q"]}, "response": "x", "usage": {}}, "strings"),
         ],
     )
     def test_entry_schema_enforced(self, raw, fragment):
         with pytest.raises(ScriptFormatError, match=fragment):
             ScriptedBackend([raw])
+
+    def test_call_time_does_not_grow_with_the_script(self):
+        # Each call looks only at the entries of its own (stage, question_id),
+        # so serving the last 20 questions costs the same per call whether the
+        # script holds 20 questions or 2,000.
+        def per_call_s(n_questions: int) -> float:
+            qids = [f"q{i}" for i in range(n_questions)]
+            entries = [entry(STAGE_COT, qid, "x") for qid in qids for _ in range(5)]
+            best = float("inf")
+            for _ in range(5):
+                backend = ScriptedBackend(entries)
+                contexts = [CallContext(STAGE_COT, qid) for qid in qids[-20:] for _ in range(5)]
+                start = time.perf_counter()
+                for ctx in contexts:
+                    backend.call(PROMPT, PARAMS, ctx)
+                best = min(best, (time.perf_counter() - start) / len(contexts))
+            return best
+
+        assert per_call_s(2000) < 3 * per_call_s(20)
 
 
 class TestCache:

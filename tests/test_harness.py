@@ -469,6 +469,24 @@ class TestRun:
         assert second["counts"]["failed"] == 0
         assert report_to_bytes(replay(out_dir)) == (out_dir / "report.json").read_bytes()
 
+    def test_rerun_failed_question_keeps_the_usage_of_its_failed_attempt(self, tmp_path):
+        # The first attempt pays for 3 cot calls and fails at the judge; the
+        # resume replays them from the cache and pays for the other 8.
+        out_dir = tmp_path / "r"
+        settings = make_settings(cache_enabled=True)
+        script = fixable_script("q1")
+
+        def attempt(entries):
+            gw = scripted_gateway(entries, cache_dir=out_dir / "cache", cache_enabled=True)
+            return run([mcqa_question()], settings, "rerailer", out_dir, gw)
+
+        assert attempt([e for e in script if e["match"]["stage"] == STAGE_COT])["counts"]["failed"] == 1
+        usage = attempt(script)["usage"]
+        assert (usage["live_calls"], usage["cached_calls"]) == (11, 3)
+        assert usage["billed_prompt_tokens"] == 1100
+        assert usage["by_stage"][STAGE_COT]["billed_prompt_tokens"] == 300
+        assert report_to_bytes(replay(out_dir)) == (out_dir / "report.json").read_bytes()
+
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="mode"):
             run([mcqa_question()], make_settings(), "oracle", tmp_path, scripted_gateway([]))
