@@ -88,7 +88,7 @@ def _cmd_run(args) -> int:
     if args.backend == "scripted" and not args.script:
         raise UsageError("--backend scripted requires --script")
     questions = load_dataset(args.dataset)
-    gateway = make_gateway(settings, args.backend, script_path=args.script, out_dir=args.out)
+    gateway = make_gateway(settings, args.backend, script_path=args.script, out_dir=args.out, mode=args.mode)
     report = run(questions, settings, args.mode, args.out, gateway)
 
     counts = report["counts"]

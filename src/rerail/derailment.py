@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 from .config import RunSettings, call_params
@@ -115,9 +116,11 @@ def generate_rps(
 ) -> list[ReasoningPath]:
     """Sample n reasoning paths from independent raw chain-of-thought calls.
 
-    An unparseable sample is regenerated once (fresh seed past the sample
-    range) and dropped if still unparseable. Raises GenerationFailure when
-    fewer than min(2, n) parseable paths remain.
+    The samples run as one fan-out, at seed offsets 0..n-1. An unparseable
+    sample is regenerated once, in a second fan-out after the first, at
+    offset n plus its rank among the unparseable samples, and dropped if
+    still unparseable. Raises GenerationFailure when fewer than min(2, n)
+    parseable paths remain.
     """
     count = settings.n_samples if n is None else n
     if count < 1:
@@ -129,25 +132,22 @@ def generate_rps(
             "question": format_question(question.text, question.context, question.options),
         },
     )
-    context = CallContext(stage=STAGE_COT, question_id=question.id)
 
-    paths: list[ReasoningPath] = []
-    retries_used = 0
-    for i in range(count):
-        params = call_params(settings, question.id, offset=i, sampling=True)
+    def sample(offset: int) -> Optional[ReasoningPath]:
+        params = call_params(settings, question.id, offset=offset, sampling=True)
+        context = CallContext(stage=STAGE_COT, question_id=question.id, sample_index=offset)
         result = gateway.complete(prompt, params, context)
         try:
-            paths.append(parse_reasoning_path(result.text, Provenance.raw_cot()))
-            continue
+            return parse_reasoning_path(result.text, Provenance.raw_cot())
         except ParseFailure:
-            pass
-        retry_params = call_params(settings, question.id, offset=count + retries_used, sampling=True)
-        retry = gateway.complete(prompt, retry_params, context)
-        retries_used += 1
-        try:
-            paths.append(parse_reasoning_path(retry.text, Provenance.raw_cot()))
-        except ParseFailure:
-            continue  # discarded from the consistency set
+            return None
+
+    samples = gateway.fan_out([partial(sample, i) for i in range(count)])
+    failed = [i for i, path in enumerate(samples) if path is None]
+    retries = gateway.fan_out([partial(sample, count + rank) for rank in range(len(failed))])
+    for i, path in zip(failed, retries):
+        samples[i] = path
+    paths = [path for path in samples if path is not None]
 
     if len(paths) < min(2, count):
         raise GenerationFailure(

@@ -17,17 +17,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 import requests
+import requests.adapters
 
 from .prompts import PromptPair
 from .types import RerailError
@@ -38,6 +42,8 @@ RETRY_MAX_ATTEMPTS = 5
 DEFAULT_TIMEOUT_S = 120.0
 
 REASK_REMINDER = "Respond ONLY with the JSON object in triple backticks."
+
+T = TypeVar("T")
 
 _FENCE_RE = re.compile(r"```(?:json)?[ \t]*\n?(.*?)```", re.DOTALL)
 
@@ -113,15 +119,9 @@ class CallContext:
     step_index: Optional[int] = None
     agent_id: Optional[int] = None
     round: Optional[int] = None
-
-    def match_values(self) -> dict:
-        return {
-            "stage": self.stage,
-            "question_id": self.question_id,
-            "step_index": self.step_index,
-            "agent_id": self.agent_id,
-            "round": self.round,
-        }
+    # Position among a question's independent samples, equal to the call's
+    # seed offset; the scripted backend deals entries by it.
+    sample_index: Optional[int] = None
 
 
 _MATCH_KEYS = ("stage", "question_id", "step_index", "agent_id", "round")
@@ -130,10 +130,12 @@ _ENTRY_KEYS = {"match", "response", "usage", "latency_ms"}
 
 @dataclass
 class _ScriptEntry:
-    match: dict
+    # match keys besides stage and question_id, which key the entry's list
+    extra: dict
     response: str
     usage: Usage
     latency_s: float
+    served: bool = False
 
 
 class ScriptedBackend:
@@ -141,19 +143,23 @@ class ScriptedBackend:
 
     Each line: {"match": {"stage": ..., "question_id": ..., "step_index"?,
     "agent_id"?, "round"?}, "response": str, "usage": {"prompt_tokens": int,
-    "completion_tokens": int}, "latency_ms"?: number}. A call consumes the
-    first unconsumed entry whose match keys all equal the call's context, in
-    file order, so several entries with the same match form a queue. Entries
-    are kept in per-(stage, question_id) queues, since both keys are required
-    and a call can only match entries that carry its own.
+    "completion_tokens": int}, "latency_ms"?: number}. An entry matches a call
+    when all its match keys equal the call's context. A call without a
+    ``sample_index`` is served the first unserved matching entry in file
+    order, so several entries with the same match form a queue. A call with
+    ``sample_index`` k is dealt the k-th matching entry in file order, served
+    or not, so concurrent samples each get the same entry whatever order they
+    arrive in. Each entry is served once. Entries are kept per
+    (stage, question_id), since both keys are required and a call can only
+    match entries that carry its own.
     """
 
     def __init__(self, entries: list[dict]) -> None:
-        self._queues: dict[tuple[str, str], list[_ScriptEntry]] = {}
+        self._entries: dict[tuple[str, str], list[_ScriptEntry]] = {}
         for line_no, raw in enumerate(entries, start=1):
             parsed = self._parse_entry(raw, line_no)
-            key = (parsed.match["stage"], parsed.match["question_id"])
-            self._queues.setdefault(key, []).append(parsed)
+            key = (raw["match"]["stage"], raw["match"]["question_id"])
+            self._entries.setdefault(key, []).append(parsed)
         self._lock = threading.Lock()
 
     @classmethod
@@ -192,35 +198,49 @@ class ScriptedBackend:
         usage_raw = raw["usage"]
         if not isinstance(usage_raw, dict):
             raise ScriptFormatError(f"script entry {line_no}: usage must be an object")
-        try:
-            return _ScriptEntry(
-                match=dict(match),
-                response=str(raw["response"]),
-                usage=Usage(
-                    prompt_tokens=int(usage_raw.get("prompt_tokens", 0)),
-                    completion_tokens=int(usage_raw.get("completion_tokens", 0)),
-                ),
-                latency_s=float(raw.get("latency_ms", 0)) / 1000.0,
+        prompt_tokens = usage_raw.get("prompt_tokens", 0)
+        completion_tokens = usage_raw.get("completion_tokens", 0)
+        latency_ms = raw.get("latency_ms", 0)
+        # type() rather than isinstance(): a bool is an int subclass
+        if not (
+            type(prompt_tokens) is int and type(completion_tokens) is int
+            and prompt_tokens >= 0 and completion_tokens >= 0
+        ):
+            raise ScriptFormatError(
+                f"script entry {line_no}: token counts must be non-negative integers, got {usage_raw}"
             )
-        except (TypeError, ValueError) as exc:
-            raise ScriptFormatError(f"script entry {line_no}: {exc}") from None
+        if type(latency_ms) not in (int, float) or not 0 <= latency_ms < math.inf:
+            raise ScriptFormatError(
+                f"script entry {line_no}: latency_ms must be a non-negative number, got {latency_ms!r}"
+            )
+        extra = dict(match)
+        del extra["stage"], extra["question_id"]
+        return _ScriptEntry(
+            extra=extra,
+            response=str(raw["response"]),
+            usage=Usage(prompt_tokens, completion_tokens),
+            latency_s=latency_ms / 1000.0,
+        )
 
     def call(self, prompt: PromptPair, params: CompletionParams, context: CallContext) -> CompletionResult:
-        values = context.match_values()
+        rank = context.sample_index  # matching entries a dealt call skips
         with self._lock:
-            queue = self._queues.get((context.stage, context.question_id), [])
-            for position, entry in enumerate(queue):
-                if all(entry.match[key] == values[key] for key in entry.match):
-                    del queue[position]
-                    return CompletionResult(
-                        text=entry.response,
-                        usage=entry.usage,
-                        latency_s=entry.latency_s,
-                    )
+            for entry in self._entries.get((context.stage, context.question_id), ()):
+                if rank is None and entry.served:
+                    continue
+                if entry.extra and not all(getattr(context, key) == value for key, value in entry.extra.items()):
+                    continue
+                if rank:
+                    rank -= 1
+                    continue
+                if entry.served:
+                    break
+                entry.served = True
+                return CompletionResult(text=entry.response, usage=entry.usage, latency_s=entry.latency_s)
         raise ScriptExhausted(
             f"no script entry left for stage={context.stage!r} "
             f"question_id={context.question_id!r} step_index={context.step_index} "
-            f"agent_id={context.agent_id} round={context.round}"
+            f"agent_id={context.agent_id} round={context.round} sample_index={context.sample_index}"
         )
 
 
@@ -233,7 +253,10 @@ class LiveBackend:
         api_key_env: str,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         session: Optional[requests.Session] = None,
+        connections: int = requests.adapters.DEFAULT_POOLSIZE,
     ) -> None:
+        """``connections`` is the most calls that can be in flight at once;
+        the session keeps that many open, so none is dropped and reopened."""
         api_key = os.environ.get(api_key_env, "")
         if not api_key:
             raise ProviderError(
@@ -242,7 +265,12 @@ class LiveBackend:
             )
         self._endpoint = endpoint
         self._timeout_s = timeout_s
-        self._session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=connections)
+            session.mount("https://", adapter)
+            session.mount("http://", adapter)
+        self._session = session
         # Keep the key off the object's repr and out of logs.
         self._headers = {
             "Authorization": f"Bearer {api_key}",
@@ -285,11 +313,14 @@ class LiveBackend:
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}", retriable=False) from exc
-        usage_raw = body.get("usage") or {}
-        usage = Usage(
-            prompt_tokens=int(usage_raw.get("prompt_tokens", 0)),
-            completion_tokens=int(usage_raw.get("completion_tokens", 0)),
-        )
+        try:
+            usage_raw = body.get("usage") or {}
+            usage = Usage(
+                prompt_tokens=int(usage_raw.get("prompt_tokens", 0)),
+                completion_tokens=int(usage_raw.get("completion_tokens", 0)),
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ProviderError(f"malformed provider usage: {exc}", retriable=False) from exc
         return CompletionResult(text=text, usage=usage, latency_s=latency)
 
 
@@ -370,8 +401,15 @@ def cache_key(prompt: PromptPair, params: CompletionParams) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+# A backend call at least this long is waiting on something other than this
+# process (a model, a network), so independent calls gain from overlapping.
+# Shorter calls are the process's own work, which threads would only slow.
+BLOCKING_CALL_S = 0.001
+
+
 class Gateway:
-    """Backend wrapper adding cache, retry, throttles, and usage recording."""
+    """Backend wrapper adding cache, retry, throttles, usage recording, and
+    the fan-out of a question's independent calls."""
 
     def __init__(
         self,
@@ -393,6 +431,72 @@ class Gateway:
         self._recent_calls: deque[float] = deque()
         self._rpm_lock = threading.Lock()
         self._sleep = sleeper
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._fan_out_call = threading.local()
+        self._blocking = False  # did the latest completion wait on the backend?
+
+    @contextmanager
+    def fan_out_pool(self, width: int) -> Iterator[None]:
+        """Threads that help ``fan_out`` while the block runs, at most
+        ``width`` of them; all are joined on exit."""
+        if width < 1:
+            yield
+            return
+        with ThreadPoolExecutor(max_workers=width, thread_name_prefix="rerail-fan-out") as pool:
+            self._pool = pool
+            try:
+                yield
+            finally:
+                self._pool = None
+
+    def fan_out(self, calls: list[Callable[[], T]]) -> list[T]:
+        """Run independent calls and return their results in call order.
+
+        The caller runs the calls itself, in order. While a pool is open and
+        the latest completion waited on the backend for BLOCKING_CALL_S or
+        more, idle pool threads also take calls the caller has not reached;
+        the caller waits only for those. Otherwise (no pool, a fast backend,
+        a cache hit) the calls run inline. Either way the ledger gets the
+        calls' usage in call order, and the first error in call order is
+        raised once the calls already running have finished; from the failed
+        call on, calls no pool thread has taken never start.
+        """
+        pool = self._pool
+        if pool is None or len(calls) < 2 or not self._blocking:
+            return [call() for call in calls]
+        futures = [pool.submit(self._deferred, call) for call in calls[1:]]
+        done = [self._deferred(calls[0])]
+        error = done[0][1]
+        for call, future in zip(calls[1:], futures):
+            if not future.cancel():
+                done.append(future.result())
+            elif error is None:  # not started: the caller runs it
+                done.append(self._deferred(call))
+            error = error or done[-1][1]
+        for _, _, records in done:
+            for context, result in records:
+                self.ledger.record(context.question_id, context.stage, result)
+        if error is not None:
+            raise error
+        return [value for value, _, _ in done]
+
+    def _deferred(self, call: Callable[[], T]) -> tuple[Optional[T], Optional[BaseException], list]:
+        """Run one call of a fan-out, holding back the usage it records so
+        that fan_out can write it to the ledger in call order."""
+        self._fan_out_call.records = records = []
+        try:
+            return call(), None, records
+        except BaseException as exc:  # raised by fan_out, in call order
+            return None, exc, records
+        finally:
+            self._fan_out_call.records = None
+
+    def _record(self, context: CallContext, result: CompletionResult) -> None:
+        records = getattr(self._fan_out_call, "records", None)
+        if records is None:
+            self.ledger.record(context.question_id, context.stage, result)
+        else:
+            records.append((context, result))
 
     def complete(
         self,
@@ -405,13 +509,14 @@ class Gateway:
         if self._cache_enabled:
             cached = self._cache_read(key)
             if cached is not None:
-                self.ledger.record(context.question_id, context.stage, cached)
+                self._blocking = False
+                self._record(context, cached)
                 return cached
 
         result = self._call_with_retry(prompt, params, context)
         if self._cache_enabled:
             self._cache_write(key, result)
-        self.ledger.record(context.question_id, context.stage, result)
+        self._record(context, result)
         return result
 
     def _call_with_retry(
@@ -423,7 +528,10 @@ class Gateway:
             if self._gate is not None:
                 self._gate.acquire()
             try:
-                return self._backend.call(prompt, params, context)
+                started = time.perf_counter()
+                result = self._backend.call(prompt, params, context)
+                self._blocking = time.perf_counter() - started >= BLOCKING_CALL_S
+                return result
             except ProviderError as exc:
                 if not exc.retriable or attempt == RETRY_MAX_ATTEMPTS:
                     raise
@@ -455,16 +563,14 @@ class Gateway:
         try:
             with open(path, encoding="utf-8") as handle:
                 payload = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, OSError):
+            return CompletionResult(
+                text=payload["text"],
+                usage=Usage(**payload["usage"]),
+                latency_s=0.0,
+                from_cache=True,
+            )
+        except (ValueError, OSError, KeyError, TypeError):
             return None  # a corrupt cache file is treated as a miss
-        return CompletionResult(
-            text=payload["text"],
-            usage=Usage(**payload["usage"]),
-            latency_s=0.0,
-            from_cache=True,
-        )
 
     def _cache_write(self, key: str, result: CompletionResult) -> None:
         assert self._cache_dir is not None

@@ -19,6 +19,7 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -215,10 +216,13 @@ def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings
             }
             template = TEMPLATE_MAD_REVISION
 
-        for agent_index in range(agents):
-            parsed = _mad_structured(
-                question, gateway, settings, template, variables_base, agent_index + 1, round_no
-            )
+        replies = gateway.fan_out(
+            [
+                partial(_mad_structured, question, gateway, settings, template, variables_base, agent_id, round_no)
+                for agent_id in range(1, agents + 1)
+            ]
+        )
+        for agent_index, parsed in enumerate(replies):
             if parsed is None:
                 flags.append(FLAG_MAD_FAIL_OPEN)
             else:
@@ -281,13 +285,29 @@ _MODE_RUNNERS = {
 }
 
 
+def max_concurrent_calls(settings: RunSettings, mode: str) -> int:
+    """Most calls a run of the mode can have in flight at once: the worker
+    pool width times the widest fan-out of one question, capped by
+    max_in_flight."""
+    widest = {
+        MODE_COT: 1,
+        MODE_SC: settings.sc_budget,
+        MODE_MAD: settings.mad_agents,
+        MODE_RERAILER: max(settings.n_samples, settings.n_debate_agents),
+    }[mode]
+    calls = settings.parallelism * widest
+    return calls if settings.max_in_flight is None else min(calls, settings.max_in_flight)
+
+
 def make_gateway(
     settings: RunSettings,
     backend_kind: str,
     script_path: Optional[str | Path] = None,
     out_dir: Optional[str | Path] = None,
+    mode: str = MODE_RERAILER,
 ) -> Gateway:
-    """Gateway wired for a run: scripted replays, live caches by default."""
+    """Gateway wired for a run of the mode: scripted replays, live caches by
+    default and keeps a connection open per call that can be in flight."""
     if backend_kind == "scripted":
         if script_path is None:
             raise ValueError("scripted backend requires a script file")
@@ -298,6 +318,7 @@ def make_gateway(
             endpoint=settings.endpoint,
             api_key_env=settings.api_key_env,
             timeout_s=settings.timeout_s,
+            connections=max_concurrent_calls(settings, mode),
         )
         cache_enabled = settings.cache_enabled is not False
     else:
@@ -349,13 +370,14 @@ def grade_outcome(question: Question, mode_result: ModeResult, settings: RunSett
 def run_question(
     question: Question, mode: str, gateway: Gateway, settings: RunSettings
 ) -> tuple[QuestionOutcome, dict]:
-    """Execute one question; failures become recorded outcomes, not aborts."""
+    """Execute one question; a RerailError (provider, script, generation)
+    becomes a recorded failed outcome, any other exception propagates."""
     runner = _MODE_RUNNERS[mode]
     try:
         mode_result = runner(question, gateway, settings)
         outcome = grade_outcome(question, mode_result, settings)
         trace = mode_result.trace
-    except Exception as exc:  # recorded per question; the run continues
+    except RerailError as exc:  # recorded per question; the run continues
         outcome = QuestionOutcome(
             question_id=question.id,
             category=question.category.value,
@@ -639,8 +661,10 @@ def run(
 
         # Leaving the pool waits for every question at once; waiting on each
         # future in turn would wake this thread, and hand the GIL back and
-        # forth, after every question.
-        with ThreadPoolExecutor(max_workers=settings.parallelism) as pool:
+        # forth, after every question. Each worker runs its own calls, so the
+        # fan-out pool adds at most the rest of each widest fan-out.
+        fan_out_width = max_concurrent_calls(settings, mode) - settings.parallelism
+        with gateway.fan_out_pool(fan_out_width), ThreadPoolExecutor(max_workers=settings.parallelism) as pool:
             futures = [pool.submit(execute, question) for question in pending]
     for future in futures:
         future.result()

@@ -13,12 +13,14 @@ the iteration cap is hit; steps settled by earlier passes carry a
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 from .config import RunSettings, call_params
 from .gateway import CallContext, Gateway, StructuredOutputFailure, complete_structured
 from .parsing import parse_reasoning_path, serialize_steps
 from .prompts import (
+    PromptPair,
     TEMPLATE_DEBATE_MITIGATOR,
     TEMPLATE_REANSWER,
     TEMPLATE_STEP_EVALUATOR,
@@ -184,6 +186,38 @@ def _turn_text(turn: DebateTurn) -> str:
     return text
 
 
+def _debate_turn(
+    question: Question,
+    prompt: PromptPair,
+    current_index: int,
+    agent_id: int,
+    round_no: int,
+    gateway: Gateway,
+    settings: RunSettings,
+) -> tuple[DebateTurn, bool]:
+    """One agent's turn, and whether it failed open (counted as AGREE)."""
+    context = CallContext(
+        stage=STAGE_DEBATE,
+        question_id=question.id,
+        step_index=current_index,
+        agent_id=agent_id,
+        round=round_no,
+    )
+    params = call_params(settings, question.id, "debate", current_index, agent_id, round_no)
+    try:
+        parsed = complete_structured(gateway, prompt, params, context, validate=_validate_debate)
+    except StructuredOutputFailure:
+        return DebateTurn(agent_id=agent_id, round=round_no, verdict=VERDICT_AGREE), True
+    turn = DebateTurn(
+        agent_id=agent_id,
+        round=round_no,
+        verdict=_verdict_token(parsed["verdict"]),
+        reasoning=parsed.get("reasoning", ""),
+        correction=parsed.get("correction", "").strip(),
+    )
+    return turn, False
+
+
 def debate(
     question: Question,
     masked: str,
@@ -214,40 +248,25 @@ def debate(
             [f"The proposed correction for the current step: {standing}"]
             + [_turn_text(t) for t in transcript]
         )
-
-        round_turns: list[DebateTurn] = []
-        for agent_id in range(1, settings.n_debate_agents + 1):
-            prompt = render_prompt(
-                TEMPLATE_DEBATE_MITIGATOR,
-                {
-                    "subject": question.subject,
-                    "current_step": current_index,
-                    "RP": masked,
-                    "question": question_slot,
-                    "response": response_slot,
-                },
-            )
-            context = CallContext(
-                stage=STAGE_DEBATE,
-                question_id=question.id,
-                step_index=current_index,
-                agent_id=agent_id,
-                round=round_no,
-            )
-            params = call_params(settings, question.id, "debate", current_index, agent_id, round_no)
-            try:
-                parsed = complete_structured(gateway, prompt, params, context, validate=_validate_debate)
-                turn = DebateTurn(
-                    agent_id=agent_id,
-                    round=round_no,
-                    verdict=_verdict_token(parsed["verdict"]),
-                    reasoning=parsed.get("reasoning", ""),
-                    correction=parsed.get("correction", "").strip(),
-                )
-            except StructuredOutputFailure:
-                turn = DebateTurn(agent_id=agent_id, round=round_no, verdict=VERDICT_AGREE)
-                flags.append(FLAG_DEBATE_FAIL_OPEN)
-            round_turns.append(turn)
+        prompt = render_prompt(
+            TEMPLATE_DEBATE_MITIGATOR,
+            {
+                "subject": question.subject,
+                "current_step": current_index,
+                "RP": masked,
+                "question": question_slot,
+                "response": response_slot,
+            },
+        )
+        # Every agent of a round answers the same prompt, so they fan out.
+        turns = gateway.fan_out(
+            [
+                partial(_debate_turn, question, prompt, current_index, agent_id, round_no, gateway, settings)
+                for agent_id in range(1, settings.n_debate_agents + 1)
+            ]
+        )
+        round_turns = [turn for turn, _ in turns]
+        flags.extend(FLAG_DEBATE_FAIL_OPEN for _, failed in turns if failed)
         transcript.extend(round_turns)
 
         revisions = [t.correction for t in round_turns if t.verdict == VERDICT_REVISE]

@@ -8,6 +8,8 @@ entries, fenced agent responses, and a few canned end-to-end scenarios
 from __future__ import annotations
 
 import json
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -258,7 +260,7 @@ def template_placeholders(template_id: str) -> set[str]:
 
 def remaining(backend: ScriptedBackend) -> int:
     """Script entries the backend has not served yet."""
-    return sum(len(queue) for queue in backend._queues.values())
+    return sum(not e.served for entries in backend._entries.values() for e in entries)
 
 
 def write_script(path: str | Path, entries: list[dict]) -> Path:
@@ -279,6 +281,23 @@ class RecordingBackend:
     def call(self, prompt, params, context) -> CompletionResult:
         self.calls.append((params, context))
         return self.inner.call(prompt, params, context)
+
+
+class SleepingBackend:
+    """Wraps a backend and sleeps before each call, so the gateway measures
+    it as blocking; records (context, thread name, start, end) per call."""
+
+    def __init__(self, inner, sleep_s: float = 0.005) -> None:
+        self.inner = inner
+        self.sleep_s = sleep_s
+        self.spans: list[tuple[CallContext, str, float, float]] = []
+
+    def call(self, prompt, params, context) -> CompletionResult:
+        start = time.perf_counter()
+        time.sleep(self.sleep_s)
+        result = self.inner.call(prompt, params, context)
+        self.spans.append((context, threading.current_thread().name, start, time.perf_counter()))
+        return result
 
 
 class FlakyBackend:

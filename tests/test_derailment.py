@@ -159,18 +159,21 @@ class TestGenerateRps:
         assert all(ctx.stage == STAGE_COT for _, ctx in backend.calls)
 
     def test_unparseable_sample_is_regenerated_once(self):
+        # retries come after every first attempt in the script
         gw, backend = self.recording(
             [sample(GOOD_COT), sample("no steps, no answer"), sample(GOOD_COT), sample(GOOD_COT)]
         )
         paths = generate_rps(mcqa_question(), gw, make_settings())
         assert len(paths) == 3
         base = question_seed(0, "q1")
-        # the retry seed sits past the sample range
-        assert [params.seed for params, _ in backend.calls] == [base, base + 1, base + 3, base + 2]
+        # the retry of sample 1 runs after all samples, its seed past the sample range
+        assert [(ctx.sample_index, params.seed) for params, ctx in backend.calls] == [
+            (0, base), (1, base + 1), (2, base + 2), (3, base + 3)
+        ]
 
     def test_twice_unparseable_sample_is_dropped(self):
         gw, _ = self.recording(
-            [sample(GOOD_COT), sample("junk"), sample("junk again"), sample(GOOD_COT)]
+            [sample(GOOD_COT), sample("junk"), sample(GOOD_COT), sample("junk again")]
         )
         paths = generate_rps(mcqa_question(), gw, make_settings())
         assert len(paths) == 2

@@ -1,0 +1,239 @@
+"""Fan-out of a question's independent calls: the same artifacts as the
+inline path, overlapping calls, a bounded pool that ends with the run, and
+errors that surface in call order."""
+
+import json
+import sys
+import threading
+import time
+from functools import partial
+
+import pytest
+
+from helpers import (
+    SleepingBackend,
+    consistent_script,
+    cot_text,
+    entry,
+    fixable_script,
+    mad_answer,
+    make_settings,
+    mcqa_question,
+    unfixable_script,
+)
+from rerail import harness
+from rerail.gateway import CallContext, CompletionParams, Gateway, ScriptedBackend
+from rerail.prompts import PromptPair
+from rerail.types import STAGE_COT, STAGE_MAD
+
+POOL_PREFIX = "rerail-fan-out"
+
+
+def sc_script(qid: str) -> list[dict]:
+    """Five samples, one unparseable and regenerated after the others."""
+    answers = ["B", "A", None, "B", "C"]
+    script = [
+        entry(STAGE_COT, qid, "no steps here" if a is None else cot_text(["Sample a route."], a))
+        for a in answers
+    ]
+    return script + [entry(STAGE_COT, qid, cot_text(["Sample again."], "B"))]
+
+
+def mad_script(qid: str) -> list[dict]:
+    """Two agents that converge in round 2; agent 1 re-asked in round 1."""
+    return [
+        entry(STAGE_MAD, qid, "static noise", agent_id=1, round_no=1),
+        entry(STAGE_MAD, qid, mad_answer("A"), agent_id=1, round_no=1),
+        entry(STAGE_MAD, qid, mad_answer("B"), agent_id=2, round_no=1),
+        entry(STAGE_MAD, qid, mad_answer("B"), agent_id=1, round_no=2),
+        entry(STAGE_MAD, qid, mad_answer("B"), agent_id=2, round_no=2),
+    ]
+
+
+SCENARIOS = {
+    "rerailer": (
+        {},
+        {"c1": consistent_script, "f1": fixable_script, "u1": unfixable_script,
+         "c2": consistent_script, "f2": fixable_script, "u2": unfixable_script},
+    ),
+    "sc": ({"sc_budget": 5}, {f"s{i}": sc_script for i in range(6)}),
+    "mad": ({}, {f"m{i}": mad_script for i in range(4)}),
+}
+
+
+# Latencies whose float sum depends on the order they are added in, so a
+# ledger that recorded calls out of order would change wall_time_s.
+LATENCIES_MS = (100, 200, 300, 0.1, 700.3)
+
+
+def run_scenario(tmp_path, mode, backend_of, name):
+    overrides, scripts = SCENARIOS[mode]
+    questions = [mcqa_question(qid=qid) for qid in scripts]
+    scripted = [e for qid, script in scripts.items() for e in script(qid)]
+    entries = [dict(e, latency_ms=LATENCIES_MS[i % len(LATENCIES_MS)]) for i, e in enumerate(scripted)]
+    backend = backend_of(ScriptedBackend(entries))
+    out_dir = tmp_path / name
+    gateway = Gateway(backend, cache_dir=out_dir / "cache", cache_enabled=True)
+    harness.run(questions, make_settings(parallelism=2, **overrides), mode, out_dir, gateway)
+    return out_dir, backend
+
+
+def sorted_lines(path):
+    return sorted(path.read_text(encoding="utf-8").splitlines())
+
+
+@pytest.mark.parametrize("mode", sorted(SCENARIOS))
+def test_fan_out_writes_what_the_inline_path_writes(tmp_path, mode):
+    inline_dir, _ = run_scenario(tmp_path, mode, lambda inner: inner, "inline")
+    fanned_dir, sleeping = run_scenario(tmp_path, mode, SleepingBackend, "fanned")
+
+    assert any(thread.startswith(POOL_PREFIX) for _, thread, _, _ in sleeping.spans)
+    assert (fanned_dir / "report.json").read_bytes() == (inline_dir / "report.json").read_bytes()
+    for name in ("outcomes.jsonl", "traces.jsonl"):
+        assert sorted_lines(fanned_dir / name) == sorted_lines(inline_dir / name)
+    cache_keys = {p.name for p in (inline_dir / "cache").iterdir()}
+    assert {p.name for p in (fanned_dir / "cache").iterdir()} == cache_keys
+    report = json.loads((inline_dir / "report.json").read_text())
+    assert report["counts"]["failed"] == 0
+
+
+def test_samples_of_a_question_overlap_in_time(tmp_path):
+    _, sleeping = run_scenario(tmp_path, "sc", lambda inner: SleepingBackend(inner, 0.02), "sc")
+    by_question: dict[str, list[tuple[float, float]]] = {}
+    for context, _, start, end in sleeping.spans:
+        if context.sample_index is not None and context.sample_index < 5:
+            by_question.setdefault(context.question_id, []).append((start, end))
+    # The first wave of each of the two workers starts before any blocking
+    # call is measured; in the others every sample starts before any ends.
+    overlapping = [
+        qid for qid, spans in by_question.items() if max(s for s, _ in spans) < min(e for _, e in spans)
+    ]
+    assert len(overlapping) >= len(by_question) - 2
+
+
+@pytest.mark.parametrize("max_in_flight,bound", [(None, 2 * 5 - 2), (3, 1)])
+def test_pool_is_bounded_and_ends_with_the_run(tmp_path, max_in_flight, bound):
+    peak = {"pool": 0, "calls": 0}
+    in_flight = []
+    lock = threading.Lock()
+
+    class Counting(SleepingBackend):
+        def call(self, prompt, params, context):
+            with lock:
+                in_flight.append(context)
+                peak["calls"] = max(peak["calls"], len(in_flight))
+                pool = sum(t.name.startswith(POOL_PREFIX) for t in threading.enumerate())
+                peak["pool"] = max(peak["pool"], pool)
+            try:
+                return super().call(prompt, params, context)
+            finally:
+                with lock:
+                    in_flight.remove(context)
+
+    questions = [mcqa_question(qid=f"s{i}") for i in range(6)]
+    entries = [e for q in questions for e in sc_script(q.id)]
+    settings = make_settings(parallelism=2, sc_budget=5, max_in_flight=max_in_flight)
+    gateway = Gateway(Counting(ScriptedBackend(entries)), max_in_flight=max_in_flight)
+    report = harness.run(questions, settings, "sc", tmp_path / "out", gateway)
+
+    assert report["counts"]["failed"] == 0
+    assert 1 <= peak["pool"] <= bound
+    assert peak["calls"] <= (max_in_flight or 2 * 5)
+    assert not [t for t in threading.enumerate() if t.name.startswith(POOL_PREFIX)]
+
+
+def test_cache_hits_never_fan_out(tmp_path):
+    _, warm = run_scenario(tmp_path, "sc", SleepingBackend, "warm")
+    overrides, scripts = SCENARIOS["sc"]
+    questions = [mcqa_question(qid=qid) for qid in scripts]
+    threads = []
+
+    class ThreadRecording(Gateway):
+        def complete(self, prompt, params, context):
+            threads.append(threading.current_thread().name)
+            return super().complete(prompt, params, context)
+
+    gateway = ThreadRecording(warm, cache_dir=tmp_path / "warm" / "cache", cache_enabled=True)
+    report = harness.run(questions, make_settings(parallelism=2, **overrides), "sc", tmp_path / "hit", gateway)
+    assert report["usage"]["live_calls"] == 0
+    assert threads and not any(name.startswith(POOL_PREFIX) for name in threads)
+
+
+def test_fan_out_raises_the_first_error_in_call_order_after_the_running_calls():
+    gateway = Gateway(SleepingBackend(ScriptedBackend([entry(STAGE_COT, "q", "warm")])))
+    started = threading.Event()
+    finished = []
+
+    def first():  # the caller's own call
+        assert started.wait(timeout=5)
+        raise KeyError("first")
+
+    def slow():
+        started.set()
+        time.sleep(0.05)
+        finished.append("slow")
+
+    def third():
+        raise ValueError("third")
+
+    with gateway.fan_out_pool(3):
+        gateway.complete(PromptPair("s", "u"), CompletionParams("m"), CallContext(STAGE_COT, "q"))
+        with pytest.raises(KeyError):
+            gateway.fan_out([first, slow, third])
+        assert finished == ["slow"]
+
+
+def test_concurrent_samples_each_get_their_own_entry_under_contention():
+    n = 200
+    entries = [entry(STAGE_COT, "q", "warm")] + [entry(STAGE_COT, "q", f"sample {k}") for k in range(n)]
+    gateway = Gateway(SleepingBackend(ScriptedBackend(entries), sleep_s=0.001))
+    prompt = PromptPair("s", "u")
+
+    def sample(k):
+        context = CallContext(STAGE_COT, "q", sample_index=k + 1)
+        return gateway.complete(prompt, CompletionParams("m", seed=k), context).text
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with gateway.fan_out_pool(16):
+            gateway.complete(prompt, CompletionParams("m"), CallContext(STAGE_COT, "q"))
+            texts = gateway.fan_out([partial(sample, k) for k in range(n)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts == [f"sample {k}" for k in range(n)]
+    assert gateway.ledger.question_usage("q")[STAGE_COT].live_calls == n + 1
+
+
+class TestProgrammingErrorsPropagate:
+    """A non-RerailError in a mode runner is a bug: harness.run raises it
+    instead of recording a failed question."""
+
+    def run(self, tmp_path, monkeypatch, backend):
+        pool_threads = []
+
+        def broken(question, gateway, settings):
+            gateway.complete(PromptPair("s", "u"), CompletionParams("m"), CallContext(STAGE_COT, question.id))
+            released = threading.Event()
+
+            def waits():  # inline it runs first, so it must not wait long
+                released.wait(timeout=0.3)
+
+            def raises():
+                pool_threads.append(threading.current_thread().name.startswith(POOL_PREFIX))
+                released.set()
+                raise TypeError("a bug")
+
+            gateway.fan_out([waits, raises])
+
+        monkeypatch.setitem(harness._MODE_RUNNERS, "sc", broken)
+        gateway = Gateway(backend(ScriptedBackend([entry(STAGE_COT, "q1", "x")])))
+        with pytest.raises(TypeError, match="a bug"):
+            harness.run([mcqa_question(qid="q1")], make_settings(sc_budget=2), "sc", tmp_path, gateway)
+        return pool_threads
+
+    def test_inline_path(self, tmp_path, monkeypatch):
+        assert self.run(tmp_path, monkeypatch, lambda inner: inner) == [False]
+
+    def test_fan_out_path(self, tmp_path, monkeypatch):
+        assert self.run(tmp_path, monkeypatch, SleepingBackend) == [True]

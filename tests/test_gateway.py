@@ -1,6 +1,9 @@
 """Gateway behavior: scripted replay, caching, retry, throttles, structured
 output, the usage ledger, and the live HTTP backend against a stub session."""
 
+import http.server
+import json
+import socketserver
 import threading
 import time
 
@@ -10,6 +13,8 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     FlakyBackend,
+    make_settings,
+    mcqa_question,
     RecordingBackend,
     RecordingGateway,
     entry,
@@ -22,6 +27,7 @@ from helpers import (
     serialize_structured,
     write_script,
 )
+from rerail import harness
 from rerail.gateway import (
     CallContext,
     CompletionParams,
@@ -96,6 +102,20 @@ class TestScriptedBackend:
         ctx = CallContext(stage=STAGE_COT, question_id="q1", step_index=3)
         assert backend.call(PROMPT, PARAMS, ctx).text == "generic"
 
+    def test_samples_are_dealt_by_index_whatever_the_arrival_order(self):
+        backend = ScriptedBackend(
+            [entry(STAGE_COT, "q1", f"sample {k}") for k in range(3)]
+            + [entry(STAGE_COT, "q1", "elsewhere", step_index=1), entry(STAGE_COT, "q1", "retry")]
+        )
+        texts = {
+            k: backend.call(PROMPT, PARAMS, CallContext(STAGE_COT, "q1", sample_index=k)).text
+            for k in (3, 1, 0, 2)
+        }
+        assert texts == {0: "sample 0", 1: "sample 1", 2: "sample 2", 3: "retry"}
+        with pytest.raises(ScriptExhausted, match="sample_index=1"):
+            backend.call(PROMPT, PARAMS, CallContext(STAGE_COT, "q1", sample_index=1))
+        assert remaining(backend) == 1
+
     def test_from_file(self, tmp_path):
         path = write_script(tmp_path / "s.jsonl", [entry(STAGE_COT, "q1", "from disk")])
         backend = ScriptedBackend.from_file(path)
@@ -144,6 +164,21 @@ class TestScriptedBackend:
                 "slow",
             ),
             ({"match": {"stage": "cot", "question_id": ["q"]}, "response": "x", "usage": {}}, "strings"),
+            (
+                {"match": {"stage": "cot", "question_id": "q"}, "response": "x",
+                 "usage": {}, "latency_ms": -5000},
+                "-5000",
+            ),
+            (
+                {"match": {"stage": "cot", "question_id": "q"}, "response": "x",
+                 "usage": {"prompt_tokens": 1.9}},
+                "1.9",
+            ),
+            (
+                {"match": {"stage": "cot", "question_id": "q"}, "response": "x",
+                 "usage": {"completion_tokens": True}},
+                "True",
+            ),
         ],
     )
     def test_entry_schema_enforced(self, raw, fragment):
@@ -215,6 +250,13 @@ class TestCache:
         other = CompletionParams(model_id="m1", temperature=0.0, seed=8)
         assert gw.complete(PROMPT, other, CTX).text == "b"
         assert remaining(backend) == 0
+
+    @pytest.mark.parametrize("stored", ["{oops", "[]", "{}", '{"text": "x", "usage": {"tokens": 1}}'])
+    def test_unreadable_cache_file_is_a_miss(self, tmp_path, stored):
+        (tmp_path / f"{cache_key(PROMPT, PARAMS)}.json").write_text(stored)
+        gw = Gateway(ScriptedBackend([entry(STAGE_COT, "q1", "fresh")]), cache_dir=tmp_path, cache_enabled=True)
+        result = gw.complete(PROMPT, PARAMS, CTX)
+        assert (result.text, result.from_cache) == ("fresh", False)
 
     def test_cache_disabled_by_default(self, tmp_path):
         backend = ScriptedBackend(
@@ -592,3 +634,90 @@ class TestLiveBackend:
         with pytest.raises(ProviderError) as err:
             backend.call(PROMPT, PARAMS, CTX)
         assert err.value.retriable is True
+
+    def test_malformed_usage_is_a_failed_question(self, monkeypatch, tmp_path):
+        body = {"choices": [{"message": {"content": "Answer: B"}}], "usage": {"prompt_tokens": "x"}}
+        backend, session = self.backend(monkeypatch, [_StubResponse(body=body)])
+        with pytest.raises(ProviderError, match="usage") as err:
+            backend.call(PROMPT, PARAMS, CTX)
+        assert err.value.retriable is False
+
+        backend, session = self.backend(monkeypatch, [_StubResponse(body=body)])
+        report = harness.run([mcqa_question()], make_settings(), "cot", tmp_path, Gateway(backend))
+        assert report["counts"]["failed"] == 1
+        assert len(session.posts) == 1  # not retried
+        [row] = harness.load_outcomes(tmp_path / harness.OUTCOMES_FILE)
+        assert row.error.startswith("ProviderError: malformed provider usage")
+
+
+class _CountingHandler(http.server.BaseHTTPRequestHandler):
+    """Chat-completions stub that counts the connections it accepts."""
+
+    protocol_version = "HTTP/1.1"  # keep-alive, so connections can be reused
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        time.sleep(0.02)  # keeps the calls of a wave in flight together
+        data = json.dumps(GOOD_BODY).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class _StubServer(socketserver.ThreadingTCPServer):
+    """Plain TCP server (HTTPServer would look up the host's name on bind)
+    whose backlog takes a whole wave of connects at once."""
+
+    daemon_threads = True
+    request_queue_size = 64
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.lock = threading.Lock()
+        self.connections = 0
+
+
+def test_live_session_keeps_a_connection_per_call_in_flight(monkeypatch):
+    # 16 calls in flight: 2 workers times a fan-out of 8 samples
+    monkeypatch.setenv("RERAIL_TEST_KEY", "sk-test")
+    server = _StubServer(("127.0.0.1", 0), _CountingHandler)
+    serving = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    serving.start()
+    try:
+        settings = make_settings(
+            endpoint=f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
+            api_key_env="RERAIL_TEST_KEY",
+            parallelism=2,
+            n_samples=8,
+        )
+        gateway = harness.make_gateway(settings, "live", mode="rerailer")
+        for _ in range(2):
+            barrier = threading.Barrier(16)
+
+            def call(index):
+                barrier.wait(timeout=5)
+                gateway.complete(PROMPT, PARAMS, CallContext(STAGE_COT, f"q{index}"))
+
+            wave = [threading.Thread(target=call, args=(i,)) for i in range(16)]
+            for thread in wave:
+                thread.start()
+            for thread in wave:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in wave)
+        assert question_calls(gateway.ledger, "q0") == 2
+        assert server.connections <= 16
+        gateway._backend._session.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=5)
