@@ -10,7 +10,9 @@ Two backends sit behind one Gateway:
 
 The Gateway adds content-addressed response caching, bounded retry with
 exponential backoff, in-flight and requests-per-minute throttles, and a
-thread-safe usage ledger split by live/cached calls.
+thread-safe usage ledger split by live/cached calls. The cache is one
+append-only ``completions.jsonl`` in the cache directory, a line per
+completion, read into memory on the first lookup.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import json
 import math
 import os
 import re
-import tempfile
 import threading
 import time
 from collections import deque
@@ -33,6 +34,7 @@ from typing import Callable, Iterator, Optional, TypeVar
 import requests
 import requests.adapters
 
+from . import jsonl
 from .prompts import PromptPair
 from .types import RerailError
 
@@ -40,6 +42,8 @@ RETRY_BASE_SLEEP_S = 1.0
 RETRY_FACTOR = 2.0
 RETRY_MAX_ATTEMPTS = 5
 DEFAULT_TIMEOUT_S = 120.0
+
+CACHE_FILE = "completions.jsonl"
 
 REASK_REMINDER = "Respond ONLY with the JSON object in triple backticks."
 
@@ -424,8 +428,9 @@ class Gateway:
             raise ValueError("cache_enabled requires a cache_dir")
         self._backend = backend
         self.ledger = UsageLedger()
-        self._cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._cache_enabled = cache_enabled
+        self._cache_file = Path(cache_dir) / CACHE_FILE if cache_enabled else None
+        self._cache: Optional[dict[str, CompletionResult]] = None  # read on the first lookup
+        self._cache_lock = threading.Lock()
         self._gate = threading.Semaphore(max_in_flight) if max_in_flight is not None else None
         self._rpm = requests_per_minute
         self._recent_calls: deque[float] = deque()
@@ -505,17 +510,17 @@ class Gateway:
         context: CallContext,
     ) -> CompletionResult:
         """One completion: cache lookup, throttled backend call, recording."""
-        key = cache_key(prompt, params)
-        if self._cache_enabled:
-            cached = self._cache_read(key)
+        key = cache_key(prompt, params) if self._cache_file is not None else None
+        if key is not None:
+            cached = self._cache_lookup(key)
             if cached is not None:
                 self._blocking = False
                 self._record(context, cached)
                 return cached
 
         result = self._call_with_retry(prompt, params, context)
-        if self._cache_enabled:
-            self._cache_write(key, result)
+        if key is not None:
+            self._cache_append(key, result)
         self._record(context, result)
         return result
 
@@ -554,46 +559,36 @@ class Gateway:
                     self._sleep(wait)
             self._recent_calls.append(time.monotonic())
 
-    def _cache_path(self, key: str) -> Path:
-        assert self._cache_dir is not None
-        return self._cache_dir / f"{key}.json"
+    def _cache_lookup(self, key: str) -> Optional[CompletionResult]:
+        with self._cache_lock:
+            if self._cache is None:
+                self._cache = self._cache_load()
+            return self._cache.get(key)
 
-    def _cache_read(self, key: str) -> Optional[CompletionResult]:
-        path = self._cache_path(key)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            return CompletionResult(
-                text=payload["text"],
-                usage=Usage(**payload["usage"]),
-                latency_s=0.0,
-                from_cache=True,
-            )
-        except (ValueError, OSError, KeyError, TypeError):
-            return None  # a corrupt cache file is treated as a miss
-
-    def _cache_write(self, key: str, result: CompletionResult) -> None:
-        assert self._cache_dir is not None
-        self._cache_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "text": result.text,
-            "usage": {
-                "prompt_tokens": result.usage.prompt_tokens,
-                "completion_tokens": result.usage.completion_tokens,
-            },
-        }
-        # Write-temp-then-rename keeps concurrent readers off partial files.
-        fd, temp_path = tempfile.mkstemp(dir=self._cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(temp_path, self._cache_path(key))
-        except BaseException:
+    def _cache_load(self) -> dict[str, CompletionResult]:
+        """The stream's completions by key, the last line for a key winning.
+        A malformed line is skipped, so its key misses; a torn tail is cut
+        off before anything is appended."""
+        self._cache_file.parent.mkdir(parents=True, exist_ok=True)
+        self._cache_file.touch()
+        entries: dict[str, CompletionResult] = {}
+        for _, line in jsonl.committed_lines(self._cache_file):
             try:
-                os.unlink(temp_path)
-            except OSError:
+                payload = json.loads(line)
+                result = CompletionResult(payload["text"], Usage(**payload["usage"]), 0.0, from_cache=True)
+                if isinstance(result.text, str):
+                    entries[payload["key"]] = result
+            except (ValueError, KeyError, TypeError):
                 pass
-            raise
+        jsonl.drop_torn_tail(self._cache_file)
+        return entries
+
+    def _cache_append(self, key: str, result: CompletionResult) -> None:
+        line = jsonl.encode({"key": key, "text": result.text, "usage": vars(result.usage)})
+        with self._cache_lock:
+            with open(self._cache_file, "a", encoding="utf-8") as handle:
+                handle.write(line)
+            self._cache[key] = replace(result, latency_s=0.0, from_cache=True)
 
 
 def parse_structured_output(text: str) -> dict[str, str]:

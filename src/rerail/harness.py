@@ -7,9 +7,12 @@ pipeline), grades the answers, and emits:
 * outcomes.jsonl — one graded record per question (the persistence layer;
   a re-run over the same directory replays these instead of re-executing)
 * traces.jsonl — the per-question audit trail, one line per question
+* cache/completions.jsonl — the completion cache, when it is on
 * report.json — accuracy, confusion matrix, usage, and cost projections,
   a pure function of the outcomes plus the config snapshot
 * accuracy_by_category.csv, confusion_matrix.csv, cost.csv
+
+The three streams share one append-only format (``jsonl``).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
+from . import jsonl
 from .config import ConfigError, RunSettings, call_params
 from .derailment import Consistent, Derailed, generate_rps, route
 from .gateway import (
@@ -325,6 +329,11 @@ def make_gateway(
         raise ValueError(f"unknown backend {backend_kind!r}")
 
     cache_dir = Path(out_dir) / "cache" if (cache_enabled and out_dir is not None) else None
+    if cache_dir is not None and any(cache_dir.glob("*.json")):
+        raise ConfigError(
+            f"{cache_dir} holds a completion cache of one file per completion, which this "
+            "version does not read; move it aside or use a new --out directory"
+        )
     return Gateway(
         backend,
         cache_dir=cache_dir,
@@ -540,27 +549,21 @@ def _write_csvs(report: dict, out_dir: Path) -> None:
 
 
 def load_outcomes(path: Path) -> list[QuestionOutcome]:
-    """The outcome of each question, the last line for an id winning.
-
-    A line is committed once its newline is written, so an unterminated last
-    line (an append cut short) is ignored. A malformed committed line raises
-    IncompleteTrace.
-    """
+    """The outcome of each question, the last committed line for an id
+    winning. A malformed committed line raises IncompleteTrace."""
     latest: dict[str, QuestionOutcome] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.endswith("\n") or not line.strip():
-                continue
-            try:
-                outcome = QuestionOutcome.from_json(json.loads(line))
-            except (ValueError, TypeError) as exc:
-                raise IncompleteTrace(f"{path} line {line_no}: malformed outcome ({exc})") from None
-            latest[outcome.question_id] = outcome
+    for line_no, line in jsonl.committed_lines(path):
+        try:
+            outcome = QuestionOutcome.from_json(json.loads(line))
+        except (ValueError, TypeError) as exc:
+            raise IncompleteTrace(f"{path} line {line_no}: malformed outcome ({exc})") from None
+        latest[outcome.question_id] = outcome
     return list(latest.values())
 
 
 def _check_resumable(config_path: Path, config_snapshot: dict) -> None:
-    """Refuse to add to outcomes written under a different config.
+    """Refuse to add to a directory written under a different config, even
+    one with no outcomes yet: its cached completions would be reused.
 
     Only the worker pool width may change between runs. A directory without
     a readable snapshot resumes as it is.
@@ -573,7 +576,7 @@ def _check_resumable(config_path: Path, config_snapshot: dict) -> None:
     for key in sorted(set(stored) | set(config_snapshot)):
         if key != "parallelism" and stored.get(key) != config_snapshot.get(key):
             raise ConfigError(
-                f"{config_path.parent} holds outcomes of a run with {key}={stored.get(key)!r}, "
+                f"{config_path.parent} holds a run with {key}={stored.get(key)!r}, "
                 f"not {config_snapshot.get(key)!r}; use a new --out directory"
             )
 
@@ -584,15 +587,6 @@ def _merge_usage(earlier: dict[str, dict], later: dict[str, dict]) -> dict[str, 
     for stage, payload in later.items():
         merged.setdefault(stage, StageUsage()).merge(StageUsage.from_json(payload))
     return {stage: row.to_json() for stage, row in sorted(merged.items())}
-
-
-def _drop_torn_tail(path: Path) -> None:
-    """Cut an append-only stream back to its last newline, so the next line
-    is not glued onto what a crashed append left behind."""
-    with open(path, "rb+") as handle:
-        data = handle.read()
-        if not data.endswith(b"\n"):
-            handle.truncate(data.rfind(b"\n") + 1)
 
 
 def run(
@@ -618,9 +612,9 @@ def run(
     traces_path = out_path / TRACES_FILE
     config_snapshot = settings.to_json()
     config_snapshot["mode"] = mode
+    _check_resumable(out_path / CONFIG_FILE, config_snapshot)
     stored: dict[str, QuestionOutcome] = {}
     if outcomes_path.exists():
-        _check_resumable(out_path / CONFIG_FILE, config_snapshot)
         stored = {o.question_id: o for o in load_outcomes(outcomes_path)}
         ids = {q.id for q in questions}
         extra = next((qid for qid in stored if qid not in ids), None)
@@ -629,9 +623,9 @@ def run(
                 f"{out_path} holds an outcome of question {extra!r}, which the dataset lacks; "
                 "use a new --out directory"
             )
-        _drop_torn_tail(outcomes_path)
+        jsonl.drop_torn_tail(outcomes_path)
     if traces_path.exists():
-        _drop_torn_tail(traces_path)
+        jsonl.drop_torn_tail(traces_path)
     outcomes = {qid: o for qid, o in stored.items() if o.error is None}
 
     out_path.mkdir(parents=True, exist_ok=True)
@@ -650,12 +644,12 @@ def run(
             outcome, trace = run_question(question, mode, gateway, settings)
             if question.id in stored:  # a failed attempt, run again
                 outcome.usage = _merge_usage(stored[question.id].usage, outcome.usage)
-            trace_line = json.dumps({"question_id": question.id, "trace": trace}, sort_keys=True)
-            outcome_line = json.dumps(outcome.to_json(), sort_keys=True)
+            trace_line = jsonl.encode({"question_id": question.id, "trace": trace})
+            outcome_line = jsonl.encode(outcome.to_json())
             with write_lock:
-                traces.write(trace_line + "\n")
+                traces.write(trace_line)
                 traces.flush()
-                rows.write(outcome_line + "\n")
+                rows.write(outcome_line)
                 rows.flush()
                 outcomes[question.id] = outcome
 

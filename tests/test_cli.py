@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, output, artifact writes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -133,7 +134,7 @@ class TestRun:
 
     def test_duplicate_question_ids_fail(self, small_run, tmp_path, capsys):
         dataset = tmp_path / "dup.jsonl"
-        line = open(small_run["dataset"]).readline().strip()
+        line = Path(small_run["dataset"]).read_text().splitlines()[0]
         dataset.write_text(line + "\n" + line + "\n")
         small_run["dataset"] = str(dataset)
         assert main(run_args(small_run)) == 1
@@ -147,7 +148,7 @@ class TestRun:
 
     @pytest.mark.parametrize("tokens", ["abc", -5])
     def test_bad_token_count_in_the_script_fails_cleanly(self, small_run, capsys, tokens):
-        entries = [json.loads(line) for line in open(small_run["script"])]
+        entries = [json.loads(line) for line in Path(small_run["script"]).read_text().splitlines()]
         entries[1]["usage"]["prompt_tokens"] = tokens
         write_script(small_run["script"], entries)
         assert main(run_args(small_run)) == 1
@@ -245,6 +246,33 @@ class TestResume:
         assert "questions=3 failed=0" in capsys.readouterr().out
         assert main(["replay", "--trace", small_run["out"]]) == 0
         assert "replay matches" in capsys.readouterr().out
+
+    def test_config_change_is_refused_before_the_first_outcome(self, small_run, tmp_path, config_file, capsys):
+        # a run that crashed before its first outcome leaves only the config
+        # snapshot and its cached completions, which the cache key does not
+        # tie to the endpoint
+        small_run["config"] = config_file(cache_enabled=True)
+        assert main(run_args(small_run)) == 0
+        out = tmp_path / "out"
+        for name in ARTIFACTS:
+            if name != "resolved_config.json":
+                (out / name).unlink()
+        cached = (out / "cache" / "completions.jsonl").read_bytes()
+        small_run["config"] = config_file(cache_enabled=True, endpoint="http://other.invalid/v1")
+        capsys.readouterr()
+        assert main(run_args(small_run)) == 1
+        assert "endpoint=" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["cache", "resolved_config.json"]
+        assert (out / "cache" / "completions.jsonl").read_bytes() == cached
+
+    def test_old_layout_cache_is_refused(self, small_run, tmp_path, config_file, capsys):
+        small_run["config"] = config_file(cache_enabled=True)
+        cache = tmp_path / "out" / "cache"
+        cache.mkdir(parents=True)
+        (cache / f"{'0' * 64}.json").write_text('{"text": "x", "usage": {}}')
+        assert main(run_args(small_run)) == 1
+        assert str(cache) in capsys.readouterr().err
+        assert sorted(p.name for p in cache.iterdir()) == [f"{'0' * 64}.json"]
 
     def test_resume_may_change_parallelism_or_lack_a_snapshot(self, small_run, tmp_path):
         assert main(run_args(small_run)) == 0

@@ -82,6 +82,10 @@ def sorted_lines(path):
     return sorted(path.read_text(encoding="utf-8").splitlines())
 
 
+def cache_keys(out_dir):
+    return {json.loads(line)["key"] for line in sorted_lines(out_dir / "cache" / "completions.jsonl")}
+
+
 @pytest.mark.parametrize("mode", sorted(SCENARIOS))
 def test_fan_out_writes_what_the_inline_path_writes(tmp_path, mode):
     inline_dir, _ = run_scenario(tmp_path, mode, lambda inner: inner, "inline")
@@ -91,8 +95,8 @@ def test_fan_out_writes_what_the_inline_path_writes(tmp_path, mode):
     assert (fanned_dir / "report.json").read_bytes() == (inline_dir / "report.json").read_bytes()
     for name in ("outcomes.jsonl", "traces.jsonl"):
         assert sorted_lines(fanned_dir / name) == sorted_lines(inline_dir / name)
-    cache_keys = {p.name for p in (inline_dir / "cache").iterdir()}
-    assert {p.name for p in (fanned_dir / "cache").iterdir()} == cache_keys
+    inline_keys = cache_keys(inline_dir)
+    assert inline_keys and cache_keys(fanned_dir) == inline_keys
     report = json.loads((inline_dir / "report.json").read_text())
     assert report["counts"]["failed"] == 0
 

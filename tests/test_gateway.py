@@ -4,8 +4,10 @@ output, the usage ledger, and the live HTTP backend against a stub session."""
 import http.server
 import json
 import socketserver
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
@@ -57,6 +59,7 @@ from rerail.types import STAGE_COT, STAGE_JUDGE
 PROMPT = PromptPair(system="sys", user="usr", format_instructions="fmt")
 PARAMS = CompletionParams(model_id="m1", temperature=0.0, seed=7)
 CTX = CallContext(stage=STAGE_COT, question_id="q1")
+KEY = cache_key(PROMPT, PARAMS)
 
 
 class TestScriptedBackend:
@@ -251,12 +254,83 @@ class TestCache:
         assert gw.complete(PROMPT, other, CTX).text == "b"
         assert remaining(backend) == 0
 
-    @pytest.mark.parametrize("stored", ["{oops", "[]", "{}", '{"text": "x", "usage": {"tokens": 1}}'])
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            pytest.param(line, id=name)
+            for name, line in [
+                ("{oops", "{oops"),
+                ("[]", "[]"),
+                ("{}", json.dumps({"key": KEY})),
+                (
+                    '{"text": "x", "usage": {"tokens": 1}}',
+                    json.dumps({"key": KEY, "text": "x", "usage": {"tokens": 1}}),
+                ),
+            ]
+        ],
+    )
     def test_unreadable_cache_file_is_a_miss(self, tmp_path, stored):
-        (tmp_path / f"{cache_key(PROMPT, PARAMS)}.json").write_text(stored)
+        other = CompletionParams(model_id="m1", temperature=0.0, seed=8)
+        kept = {"key": cache_key(PROMPT, other), "text": "kept", "usage": {"prompt_tokens": 1, "completion_tokens": 2}}
+        (tmp_path / "completions.jsonl").write_text(stored + "\n" + json.dumps(kept) + "\n")
         gw = Gateway(ScriptedBackend([entry(STAGE_COT, "q1", "fresh")]), cache_dir=tmp_path, cache_enabled=True)
         result = gw.complete(PROMPT, PARAMS, CTX)
         assert (result.text, result.from_cache) == ("fresh", False)
+        assert gw.complete(PROMPT, other, CTX) == CompletionResult("kept", Usage(1, 2), 0.0, from_cache=True)
+
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        def gateway(*texts):
+            backend = ScriptedBackend([entry(STAGE_COT, "q1", text) for text in texts])
+            return Gateway(backend, cache_dir=tmp_path, cache_enabled=True)
+
+        gateway("first").complete(PROMPT, PARAMS, CTX)
+        stream = tmp_path / "completions.jsonl"
+        stream.write_bytes(stream.read_bytes() + b'{"key": "torn')
+        other = CompletionParams(model_id="m1", temperature=0.0, seed=8)
+        assert gateway("second").complete(PROMPT, other, CTX).from_cache is False
+        fresh = gateway()
+        assert fresh.complete(PROMPT, other, CTX).text == "second"
+        assert fresh.complete(PROMPT, PARAMS, CTX).text == "first"
+        assert [json.loads(line)["text"] for line in stream.read_text().splitlines()] == ["first", "second"]
+
+    def test_cache_is_read_on_the_first_lookup(self, tmp_path):
+        gw = Gateway(ScriptedBackend([]), cache_dir=tmp_path / "cache", cache_enabled=True)
+        assert not (tmp_path / "cache").exists()
+        (tmp_path / "cache").mkdir()
+        line = {"key": KEY, "text": "written after the constructor", "usage": {}}
+        (tmp_path / "cache" / "completions.jsonl").write_text(json.dumps(line) + "\n")
+        assert gw.complete(PROMPT, PARAMS, CTX).text == "written after the constructor"
+
+    def test_concurrent_completions_each_keep_their_line(self, tmp_path):
+        class Echo:
+            def call(self, prompt, params, context):
+                return CompletionResult(prompt.user, Usage(1, 1), 0.0)
+
+        prompts = [PromptPair("sys", f"user {i}", "fmt") for i in range(100)]
+        gw = Gateway(Echo(), cache_dir=tmp_path, cache_enabled=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                futures = [pool.submit(gw.complete, prompt, PARAMS, CTX) for prompt in prompts * 2]
+                texts = [future.result(timeout=30).text for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == [prompt.user for prompt in prompts * 2]
+        row = gw.ledger.question_usage("q1")[STAGE_COT]
+        assert row.live_calls >= len(prompts) and row.live_calls + row.cached_calls == 2 * len(prompts)
+        lines = [json.loads(line) for line in (tmp_path / "completions.jsonl").read_text().splitlines()]
+        assert len(lines) == row.live_calls
+        fresh = Gateway(ScriptedBackend([]), cache_dir=tmp_path, cache_enabled=True)
+        assert [fresh.complete(prompt, PARAMS, CTX).text for prompt in prompts] == [p.user for p in prompts]
+
+    def test_cache_off_computes_no_key(self, tmp_path, monkeypatch):
+        def no_key(prompt, params):
+            raise AssertionError("cache_key called with the cache off")
+
+        monkeypatch.setattr("rerail.gateway.cache_key", no_key)
+        gw = Gateway(ScriptedBackend([entry(STAGE_COT, "q1", "a")]), cache_dir=tmp_path)
+        assert gw.complete(PROMPT, PARAMS, CTX).text == "a"
 
     def test_cache_disabled_by_default(self, tmp_path):
         backend = ScriptedBackend(

@@ -6,6 +6,8 @@ hashes the seed together with the prompt. A change here invalidates every
 cached completion of every earlier run.
 """
 
+import json
+
 from helpers import (
     RecordingBackend,
     RecordingGateway,
@@ -80,3 +82,15 @@ def test_golden_cache_key_of_the_first_sample():
     (_, prompt), (params, _) = gw.records[0], backend.calls[0]
     assert params.seed == 61982573072121
     assert cache_key(prompt, params) == GOLDEN_FIRST_SAMPLE_KEY
+
+
+def test_cache_stream_holds_the_key_of_every_call(tmp_path):
+    backend = RecordingBackend(ScriptedBackend(fixable_script("q1")))
+    gw = RecordingGateway(backend, cache_dir=tmp_path, cache_enabled=True)
+    run_rerailer_mode(mcqa_question(), gw, make_settings(seed=SEED))
+    lines = (tmp_path / "completions.jsonl").read_text().splitlines()
+    keys = [json.loads(line)["key"] for line in lines]
+    called = {cache_key(prompt, params) for (_, prompt), (params, _) in zip(gw.records, backend.calls)}
+    # one line per distinct call, keyed as the file names of the old layout were
+    assert sorted(keys) == sorted(called)
+    assert keys[0] == GOLDEN_FIRST_SAMPLE_KEY
