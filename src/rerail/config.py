@@ -75,9 +75,16 @@ class RunSettings:
         for name in ("max_in_flight", "requests_per_minute"):
             if getattr(self, name) is not None:
                 positive[name] = getattr(self, name)
+        # type() rather than isinstance(): a bool is an int subclass
         for name, value in positive.items():
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ConfigError(f"config field {name!r} must be an integer >= 1, got {value!r}")
+        if type(self.seed) is not int:
+            raise ConfigError(f"config field 'seed' must be an integer, got {self.seed!r}")
+        if self.cache_enabled is not None and type(self.cache_enabled) is not bool:
+            raise ConfigError(
+                f"config field 'cache_enabled' must be true, false or null, got {self.cache_enabled!r}"
+            )
         if self.mad_agents < 2:
             raise ConfigError("config field 'mad_agents' must be >= 2")
         for name in ("temperature", "sampling_temperature", "abs_tolerance", "rel_tolerance"):

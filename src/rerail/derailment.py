@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from .config import RunSettings, call_params
 from .gateway import CallContext, Gateway, StructuredOutputFailure, complete_structured
-from .grading import majority_answer, normalize_answer
+from .grading import majority_answer
 from .parsing import parse_reasoning_path, serialize_path
 from .prompts import (
     TEMPLATE_JUDGE,
@@ -23,15 +23,12 @@ from .prompts import (
     render_prompt,
 )
 from .types import (
-    NormalizedAnswer,
     ParseFailure,
-    Provenance,
     Question,
     ReasoningPath,
     RerailError,
     STAGE_COT,
     STAGE_JUDGE,
-    UnnormalizableAnswer,
     VALID_OPTION_LABELS,
 )
 
@@ -41,7 +38,6 @@ RULE_ALL_IDENTICAL = "AllIdentical"
 RULE_INCONSISTENT = "Inconsistent"
 
 FLAG_ALL_LONG = "consistent-all-long"
-FLAG_UNNORMALIZABLE = "answer-unnormalizable"
 FLAG_JUDGE_FALLBACK = "judge-fallback-first"
 FLAG_JUDGE_DUPLICATED_RP3 = "judge-duplicated-rp3"
 FLAG_JUDGE_FIRST_THREE = "judge-first-three"
@@ -138,7 +134,7 @@ def generate_rps(
         context = CallContext(stage=STAGE_COT, question_id=question.id, sample_index=offset)
         result = gateway.complete(prompt, params, context)
         try:
-            return parse_reasoning_path(result.text, Provenance.raw_cot())
+            return parse_reasoning_path(result.text)
         except ParseFailure:
             return None
 
@@ -216,8 +212,6 @@ class Consistent:
     """All sampled answers agree; the pipeline stops here for this question."""
 
     answer_raw: str
-    answer: Optional[NormalizedAnswer]
-    paths: tuple[ReasoningPath, ...]
     verdict: ConsistencyVerdict
     flags: tuple[str, ...] = ()
 
@@ -228,7 +222,6 @@ class Derailed:
 
     selected: ReasoningPath
     selected_index: int
-    all_paths: tuple[ReasoningPath, ...]
     judge_rationale: str
     verdict: ConsistencyVerdict
     flags: tuple[str, ...] = ()
@@ -239,22 +232,13 @@ Routed = Union[Consistent, Derailed]
 
 def _resolve_consistent_answer(
     paths: list[ReasoningPath], verdict: ConsistencyVerdict, question: Question
-) -> tuple[str, Optional[NormalizedAnswer], list[str]]:
-    flags: list[str] = []
+) -> tuple[str, list[str]]:
     if verdict.rule_fired == RULE_ALL_LONG and len(paths) > 1:
         # Long answers are deemed consistent without agreeing; output the
         # majority answer, the first-listed leader on ties.
-        flags.append(FLAG_ALL_LONG)
         raw, _ = majority_answer([p.final_answer for p in paths], question)
-    else:
-        raw = paths[0].final_answer
-
-    try:
-        normalized = normalize_answer(raw, question.kind)
-    except UnnormalizableAnswer:
-        normalized = None
-        flags.append(FLAG_UNNORMALIZABLE)
-    return raw, normalized, flags
+        return raw, [FLAG_ALL_LONG]
+    return paths[0].final_answer, []
 
 
 def route(question: Question, gateway: Gateway, settings: RunSettings) -> Routed:
@@ -263,20 +247,13 @@ def route(question: Question, gateway: Gateway, settings: RunSettings) -> Routed
     verdict = check_consistency([p.final_answer for p in paths])
 
     if verdict.consistent:
-        raw, normalized, flags = _resolve_consistent_answer(paths, verdict, question)
-        return Consistent(
-            answer_raw=raw,
-            answer=normalized,
-            paths=tuple(paths),
-            verdict=verdict,
-            flags=tuple(flags),
-        )
+        raw, flags = _resolve_consistent_answer(paths, verdict, question)
+        return Consistent(answer_raw=raw, verdict=verdict, flags=tuple(flags))
 
     index, rationale, flags = judge(question, paths, gateway, settings)
     return Derailed(
         selected=paths[index - 1],
         selected_index=index,
-        all_paths=tuple(paths),
         judge_rationale=rationale,
         verdict=verdict,
         flags=tuple(flags),

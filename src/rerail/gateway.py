@@ -317,6 +317,8 @@ class LiveBackend:
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}", retriable=False) from exc
+        if not isinstance(text, str):
+            raise ProviderError(f"malformed provider response: content is {text!r}", retriable=False)
         try:
             usage_raw = body.get("usage") or {}
             usage = Usage(
@@ -437,8 +439,10 @@ class Gateway:
         self._rpm_lock = threading.Lock()
         self._sleep = sleeper
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._fan_out_call = threading.local()
-        self._blocking = False  # did the latest completion wait on the backend?
+        # Per thread: the usage a fan-out call holds back ("records"), and
+        # whether the thread's latest completion waited on the backend
+        # ("blocking"), which gates the fan-outs the thread starts.
+        self._thread = threading.local()
 
     @contextmanager
     def fan_out_pool(self, width: int) -> Iterator[None]:
@@ -458,16 +462,17 @@ class Gateway:
         """Run independent calls and return their results in call order.
 
         The caller runs the calls itself, in order. While a pool is open and
-        the latest completion waited on the backend for BLOCKING_CALL_S or
-        more, idle pool threads also take calls the caller has not reached;
-        the caller waits only for those. Otherwise (no pool, a fast backend,
-        a cache hit) the calls run inline. Either way the ledger gets the
-        calls' usage in call order, and the first error in call order is
-        raised once the calls already running have finished; from the failed
-        call on, calls no pool thread has taken never start.
+        the caller's latest completion waited on the backend for
+        BLOCKING_CALL_S or more, idle pool threads also take calls the
+        caller has not reached; the caller waits only for those. Otherwise
+        (no pool, a fast backend, a cache hit) the calls run inline. Either
+        way the ledger gets the calls' usage in call order, and the first
+        error in call order is raised once the calls already running have
+        finished; from the failed call on, calls no pool thread has taken
+        never start.
         """
         pool = self._pool
-        if pool is None or len(calls) < 2 or not self._blocking:
+        if pool is None or len(calls) < 2 or not getattr(self._thread, "blocking", False):
             return [call() for call in calls]
         futures = [pool.submit(self._deferred, call) for call in calls[1:]]
         done = [self._deferred(calls[0])]
@@ -488,16 +493,16 @@ class Gateway:
     def _deferred(self, call: Callable[[], T]) -> tuple[Optional[T], Optional[BaseException], list]:
         """Run one call of a fan-out, holding back the usage it records so
         that fan_out can write it to the ledger in call order."""
-        self._fan_out_call.records = records = []
+        self._thread.records = records = []
         try:
             return call(), None, records
         except BaseException as exc:  # raised by fan_out, in call order
             return None, exc, records
         finally:
-            self._fan_out_call.records = None
+            self._thread.records = None
 
     def _record(self, context: CallContext, result: CompletionResult) -> None:
-        records = getattr(self._fan_out_call, "records", None)
+        records = getattr(self._thread, "records", None)
         if records is None:
             self.ledger.record(context.question_id, context.stage, result)
         else:
@@ -514,7 +519,7 @@ class Gateway:
         if key is not None:
             cached = self._cache_lookup(key)
             if cached is not None:
-                self._blocking = False
+                self._thread.blocking = False
                 self._record(context, cached)
                 return cached
 
@@ -535,7 +540,7 @@ class Gateway:
             try:
                 started = time.perf_counter()
                 result = self._backend.call(prompt, params, context)
-                self._blocking = time.perf_counter() - started >= BLOCKING_CALL_S
+                self._thread.blocking = time.perf_counter() - started >= BLOCKING_CALL_S
                 return result
             except ProviderError as exc:
                 if not exc.retriable or attempt == RETRY_MAX_ATTEMPTS:

@@ -14,13 +14,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .types import (
-    ParseFailure,
-    Provenance,
-    ReasoningPath,
-    Step,
-    StepStatus,
-)
+from .types import ParseFailure, ReasoningPath
 
 # "Step 3:", "step #3.", "Step 3)" at the start of a line.
 STEP_MARKER_RE = re.compile(r"(?im)^\s*step\s*#?\s*(\d+)\s*[:.)]\s*")
@@ -43,18 +37,13 @@ def _find_step_spans(text: str) -> list[tuple[int, int, int]]:
     return [(int(m.group(1)), m.end(), m.start()) for m in ORDINAL_MARKER_RE.finditer(text)]
 
 
-def parse_reasoning_path(
-    text: str,
-    provenance: Optional[Provenance] = None,
-) -> ReasoningPath:
-    """Parse a raw generation into steps plus a final answer.
+def parse_reasoning_path(text: str) -> ReasoningPath:
+    """Parse a raw generation into steps plus a final answer, no step
+    verified.
 
     Raises ParseFailure when no step marker or no answer marker is present,
     or when the answer marker precedes every step.
     """
-    if provenance is None:
-        provenance = Provenance.raw_cot()
-
     answer_match = None
     for answer_match in ANSWER_MARKER_RE.finditer(text):
         pass  # keep the last marker: models often restate "Answer:" at the end
@@ -75,14 +64,8 @@ def parse_reasoning_path(
         step_text = body[body_start:end].strip()
         if not step_text:
             raise ParseFailure(f"step {position} has no text")
-        steps.append(Step(index=position, text=step_text))
-
-    return ReasoningPath(
-        steps=tuple(steps),
-        final_answer=raw_answer,
-        provenance=provenance,
-        raw_text=text,
-    )
+        steps.append(step_text)
+    return ReasoningPath(steps=tuple(steps), final_answer=raw_answer)
 
 
 def serialize_steps(
@@ -96,13 +79,11 @@ def serialize_steps(
     pass can skip them without another call; pass verified_markers=False for
     prompts that should see plain step text.
     """
-    limit = path.num_steps if upto is None else upto
-    lines = []
-    for step in path.steps[:limit]:
-        wants_marker = verified_markers and step.status is StepStatus.VERIFIED
-        suffix = f" {VERIFIED_MARKER}" if wants_marker else ""
-        lines.append(f"Step {step.index}: {step.text}{suffix}")
-    return "\n".join(lines)
+    marked = path.verified if verified_markers else 0
+    return "\n".join(
+        f"Step {index}: {text} {VERIFIED_MARKER}" if index <= marked else f"Step {index}: {text}"
+        for index, text in enumerate(path.steps[:upto], start=1)
+    )
 
 
 def serialize_path(path: ReasoningPath) -> str:

@@ -29,15 +29,12 @@ from .prompts import (
 )
 from .types import (
     ParseFailure,
-    Provenance,
     Question,
     ReasoningPath,
     RerailError,
     STAGE_DEBATE,
     STAGE_EVALUATOR,
     STAGE_REANSWER,
-    Step,
-    StepStatus,
 )
 
 VERDICT_AGREE = "AGREE"
@@ -95,16 +92,15 @@ class RerailResult:
     trace: dict = field(default_factory=dict)
 
 
-def _step(rp: ReasoningPath, index: int) -> Step:
-    """Step `index` (1-based) of the path."""
-    if not 1 <= index <= rp.num_steps:
-        raise IndexOutOfRange(f"step index {index} out of range 1..{rp.num_steps}")
-    return rp.steps[index - 1]
+def _check_index(rp: ReasoningPath, index: int) -> None:
+    """Raise IndexOutOfRange unless `index` (1-based) names a step of the path."""
+    if not 1 <= index <= len(rp.steps):
+        raise IndexOutOfRange(f"step index {index} out of range 1..{len(rp.steps)}")
 
 
 def mask(rp: ReasoningPath, index: int) -> str:
     """Steps 1..index rendered for the evaluator; nothing after leaks in."""
-    _step(rp, index)
+    _check_index(rp, index)
     return serialize_steps(rp, upto=index)
 
 
@@ -143,7 +139,8 @@ def evaluate_step(
     call. A parse failure after the single re-ask fails open: the step is
     treated as clean and the result is flagged.
     """
-    if _step(rp, index).status is StepStatus.VERIFIED:
+    _check_index(rp, index)
+    if index <= rp.verified:
         return EvaluationResult(False, "previously verified", auto=True)
 
     prompt = render_prompt(
@@ -289,25 +286,12 @@ def debate(
 
 
 def splice(rp: ReasoningPath, index: int, corrected_text: str) -> ReasoningPath:
-    """Replace step `index` with its correction.
-
-    Steps before it become Verified; steps after it stay but are marked
-    stale (a re-answer is expected to regenerate them).
+    """The trusted prefix a re-answer continues from: the steps before
+    `index`, now verified, then the correction in place of step `index`.
+    The steps after it are left out; the re-answer regenerates them.
     """
-    _step(rp, index)
-    new_steps = []
-    for step in rp.steps:
-        if step.index < index:
-            new_steps.append(replace(step, status=StepStatus.VERIFIED, stale=False))
-        elif step.index == index:
-            new_steps.append(
-                replace(
-                    step, text=corrected_text, status=StepStatus.CORRECTED, original=step.text, stale=False
-                )
-            )
-        else:
-            new_steps.append(replace(step, stale=True))
-    return replace(rp, steps=tuple(new_steps))
+    _check_index(rp, index)
+    return replace(rp, steps=rp.steps[: index - 1] + (corrected_text,), verified=index - 1)
 
 
 def _normalize_ws(text: str) -> str:
@@ -316,31 +300,23 @@ def _normalize_ws(text: str) -> str:
 
 def reanswer(
     question: Question,
-    prefix_steps: tuple[Step, ...],
+    prefix: ReasoningPath,
     iteration: int,
     gateway: Gateway,
     settings: RunSettings,
 ) -> tuple[ReasoningPath, list[str]]:
-    """Regenerate the rest of the path from a trusted prefix.
+    """Regenerate the rest of the path from the trusted steps of `prefix`.
 
     Returns (path, flags). The generation is truncated (and flagged) past
     max_reanswer_steps; a continuation that rewrites the prefix is flagged
     but not rejected.
     """
-    if not prefix_steps:
-        raise ValueError("reanswer needs a non-empty prefix")
-    if prefix_steps[-1].status not in (StepStatus.CORRECTED, StepStatus.VERIFIED):
-        raise ValueError("prefix must end at a corrected or verified step")
-
-    prefix_path = ReasoningPath(
-        steps=tuple(prefix_steps), final_answer="pending", provenance=Provenance.rerailed(iteration)
-    )
     prompt = render_prompt(
         TEMPLATE_REANSWER,
         {
             "subject": question.subject,
             "question": format_question(question.text, question.context, question.options),
-            "RP": serialize_steps(prefix_path, verified_markers=False),
+            "RP": serialize_steps(prefix, verified_markers=False),
         },
     )
     context = CallContext(stage=STAGE_REANSWER, question_id=question.id)
@@ -351,7 +327,7 @@ def reanswer(
         params = call_params(settings, question.id, "reanswer", iteration, offset=attempt)
         result = gateway.complete(prompt, params, context)
         try:
-            parsed = parse_reasoning_path(result.text, Provenance.rerailed(iteration))
+            parsed = parse_reasoning_path(result.text)
             break
         except ParseFailure as exc:
             last_error = exc
@@ -360,26 +336,21 @@ def reanswer(
         raise last_error
 
     flags: list[str] = []
-    steps = list(parsed.steps)
+    steps = parsed.steps
     if len(steps) > settings.max_reanswer_steps:
         steps = steps[: settings.max_reanswer_steps]
         flags.append(FLAG_STEP_BUDGET)
 
-    prefix_preserved = len(steps) >= len(prefix_steps) and all(
-        _normalize_ws(steps[i].text) == _normalize_ws(prefix_steps[i].text)
-        for i in range(len(prefix_steps))
+    prefix_preserved = len(steps) >= len(prefix.steps) and all(
+        _normalize_ws(new) == _normalize_ws(kept) for new, kept in zip(steps, prefix.steps)
     )
-    if prefix_preserved:
-        # The prefix keeps its trusted statuses; freshly parsed steps after
-        # it are unverified.
-        steps[: len(prefix_steps)] = [
-            replace(kept, text=new.text, stale=False) for kept, new in zip(prefix_steps, steps)
-        ]
-    else:
+    verified = prefix.verified  # a kept prefix keeps its verified steps
+    if not prefix_preserved:
         # The model ignored its instructions; keep its output, every step
         # unverified, so the next pass re-checks everything.
         flags.append(FLAG_PREFIX_DIVERGENCE)
-    return replace(parsed, steps=tuple(steps)), flags
+        verified = 0
+    return ReasoningPath(steps, parsed.final_answer, verified), flags
 
 
 @dataclass(frozen=True)
@@ -400,11 +371,11 @@ def rerail_pass(
     """One sweep: evaluate steps in order, fix the first flagged one.
 
     Returns immediately after splice + re-answer; a sweep with no flagged
-    step marks every step Verified and reports changed=False.
+    step marks every step verified and reports changed=False.
     """
     flags: list[str] = []
     evaluations: list[dict] = []
-    for index in range(1, rp.num_steps + 1):
+    for index in range(1, len(rp.steps) + 1):
         evaluation = evaluate_step(question, rp, index, gateway, settings)
         flags.extend(evaluation.flags)
         evaluations.append(
@@ -424,15 +395,14 @@ def rerail_pass(
             question, masked, index, evaluation.proposed_correction, gateway, settings
         )
         flags.extend(outcome.flags)
-        spliced = splice(rp, index, outcome.final_correction)
-        rp_new, reanswer_flags = reanswer(
-            question, spliced.steps[:index], iteration, gateway, settings
-        )
+        prefix = splice(rp, index, outcome.final_correction)
+        rp_new, reanswer_flags = reanswer(question, prefix, iteration, gateway, settings)
         flags.extend(reanswer_flags)
         trace = {
             "iteration": iteration,
             "evaluations": evaluations,
             "corrected_step": index,
+            "original_step": rp.steps[index - 1],
             "proposed_correction": evaluation.proposed_correction,
             "debate": {
                 "accepted": outcome.accepted,
@@ -454,15 +424,13 @@ def rerail_pass(
         }
         return PassResult(changed=True, rp_out=rp_new, flags=tuple(flags), trace=trace)
 
-    verified = replace(
-        rp, steps=tuple(replace(s, status=StepStatus.VERIFIED, stale=False) for s in rp.steps)
-    )
     trace = {
         "iteration": iteration,
         "evaluations": evaluations,
         "corrected_step": None,
         "flags": sorted(set(flags)),
     }
+    verified = replace(rp, verified=len(rp.steps))
     return PassResult(changed=False, rp_out=verified, flags=tuple(flags), trace=trace)
 
 

@@ -6,7 +6,7 @@ never mutated after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -55,12 +55,6 @@ class Category(str, Enum):
     ADVANCED_MATH_SCIENCE = "AdvancedMathScience"
 
 
-class StepStatus(str, Enum):
-    UNVERIFIED = "unverified"
-    VERIFIED = "verified"
-    CORRECTED = "corrected"
-
-
 @dataclass(frozen=True)
 class OptionLabel:
     """A multiple-choice answer: one of the labels A..F."""
@@ -73,9 +67,6 @@ class OptionLabel:
                 f"option label must be one of {''.join(VALID_OPTION_LABELS)}, got {self.label!r}"
             )
 
-    def as_text(self) -> str:
-        return self.label
-
 
 @dataclass(frozen=True)
 class NumericValue:
@@ -83,18 +74,12 @@ class NumericValue:
 
     value: Fraction
 
-    def as_text(self) -> str:
-        return str(self.value)
-
 
 @dataclass(frozen=True)
 class TextValue:
     """A free-text answer in cleaned, uppercased canonical form."""
 
     text: str
-
-    def as_text(self) -> str:
-        return self.text
 
 
 NormalizedAnswer = Union[OptionLabel, NumericValue, TextValue]
@@ -149,56 +134,20 @@ class Question:
                 raise DatasetError(f"question {self.id!r}: text question needs a text ground truth")
 
 
-# Provenance origins for reasoning paths.
-PROV_RAW_COT = "raw_cot"
-PROV_RERAILED = "rerailed"
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """Which stage produced a reasoning path."""
-
-    origin: str
-    iteration: int = 0
-
-    @classmethod
-    def raw_cot(cls) -> "Provenance":
-        return cls(PROV_RAW_COT)
-
-    @classmethod
-    def rerailed(cls, iteration: int) -> "Provenance":
-        return cls(PROV_RERAILED, iteration)
-
-
-@dataclass(frozen=True)
-class Step:
-    """One reasoning step. Corrected steps keep the text they replaced."""
-
-    index: int
-    text: str
-    status: StepStatus = StepStatus.UNVERIFIED
-    original: Optional[str] = None
-    stale: bool = False
-
-
 @dataclass(frozen=True)
 class ReasoningPath:
-    """Ordered steps plus the final answer of one generation."""
+    """Ordered step texts plus the final answer of one generation.
 
-    steps: tuple[Step, ...]
+    ``verified`` counts the leading steps a repair pass has already checked;
+    every producer keeps the checked steps a prefix of the path.
+    """
+
+    steps: tuple[str, ...]
     final_answer: str
-    provenance: Provenance = field(default_factory=Provenance.raw_cot)
-    raw_text: str = ""
+    verified: int = 0
 
     def __post_init__(self) -> None:
         if not self.steps:
             raise ParseFailure("a reasoning path needs at least one step")
-        for position, step in enumerate(self.steps, start=1):
-            if step.index != position:
-                raise ParseFailure(
-                    f"step indices must be contiguous from 1, got {step.index} at position {position}"
-                )
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.steps)
+        if not 0 <= self.verified <= len(self.steps):
+            raise ValueError(f"verified must be in 0..{len(self.steps)}, got {self.verified}")

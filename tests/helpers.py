@@ -29,6 +29,7 @@ from rerail.gateway import (
 from rerail.prompts import PromptPair
 from rerail.types import (
     Category,
+    NormalizedAnswer,
     NumericValue,
     Option,
     OptionLabel,
@@ -108,6 +109,15 @@ def text_question(
     )
 
 
+def as_text(answer: NormalizedAnswer) -> str:
+    """A normalized answer as the dataset schema writes its ground truth."""
+    if isinstance(answer, OptionLabel):
+        return answer.label
+    if isinstance(answer, NumericValue):
+        return str(answer.value)
+    return answer.text
+
+
 def write_dataset(path: str | Path, questions: list[Question]) -> None:
     """Serialize questions back to the JSONL dataset schema."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -117,7 +127,7 @@ def write_dataset(path: str | Path, questions: list[Question]) -> None:
                 "subject": q.subject,
                 "category": q.category.value,
                 "question": q.text,
-                "ground_truth": q.ground_truth.as_text(),
+                "ground_truth": as_text(q.ground_truth),
                 "kind": q.kind.value,
             }
             if q.context is not None:
@@ -132,9 +142,9 @@ def write_dataset(path: str | Path, questions: list[Question]) -> None:
 
 def step_section(path: ReasoningPath, index: int) -> str:
     """The text of one step (1-based), marker stripped."""
-    if not 1 <= index <= path.num_steps:
-        raise IndexError(f"step index {index} out of range 1..{path.num_steps}")
-    return path.steps[index - 1].text
+    if not 1 <= index <= len(path.steps):
+        raise IndexError(f"step index {index} out of range 1..{len(path.steps)}")
+    return path.steps[index - 1]
 
 
 def cot_text(steps: list[str], answer: str) -> str:

@@ -57,10 +57,7 @@ from rerail.types import (
     STAGE_JUDGE,
     STAGE_MAD,
     STAGE_REANSWER,
-    Provenance,
     ReasoningPath,
-    Step,
-    StepStatus,
 )
 
 
@@ -187,10 +184,7 @@ def test_criterion_02_routing_and_budget_conservation(tmp_path):
 
 def test_criterion_03_masking_soundness():
     texts = [f"SENTINEL{i:03d} marker body {i:03d}" for i in range(1, 101)]
-    rp = ReasoningPath(
-        steps=tuple(Step(index=i, text=text) for i, text in enumerate(texts, 1)),
-        final_answer="A",
-    )
+    rp = ReasoningPath(steps=tuple(texts), final_answer="A")
     question = mcqa_question()
     settings = make_settings()
 
@@ -220,10 +214,7 @@ def test_criterion_04_algorithm_one_fidelity():
     correction = "The premise restated without the slip."
 
     for k in (1, 3, 5):
-        rp = ReasoningPath(
-            steps=tuple(Step(index=i, text=text) for i, text in enumerate(texts, 1)),
-            final_answer="A",
-        )
+        rp = ReasoningPath(steps=tuple(texts), final_answer="A")
         entries = [
             entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=i)
             for i in range(1, k)
@@ -244,7 +235,11 @@ def test_criterion_04_algorithm_one_fidelity():
         assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == k  # early return
         assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 2
         assert question_calls(gw.ledger, "q1", STAGE_REANSWER) == 1
-        assert result.rp_out.steps[k - 1].status is StepStatus.CORRECTED
+        # step k is replaced and left for the next pass to check; the
+        # steps before it are verified
+        assert result.rp_out.steps[k - 1] == correction
+        assert result.rp_out.verified == k - 1
+        assert result.trace["original_step"] == texts[k - 1]
 
 
 # --- criterion 5 -----------------------------------------------------------
@@ -273,9 +268,9 @@ def test_criterion_05_multi_pass_rerailment():
     settings = make_settings()
     rp = ReasoningPath(
         steps=(
-            Step(index=1, text="Set up the governing relation."),
-            Step(index=2, text="Apply the relation with the wrong operands."),
-            Step(index=3, text="Read off the value."),
+            "Set up the governing relation.",
+            "Apply the relation with the wrong operands.",
+            "Read off the value.",
         ),
         final_answer="A",
     )
@@ -283,9 +278,10 @@ def test_criterion_05_multi_pass_rerailment():
     result = rerail(question, rp, scripted_gateway(two_correction_entries()), settings)
     assert result.certified is True
     assert result.iterations_run == 3
-    assert result.path.provenance == Provenance.rerailed(2)
+    # pass 2 rewrote the path last; pass 3 found nothing to fix
+    assert [p["corrected_step"] for p in result.trace["passes"]] == [2, 3, None]
     assert result.path.final_answer == "B"
-    assert len(result.trace["passes"]) == 3
+    assert result.path.verified == 3
 
     never_clean = []
     fixes = [f"Attempted repair number {i}." for i in (1, 2, 3)]
@@ -297,17 +293,16 @@ def test_criterion_05_multi_pass_rerailment():
             entry(STAGE_REANSWER, "q1", cot_text([fix, "Conclude as before."], "A"))
         )
     stuck = ReasoningPath(
-        steps=(
-            Step(index=1, text="Assume a relation that does not apply."),
-            Step(index=2, text="Conclude as before."),
-        ),
+        steps=("Assume a relation that does not apply.", "Conclude as before."),
         final_answer="A",
     )
     capped = rerail(question, stuck, scripted_gateway(never_clean), settings)
     assert capped.certified is False
     assert capped.iterations_run == settings.max_rerail_iterations == 3
     assert FLAG_UNCERTIFIED in capped.flags
-    assert capped.path.provenance == Provenance.rerailed(3)
+    # the last pass rewrote the path too, leaving its fix unchecked
+    assert [p["corrected_step"] for p in capped.trace["passes"]] == [1, 1, 1]
+    assert capped.path.verified == 0
 
 
 # --- criterion 6 -----------------------------------------------------------

@@ -66,6 +66,23 @@ class TestValidation:
             settings_from_dict({field: value})
 
     @pytest.mark.parametrize(
+        "field", ["parallelism", "n_samples", "mad_rounds", "max_in_flight", "requests_per_minute", "seed"]
+    )
+    def test_integers_reject_booleans(self, field):
+        # a bool is an int in Python; true would pass as 1
+        with pytest.raises(ConfigError, match=field):
+            settings_from_dict({field: True})
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, "no"])
+    def test_cache_enabled_must_be_a_boolean_or_null(self, value):
+        with pytest.raises(ConfigError, match="cache_enabled"):
+            settings_from_dict({"cache_enabled": value})
+
+    @pytest.mark.parametrize("value", [True, False, None])
+    def test_cache_enabled_accepts_true_false_and_null(self, value):
+        assert settings_from_dict({"cache_enabled": value}).cache_enabled is value
+
+    @pytest.mark.parametrize(
         "field,value",
         [
             ("timeout_s", 0),

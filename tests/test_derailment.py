@@ -1,7 +1,5 @@
 """Consistency rules, sampling, judging, and the routing decision."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,7 +24,6 @@ from rerail.derailment import (
     FLAG_JUDGE_DUPLICATED_RP3,
     FLAG_JUDGE_FALLBACK,
     FLAG_JUDGE_FIRST_THREE,
-    FLAG_UNNORMALIZABLE,
     GenerationFailure,
     RULE_ALL_IDENTICAL,
     RULE_ALL_LONG,
@@ -38,13 +35,8 @@ from rerail.derailment import (
     route,
 )
 from rerail.gateway import Gateway, ScriptedBackend
-from rerail.types import (
-    NumericValue,
-    OptionLabel,
-    Provenance,
-    STAGE_COT,
-    STAGE_JUDGE,
-)
+from rerail.harness import run_question
+from rerail.types import STAGE_COT, STAGE_JUDGE
 
 
 def sample(steps_answer: str, qid: str = "q1") -> dict:
@@ -150,7 +142,7 @@ class TestGenerateRps:
         gw, backend = self.recording([sample(GOOD_COT)] * 3)
         paths = generate_rps(mcqa_question(), gw, make_settings())
         assert len(paths) == 3
-        assert all(p.provenance == Provenance.raw_cot() for p in paths)
+        assert all(p.verified == 0 for p in paths)
         assert all(p.final_answer == "B" for p in paths)
 
         base = question_seed(0, "q1")
@@ -262,7 +254,6 @@ class TestRoute:
         routed = route(mcqa_question(), gw, make_settings())
         assert isinstance(routed, Consistent)
         assert routed.answer_raw == "B"
-        assert routed.answer == OptionLabel("B")
         assert routed.verdict.rule_fired == RULE_SAME_LEADING_OPTION
         assert question_calls(gw.ledger, "q1", STAGE_JUDGE) == 0
         assert question_calls(gw.ledger, "q1", STAGE_COT) == 3
@@ -279,7 +270,7 @@ class TestRoute:
         routed = route(mcqa_question(), gw, make_settings())
         assert isinstance(routed, Derailed)
         assert routed.selected_index == 2
-        assert routed.selected is routed.all_paths[1]
+        assert routed.selected.steps == ("Reason another way.",)
         assert routed.selected.final_answer == "B"
         assert routed.verdict.consistent is False
         assert question_calls(gw.ledger, "q1", STAGE_JUDGE) == 1
@@ -288,7 +279,7 @@ class TestRoute:
         gw = scripted_gateway([sample(GOOD_COT)])
         routed = route(mcqa_question(), gw, make_settings(n_samples=1))
         assert isinstance(routed, Consistent)
-        assert routed.answer == OptionLabel("B")
+        assert routed.answer_raw == "B"
 
     def test_long_answers_resolve_by_majority(self):
         q = numeric_question()
@@ -305,14 +296,14 @@ class TestRoute:
         assert isinstance(routed, Consistent)
         assert routed.verdict.rule_fired == RULE_ALL_LONG
         assert FLAG_ALL_LONG in routed.flags
-        assert routed.answer == NumericValue(Fraction(8))
         assert routed.answer_raw == answers[0]
 
     def test_consistent_but_unnormalizable_answer_is_flagged(self):
         gw = scripted_gateway(
             [sample(cot_text(["Shrug."], "zebra")) for _ in range(3)]
         )
-        routed = route(mcqa_question(), gw, make_settings())
-        assert isinstance(routed, Consistent)
-        assert routed.answer is None
-        assert FLAG_UNNORMALIZABLE in routed.flags
+        outcome, _ = run_question(mcqa_question(), "rerailer", gw, make_settings())
+        assert outcome.routing == "consistent"
+        assert outcome.final_answer == "zebra"
+        assert outcome.correct_final is False
+        assert "answer-unnormalizable" in outcome.flags

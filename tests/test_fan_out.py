@@ -241,3 +241,40 @@ class TestProgrammingErrorsPropagate:
 
     def test_fan_out_path(self, tmp_path, monkeypatch):
         assert self.run(tmp_path, monkeypatch, SleepingBackend) == [True]
+
+
+class TestFanOutGateIsPerThread:
+    """Whether a fan-out overlaps its calls follows the latest completion of
+    the thread that starts it, not of another question's thread."""
+
+    def test_cache_hit_on_another_thread_leaves_fan_out_on(self, tmp_path):
+        script = [entry(STAGE_COT, "q1", "x"), entry(STAGE_COT, "q2", "y")]
+        gateway = Gateway(SleepingBackend(ScriptedBackend(script)), cache_dir=tmp_path, cache_enabled=True)
+        params = CompletionParams("m")
+
+        def other_question():
+            gateway.complete(PromptPair("s", "q2"), params, CallContext(STAGE_COT, "q2"))
+
+        def on_another_thread(fn):
+            thread = threading.Thread(target=fn)
+            thread.start()
+            thread.join()
+
+        on_another_thread(other_question)  # a miss, so the next one hits
+        blocking = gateway.complete(PromptPair("s", "q1"), params, CallContext(STAGE_COT, "q1"))
+        on_another_thread(other_question)
+        assert blocking.from_cache is False
+
+        released = threading.Event()
+        pool_threads = []
+
+        def waits():  # inline it runs first, so it must not wait long
+            released.wait(timeout=0.3)
+
+        def sets():
+            pool_threads.append(threading.current_thread().name.startswith(POOL_PREFIX))
+            released.set()
+
+        with gateway.fan_out_pool(1):
+            gateway.fan_out([waits, sets])
+        assert pool_threads == [True]

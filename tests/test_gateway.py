@@ -723,6 +723,27 @@ class TestLiveBackend:
         [row] = harness.load_outcomes(tmp_path / harness.OUTCOMES_FILE)
         assert row.error.startswith("ProviderError: malformed provider usage")
 
+    @pytest.mark.parametrize("content", [None, 7, ["Answer: B"]])
+    def test_non_string_content_is_rejected(self, monkeypatch, content):
+        body = {"choices": [{"message": {"content": content}}], "usage": GOOD_BODY["usage"]}
+        backend, session = self.backend(monkeypatch, [_StubResponse(body=body)])
+        with pytest.raises(ProviderError, match="content") as err:
+            backend.call(PROMPT, PARAMS, CTX)
+        assert err.value.retriable is False
+
+    def test_null_content_fails_its_question_and_the_run_goes_on(self, monkeypatch, tmp_path):
+        null = {"choices": [{"message": {"content": None}}], "usage": GOOD_BODY["usage"]}
+        good = {"choices": [{"message": {"content": "Step 1: pick.\nAnswer: B"}}], "usage": GOOD_BODY["usage"]}
+        backend, session = self.backend(monkeypatch, [_StubResponse(body=null), _StubResponse(body=good)])
+        questions = [mcqa_question("q1"), mcqa_question("q2")]
+        report = harness.run(questions, make_settings(), "cot", tmp_path, Gateway(backend))
+        assert report["counts"]["failed"] == 1
+        assert report["accuracy"]["overall"] == {"correct": 1, "total": 1, "accuracy": 1.0}
+        assert len(session.posts) == 2  # not retried
+        rows = {row.question_id: row for row in harness.load_outcomes(tmp_path / harness.OUTCOMES_FILE)}
+        assert rows["q1"].error.startswith("ProviderError: malformed provider response")
+        assert rows["q2"].error is None
+
 
 class _CountingHandler(http.server.BaseHTTPRequestHandler):
     """Chat-completions stub that counts the connections it accepts."""

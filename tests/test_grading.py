@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import mcqa_question, text_question
+from helpers import as_text, mcqa_question, text_question
 from rerail.grading import (
     answer_bucket,
     clean_text,
@@ -114,13 +114,13 @@ class TestNormalizeAnswer:
     @given(st.sampled_from("ABCDEF"), st.text(alphabet=")..  ", max_size=3))
     def test_idempotent_on_options(self, letter, decoration):
         first = normalize_answer(f"{letter}{decoration}", QuestionKind.MCQA)
-        again = normalize_answer(first.as_text(), QuestionKind.MCQA)
+        again = normalize_answer(as_text(first), QuestionKind.MCQA)
         assert again == first
 
     @given(st.fractions(max_denominator=1000))
     def test_idempotent_on_numerics(self, value):
         first = normalize_answer(str(value), QuestionKind.OPEN_NUMERIC)
-        again = normalize_answer(first.as_text(), QuestionKind.OPEN_NUMERIC)
+        again = normalize_answer(as_text(first), QuestionKind.OPEN_NUMERIC)
         assert again == first
 
 

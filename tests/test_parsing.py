@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rerail.parsing import parse_reasoning_path, serialize_path, serialize_steps
-from rerail.types import ParseFailure, Provenance, ReasoningPath, Step, StepStatus
+from rerail.types import ParseFailure, ReasoningPath
 
 from helpers import cot_text, step_section
 
@@ -12,9 +12,7 @@ from helpers import cot_text, step_section
 class TestParseReasoningPath:
     def test_two_step_generation(self):
         path = parse_reasoning_path("Step 1: compute 2+2=4.\nStep 2: double it: 8.\nAnswer: 8")
-        assert path.num_steps == 2
-        assert path.steps[0].text == "compute 2+2=4."
-        assert path.steps[1].text == "double it: 8."
+        assert path.steps == ("compute 2+2=4.", "double it: 8.")
         assert path.final_answer == "8"
 
     def test_answer_without_steps_fails(self):
@@ -29,12 +27,11 @@ class TestParseReasoningPath:
         with pytest.raises(ParseFailure):
             parse_reasoning_path("Step 1: done.\nAnswer:   ")
 
-    def test_five_steps_contiguous_and_raw_text_kept(self):
-        raw = cot_text([f"portion {i} of the derivation" for i in range(1, 6)], "42")
-        path = parse_reasoning_path(raw)
-        assert [s.index for s in path.steps] == [1, 2, 3, 4, 5]
-        assert path.raw_text == raw
-        assert all(s.status is StepStatus.UNVERIFIED for s in path.steps)
+    def test_five_steps_parse_in_order_unverified(self):
+        texts = [f"portion {i} of the derivation" for i in range(1, 6)]
+        path = parse_reasoning_path(cot_text(texts, "42"))
+        assert path.steps == tuple(texts)
+        assert path.verified == 0
 
     def test_last_answer_marker_wins(self):
         raw = "Step 1: a draft.\nAnswer: draft value\nStep 2: reconsider.\nFinal Answer: B"
@@ -51,35 +48,25 @@ class TestParseReasoningPath:
     )
     def test_step_marker_shapes(self, marker):
         path = parse_reasoning_path(f"{marker} the only step\nAnswer: ok")
-        assert path.num_steps == 1
-        assert path.steps[0].text == "the only step"
+        assert path.steps == ("the only step",)
 
     def test_ordinal_fallback_when_no_step_markers(self):
         path = parse_reasoning_path("1. first piece\n2. second piece\nAnswer: fine")
-        assert [s.text for s in path.steps] == ["first piece", "second piece"]
+        assert path.steps == ("first piece", "second piece")
 
     def test_ordinals_ignored_when_step_markers_exist(self):
         raw = "Step 1: list items\n1. apples\n2. oranges\nAnswer: two kinds"
         path = parse_reasoning_path(raw)
-        assert path.num_steps == 1
-        assert "apples" in path.steps[0].text
+        assert len(path.steps) == 1
+        assert "apples" in path.steps[0]
 
     def test_decimal_numbers_never_open_a_step(self):
         path = parse_reasoning_path("1. pi is roughly 3.14 here\nAnswer: pi")
-        assert path.num_steps == 1
+        assert len(path.steps) == 1
 
     def test_declared_indices_are_renumbered_positionally(self):
         path = parse_reasoning_path("Step 3: out of order\nStep 9: still counted\nAnswer: x")
-        assert [s.index for s in path.steps] == [1, 2]
-
-    def test_provenance_defaults_to_raw_cot(self):
-        path = parse_reasoning_path("Step 1: go.\nAnswer: y")
-        assert path.provenance == Provenance.raw_cot()
-
-    def test_explicit_provenance_is_kept(self):
-        path = parse_reasoning_path("Step 1: go.\nAnswer: y", Provenance.rerailed(2))
-        assert path.provenance.origin == "rerailed"
-        assert path.provenance.iteration == 2
+        assert serialize_steps(path) == "Step 1: out of order\nStep 2: still counted"
 
     def test_step_with_no_text_fails(self):
         with pytest.raises(ParseFailure):
@@ -92,14 +79,7 @@ class TestParseReasoningPath:
 
 class TestSerialization:
     def _path(self) -> ReasoningPath:
-        return ReasoningPath(
-            steps=(
-                Step(1, "alpha", StepStatus.VERIFIED),
-                Step(2, "beta", StepStatus.CORRECTED, original="beta-as-written"),
-                Step(3, "gamma"),
-            ),
-            final_answer="C",
-        )
+        return ReasoningPath(steps=("alpha", "beta", "gamma"), final_answer="C", verified=1)
 
     def test_serialize_steps_marks_verified(self):
         rendered = serialize_steps(self._path())
@@ -133,9 +113,10 @@ class TestPathInvariants:
         with pytest.raises(ParseFailure):
             ReasoningPath(steps=(), final_answer="x")
 
-    def test_noncontiguous_indices_rejected(self):
-        with pytest.raises(ParseFailure):
-            ReasoningPath(steps=(Step(1, "a"), Step(3, "b")), final_answer="x")
+    @pytest.mark.parametrize("verified", [-1, 3])
+    def test_verified_count_must_fit_the_steps(self, verified):
+        with pytest.raises(ValueError):
+            ReasoningPath(steps=("a", "b"), final_answer="x", verified=verified)
 
 
 _step_text = st.text(
@@ -151,7 +132,7 @@ class TestRoundTrip:
     @given(st.lists(_step_text, min_size=1, max_size=8), _answer_text)
     def test_parse_inverts_rendering(self, steps, answer):
         path = parse_reasoning_path(cot_text(steps, answer))
-        assert [s.text for s in path.steps] == steps
+        assert list(path.steps) == steps
         assert path.final_answer == answer
 
     @given(st.lists(_step_text, min_size=1, max_size=8), _answer_text)
@@ -159,5 +140,5 @@ class TestRoundTrip:
         first = parse_reasoning_path(cot_text(steps, answer))
         rendered = f"{serialize_steps(first)}\nAnswer: {first.final_answer}"
         second = parse_reasoning_path(rendered)
-        assert [s.text for s in second.steps] == [s.text for s in first.steps]
+        assert second.steps == first.steps
         assert second.final_answer == first.final_answer

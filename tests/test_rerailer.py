@@ -40,13 +40,10 @@ from rerail.rerailer import (
 )
 from rerail.types import (
     ParseFailure,
-    Provenance,
     ReasoningPath,
     STAGE_DEBATE,
     STAGE_EVALUATOR,
     STAGE_REANSWER,
-    Step,
-    StepStatus,
 )
 
 Q = mcqa_question()
@@ -62,21 +59,11 @@ FIVE_TEXTS = [
 
 
 def path_from(texts, answer="A"):
-    return parse_reasoning_path(cot_text(list(texts), answer), Provenance.raw_cot())
+    return parse_reasoning_path(cot_text(list(texts), answer))
 
 
-def stepped(*specs, answer="A", provenance=None):
-    """Build a path from (text, status[, original]) tuples."""
-    steps = []
-    for i, spec in enumerate(specs, start=1):
-        text, status = spec[0], spec[1]
-        original = spec[2] if len(spec) > 2 else None
-        steps.append(Step(i, text, status, original))
-    return ReasoningPath(
-        steps=tuple(steps),
-        final_answer=answer,
-        provenance=provenance or Provenance.raw_cot(),
-    )
+# step 1 settled by an earlier pass, step 2 not
+SETTLED_THEN_OPEN = ReasoningPath(steps=("Settled earlier.", "Still open."), final_answer="A", verified=1)
 
 
 class TestMask:
@@ -105,11 +92,7 @@ class TestMask:
             mask(rp, index)
 
     def test_verified_steps_carry_their_marker(self):
-        rp = stepped(
-            ("Settled earlier.", StepStatus.VERIFIED),
-            ("Still open.", StepStatus.UNVERIFIED),
-        )
-        masked = mask(rp, 2)
+        masked = mask(SETTLED_THEN_OPEN, 2)
         assert "Settled earlier. (verified)" in masked
         assert "Still open. (verified)" not in masked
 
@@ -149,12 +132,8 @@ class TestEvaluateStep:
         assert evaluate_step(Q, path_from(FIVE_TEXTS), 1, gw, SETTINGS).hallucination is False
 
     def test_previously_verified_step_never_calls_out(self):
-        rp = stepped(
-            ("Settled earlier.", StepStatus.VERIFIED),
-            ("Still open.", StepStatus.UNVERIFIED),
-        )
         gw = scripted_gateway([])  # any call would raise ScriptExhausted
-        result = evaluate_step(Q, rp, 1, gw, SETTINGS)
+        result = evaluate_step(Q, SETTLED_THEN_OPEN, 1, gw, SETTINGS)
         assert result.auto is True
         assert result.hallucination is False
         assert question_calls(gw.ledger, "q1") == 0
@@ -331,30 +310,16 @@ class TestSplice:
     def test_statuses_around_the_correction(self):
         rp = path_from(FIVE_TEXTS)
         out = splice(rp, 3, "Substitute the right values.")
-        assert [s.status for s in out.steps] == [
-            StepStatus.VERIFIED,
-            StepStatus.VERIFIED,
-            StepStatus.CORRECTED,
-            StepStatus.UNVERIFIED,
-            StepStatus.UNVERIFIED,
-        ]
-        assert out.steps[2].text == "Substitute the right values."
-        assert out.steps[2].original == FIVE_TEXTS[2]
-        assert [s.stale for s in out.steps] == [False, False, False, True, True]
+        # the steps before the fix are verified, the fix is not, and the
+        # steps after it are left for the re-answer
+        assert out.steps == (FIVE_TEXTS[0], FIVE_TEXTS[1], "Substitute the right values.")
+        assert out.verified == 2
         assert out.final_answer == rp.final_answer
-        assert out.provenance == rp.provenance
 
     def test_correction_at_the_first_step(self):
         out = splice(path_from(FIVE_TEXTS), 1, "Re-read the problem.")
-        assert out.steps[0].status is StepStatus.CORRECTED
-        assert all(s.stale for s in out.steps[1:])
-
-    def test_recorrection_chains_originals(self):
-        once = splice(path_from(FIVE_TEXTS), 2, "Second attempt.")
-        twice = splice(once, 2, "Third attempt.")
-        assert twice.steps[1].text == "Third attempt."
-        # the original records what was replaced this time, not the root text
-        assert twice.steps[1].original == "Second attempt."
+        assert out.steps == ("Re-read the problem.",)
+        assert out.verified == 0
 
     @pytest.mark.parametrize("index", [0, 6])
     def test_out_of_range(self, index):
@@ -363,19 +328,14 @@ class TestSplice:
 
 
 class TestReanswer:
-    PREFIX = (
-        Step(1, "Write down the knowns.", StepStatus.VERIFIED),
-        Step(2, "Pick the correct relation.", StepStatus.CORRECTED,
-             original="Pick the governing relation."),
-    )
+    PREFIX = splice(path_from(FIVE_TEXTS), 2, "Pick the correct relation.")
 
     def recording(self, entries):
         backend = RecordingBackend(ScriptedBackend(entries))
         return Gateway(backend), backend
 
     def continuation(self, *extra_steps, answer="B"):
-        texts = [s.text for s in self.PREFIX] + list(extra_steps)
-        return cot_text(texts, answer)
+        return cot_text(list(self.PREFIX.steps) + list(extra_steps), answer)
 
     def test_prefix_statuses_survive(self):
         gw, _ = self.recording(
@@ -384,11 +344,8 @@ class TestReanswer:
         path, flags = reanswer(Q, self.PREFIX, 1, gw, SETTINGS)
         assert flags == []
         assert path.final_answer == "B"
-        assert path.provenance == Provenance.rerailed(1)
-        assert [s.status for s in path.steps] == [
-            StepStatus.VERIFIED, StepStatus.CORRECTED, StepStatus.UNVERIFIED,
-        ]
-        assert path.steps[1].original == "Pick the governing relation."
+        assert path.steps == ("Write down the knowns.", "Pick the correct relation.", "Finish the algebra.")
+        assert path.verified == 1
 
     def test_whitespace_differences_do_not_break_the_prefix(self):
         wiggly = cot_text(
@@ -397,22 +354,23 @@ class TestReanswer:
         gw, _ = self.recording([entry(STAGE_REANSWER, "q1", wiggly)])
         path, flags = reanswer(Q, self.PREFIX, 1, gw, SETTINGS)
         assert flags == []
-        assert path.steps[0].status is StepStatus.VERIFIED
+        assert path.verified == 1
+        assert path.steps[0] == "Write  down   the knowns."  # the re-answer's own text
 
     def test_overlong_generation_is_truncated_and_flagged(self):
-        texts = [s.text for s in self.PREFIX] + [f"Expand term {i}." for i in range(1, 12)]
+        texts = list(self.PREFIX.steps) + [f"Expand term {i}." for i in range(1, 12)]
         assert len(texts) == 13
         gw, _ = self.recording([entry(STAGE_REANSWER, "q1", cot_text(texts, "B"))])
         path, flags = reanswer(Q, self.PREFIX, 1, gw, SETTINGS)
         assert FLAG_STEP_BUDGET in flags
-        assert path.num_steps == 12
+        assert len(path.steps) == 12
 
     def test_prefix_rewrite_is_flagged_and_distrusted(self):
         divergent = cot_text(["Something else entirely.", "And more of it."], "B")
         gw, _ = self.recording([entry(STAGE_REANSWER, "q1", divergent)])
         path, flags = reanswer(Q, self.PREFIX, 1, gw, SETTINGS)
         assert FLAG_PREFIX_DIVERGENCE in flags
-        assert all(s.status is StepStatus.UNVERIFIED for s in path.steps)
+        assert path.verified == 0
 
     def test_parse_failure_retries_once_with_shifted_seed(self):
         gw, backend = self.recording(
@@ -420,7 +378,7 @@ class TestReanswer:
              entry(STAGE_REANSWER, "q1", self.continuation("Wrap up."))]
         )
         path, _ = reanswer(Q, self.PREFIX, 2, gw, SETTINGS)
-        assert path.num_steps == 3
+        assert len(path.steps) == 3
         seed = question_seed(0, "q1:reanswer:2")
         assert [params.seed for params, _ in backend.calls] == [seed, seed + 1]
 
@@ -432,22 +390,14 @@ class TestReanswer:
             reanswer(Q, self.PREFIX, 1, gw, SETTINGS)
 
     def test_single_step_prefix(self):
-        prefix = (Step(1, "Re-read the problem.", StepStatus.CORRECTED, original="old"),)
+        prefix = splice(path_from(FIVE_TEXTS), 1, "Re-read the problem.")
         gw, _ = self.recording(
             [entry(STAGE_REANSWER, "q1", cot_text(["Re-read the problem.", "Solve."], "C"))]
         )
         path, flags = reanswer(Q, prefix, 1, gw, SETTINGS)
         assert flags == []
-        assert path.steps[0].status is StepStatus.CORRECTED
-
-    def test_empty_prefix_rejected(self):
-        with pytest.raises(ValueError):
-            reanswer(Q, (), 1, scripted_gateway([]), SETTINGS)
-
-    def test_prefix_must_end_settled(self):
-        loose = (Step(1, "x", StepStatus.UNVERIFIED),)
-        with pytest.raises(ValueError):
-            reanswer(Q, loose, 1, scripted_gateway([]), SETTINGS)
+        assert path.steps == ("Re-read the problem.", "Solve.")
+        assert path.verified == 0  # the fix itself is checked by the next pass
 
     def test_prompt_never_shows_verified_markers(self):
         gw = scripted_gateway([entry(STAGE_REANSWER, "q1", self.continuation("Done."))])
@@ -466,8 +416,8 @@ class TestRerailPass:
         gw = scripted_gateway(entries)
         result = rerail_pass(Q, rp, 1, gw, SETTINGS)
         assert result.changed is False
-        assert all(s.status is StepStatus.VERIFIED for s in result.rp_out.steps)
-        assert [s.text for s in result.rp_out.steps] == FIVE_TEXTS[:4]
+        assert result.rp_out.verified == 4
+        assert result.rp_out.steps == tuple(FIVE_TEXTS[:4])
         assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == 4
         assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 0
         assert question_calls(gw.ledger, "q1", STAGE_REANSWER) == 0
@@ -493,7 +443,8 @@ class TestRerailPass:
         assert max(evaluated) == 2  # steps 3..5 were never looked at
         assert result.trace["corrected_step"] == 2
         assert result.rp_out.final_answer == "B"
-        assert result.rp_out.steps[1].text == corrected
+        assert result.rp_out.steps[1] == corrected
+        assert result.trace["original_step"] == FIVE_TEXTS[1]
 
     def test_flag_at_the_last_step_reanswers_from_the_whole_path(self):
         texts = FIVE_TEXTS[:3]
@@ -511,10 +462,8 @@ class TestRerailPass:
         gw = scripted_gateway(entries)
         result = rerail_pass(Q, rp, 1, gw, SETTINGS)
         assert result.changed is True
-        assert result.rp_out.num_steps == 3
-        assert [s.status for s in result.rp_out.steps] == [
-            StepStatus.VERIFIED, StepStatus.VERIFIED, StepStatus.CORRECTED,
-        ]
+        assert result.rp_out.steps == (texts[0], texts[1], corrected)
+        assert result.rp_out.verified == 2
 
 
 class TestRerail:
@@ -528,9 +477,8 @@ class TestRerail:
         assert result.certified is True
         assert result.iterations_run == 1
         assert FLAG_UNCERTIFIED not in result.flags
-        assert result.path.provenance == Provenance.raw_cot()
         assert result.path.final_answer == "A"
-        assert all(s.status is StepStatus.VERIFIED for s in result.path.steps)
+        assert result.path.verified == 3
 
     def test_two_corrections_then_certification(self):
         s1, w2, t3 = "State the given numbers.", "Add when you should multiply.", "Read off the total."
@@ -559,8 +507,11 @@ class TestRerail:
         assert result.certified is True
         assert result.iterations_run == 3
         assert result.path.final_answer == "B"
-        # provenance remembers the pass that last rewrote the path
-        assert result.path.provenance == Provenance.rerailed(2)
+        assert result.path.verified == 3
+        # the pass trace names each rewrite and the step text it replaced
+        passes = result.trace["passes"]
+        assert [p["corrected_step"] for p in passes] == [2, 3, None]
+        assert [p.get("original_step") for p in passes] == [w2, t3, None]
         assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == 5
         assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 4
         assert question_calls(gw.ledger, "q1", STAGE_REANSWER) == 2
@@ -586,7 +537,13 @@ class TestRerail:
         assert result.certified is False
         assert result.iterations_run == 3
         assert FLAG_UNCERTIFIED in result.flags
-        assert result.path.provenance == Provenance.rerailed(3)
+        # each pass rewrote step 1 and recorded what it replaced that time,
+        # not the text the path started with
+        passes = result.trace["passes"]
+        assert [p["corrected_step"] for p in passes] == [1, 1, 1]
+        assert [p["original_step"] for p in passes] == [
+            s1, "Assume model number 2.", "Assume model number 3.",
+        ]
         assert len(result.trace["passes"]) == 3
         assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == 3
         assert question_calls(gw.ledger, "q1", STAGE_REANSWER) == 3
