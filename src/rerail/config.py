@@ -13,8 +13,8 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .gateway import CompletionParams
-from .types import RerailError
+from .gateway import CallContext, CompletionParams
+from .types import RerailError, STAGE_DEBATE, STAGE_EVALUATOR, STAGE_MAD, STAGE_REANSWER
 
 MODES = ("cot", "sc", "mad", "rerailer")
 BACKENDS = ("live", "scripted")
@@ -87,11 +87,15 @@ class RunSettings:
             )
         if self.mad_agents < 2:
             raise ConfigError("config field 'mad_agents' must be >= 2")
-        for name in ("temperature", "sampling_temperature", "abs_tolerance", "rel_tolerance"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"config field {name!r} must be >= 0")
+        for name in ("temperature", "sampling_temperature", "timeout_s", "abs_tolerance", "rel_tolerance"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not value >= 0:
+                raise ConfigError(f"config field {name!r} must be a number >= 0, got {value!r}")
         if not self.timeout_s > 0:
             raise ConfigError(f"config field 'timeout_s' must be > 0, got {self.timeout_s!r}")
+        for name in ("model_id", "endpoint", "api_key_env"):
+            if type(getattr(self, name)) is not str:
+                raise ConfigError(f"config field {name!r} must be a string, got {getattr(self, name)!r}")
         if not self.model_id:
             raise ConfigError("config field 'model_id' must be non-empty")
 
@@ -148,21 +152,29 @@ def question_seed(base_seed: int, question_id: str) -> int:
     return int.from_bytes(digest[:6], "big")
 
 
-def call_params(
-    settings: RunSettings, question_id: str, *tag, offset: int = 0, sampling: bool = False
-) -> CompletionParams:
-    """Parameters of one model call.
+# Each stage's part of the seed key; cot and judge calls have none.
+_SEED_TAGS = {
+    STAGE_EVALUATOR: "eval", STAGE_DEBATE: "debate", STAGE_REANSWER: "reanswer", STAGE_MAD: "mad",
+}
 
-    The seed is ``question_seed`` of the question id joined with the call's
-    tag (``"q1:debate:2:1:3"`` for step 2, agent 1, round 3), plus ``offset``
-    for sample indices and retries. Sampling calls run at the sampling
+
+def call_params(settings: RunSettings, context: CallContext, offset: int = 0) -> CompletionParams:
+    """Parameters of the call a context describes.
+
+    The seed is ``question_seed`` of a key joining the question id, the
+    stage's tag and the step, agent and round the context sets
+    (``"q1:debate:2:1:3"`` for step 2, agent 1, round 3), plus the sample
+    index and ``offset`` (a retry). A sample runs at the sampling
     temperature, every other call at the deterministic one.
     """
-    key = ":".join([question_id, *map(str, tag)])
+    tag = _SEED_TAGS.get(context.stage)
+    parts = (context.question_id, tag, context.step_index, context.agent_id, context.round)
+    key = ":".join(str(part) for part in parts if part is not None)
+    sample = context.sample_index
     return CompletionParams(
         model_id=settings.model_id,
-        temperature=settings.sampling_temperature if sampling else settings.temperature,
-        seed=question_seed(settings.seed, key) + offset,
+        temperature=settings.temperature if sample is None else settings.sampling_temperature,
+        seed=question_seed(settings.seed, key) + (sample or 0) + offset,
     )
 
 

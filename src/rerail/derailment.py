@@ -13,15 +13,10 @@ from functools import partial
 from typing import Optional, Union
 
 from .config import RunSettings, call_params
-from .gateway import CallContext, Gateway, StructuredOutputFailure, complete_structured
+from .gateway import CallContext, Gateway, complete_structured
 from .grading import majority_answer
 from .parsing import parse_reasoning_path, serialize_path
-from .prompts import (
-    TEMPLATE_JUDGE,
-    TEMPLATE_RAW_COT,
-    format_question,
-    render_prompt,
-)
+from .prompts import TEMPLATE_JUDGE, TEMPLATE_RAW_COT, render_prompt
 from .types import (
     ParseFailure,
     Question,
@@ -112,27 +107,20 @@ def generate_rps(
 ) -> list[ReasoningPath]:
     """Sample n reasoning paths from independent raw chain-of-thought calls.
 
-    The samples run as one fan-out, at seed offsets 0..n-1. An unparseable
+    The samples run as one fan-out, at sample indices 0..n-1. An unparseable
     sample is regenerated once, in a second fan-out after the first, at
-    offset n plus its rank among the unparseable samples, and dropped if
+    index n plus its rank among the unparseable samples, and dropped if
     still unparseable. Raises GenerationFailure when fewer than min(2, n)
     parseable paths remain.
     """
     count = settings.n_samples if n is None else n
     if count < 1:
         raise ValueError("n must be >= 1")
-    prompt = render_prompt(
-        TEMPLATE_RAW_COT,
-        {
-            "subject": question.subject,
-            "question": format_question(question.text, question.context, question.options),
-        },
-    )
+    prompt = render_prompt(TEMPLATE_RAW_COT, question)
 
-    def sample(offset: int) -> Optional[ReasoningPath]:
-        params = call_params(settings, question.id, offset=offset, sampling=True)
-        context = CallContext(stage=STAGE_COT, question_id=question.id, sample_index=offset)
-        result = gateway.complete(prompt, params, context)
+    def sample(index: int) -> Optional[ReasoningPath]:
+        context = CallContext(stage=STAGE_COT, question_id=question.id, sample_index=index)
+        result = gateway.complete(prompt, call_params(settings, context), context)
         try:
             return parse_reasoning_path(result.text)
         except ParseFailure:
@@ -187,21 +175,16 @@ def judge(
 
     prompt = render_prompt(
         TEMPLATE_JUDGE,
-        {
-            "subject": question.subject,
-            "question": format_question(question.text, question.context, question.options),
-            "rp1": serialize_path(candidates[0]),
-            "rp2": serialize_path(candidates[1]),
-            "rp3": serialize_path(candidates[2]),
-        },
+        question,
+        rp1=serialize_path(candidates[0]),
+        rp2=serialize_path(candidates[1]),
+        rp3=serialize_path(candidates[2]),
     )
-    params = call_params(settings, question.id)
     context = CallContext(stage=STAGE_JUDGE, question_id=question.id)
-    try:
-        parsed = complete_structured(
-            gateway, prompt, params, context, validate=_judge_validate(allowed)
-        )
-    except StructuredOutputFailure:
+    parsed = complete_structured(
+        gateway, prompt, call_params(settings, context), context, validate=_judge_validate(allowed)
+    )
+    if parsed is None:
         flags.append(FLAG_JUDGE_FALLBACK)
         return 1, "fallback:first", flags
     return int(parsed["selected"]), parsed.get("rationale", ""), flags

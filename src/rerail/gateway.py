@@ -81,10 +81,6 @@ class MalformedJson(RerailError):
     """The fenced block is not a JSON object."""
 
 
-class StructuredOutputFailure(RerailError):
-    """Structured parsing failed twice (original call plus one re-ask)."""
-
-
 @dataclass(frozen=True)
 class CompletionParams:
     model_id: str
@@ -116,15 +112,16 @@ class CompletionResult:
 
 @dataclass(frozen=True)
 class CallContext:
-    """Who is calling: routes script matching and usage attribution."""
+    """Who is calling: routes script matching and usage attribution, and
+    keys the call's seed (``config.call_params``)."""
 
     stage: str
     question_id: str
     step_index: Optional[int] = None
     agent_id: Optional[int] = None
-    round: Optional[int] = None
-    # Position among a question's independent samples, equal to the call's
-    # seed offset; the scripted backend deals entries by it.
+    round: Optional[int] = None  # a debate round, or a re-answer's repair pass
+    # Position among a question's independent samples: it offsets the seed,
+    # and the scripted backend deals entries by it.
     sample_index: Optional[int] = None
 
 
@@ -217,11 +214,15 @@ class ScriptedBackend:
             raise ScriptFormatError(
                 f"script entry {line_no}: latency_ms must be a non-negative number, got {latency_ms!r}"
             )
+        if not isinstance(raw["response"], str):
+            raise ScriptFormatError(
+                f"script entry {line_no}: response must be a string, got {raw['response']!r}"
+            )
         extra = dict(match)
         del extra["stage"], extra["question_id"]
         return _ScriptEntry(
             extra=extra,
-            response=str(raw["response"]),
+            response=raw["response"],
             usage=Usage(prompt_tokens, completion_tokens),
             latency_s=latency_ms / 1000.0,
         )
@@ -627,7 +628,7 @@ def complete_structured(
     params: CompletionParams,
     context: CallContext,
     validate: Optional[Callable[[dict[str, str]], None]] = None,
-) -> dict[str, str]:
+) -> Optional[dict[str, str]]:
     """Completion plus structured parsing, with the one-re-ask policy.
 
     ``validate``, when given, may raise ValueError to reject a map that is
@@ -635,25 +636,21 @@ def complete_structured(
     selection); that rejection spends the same single re-ask as a fence
     failure. The re-ask appends a reminder line to the user message and
     shifts the seed so a live provider does not replay the identical bad
-    output. A second failure raises StructuredOutputFailure.
+    output. After a second failure the result is None, and the caller
+    fails open.
     """
 
-    def attempt(p: PromptPair, cp: CompletionParams) -> dict[str, str]:
-        parsed = parse_structured_output(gateway.complete(p, cp, context).text)
-        if validate is not None:
-            validate(parsed)
-        return parsed
+    def attempt(p: PromptPair, cp: CompletionParams) -> Optional[dict[str, str]]:
+        try:
+            parsed = parse_structured_output(gateway.complete(p, cp, context).text)
+            if validate is not None:
+                validate(parsed)
+            return parsed
+        except (NoFenceFound, MalformedJson, ValueError):
+            return None
 
-    try:
-        return attempt(prompt, params)
-    except (NoFenceFound, MalformedJson, ValueError):
-        pass
-    retry_prompt = replace(prompt, user=f"{prompt.user}\n{REASK_REMINDER}")
-    retry_params = params if params.seed is None else replace(params, seed=params.seed + 1)
-    try:
-        return attempt(retry_prompt, retry_params)
-    except (NoFenceFound, MalformedJson, ValueError) as exc:
-        raise StructuredOutputFailure(
-            f"unparseable structured output after re-ask at stage {context.stage!r} "
-            f"for question {context.question_id!r}: {exc}"
-        ) from None
+    parsed = attempt(prompt, params)
+    if parsed is None:
+        retry_params = params if params.seed is None else replace(params, seed=params.seed + 1)
+        parsed = attempt(replace(prompt, user=f"{prompt.user}\n{REASK_REMINDER}"), retry_params)
+    return parsed

@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import jsonl
 from .config import ConfigError, RunSettings, call_params
@@ -35,18 +35,11 @@ from .gateway import (
     LiveBackend,
     ScriptedBackend,
     StageUsage,
-    StructuredOutputFailure,
     complete_structured,
 )
 from .grading import answer_bucket, grade_safe, majority_answer
-from .parsing import ANSWER_MARKER_RE
-from .prompts import (
-    TEMPLATE_MAD_INITIAL,
-    TEMPLATE_MAD_REVISION,
-    TEMPLATE_RAW_COT,
-    format_question,
-    render_prompt,
-)
+from .parsing import last_answer_marker
+from .prompts import TEMPLATE_MAD_INITIAL, TEMPLATE_MAD_REVISION, TEMPLATE_RAW_COT, PromptPair, render_prompt
 from .rerailer import rerail
 from .types import Question, RerailError, STAGE_COT, STAGE_MAD
 
@@ -129,25 +122,15 @@ class ModeResult:
 
 def _extract_answer(text: str) -> Optional[str]:
     """Text after the last answer marker; tolerates missing step structure."""
-    last = None
-    for last in ANSWER_MARKER_RE.finditer(text):
-        pass
-    if last is None:
-        return None
-    return last.group(1).strip() or None
+    marker = last_answer_marker(text)
+    return None if marker is None else marker.group(1).strip() or None
 
 
 def run_cot(question: Question, gateway: Gateway, settings: RunSettings) -> ModeResult:
     """Single chain-of-thought completion at temperature 0. One call, ever."""
-    prompt = render_prompt(
-        TEMPLATE_RAW_COT,
-        {
-            "subject": question.subject,
-            "question": format_question(question.text, question.context, question.options),
-        },
-    )
-    params = call_params(settings, question.id)
-    result = gateway.complete(prompt, params, CallContext(STAGE_COT, question.id))
+    context = CallContext(STAGE_COT, question.id)
+    prompt = render_prompt(TEMPLATE_RAW_COT, question)
+    result = gateway.complete(prompt, call_params(settings, context), context)
     answer = _extract_answer(result.text)
     flags = () if answer is not None else (FLAG_COT_UNPARSEABLE,)
     return ModeResult(answer, answer, None, flags, {"mode": MODE_COT})
@@ -166,29 +149,17 @@ def run_sc_baseline(question: Question, gateway: Gateway, settings: RunSettings)
     return ModeResult(answer, answer, None, flags, trace)
 
 
-def _mad_structured(
-    question: Question,
-    gateway: Gateway,
-    settings: RunSettings,
-    template: str,
-    variables: dict,
-    agent_id: int,
-    round_no: int,
+def _validate_mad(parsed: dict[str, str]) -> None:
+    if not parsed.get("answer", "").strip():
+        raise ValueError("missing answer")
+
+
+def _mad_turn(
+    prompt: PromptPair, context: CallContext, gateway: Gateway, settings: RunSettings
 ) -> Optional[dict[str, str]]:
-    prompt = render_prompt(template, variables)
-    context = CallContext(
-        stage=STAGE_MAD, question_id=question.id, agent_id=agent_id, round=round_no
-    )
-    params = call_params(settings, question.id, "mad", agent_id, round_no)
-
-    def validate(parsed: dict[str, str]) -> None:
-        if not parsed.get("answer", "").strip():
-            raise ValueError("missing answer")
-
-    try:
-        return complete_structured(gateway, prompt, params, context, validate=validate)
-    except StructuredOutputFailure:
-        return None
+    """One agent's reply, None when it stayed unparseable after the re-ask."""
+    params = call_params(settings, context)
+    return complete_structured(gateway, prompt, params, context, validate=_validate_mad)
 
 
 def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings) -> ModeResult:
@@ -199,33 +170,25 @@ def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings
     that agent's previous answer (fail-open).
     """
     agents = settings.mad_agents
-    question_slot = format_question(question.text, question.context, question.options)
     answers: list[Optional[str]] = [None] * agents
     flags: list[str] = []
     transcript: list[dict] = []
     for round_no in range(1, settings.mad_rounds + 1):
         if round_no == 1:
-            variables_base = {"subject": question.subject, "question": question_slot}
-            template = TEMPLATE_MAD_INITIAL
+            prompt = render_prompt(TEMPLATE_MAD_INITIAL, question)
         else:
             prior = "\n".join(
                 f"Agent {i + 1} answered: {answers[i]}"
                 for i in range(agents)
                 if answers[i] is not None
             ) or "No agent produced an answer yet."
-            variables_base = {
-                "subject": question.subject,
-                "question": question_slot,
-                "response": prior,
-            }
-            template = TEMPLATE_MAD_REVISION
+            prompt = render_prompt(TEMPLATE_MAD_REVISION, question, response=prior)
 
-        replies = gateway.fan_out(
-            [
-                partial(_mad_structured, question, gateway, settings, template, variables_base, agent_id, round_no)
-                for agent_id in range(1, agents + 1)
-            ]
-        )
+        # Every agent of a round answers the same prompt, so they fan out.
+        contexts = [
+            CallContext(STAGE_MAD, question.id, agent_id=agent, round=round_no) for agent in range(1, agents + 1)
+        ]
+        replies = gateway.fan_out([partial(_mad_turn, prompt, ctx, gateway, settings) for ctx in contexts])
         for agent_index, parsed in enumerate(replies):
             if parsed is None:
                 flags.append(FLAG_MAD_FAIL_OPEN)
@@ -429,13 +392,18 @@ def confusion_matrix(outcomes: list[QuestionOutcome]) -> dict:
     }
 
 
+def _usage_by_stage(usages: Iterable[dict[str, dict]]) -> dict[str, StageUsage]:
+    """Persisted per-stage usage blocks summed by stage, in the given order."""
+    by_stage: dict[str, StageUsage] = {}
+    for usage in usages:
+        for stage, payload in usage.items():
+            by_stage.setdefault(stage, StageUsage()).merge(StageUsage.from_json(payload))
+    return by_stage
+
+
 def usage_totals(outcomes: list[QuestionOutcome]) -> dict:
     """Aggregate per-stage usage across outcomes (pure, from persisted rows)."""
-    by_stage: dict[str, StageUsage] = {}
-    for outcome in outcomes:
-        for stage, payload in outcome.usage.items():
-            row = by_stage.setdefault(stage, StageUsage())
-            row.merge(StageUsage.from_json(payload))
+    by_stage = _usage_by_stage(outcome.usage for outcome in outcomes)
     total = StageUsage()
     for row in by_stage.values():
         total.merge(row)
@@ -581,14 +549,6 @@ def _check_resumable(config_path: Path, config_snapshot: dict) -> None:
             )
 
 
-def _merge_usage(earlier: dict[str, dict], later: dict[str, dict]) -> dict[str, dict]:
-    """Per-stage usage of two attempts at one question, summed."""
-    merged = {stage: StageUsage.from_json(payload) for stage, payload in earlier.items()}
-    for stage, payload in later.items():
-        merged.setdefault(stage, StageUsage()).merge(StageUsage.from_json(payload))
-    return {stage: row.to_json() for stage, row in sorted(merged.items())}
-
-
 def run(
     questions: list[Question],
     settings: RunSettings,
@@ -643,7 +603,8 @@ def run(
         def execute(question: Question) -> None:
             outcome, trace = run_question(question, mode, gateway, settings)
             if question.id in stored:  # a failed attempt, run again
-                outcome.usage = _merge_usage(stored[question.id].usage, outcome.usage)
+                merged = _usage_by_stage([stored[question.id].usage, outcome.usage])
+                outcome.usage = {stage: row.to_json() for stage, row in sorted(merged.items())}
             trace_line = jsonl.encode({"question_id": question.id, "trace": trace})
             outcome_line = jsonl.encode(outcome.to_json())
             with write_lock:

@@ -37,6 +37,15 @@ def _find_step_spans(text: str) -> list[tuple[int, int, int]]:
     return [(int(m.group(1)), m.end(), m.start()) for m in ORDINAL_MARKER_RE.finditer(text)]
 
 
+def last_answer_marker(text: str) -> Optional[re.Match]:
+    """The last answer-marker line of a generation, if any: models often
+    restate "Answer:" at the end. Its group 1 is the raw answer."""
+    match = None
+    for match in ANSWER_MARKER_RE.finditer(text):
+        pass
+    return match
+
+
 def parse_reasoning_path(text: str) -> ReasoningPath:
     """Parse a raw generation into steps plus a final answer, no step
     verified.
@@ -44,9 +53,7 @@ def parse_reasoning_path(text: str) -> ReasoningPath:
     Raises ParseFailure when no step marker or no answer marker is present,
     or when the answer marker precedes every step.
     """
-    answer_match = None
-    for answer_match in ANSWER_MARKER_RE.finditer(text):
-        pass  # keep the last marker: models often restate "Answer:" at the end
+    answer_match = last_answer_marker(text)
     if answer_match is None:
         raise ParseFailure("no answer marker found")
     raw_answer = answer_match.group(1).strip()

@@ -1,9 +1,11 @@
 """Prompt catalog and template rendering.
 
 Each template is a (system, human) pair with named ``{placeholder}`` slots
-plus format instructions appended to the human message at call time. The
-core agent templates are transcribed character-for-character from the
-deployed prompts, stray punctuation included; do not "fix" their grammar.
+plus format instructions appended to the human message at call time. Every
+template has a ``{subject}`` and a ``{question}`` slot, filled from the
+question the prompt is about. The core agent templates are transcribed
+character-for-character from the deployed prompts, stray punctuation
+included; do not "fix" their grammar.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .types import RerailError
+from .types import Question, RerailError
 
 
 class MissingVariable(RerailError):
@@ -251,9 +253,12 @@ def _substitute(template: str, variables: dict[str, object]) -> str:
     return _PLACEHOLDER_RE.sub(replace, template)
 
 
-def render_prompt(template_id: str, variables: dict[str, object]) -> PromptPair:
-    """Render a catalog template. Raises MissingVariable on an unfilled slot."""
+def render_prompt(template_id: str, question: Question, **slots: object) -> PromptPair:
+    """Render a catalog template for a question, which fills the
+    ``subject`` and ``question`` slots. Raises MissingVariable on an
+    unfilled slot."""
     system, human, fmt = _catalog_entry(template_id)
+    variables = {"subject": question.subject, "question": format_question(question), **slots}
     return PromptPair(
         system=_substitute(system, variables),
         user=_substitute(human, variables),
@@ -261,12 +266,12 @@ def render_prompt(template_id: str, variables: dict[str, object]) -> PromptPair:
     )
 
 
-def format_question(question_text: str, context: str | None, options) -> str:
+def format_question(question: Question) -> str:
     """The {question} slot value: text, optional context, labeled options."""
-    parts = [question_text]
-    if context:
-        parts.append(f"Context: {context}")
-    if options:
-        rendered = "\n".join(f"{option.label}. {option.text}" for option in options)
+    parts = [question.text]
+    if question.context:
+        parts.append(f"Context: {question.context}")
+    if question.options:
+        rendered = "\n".join(f"{option.label}. {option.text}" for option in question.options)
         parts.append(f"Options:\n{rendered}")
     return "\n".join(parts)

@@ -17,14 +17,13 @@ from functools import partial
 from typing import Optional
 
 from .config import RunSettings, call_params
-from .gateway import CallContext, Gateway, StructuredOutputFailure, complete_structured
+from .gateway import CallContext, Gateway, complete_structured
 from .parsing import parse_reasoning_path, serialize_steps
 from .prompts import (
     PromptPair,
     TEMPLATE_DEBATE_MITIGATOR,
     TEMPLATE_REANSWER,
     TEMPLATE_STEP_EVALUATOR,
-    format_question,
     render_prompt,
 )
 from .types import (
@@ -143,20 +142,11 @@ def evaluate_step(
     if index <= rp.verified:
         return EvaluationResult(False, "previously verified", auto=True)
 
-    prompt = render_prompt(
-        TEMPLATE_STEP_EVALUATOR,
-        {
-            "subject": question.subject,
-            "current_step": index,
-            "RP": mask(rp, index),
-            "question": format_question(question.text, question.context, question.options),
-        },
-    )
+    prompt = render_prompt(TEMPLATE_STEP_EVALUATOR, question, current_step=index, RP=mask(rp, index))
     context = CallContext(stage=STAGE_EVALUATOR, question_id=question.id, step_index=index)
-    params = call_params(settings, question.id, "eval", index)
-    try:
-        parsed = complete_structured(gateway, prompt, params, context, validate=_validate_evaluation)
-    except StructuredOutputFailure:
+    params = call_params(settings, context)
+    parsed = complete_structured(gateway, prompt, params, context, validate=_validate_evaluation)
+    if parsed is None:
         return EvaluationResult(False, "", flags=(FLAG_EVALUATOR_FAIL_OPEN,))
 
     if _parse_yes_no(parsed["hallucination"]):
@@ -184,30 +174,16 @@ def _turn_text(turn: DebateTurn) -> str:
 
 
 def _debate_turn(
-    question: Question,
-    prompt: PromptPair,
-    current_index: int,
-    agent_id: int,
-    round_no: int,
-    gateway: Gateway,
-    settings: RunSettings,
+    prompt: PromptPair, context: CallContext, gateway: Gateway, settings: RunSettings
 ) -> tuple[DebateTurn, bool]:
     """One agent's turn, and whether it failed open (counted as AGREE)."""
-    context = CallContext(
-        stage=STAGE_DEBATE,
-        question_id=question.id,
-        step_index=current_index,
-        agent_id=agent_id,
-        round=round_no,
-    )
-    params = call_params(settings, question.id, "debate", current_index, agent_id, round_no)
-    try:
-        parsed = complete_structured(gateway, prompt, params, context, validate=_validate_debate)
-    except StructuredOutputFailure:
-        return DebateTurn(agent_id=agent_id, round=round_no, verdict=VERDICT_AGREE), True
+    params = call_params(settings, context)
+    parsed = complete_structured(gateway, prompt, params, context, validate=_validate_debate)
+    if parsed is None:
+        return DebateTurn(agent_id=context.agent_id, round=context.round, verdict=VERDICT_AGREE), True
     turn = DebateTurn(
-        agent_id=agent_id,
-        round=round_no,
+        agent_id=context.agent_id,
+        round=context.round,
         verdict=_verdict_token(parsed["verdict"]),
         reasoning=parsed.get("reasoning", ""),
         correction=parsed.get("correction", "").strip(),
@@ -237,7 +213,6 @@ def debate(
     standing = correction
     transcript: list[DebateTurn] = []
     flags: list[str] = []
-    question_slot = format_question(question.text, question.context, question.options)
 
     for round_no in range(1, settings.n_debate_rounds + 1):
         debated = standing
@@ -246,22 +221,14 @@ def debate(
             + [_turn_text(t) for t in transcript]
         )
         prompt = render_prompt(
-            TEMPLATE_DEBATE_MITIGATOR,
-            {
-                "subject": question.subject,
-                "current_step": current_index,
-                "RP": masked,
-                "question": question_slot,
-                "response": response_slot,
-            },
+            TEMPLATE_DEBATE_MITIGATOR, question, current_step=current_index, RP=masked, response=response_slot
         )
         # Every agent of a round answers the same prompt, so they fan out.
-        turns = gateway.fan_out(
-            [
-                partial(_debate_turn, question, prompt, current_index, agent_id, round_no, gateway, settings)
-                for agent_id in range(1, settings.n_debate_agents + 1)
-            ]
-        )
+        contexts = [
+            CallContext(STAGE_DEBATE, question.id, step_index=current_index, agent_id=agent, round=round_no)
+            for agent in range(1, settings.n_debate_agents + 1)
+        ]
+        turns = gateway.fan_out([partial(_debate_turn, prompt, ctx, gateway, settings) for ctx in contexts])
         round_turns = [turn for turn, _ in turns]
         flags.extend(FLAG_DEBATE_FAIL_OPEN for _, failed in turns if failed)
         transcript.extend(round_turns)
@@ -311,21 +278,13 @@ def reanswer(
     max_reanswer_steps; a continuation that rewrites the prefix is flagged
     but not rejected.
     """
-    prompt = render_prompt(
-        TEMPLATE_REANSWER,
-        {
-            "subject": question.subject,
-            "question": format_question(question.text, question.context, question.options),
-            "RP": serialize_steps(prefix, verified_markers=False),
-        },
-    )
-    context = CallContext(stage=STAGE_REANSWER, question_id=question.id)
+    prompt = render_prompt(TEMPLATE_REANSWER, question, RP=serialize_steps(prefix, verified_markers=False))
+    context = CallContext(stage=STAGE_REANSWER, question_id=question.id, round=iteration)
 
     parsed: Optional[ReasoningPath] = None
     last_error: Optional[ParseFailure] = None
     for attempt in range(2):
-        params = call_params(settings, question.id, "reanswer", iteration, offset=attempt)
-        result = gateway.complete(prompt, params, context)
+        result = gateway.complete(prompt, call_params(settings, context, offset=attempt), context)
         try:
             parsed = parse_reasoning_path(result.text)
             break

@@ -79,6 +79,14 @@ class TestValidate:
         assert main(["validate", "--config", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,value", [("api_key_env", 3), ("model_id", 5), ("temperature", True), ("timeout_s", True)]
+    )
+    def test_mistyped_field_fails(self, config_file, capsys, field, value):
+        # before, these passed validation and a live run ended in a traceback
+        assert main(["validate", "--config", config_file(**{field: value})]) == 1
+        assert field in capsys.readouterr().err
+
     def test_never_echoes_a_secret(self, config_file, capsys, monkeypatch):
         monkeypatch.setenv("RERAIL_API_KEY", "sk-supersecret")
         assert main(["validate", "--config", config_file()]) == 0

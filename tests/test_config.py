@@ -95,6 +95,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             settings_from_dict({field: value})
 
+    @pytest.mark.parametrize(
+        "field", ["temperature", "sampling_temperature", "timeout_s", "abs_tolerance", "rel_tolerance"]
+    )
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_floats_reject_booleans_and_non_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            settings_from_dict({field: value})
+
+    @pytest.mark.parametrize("field", ["model_id", "endpoint", "api_key_env"])
+    @pytest.mark.parametrize("value", [3, None, True, ["gpt-4"]])
+    def test_strings_reject_other_types(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            settings_from_dict({field: value})
+
     def test_throttles_may_stay_unset_or_be_one(self):
         assert settings_from_dict({"max_in_flight": None}).max_in_flight is None
         s = settings_from_dict({"max_in_flight": 1, "requests_per_minute": 1, "abs_tolerance": 0})

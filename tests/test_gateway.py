@@ -46,7 +46,6 @@ from rerail.gateway import (
     ScriptFormatError,
     ScriptedBackend,
     StageUsage,
-    StructuredOutputFailure,
     Usage,
     UsageLedger,
     cache_key,
@@ -182,6 +181,10 @@ class TestScriptedBackend:
                  "usage": {"completion_tokens": True}},
                 "True",
             ),
+            # a response is served as its text, never as the str() of a value
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": None, "usage": {}}, "None"),
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": {"a": 1}, "usage": {}}, "'a': 1"),
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": 7, "usage": {}}, "string, got 7"),
         ],
     )
     def test_entry_schema_enforced(self, raw, fragment):
@@ -578,12 +581,11 @@ class TestCompleteStructured:
         complete_structured(gw, PROMPT, params, CTX)
         assert backend.calls[1][0].seed is None
 
-    def test_two_failures_raise(self):
+    def test_two_failures_give_none(self):
         gw, backend = self.recording_gateway(
             [entry(STAGE_COT, "q1", "junk"), entry(STAGE_COT, "q1", "more junk")]
         )
-        with pytest.raises(StructuredOutputFailure, match="'cot'"):
-            complete_structured(gw, PROMPT, PARAMS, CTX)
+        assert complete_structured(gw, PROMPT, PARAMS, CTX) is None
         assert len(backend.calls) == 2
 
     def test_semantic_rejection_spends_the_same_reask(self):
@@ -600,7 +602,7 @@ class TestCompleteStructured:
         assert result["selected"] == "2"
         assert len(backend.calls) == 2
 
-    def test_semantic_rejection_twice_raises(self):
+    def test_semantic_rejection_twice_gives_none(self):
         def validate(mapping):
             raise ValueError("never acceptable")
 
@@ -609,8 +611,7 @@ class TestCompleteStructured:
              entry(STAGE_JUDGE, "q1", judge_selects(5))]
         )
         ctx = CallContext(stage=STAGE_JUDGE, question_id="q1")
-        with pytest.raises(StructuredOutputFailure):
-            complete_structured(gw, PROMPT, PARAMS, ctx, validate=validate)
+        assert complete_structured(gw, PROMPT, PARAMS, ctx, validate=validate) is None
 
 
 class _StubResponse:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import full_text, mcqa_question, template_placeholders
+from helpers import full_text, mcqa_question, numeric_question, template_placeholders
 from rerail.prompts import (
     MissingVariable,
     PromptPair,
@@ -21,12 +21,13 @@ from rerail.prompts import (
 )
 
 
+# A bare question renders as its text alone in the {question} slot.
+Q = numeric_question(subject="algebra", text="Q?")
+
+
 class TestRenderPrompt:
     def test_judge_human_lists_three_paths(self):
-        pair = render_prompt(
-            TEMPLATE_JUDGE,
-            {"subject": "algebra", "question": "Q?", "rp1": "p1", "rp2": "p2", "rp3": "p3"},
-        )
+        pair = render_prompt(TEMPLATE_JUDGE, Q, rp1="p1", rp2="p2", rp3="p3")
         assert "RP 1: p1" in pair.user
         assert "RP 2: p2" in pair.user
         assert "RP 3: p3" in pair.user
@@ -34,57 +35,54 @@ class TestRenderPrompt:
 
     def test_missing_variable_named(self):
         with pytest.raises(MissingVariable) as err:
-            render_prompt(TEMPLATE_STEP_EVALUATOR, {"subject": "algebra", "RP": "x", "question": "q"})
+            render_prompt(TEMPLATE_STEP_EVALUATOR, Q, RP="x")
         assert err.value.name == "current_step"
 
     def test_unknown_template(self):
         with pytest.raises(UnknownTemplate):
-            render_prompt("oracle", {})
+            render_prompt("oracle", Q)
 
     def test_reanswer_states_step_budget(self):
-        pair = render_prompt(
-            TEMPLATE_REANSWER, {"subject": "algebra", "question": "Q?", "RP": "Step 1: x"}
-        )
+        pair = render_prompt(TEMPLATE_REANSWER, Q, RP="Step 1: x")
         assert "a maximum of 12 steps are allowed" in pair.system
         assert "my initial thought process is given as Step 1: x" in pair.user
 
     def test_evaluator_wording(self):
-        pair = render_prompt(
-            TEMPLATE_STEP_EVALUATOR,
-            {"subject": "algebra", "current_step": 3, "RP": "body", "question": "q"},
-        )
+        pair = render_prompt(TEMPLATE_STEP_EVALUATOR, Q, current_step=3, RP="body")
         assert "I am currently at step #3" in pair.system
         assert "Simply say step hallucination is [NO]" in pair.system
         assert "Factuality" in pair.system and "Faithfulness" in pair.system
 
     def test_raw_cot_human(self):
-        pair = render_prompt(TEMPLATE_RAW_COT, {"subject": "s", "question": "what is 2+2"})
+        pair = render_prompt(TEMPLATE_RAW_COT, numeric_question(text="what is 2+2"))
         assert pair.user == "The question can be found in what is 2+2"
+        assert pair.system.startswith("You are a professional specialized in grade school math.")
+
+    def test_question_slot_carries_context_and_options(self):
+        q = mcqa_question(context="A block slides on ice.")
+        assert render_prompt(TEMPLATE_RAW_COT, q).user == f"The question can be found in {format_question(q)}"
 
     def test_debate_human_ends_with_peer_response(self):
         pair = render_prompt(
-            TEMPLATE_DEBATE_MITIGATOR,
-            {"subject": "s", "current_step": 2, "RP": "body", "question": "q",
-             "response": "their argument"},
+            TEMPLATE_DEBATE_MITIGATOR, Q, current_step=2, RP="body", response="their argument"
         )
         assert pair.user.endswith("was given as their argument")
 
     def test_substitution_is_single_pass(self):
         # a value containing brace syntax must land verbatim, not re-expand
-        pair = render_prompt(
-            TEMPLATE_RAW_COT, {"subject": "s", "question": "literal {subject} here"}
-        )
+        pair = render_prompt(TEMPLATE_RAW_COT, numeric_question(text="literal {subject} here"))
         assert pair.user == "The question can be found in literal {subject} here"
 
     def test_all_catalog_templates_render(self):
-        fillers = {
-            "subject": "s", "question": "q", "RP": "r", "current_step": 1,
-            "rp1": "a", "rp2": "b", "rp3": "c", "response": "peer text",
-        }
+        fillers = {"RP": "r", "current_step": 1, "rp1": "a", "rp2": "b", "rp3": "c", "response": "peer text"}
         for template_id in _CATALOG:
-            pair = render_prompt(template_id, fillers)
+            pair = render_prompt(template_id, Q, **fillers)
             assert "{" not in pair.system and "{" not in pair.user
             assert pair.format_instructions
+
+    def test_every_template_takes_subject_and_question(self):
+        for template_id in _CATALOG:
+            assert {"subject", "question"} <= template_placeholders(template_id)
 
     def test_placeholder_inventory(self):
         assert template_placeholders(TEMPLATE_JUDGE) == {
@@ -121,10 +119,10 @@ class TestFullText:
 class TestFormatQuestion:
     def test_options_and_context_sections(self):
         q = mcqa_question(context="A block slides on ice.")
-        rendered = format_question(q.text, q.context, q.options)
+        rendered = format_question(q)
         assert rendered.startswith(q.text)
         assert "Context: A block slides on ice." in rendered
         assert "Options:\nA. choice A\nB. choice B" in rendered
 
     def test_bare_question(self):
-        assert format_question("What gives?", None, None) == "What gives?"
+        assert format_question(numeric_question(text="What gives?")) == "What gives?"

@@ -1,26 +1,33 @@
 """Call seeds and cache keys are pinned: a refactor must not move them.
 
-Every call's seed is ``question_seed(settings.seed, "<question id>[:<tag>]")``
-plus a small offset (sample index, retry or re-ask bump), and the cache key
-hashes the seed together with the prompt. A change here invalidates every
+Every call's seed is ``question_seed(settings.seed, key)`` plus a small
+offset (sample index, retry or re-ask bump). The key is derived from the
+call's context: the question id, the stage's tag, then the step, agent and
+round it sets (``"q1:debate:2:1:1"``). The cache key hashes the seed
+together with the prompt. A change here invalidates every
 cached completion of every earlier run.
 """
 
+import hashlib
 import json
+
+import pytest
 
 from helpers import (
     RecordingBackend,
     RecordingGateway,
+    cot_text,
     entry,
     fixable_script,
     mad_answer,
     make_settings,
     mcqa_question,
+    unfixable_script,
 )
 from rerail.config import question_seed
 from rerail.gateway import Gateway, ScriptedBackend, cache_key
-from rerail.harness import run_mad_baseline, run_rerailer_mode
-from rerail.types import STAGE_MAD
+from rerail.harness import run_cot, run_mad_baseline, run_rerailer_mode, run_sc_baseline
+from rerail.types import STAGE_COT, STAGE_MAD
 
 SEED = 5
 GOLDEN_FIRST_SAMPLE_KEY = "95502375cc57305e9ad8cdd6a837947bfc241e058942430881dd253247671d22"
@@ -51,21 +58,23 @@ def test_fixable_scenario_seeds_follow_the_documented_derivation():
         ("evaluator", 2, None, None, 0.0, seed_of("q1:eval:2")),
         ("debate", 2, 1, 1, 0.0, seed_of("q1:debate:2:1:1")),
         ("debate", 2, 2, 1, 0.0, seed_of("q1:debate:2:2:1")),
-        ("reanswer", None, None, None, 0.0, seed_of("q1:reanswer:1")),
+        ("reanswer", None, None, 1, 0.0, seed_of("q1:reanswer:1")),
         ("evaluator", 2, None, None, 0.0, seed_of("q1:eval:2")),
         ("evaluator", 3, None, None, 0.0, seed_of("q1:eval:3")),
     ]
 
 
+MAD_REASK_SCRIPT = [
+    entry(STAGE_MAD, "q1", "no fence here", agent_id=1, round_no=1),
+    entry(STAGE_MAD, "q1", mad_answer("A"), agent_id=1, round_no=1),
+    entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=2, round_no=1),
+    entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=1, round_no=2),
+    entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=2, round_no=2),
+]
+
+
 def test_mad_scenario_seeds_include_the_reask_bump():
-    entries = [
-        entry(STAGE_MAD, "q1", "no fence here", agent_id=1, round_no=1),
-        entry(STAGE_MAD, "q1", mad_answer("A"), agent_id=1, round_no=1),
-        entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=2, round_no=1),
-        entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=1, round_no=2),
-        entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=2, round_no=2),
-    ]
-    calls = recorded(entries, run_mad_baseline)
+    calls = recorded(MAD_REASK_SCRIPT, run_mad_baseline)
     assert calls == [
         ("mad", None, 1, 1, 0.0, seed_of("q1:mad:1:1")),
         ("mad", None, 1, 1, 0.0, seed_of("q1:mad:1:1", 1)),
@@ -94,3 +103,46 @@ def test_cache_stream_holds_the_key_of_every_call(tmp_path):
     # one line per distinct call, keyed as the file names of the old layout were
     assert sorted(keys) == sorted(called)
     assert keys[0] == GOLDEN_FIRST_SAMPLE_KEY
+
+
+class KeyedBackend:
+    """Wraps a backend and records each call's stage, seed and cache key."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.keys: list[tuple[str, int, str]] = []
+
+    def call(self, prompt, params, context):
+        self.keys.append((context.stage, params.seed, cache_key(prompt, params)))
+        return self.inner.call(prompt, params, context)
+
+
+# Five samples, the second unparseable, so its regeneration is dealt the sixth.
+SC_SCRIPT = [
+    entry(STAGE_COT, "q1", "Step 1: no answer marker" if answer is None else cot_text(["Weigh the options."], answer))
+    for answer in ("B", None, "A", "B", "B", "C")
+]
+
+
+@pytest.mark.parametrize(
+    "entries, runner, settings, calls, digest",
+    [
+        (fixable_script("q1"), run_rerailer_mode, {}, 11,
+         "9df661f8a76c624a7684c58e962356a1cea398737a6e1774bc3191bc355621ba"),
+        (unfixable_script("q1"), run_rerailer_mode, {}, 16,
+         "a0e3e77d4253ce21a7d0ab740d954d7a0f13acfda3ca0f92b5ee2ae873ff917e"),
+        (SC_SCRIPT, run_sc_baseline, {"sc_budget": 5}, 6,
+         "e27882b8f2080e90c3b34330af5a84c0bfb7893260071e2e12a2d899baa8417e"),
+        (MAD_REASK_SCRIPT, run_mad_baseline, {}, 5,
+         "647b1a9a45baed183c485dab787d7bb17b18d5960409b3e685221da5c83644f8"),
+        ([entry(STAGE_COT, "q1", cot_text(["Reason."], "B"))], run_cot, {}, 1,
+         "4cb12a1a52ab2edb72b834e5d75a82fe11461f13c5525269745b67da65243cf7"),
+    ],
+    ids=["fixable", "unfixable", "sc", "mad-reask", "cot"],
+)
+def test_golden_digest_of_every_call(entries, runner, settings, calls, digest):
+    # Pins every prompt byte and parameter a scenario sends, call by call.
+    backend = KeyedBackend(ScriptedBackend(entries))
+    runner(mcqa_question(), Gateway(backend), make_settings(seed=SEED, **settings))
+    assert len(backend.keys) == calls
+    assert hashlib.sha256(json.dumps(backend.keys).encode("utf-8")).hexdigest() == digest
