@@ -3,7 +3,8 @@
 A top-level function, class or constant, or a method, of ``src/rerail`` that
 nothing in ``src/rerail`` refers to is code with no caller: delete it, or move
 it to ``tests/helpers.py`` when only tests use it. Dunder names are called by
-Python itself and are left out.
+Python itself and are left out. Likewise every name a module imports is
+used in that module.
 """
 
 import ast
@@ -51,4 +52,25 @@ def test_every_defined_name_has_a_caller_in_the_package():
         for name, line in _defined(tree)
         if not (name.startswith("__") and name.endswith("__")) and name not in referenced
     ]
+    assert unused == []
+
+
+def _imported(tree: ast.Module):
+    """(name, line) of each name an import statement binds, ``__future__``
+    features left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree) if name not in used]
     assert unused == []

@@ -5,7 +5,8 @@ offset (sample index, retry or re-ask bump). The key is derived from the
 call's context: the question id, the stage's tag, then the step, agent and
 round it sets (``"q1:debate:2:1:1"``). The cache key hashes the seed
 together with the prompt. A change here invalidates every
-cached completion of every earlier run.
+cached completion of every earlier run. The bytes a run writes (report,
+outcomes, traces) are pinned per scenario too.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ from helpers import (
 )
 from rerail.config import question_seed
 from rerail.gateway import Gateway, ScriptedBackend, cache_key
-from rerail.harness import run_cot, run_mad_baseline, run_rerailer_mode, run_sc_baseline
+from rerail.harness import run, run_cot, run_mad_baseline, run_rerailer_mode, run_sc_baseline
 from rerail.types import STAGE_COT, STAGE_MAD
 
 SEED = 5
@@ -146,3 +147,30 @@ def test_golden_digest_of_every_call(entries, runner, settings, calls, digest):
     runner(mcqa_question(), Gateway(backend), make_settings(seed=SEED, **settings))
     assert len(backend.keys) == calls
     assert hashlib.sha256(json.dumps(backend.keys).encode("utf-8")).hexdigest() == digest
+
+
+ARTIFACTS = ("report.json", "outcomes.jsonl", "traces.jsonl")
+
+
+@pytest.mark.parametrize(
+    "entries, mode, settings, digest",
+    [
+        (fixable_script("q1"), "rerailer", {},
+         "b75e77016394a50c47bcccf29c4b045980c65510143f2b3d3991fed8f765cc0c"),
+        (unfixable_script("q1"), "rerailer", {},
+         "f930e86987b1a2beadee954dbb798aeb531fe4cd8eabfca2d401a498cf817132"),
+        (SC_SCRIPT, "sc", {"sc_budget": 5},
+         "8b754f3200b2bdc7bc3f27dbf238304a20a21a306ec03d2ab9386b89faaca704"),
+        (MAD_REASK_SCRIPT, "mad", {},
+         "f3c6732372e1487424c02f0063f99886c21a17fc92d9704138734820cf689954"),
+        ([entry(STAGE_COT, "q1", cot_text(["Reason."], "B"))], "cot", {},
+         "3c90be87a64cd3231ebfc8f24e5687ab74c619231f51bcabc361d17e3c341074"),
+    ],
+    ids=["fixable", "unfixable", "sc", "mad-reask", "cot"],
+)
+def test_golden_digest_of_the_run_artifacts(tmp_path, entries, mode, settings, digest):
+    # Pins every byte a run writes for a scenario: report, outcomes, traces.
+    run([mcqa_question()], make_settings(seed=SEED, parallelism=1, **settings), mode, tmp_path,
+        Gateway(ScriptedBackend(entries)))
+    written = b"".join((tmp_path / name).read_bytes() for name in ARTIFACTS)
+    assert hashlib.sha256(written).hexdigest() == digest
