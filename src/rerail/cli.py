@@ -16,10 +16,12 @@ import json
 import sys
 from pathlib import Path
 
-from .config import BACKENDS, MODES, ConfigError, load_settings
+from .config import ConfigError, load_settings
 from .dataset import load_dataset
 from .gateway import ProviderError, ScriptFormatError
 from .harness import (
+    BACKENDS,
+    MODES,
     IncompleteTrace,
     REPORT_FILE,
     make_gateway,

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .gateway import CallContext, CompletionParams
 from .types import RerailError, STAGE_DEBATE, STAGE_EVALUATOR, STAGE_MAD, STAGE_REANSWER
-
-MODES = ("cot", "sc", "mad", "rerailer")
-BACKENDS = ("live", "scripted")
 
 DEFAULT_API_KEY_ENV = "RERAIL_API_KEY"
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
@@ -25,6 +23,11 @@ DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 
 class ConfigError(RerailError):
     """The config file is malformed or inconsistent."""
+
+
+def _is_amount(value) -> bool:
+    """A finite JSON number >= 0; type(), as a bool is an int subclass."""
+    return type(value) in (int, float) and 0 <= value < math.inf
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,8 @@ class RunSettings:
             raise ConfigError("config field 'mad_agents' must be >= 2")
         for name in ("temperature", "sampling_temperature", "timeout_s", "abs_tolerance", "rel_tolerance"):
             value = getattr(self, name)
-            if type(value) not in (int, float) or not value >= 0:
-                raise ConfigError(f"config field {name!r} must be a number >= 0, got {value!r}")
+            if not _is_amount(value):
+                raise ConfigError(f"config field {name!r} must be a finite number >= 0, got {value!r}")
         if not self.timeout_s > 0:
             raise ConfigError(f"config field 'timeout_s' must be > 0, got {self.timeout_s!r}")
         for name in ("model_id", "endpoint", "api_key_env"):
@@ -120,13 +123,12 @@ def _parse_price_table(raw, source: str) -> dict[str, PriceEntry]:
                 f"{source}: price_table[{model!r}] must have exactly "
                 "prompt_per_1k and completion_per_1k"
             )
-        try:
-            table[model] = PriceEntry(
-                prompt_per_1k=float(entry["prompt_per_1k"]),
-                completion_per_1k=float(entry["completion_per_1k"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{source}: price_table[{model!r}] prices must be numbers ({exc})") from None
+        for name, price in entry.items():
+            if not _is_amount(price):
+                raise ConfigError(
+                    f"{source}: price_table[{model!r}] {name} must be a finite number >= 0, got {price!r}"
+                )
+        table[model] = PriceEntry(float(entry["prompt_per_1k"]), float(entry["completion_per_1k"]))
     return table
 
 
@@ -158,14 +160,14 @@ _SEED_TAGS = {
 }
 
 
-def call_params(settings: RunSettings, context: CallContext, offset: int = 0) -> CompletionParams:
+def call_params(settings: RunSettings, context: CallContext) -> CompletionParams:
     """Parameters of the call a context describes.
 
     The seed is ``question_seed`` of a key joining the question id, the
     stage's tag and the step, agent and round the context sets
     (``"q1:debate:2:1:3"`` for step 2, agent 1, round 3), plus the sample
-    index and ``offset`` (a retry). A sample runs at the sampling
-    temperature, every other call at the deterministic one.
+    index. A sample runs at the sampling temperature, every other call at
+    the deterministic one.
     """
     tag = _SEED_TAGS.get(context.stage)
     parts = (context.question_id, tag, context.step_index, context.agent_id, context.round)
@@ -174,7 +176,7 @@ def call_params(settings: RunSettings, context: CallContext, offset: int = 0) ->
     return CompletionParams(
         model_id=settings.model_id,
         temperature=settings.temperature if sample is None else settings.sampling_temperature,
-        seed=question_seed(settings.seed, key) + (sample or 0) + offset,
+        seed=question_seed(settings.seed, key) + (sample or 0),
     )
 
 

@@ -140,14 +140,15 @@ def generate_rps(
     return paths
 
 
-def _judge_validate(allowed: set[str]):
-    def validate(parsed: dict[str, str]) -> None:
-        if parsed.get("selected") not in allowed:
-            raise ValueError(
-                f"judge selection must be one of {sorted(allowed)}, got {parsed.get('selected')!r}"
-            )
+def _read_selection(allowed: set[str]):
+    """Reader of the judge's reply: its (1-based index, rationale)."""
 
-    return validate
+    def read(fields: dict[str, str]) -> tuple[int, str]:
+        if fields.get("selected") not in allowed:
+            raise ValueError(f"judge selection must be one of {sorted(allowed)}, got {fields.get('selected')!r}")
+        return int(fields["selected"]), fields.get("rationale", "")
+
+    return read
 
 
 def judge(
@@ -181,13 +182,12 @@ def judge(
         rp3=serialize_path(candidates[2]),
     )
     context = CallContext(stage=STAGE_JUDGE, question_id=question.id)
-    parsed = complete_structured(
-        gateway, prompt, call_params(settings, context), context, validate=_judge_validate(allowed)
-    )
-    if parsed is None:
+    params = call_params(settings, context)
+    selection = complete_structured(gateway, prompt, params, context, _read_selection(allowed))
+    if selection is None:
         flags.append(FLAG_JUDGE_FALLBACK)
         return 1, "fallback:first", flags
-    return int(parsed["selected"]), parsed.get("rationale", ""), flags
+    return *selection, flags
 
 
 @dataclass(frozen=True)

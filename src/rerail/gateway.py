@@ -73,19 +73,15 @@ class ScriptFormatError(RerailError):
     """A script entry violates the script schema."""
 
 
-class NoFenceFound(RerailError):
-    """The completion contains no triple-backtick fence."""
-
-
-class MalformedJson(RerailError):
-    """The fenced block is not a JSON object."""
+class MalformedReply(RerailError, ValueError):
+    """The completion holds no fenced JSON object."""
 
 
 @dataclass(frozen=True)
 class CompletionParams:
     model_id: str
-    temperature: float = 0.0
-    seed: Optional[int] = None
+    temperature: float
+    seed: int
 
     def __post_init__(self) -> None:
         if self.temperature < 0:
@@ -286,16 +282,15 @@ class LiveBackend:
         user_text = prompt.user
         if prompt.format_instructions:
             user_text = f"{user_text}\n\n{prompt.format_instructions}"
-        payload: dict = {
+        payload = {
             "model": params.model_id,
             "temperature": params.temperature,
             "messages": [
                 {"role": "system", "content": prompt.system},
                 {"role": "user", "content": user_text},
             ],
+            "seed": params.seed,
         }
-        if params.seed is not None:
-            payload["seed"] = params.seed
 
         started = time.monotonic()
         try:
@@ -601,18 +596,18 @@ def parse_structured_output(text: str) -> dict[str, str]:
     """Extract the first fenced JSON object as a string->string map.
 
     Non-string values are stringified canonically (compact JSON), never
-    rejected. Raises NoFenceFound / MalformedJson.
+    rejected. Raises MalformedReply.
     """
     match = _FENCE_RE.search(text)
     if match is None:
-        raise NoFenceFound("no triple-backtick fence in completion")
+        raise MalformedReply("no triple-backtick fence in completion")
     body = match.group(1).strip("\n").strip()
     try:
         parsed = json.loads(body)
     except json.JSONDecodeError as exc:
-        raise MalformedJson(f"fenced block is not valid JSON: {exc.msg}") from None
+        raise MalformedReply(f"fenced block is not valid JSON: {exc.msg}") from None
     if not isinstance(parsed, dict):
-        raise MalformedJson("fenced JSON is not an object")
+        raise MalformedReply("fenced JSON is not an object")
     output: dict[str, str] = {}
     for key, value in parsed.items():
         if isinstance(value, str):
@@ -627,30 +622,22 @@ def complete_structured(
     prompt: PromptPair,
     params: CompletionParams,
     context: CallContext,
-    validate: Optional[Callable[[dict[str, str]], None]] = None,
-) -> Optional[dict[str, str]]:
-    """Completion plus structured parsing, with the one-re-ask policy.
+    read: Callable[[dict[str, str]], T],
+) -> Optional[T]:
+    """A structured reply read into the calling stage's value, with one re-ask.
 
-    ``validate``, when given, may raise ValueError to reject a map that is
-    well-formed JSON but semantically unusable (e.g. an out-of-range judge
-    selection); that rejection spends the same single re-ask as a fence
-    failure. The re-ask appends a reminder line to the user message and
-    shifts the seed so a live provider does not replay the identical bad
-    output. After a second failure the result is None, and the caller
-    fails open.
+    ``read`` turns the reply's fields into the stage's value, or raises
+    ValueError when they are well-formed JSON but unusable (e.g. an
+    out-of-range judge selection); that spends the same single re-ask as a
+    reply with no fenced JSON object. The re-ask appends a reminder line to
+    the user message and shifts the seed by one, so a live provider does
+    not replay the identical bad output. After a second failure the result
+    is None, and the caller fails open.
     """
-
-    def attempt(p: PromptPair, cp: CompletionParams) -> Optional[dict[str, str]]:
+    for _ in range(2):
         try:
-            parsed = parse_structured_output(gateway.complete(p, cp, context).text)
-            if validate is not None:
-                validate(parsed)
-            return parsed
-        except (NoFenceFound, MalformedJson, ValueError):
-            return None
-
-    parsed = attempt(prompt, params)
-    if parsed is None:
-        retry_params = params if params.seed is None else replace(params, seed=params.seed + 1)
-        parsed = attempt(replace(prompt, user=f"{prompt.user}\n{REASK_REMINDER}"), retry_params)
-    return parsed
+            return read(parse_structured_output(gateway.complete(prompt, params, context).text))
+        except ValueError:
+            prompt = replace(prompt, user=f"{prompt.user}\n{REASK_REMINDER}")
+            params = replace(params, seed=params.seed + 1)
+    return None

@@ -39,7 +39,7 @@ from .gateway import (
 )
 from .grading import answer_bucket, grade_safe, majority_answer
 from .parsing import last_answer_marker
-from .prompts import TEMPLATE_MAD_INITIAL, TEMPLATE_MAD_REVISION, TEMPLATE_RAW_COT, PromptPair, render_prompt
+from .prompts import TEMPLATE_MAD_INITIAL, TEMPLATE_MAD_REVISION, TEMPLATE_RAW_COT, render_prompt
 from .rerailer import rerail
 from .types import Question, RerailError, STAGE_COT, STAGE_MAD
 
@@ -149,17 +149,12 @@ def run_sc_baseline(question: Question, gateway: Gateway, settings: RunSettings)
     return ModeResult(answer, answer, None, flags, trace)
 
 
-def _validate_mad(parsed: dict[str, str]) -> None:
-    if not parsed.get("answer", "").strip():
+def _read_answer(fields: dict[str, str]) -> str:
+    """A debate agent's answer, which must not be blank."""
+    answer = fields.get("answer", "")
+    if not answer.strip():
         raise ValueError("missing answer")
-
-
-def _mad_turn(
-    prompt: PromptPair, context: CallContext, gateway: Gateway, settings: RunSettings
-) -> Optional[dict[str, str]]:
-    """One agent's reply, None when it stayed unparseable after the re-ask."""
-    params = call_params(settings, context)
-    return complete_structured(gateway, prompt, params, context, validate=_validate_mad)
+    return answer
 
 
 def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings) -> ModeResult:
@@ -188,12 +183,14 @@ def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings
         contexts = [
             CallContext(STAGE_MAD, question.id, agent_id=agent, round=round_no) for agent in range(1, agents + 1)
         ]
-        replies = gateway.fan_out([partial(_mad_turn, prompt, ctx, gateway, settings) for ctx in contexts])
-        for agent_index, parsed in enumerate(replies):
-            if parsed is None:
+        replies = gateway.fan_out([
+            partial(complete_structured, gateway, prompt, call_params(settings, c), c, _read_answer) for c in contexts
+        ])
+        for agent_index, answer in enumerate(replies):
+            if answer is None:
                 flags.append(FLAG_MAD_FAIL_OPEN)
             else:
-                answers[agent_index] = parsed["answer"]
+                answers[agent_index] = answer
             transcript.append(
                 {"agent_id": agent_index + 1, "round": round_no, "answer": answers[agent_index]}
             )
@@ -250,6 +247,8 @@ _MODE_RUNNERS = {
     MODE_MAD: run_mad_baseline,
     MODE_RERAILER: run_rerailer_mode,
 }
+MODES = tuple(_MODE_RUNNERS)
+BACKENDS = ("live", "scripted")  # the backends make_gateway builds
 
 
 def max_concurrent_calls(settings: RunSettings, mode: str) -> int:

@@ -12,20 +12,14 @@ the iteration cap is hit; steps settled by earlier passes carry a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Optional
 
 from .config import RunSettings, call_params
 from .gateway import CallContext, Gateway, complete_structured
 from .parsing import parse_reasoning_path, serialize_steps
-from .prompts import (
-    PromptPair,
-    TEMPLATE_DEBATE_MITIGATOR,
-    TEMPLATE_REANSWER,
-    TEMPLATE_STEP_EVALUATOR,
-    render_prompt,
-)
+from .prompts import TEMPLATE_DEBATE_MITIGATOR, TEMPLATE_REANSWER, TEMPLATE_STEP_EVALUATOR, render_prompt
 from .types import (
     ParseFailure,
     Question,
@@ -69,8 +63,8 @@ class DebateTurn:
     agent_id: int
     round: int
     verdict: str
-    reasoning: str = ""
-    correction: str = ""
+    reasoning: str
+    correction: str
 
 
 @dataclass(frozen=True)
@@ -108,21 +102,18 @@ def _verdict_token(value: Optional[str]) -> str:
     return (value or "").strip().strip("[]").strip().upper()
 
 
-def _parse_yes_no(value: Optional[str]) -> bool:
-    if value is None:
-        raise ValueError("missing hallucination verdict")
-    token = _verdict_token(value)
-    if token == "YES":
-        return True
-    if token == "NO":
-        return False
-    raise ValueError(f"hallucination verdict must be YES or NO, got {value!r}")
-
-
-def _validate_evaluation(parsed: dict[str, str]) -> None:
-    flagged = _parse_yes_no(parsed.get("hallucination"))
-    if flagged and not parsed.get("correction", "").strip():
+def _read_evaluation(fields: dict[str, str]) -> EvaluationResult:
+    """The evaluator's reply; a flagged step must carry its correction."""
+    verdict = _verdict_token(fields.get("hallucination"))
+    reasoning = fields.get("reasoning", "")
+    correction = fields.get("correction", "").strip()
+    if verdict == "NO":
+        return EvaluationResult(False, reasoning)
+    if verdict != "YES":
+        raise ValueError(f"hallucination verdict must be YES or NO, got {fields.get('hallucination')!r}")
+    if not correction:
         raise ValueError("hallucination=YES requires a non-empty correction")
+    return EvaluationResult(True, reasoning, correction)
 
 
 def evaluate_step(
@@ -145,25 +136,19 @@ def evaluate_step(
     prompt = render_prompt(TEMPLATE_STEP_EVALUATOR, question, current_step=index, RP=mask(rp, index))
     context = CallContext(stage=STAGE_EVALUATOR, question_id=question.id, step_index=index)
     params = call_params(settings, context)
-    parsed = complete_structured(gateway, prompt, params, context, validate=_validate_evaluation)
-    if parsed is None:
-        return EvaluationResult(False, "", flags=(FLAG_EVALUATOR_FAIL_OPEN,))
-
-    if _parse_yes_no(parsed["hallucination"]):
-        return EvaluationResult(
-            hallucination=True,
-            verification_reasoning=parsed.get("reasoning", ""),
-            proposed_correction=parsed["correction"].strip(),
-        )
-    return EvaluationResult(False, parsed.get("reasoning", ""))
+    evaluation = complete_structured(gateway, prompt, params, context, _read_evaluation)
+    return evaluation or EvaluationResult(False, "", flags=(FLAG_EVALUATOR_FAIL_OPEN,))
 
 
-def _validate_debate(parsed: dict[str, str]) -> None:
-    verdict = _verdict_token(parsed.get("verdict"))
+def _read_turn(fields: dict[str, str]) -> tuple[str, str, str]:
+    """A debate agent's (verdict, reasoning, correction); a revision carries one."""
+    verdict = _verdict_token(fields.get("verdict"))
+    correction = fields.get("correction", "").strip()
     if verdict not in (VERDICT_AGREE, VERDICT_REVISE):
-        raise ValueError(f"debate verdict must be AGREE or REVISE, got {parsed.get('verdict')!r}")
-    if verdict == VERDICT_REVISE and not parsed.get("correction", "").strip():
+        raise ValueError(f"debate verdict must be AGREE or REVISE, got {fields.get('verdict')!r}")
+    if verdict == VERDICT_REVISE and not correction:
         raise ValueError("verdict=REVISE requires a non-empty correction")
+    return verdict, fields.get("reasoning", ""), correction
 
 
 def _turn_text(turn: DebateTurn) -> str:
@@ -171,24 +156,6 @@ def _turn_text(turn: DebateTurn) -> str:
     if turn.verdict == VERDICT_REVISE and turn.correction:
         text += f"\nAgent {turn.agent_id} revised correction: {turn.correction}"
     return text
-
-
-def _debate_turn(
-    prompt: PromptPair, context: CallContext, gateway: Gateway, settings: RunSettings
-) -> tuple[DebateTurn, bool]:
-    """One agent's turn, and whether it failed open (counted as AGREE)."""
-    params = call_params(settings, context)
-    parsed = complete_structured(gateway, prompt, params, context, validate=_validate_debate)
-    if parsed is None:
-        return DebateTurn(agent_id=context.agent_id, round=context.round, verdict=VERDICT_AGREE), True
-    turn = DebateTurn(
-        agent_id=context.agent_id,
-        round=context.round,
-        verdict=_verdict_token(parsed["verdict"]),
-        reasoning=parsed.get("reasoning", ""),
-        correction=parsed.get("correction", "").strip(),
-    )
-    return turn, False
 
 
 def debate(
@@ -228,9 +195,15 @@ def debate(
             CallContext(STAGE_DEBATE, question.id, step_index=current_index, agent_id=agent, round=round_no)
             for agent in range(1, settings.n_debate_agents + 1)
         ]
-        turns = gateway.fan_out([partial(_debate_turn, prompt, ctx, gateway, settings) for ctx in contexts])
-        round_turns = [turn for turn, _ in turns]
-        flags.extend(FLAG_DEBATE_FAIL_OPEN for _, failed in turns if failed)
+        replies = gateway.fan_out([
+            partial(complete_structured, gateway, prompt, call_params(settings, c), c, _read_turn) for c in contexts
+        ])
+        # An agent whose reply stayed unreadable counts as agreeing.
+        flags.extend(FLAG_DEBATE_FAIL_OPEN for reply in replies if reply is None)
+        round_turns = [
+            DebateTurn(c.agent_id, c.round, *(reply or (VERDICT_AGREE, "", "")))
+            for c, reply in zip(contexts, replies)
+        ]
         transcript.extend(round_turns)
 
         revisions = [t.correction for t in round_turns if t.verdict == VERDICT_REVISE]
@@ -281,18 +254,12 @@ def reanswer(
     prompt = render_prompt(TEMPLATE_REANSWER, question, RP=serialize_steps(prefix, verified_markers=False))
     context = CallContext(stage=STAGE_REANSWER, question_id=question.id, round=iteration)
 
-    parsed: Optional[ReasoningPath] = None
-    last_error: Optional[ParseFailure] = None
-    for attempt in range(2):
-        result = gateway.complete(prompt, call_params(settings, context, offset=attempt), context)
-        try:
-            parsed = parse_reasoning_path(result.text)
-            break
-        except ParseFailure as exc:
-            last_error = exc
-    if parsed is None:
-        assert last_error is not None
-        raise last_error
+    params = call_params(settings, context)
+    try:
+        parsed = parse_reasoning_path(gateway.complete(prompt, params, context).text)
+    except ParseFailure:  # ask once more, one seed on; a second failure propagates
+        retry = replace(params, seed=params.seed + 1)
+        parsed = parse_reasoning_path(gateway.complete(prompt, retry, context).text)
 
     flags: list[str] = []
     steps = parsed.steps
@@ -367,16 +334,7 @@ def rerail_pass(
                 "accepted": outcome.accepted,
                 "final_correction": outcome.final_correction,
                 "rounds_run": outcome.rounds_run,
-                "transcript": [
-                    {
-                        "agent_id": t.agent_id,
-                        "round": t.round,
-                        "verdict": t.verdict,
-                        "reasoning": t.reasoning,
-                        "correction": t.correction,
-                    }
-                    for t in outcome.transcript
-                ],
+                "transcript": [asdict(turn) for turn in outcome.transcript],
             },
             "reanswer_answer": rp_new.final_answer,
             "flags": sorted(set(flags)),

@@ -80,12 +80,23 @@ class TestValidate:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field,value", [("api_key_env", 3), ("model_id", 5), ("temperature", True), ("timeout_s", True)]
+        "field,value",
+        [
+            ("api_key_env", 3), ("model_id", 5), ("temperature", True), ("timeout_s", True),
+            ("abs_tolerance", float("inf")),
+        ],
     )
     def test_mistyped_field_fails(self, config_file, capsys, field, value):
         # before, these passed validation and a live run ended in a traceback
         assert main(["validate", "--config", config_file(**{field: value})]) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("price", [True, float("nan")])
+    def test_price_that_is_not_a_finite_number_fails(self, config_file, capsys, price):
+        # a NaN price would be written as bare NaN into report.json
+        table = {"gpt-4": {"prompt_per_1k": price, "completion_per_1k": 0.06}}
+        assert main(["validate", "--config", config_file(price_table=table)]) == 1
+        assert "price_table['gpt-4']" in capsys.readouterr().err
 
     def test_never_echoes_a_secret(self, config_file, capsys, monkeypatch):
         monkeypatch.setenv("RERAIL_API_KEY", "sk-supersecret")

@@ -103,6 +103,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             settings_from_dict({field: value})
 
+    @pytest.mark.parametrize(
+        "field", ["temperature", "sampling_temperature", "timeout_s", "abs_tolerance", "rel_tolerance"]
+    )
+    def test_floats_reject_infinity(self, field):
+        # an infinite tolerance crashed grading, and the snapshot held bare Infinity
+        with pytest.raises(ConfigError, match=field):
+            settings_from_dict({field: float("inf")})
+
     @pytest.mark.parametrize("field", ["model_id", "endpoint", "api_key_env"])
     @pytest.mark.parametrize("value", [3, None, True, ["gpt-4"]])
     def test_strings_reject_other_types(self, field, value):
@@ -130,10 +138,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="price_table"):
             settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": 0.03}}})
 
-    @pytest.mark.parametrize("price", ["x", None, [1]])
+    @pytest.mark.parametrize("price", ["x", None, [1], True, float("nan"), float("inf"), -1, "0.03"])
     def test_price_must_be_a_number(self, price):
-        with pytest.raises(ConfigError, match="price_table"):
+        # a boolean, a non-finite, a negative or a quoted price is never priced
+        with pytest.raises(ConfigError, match=r"price_table\['gpt-4'\]"):
             settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": price, "completion_per_1k": 0.06}}})
+
+    def test_zero_and_integer_prices_are_floats(self):
+        s = settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": 0, "completion_per_1k": 2}}})
+        assert s.to_json()["price_table"] == {"gpt-4": {"prompt_per_1k": 0.0, "completion_per_1k": 2.0}}
+        assert type(s.price_table["gpt-4"].completion_per_1k) is float
 
     def test_price_table_parsed(self):
         s = settings_from_dict(

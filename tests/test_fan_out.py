@@ -181,7 +181,7 @@ def test_fan_out_raises_the_first_error_in_call_order_after_the_running_calls():
         raise ValueError("third")
 
     with gateway.fan_out_pool(3):
-        gateway.complete(PromptPair("s", "u"), CompletionParams("m"), CallContext(STAGE_COT, "q"))
+        gateway.complete(PromptPair("s", "u"), CompletionParams("m", 0.0, seed=0), CallContext(STAGE_COT, "q"))
         with pytest.raises(KeyError):
             gateway.fan_out([first, slow, third])
         assert finished == ["slow"]
@@ -195,13 +195,13 @@ def test_concurrent_samples_each_get_their_own_entry_under_contention():
 
     def sample(k):
         context = CallContext(STAGE_COT, "q", sample_index=k + 1)
-        return gateway.complete(prompt, CompletionParams("m", seed=k), context).text
+        return gateway.complete(prompt, CompletionParams("m", 0.0, seed=k), context).text
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with gateway.fan_out_pool(16):
-            gateway.complete(prompt, CompletionParams("m"), CallContext(STAGE_COT, "q"))
+            gateway.complete(prompt, CompletionParams("m", 0.0, seed=0), CallContext(STAGE_COT, "q"))
             texts = gateway.fan_out([partial(sample, k) for k in range(n)])
     finally:
         sys.setswitchinterval(interval)
@@ -217,7 +217,7 @@ class TestProgrammingErrorsPropagate:
         pool_threads = []
 
         def broken(question, gateway, settings):
-            gateway.complete(PromptPair("s", "u"), CompletionParams("m"), CallContext(STAGE_COT, question.id))
+            gateway.complete(PromptPair("s", "u"), CompletionParams("m", 0.0, seed=0), CallContext(STAGE_COT, question.id))
             released = threading.Event()
 
             def waits():  # inline it runs first, so it must not wait long
@@ -250,7 +250,7 @@ class TestFanOutGateIsPerThread:
     def test_cache_hit_on_another_thread_leaves_fan_out_on(self, tmp_path):
         script = [entry(STAGE_COT, "q1", "x"), entry(STAGE_COT, "q2", "y")]
         gateway = Gateway(SleepingBackend(ScriptedBackend(script)), cache_dir=tmp_path, cache_enabled=True)
-        params = CompletionParams("m")
+        params = CompletionParams("m", 0.0, seed=0)
 
         def other_question():
             gateway.complete(PromptPair("s", "q2"), params, CallContext(STAGE_COT, "q2"))

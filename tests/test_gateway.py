@@ -37,8 +37,7 @@ from rerail.gateway import (
     CompletionTimeout,
     Gateway,
     LiveBackend,
-    MalformedJson,
-    NoFenceFound,
+    MalformedReply,
     ProviderError,
     REASK_REMINDER,
     RETRY_MAX_ATTEMPTS,
@@ -511,15 +510,15 @@ class TestParseStructuredOutput:
         assert parse_structured_output(text) == {"pick": "me"}
 
     def test_no_fence(self):
-        with pytest.raises(NoFenceFound):
+        with pytest.raises(MalformedReply, match="no triple-backtick fence"):
             parse_structured_output('{"a": "1"}')
 
     def test_malformed_json(self):
-        with pytest.raises(MalformedJson):
+        with pytest.raises(MalformedReply, match="fenced block is not valid JSON"):
             parse_structured_output("```json\nnot json at all\n```")
 
     def test_non_object_json(self):
-        with pytest.raises(MalformedJson):
+        with pytest.raises(MalformedReply, match="fenced JSON is not an object"):
             parse_structured_output("```json\n[1, 2]\n```")
 
     def test_non_string_values_are_stringified_compactly(self):
@@ -556,7 +555,7 @@ class TestCompleteStructured:
 
     def test_clean_response_needs_one_call(self):
         gw, backend = self.recording_gateway([entry(STAGE_COT, "q1", fenced(answer="B"))])
-        assert complete_structured(gw, PROMPT, PARAMS, CTX) == {"answer": "B"}
+        assert complete_structured(gw, PROMPT, PARAMS, CTX, dict) == {"answer": "B"}
         assert len(backend.calls) == 1
         assert backend.calls[0][0].seed == 7
 
@@ -565,7 +564,7 @@ class TestCompleteStructured:
             [entry(STAGE_COT, "q1", "no fence here"),
              entry(STAGE_COT, "q1", fenced(answer="B"))]
         )
-        assert complete_structured(gw, PROMPT, PARAMS, CTX) == {"answer": "B"}
+        assert complete_structured(gw, PROMPT, PARAMS, CTX, dict) == {"answer": "B"}
         assert len(backend.calls) == 2
         assert backend.calls[1][0].seed == 8
         first_prompt = gw.records[0][1]
@@ -573,37 +572,30 @@ class TestCompleteStructured:
         assert retry_prompt.user == f"{first_prompt.user}\n{REASK_REMINDER}"
         assert retry_prompt.system == first_prompt.system
 
-    def test_unseeded_calls_stay_unseeded_on_reask(self):
-        gw, backend = self.recording_gateway(
-            [entry(STAGE_COT, "q1", "junk"), entry(STAGE_COT, "q1", fenced(a="1"))]
-        )
-        params = CompletionParams(model_id="m1", temperature=0.0)
-        complete_structured(gw, PROMPT, params, CTX)
-        assert backend.calls[1][0].seed is None
-
     def test_two_failures_give_none(self):
         gw, backend = self.recording_gateway(
             [entry(STAGE_COT, "q1", "junk"), entry(STAGE_COT, "q1", "more junk")]
         )
-        assert complete_structured(gw, PROMPT, PARAMS, CTX) is None
+        assert complete_structured(gw, PROMPT, PARAMS, CTX, dict) is None
         assert len(backend.calls) == 2
 
     def test_semantic_rejection_spends_the_same_reask(self):
-        def validate(mapping):
+        def read(mapping):
             if mapping["selected"] not in {"1", "2", "3"}:
                 raise ValueError("selection out of range")
+            return mapping
 
         gw, backend = self.recording_gateway(
             [entry(STAGE_JUDGE, "q1", judge_selects(5)),
              entry(STAGE_JUDGE, "q1", judge_selects(2))]
         )
         ctx = CallContext(stage=STAGE_JUDGE, question_id="q1")
-        result = complete_structured(gw, PROMPT, PARAMS, ctx, validate=validate)
+        result = complete_structured(gw, PROMPT, PARAMS, ctx, read)
         assert result["selected"] == "2"
         assert len(backend.calls) == 2
 
     def test_semantic_rejection_twice_gives_none(self):
-        def validate(mapping):
+        def read(mapping):
             raise ValueError("never acceptable")
 
         gw, _ = self.recording_gateway(
@@ -611,7 +603,7 @@ class TestCompleteStructured:
              entry(STAGE_JUDGE, "q1", judge_selects(5))]
         )
         ctx = CallContext(stage=STAGE_JUDGE, question_id="q1")
-        assert complete_structured(gw, PROMPT, PARAMS, ctx, validate=validate) is None
+        assert complete_structured(gw, PROMPT, PARAMS, ctx, read) is None
 
 
 class _StubResponse:
