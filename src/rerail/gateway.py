@@ -27,9 +27,10 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Callable, Iterator, Optional, TextIO, TypeVar
 
 import requests
 import requests.adapters
@@ -216,6 +217,10 @@ class ScriptedBackend:
             )
         extra = dict(match)
         del extra["stage"], extra["question_id"]
+        for key, value in extra.items():
+            # type() rather than isinstance(): True would match step 1
+            if type(value) is not int or value < 1:
+                raise ScriptFormatError(f"script entry {line_no}: {key} must be an integer >= 1, got {value!r}")
         return _ScriptEntry(
             extra=extra,
             response=raw["response"],
@@ -362,8 +367,23 @@ class StageUsage:
         return dict(vars(self))
 
     @classmethod
-    def from_json(cls, payload: dict) -> "StageUsage":
-        return cls(**payload)
+    def from_json(cls, payload) -> "StageUsage":
+        """A persisted usage block, which must hold exactly the fields:
+        integer counts and a number wall_time_s. ValueError otherwise."""
+        try:
+            values = _usage_values(payload)  # KeyError for a missing field
+            exact = len(payload) == len(values)
+        except (KeyError, TypeError):  # TypeError: not an object
+            exact = False
+        # type() rather than isinstance(): a bool is an int subclass
+        if exact and tuple(map(type, values)) in _USAGE_TYPES:
+            return cls(*values)
+        raise ValueError(f"malformed usage {payload!r}")
+
+
+_USAGE_NAMES = tuple(field.name for field in fields(StageUsage))
+_usage_values = itemgetter(*_USAGE_NAMES)
+_USAGE_TYPES = {(int,) * 6 + (float,), (int,) * 7}  # six counts, then wall_time_s
 
 
 class UsageLedger:
@@ -429,6 +449,8 @@ class Gateway:
         self._cache_file = Path(cache_dir) / CACHE_FILE if cache_enabled else None
         self._cache: Optional[dict[str, CompletionResult]] = None  # read on the first lookup
         self._cache_lock = threading.Lock()
+        self._in_run = False  # inside run_scope, which holds _cache_out open
+        self._cache_out: Optional[TextIO] = None
         self._gate = threading.Semaphore(max_in_flight) if max_in_flight is not None else None
         self._rpm = requests_per_minute
         self._recent_calls: deque[float] = deque()
@@ -441,35 +463,54 @@ class Gateway:
         self._thread = threading.local()
 
     @contextmanager
-    def fan_out_pool(self, width: int) -> Iterator[None]:
-        """Threads that help ``fan_out`` while the block runs, at most
-        ``width`` of them; all are joined on exit."""
-        if width < 1:
-            yield
-            return
-        with ThreadPoolExecutor(max_workers=width, thread_name_prefix="rerail-fan-out") as pool:
-            self._pool = pool
-            try:
+    def run_scope(self, width: int) -> Iterator[None]:
+        """What a run holds while the block runs, released on exit: at most
+        ``width`` threads that help ``fan_out``, all joined on exit, and,
+        with the cache on, one append handle on the cache stream, opened at
+        the first append and closed on exit."""
+        self._in_run = True
+        try:
+            if width < 1:
                 yield
-            finally:
-                self._pool = None
+                return
+            with ThreadPoolExecutor(max_workers=width, thread_name_prefix="rerail-fan-out") as pool:
+                self._pool = pool
+                try:
+                    yield
+                finally:
+                    self._pool = None
+        finally:
+            with self._cache_lock:
+                self._in_run = False
+                if self._cache_out is not None:
+                    self._cache_out.close()
+                    self._cache_out = None
 
     def fan_out(self, calls: list[Callable[[], T]]) -> list[T]:
         """Run independent calls and return their results in call order.
 
-        The caller runs the calls itself, in order. While a pool is open and
-        the caller's latest completion waited on the backend for
-        BLOCKING_CALL_S or more, idle pool threads also take calls the
-        caller has not reached; the caller waits only for those. Otherwise
-        (no pool, a fast backend, a cache hit) the calls run inline. Either
-        way the ledger gets the calls' usage in call order, and the first
-        error in call order is raised once the calls already running have
-        finished; from the failed call on, calls no pool thread has taken
-        never start.
+        The caller runs the calls itself, in order, while its latest
+        completion did not wait on the backend for BLOCKING_CALL_S: a cache
+        hit, a fast backend, or no completion yet on this thread. From the
+        first call after one that did, while a pool is open, idle pool
+        threads also take the calls the caller has not reached; the caller
+        waits only for those. So a wave of slow calls takes at most two
+        dependent rounds, while cache hits and fast calls never leave the
+        caller's thread. Either way the ledger gets the calls' usage in call
+        order, and the first error in call order is raised once the calls
+        already running have finished; from the failed call on, calls no
+        pool thread has taken never start.
         """
         pool = self._pool
-        if pool is None or len(calls) < 2 or not getattr(self._thread, "blocking", False):
-            return [call() for call in calls]
+        results = []
+        for index, call in enumerate(calls):
+            if pool is not None and index < len(calls) - 1 and getattr(self._thread, "blocking", False):
+                return results + self._overlap(pool, calls[index:])
+            results.append(call())
+        return results
+
+    def _overlap(self, pool: ThreadPoolExecutor, calls: list[Callable[[], T]]) -> list[T]:
+        """The calls run by the caller and idle pool threads at once."""
         futures = [pool.submit(self._deferred, call) for call in calls[1:]]
         done = [self._deferred(calls[0])]
         error = done[0][1]
@@ -587,8 +628,16 @@ class Gateway:
     def _cache_append(self, key: str, result: CompletionResult) -> None:
         line = jsonl.encode({"key": key, "text": result.text, "usage": vars(result.usage)})
         with self._cache_lock:
-            with open(self._cache_file, "a", encoding="utf-8") as handle:
-                handle.write(line)
+            if not self._in_run:
+                with open(self._cache_file, "a", encoding="utf-8") as handle:
+                    handle.write(line)
+            else:
+                # Reopening per line costs an open, fstat, seek and close,
+                # each a system call that hands the GIL to other workers.
+                if self._cache_out is None:
+                    self._cache_out = open(self._cache_file, "a", encoding="utf-8")
+                self._cache_out.write(line)
+                self._cache_out.flush()  # committed before the completion returns
             self._cache[key] = replace(result, latency_s=0.0, from_cache=True)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import threading
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -98,15 +99,21 @@ class QuestionOutcome:
     correct_final: Optional[bool] = None
     cell: Optional[str] = None
     flags: list[str] = field(default_factory=list)
-    usage: dict[str, dict] = field(default_factory=dict)
+    usage: dict[str, StageUsage] = field(default_factory=dict)
     error: Optional[str] = None
 
     def to_json(self) -> dict:
-        return dict(vars(self))
+        return dict(vars(self), usage={stage: row.to_json() for stage, row in self.usage.items()})
 
     @classmethod
     def from_json(cls, payload: dict) -> "QuestionOutcome":
-        return cls(**payload)
+        """A persisted outcome, its usage read into StageUsage rows;
+        ValueError or TypeError for a malformed record."""
+        outcome = cls(**payload)
+        if type(outcome.usage) is not dict:
+            raise ValueError(f"malformed usage {outcome.usage!r}")
+        outcome.usage = {stage: StageUsage.from_json(row) for stage, row in outcome.usage.items()}
+        return outcome
 
 
 @dataclass(frozen=True)
@@ -356,10 +363,7 @@ def run_question(
             error=f"{type(exc).__name__}: {exc}",
         )
         trace = {"mode": mode, "error": outcome.error}
-    outcome.usage = {
-        stage: usage.to_json()
-        for stage, usage in sorted(gateway.ledger.question_usage(question.id).items())
-    }
+    outcome.usage = dict(sorted(gateway.ledger.question_usage(question.id).items()))
     return outcome, trace
 
 
@@ -391,12 +395,12 @@ def confusion_matrix(outcomes: list[QuestionOutcome]) -> dict:
     }
 
 
-def _usage_by_stage(usages: Iterable[dict[str, dict]]) -> dict[str, StageUsage]:
-    """Persisted per-stage usage blocks summed by stage, in the given order."""
-    by_stage: dict[str, StageUsage] = {}
+def _usage_by_stage(usages: Iterable[dict[str, StageUsage]]) -> dict[str, StageUsage]:
+    """Per-stage usage blocks summed by stage, in the given order."""
+    by_stage: dict[str, StageUsage] = defaultdict(StageUsage)
     for usage in usages:
-        for stage, payload in usage.items():
-            by_stage.setdefault(stage, StageUsage()).merge(StageUsage.from_json(payload))
+        for stage, row in usage.items():
+            by_stage[stage].merge(row)
     return by_stage
 
 
@@ -517,7 +521,8 @@ def _write_csvs(report: dict, out_dir: Path) -> None:
 
 def load_outcomes(path: Path) -> list[QuestionOutcome]:
     """The outcome of each question, the last committed line for an id
-    winning. A malformed committed line raises IncompleteTrace."""
+    winning. A malformed committed line, usage block included, raises
+    IncompleteTrace."""
     latest: dict[str, QuestionOutcome] = {}
     for line_no, line in jsonl.committed_lines(path):
         try:
@@ -533,12 +538,14 @@ def _check_resumable(config_path: Path, config_snapshot: dict) -> None:
     one with no outcomes yet: its cached completions would be reused.
 
     Only the worker pool width may change between runs. A directory without
-    a readable snapshot resumes as it is.
+    a readable snapshot (a JSON object) resumes as it is.
     """
     try:
         with open(config_path, encoding="utf-8") as handle:
             stored = json.load(handle)
-    except (FileNotFoundError, json.JSONDecodeError):
+    except (FileNotFoundError, ValueError):
+        stored = None
+    if not isinstance(stored, dict):
         return
     for key in sorted(set(stored) | set(config_snapshot)):
         if key != "parallelism" and stored.get(key) != config_snapshot.get(key):
@@ -603,7 +610,7 @@ def run(
             outcome, trace = run_question(question, mode, gateway, settings)
             if question.id in stored:  # a failed attempt, run again
                 merged = _usage_by_stage([stored[question.id].usage, outcome.usage])
-                outcome.usage = {stage: row.to_json() for stage, row in sorted(merged.items())}
+                outcome.usage = dict(sorted(merged.items()))
             trace_line = jsonl.encode({"question_id": question.id, "trace": trace})
             outcome_line = jsonl.encode(outcome.to_json())
             with write_lock:
@@ -616,9 +623,10 @@ def run(
         # Leaving the pool waits for every question at once; waiting on each
         # future in turn would wake this thread, and hand the GIL back and
         # forth, after every question. Each worker runs its own calls, so the
-        # fan-out pool adds at most the rest of each widest fan-out.
+        # fan-out pool adds at most the rest of each widest fan-out. The run
+        # scope also holds the cache stream open until the workers are done.
         fan_out_width = max_concurrent_calls(settings, mode) - settings.parallelism
-        with gateway.fan_out_pool(fan_out_width), ThreadPoolExecutor(max_workers=settings.parallelism) as pool:
+        with gateway.run_scope(fan_out_width), ThreadPoolExecutor(max_workers=settings.parallelism) as pool:
             futures = [pool.submit(execute, question) for question in pending]
     for future in futures:
         future.result()
@@ -639,7 +647,12 @@ def replay(out_dir: str | Path) -> dict:
         raise IncompleteTrace(
             f"{out_dir} lacks {OUTCOMES_FILE} or {CONFIG_FILE}; cannot replay"
         )
-    with open(config_path, encoding="utf-8") as handle:
-        config_snapshot = json.load(handle)
+    try:
+        with open(config_path, encoding="utf-8") as handle:
+            config_snapshot = json.load(handle)
+    except ValueError:
+        config_snapshot = None
+    if not isinstance(config_snapshot, dict):
+        raise IncompleteTrace(f"{config_path} does not hold a config object; cannot replay")
     outcomes = load_outcomes(outcomes_path)
     return build_report(outcomes, config_snapshot, config_snapshot.get("mode", MODE_RERAILER))

@@ -408,12 +408,9 @@ def unfixable_script(qid: str, wrong: str = "A") -> list[dict]:
     return script
 
 
-def stage_calls(outcome_usage: dict) -> dict[str, int]:
-    """Per-stage completion counts from a persisted outcome usage block."""
-    return {
-        stage: block["live_calls"] + block["cached_calls"]
-        for stage, block in outcome_usage.items()
-    }
+def stage_calls(outcome_usage: dict[str, StageUsage]) -> dict[str, int]:
+    """Per-stage completion counts from an outcome's usage."""
+    return {stage: row.live_calls + row.cached_calls for stage, row in outcome_usage.items()}
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

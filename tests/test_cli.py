@@ -304,6 +304,17 @@ class TestResume:
         assert (out / "outcomes.jsonl").read_bytes() == outcomes
         assert (out / "report.json").read_bytes() == report
 
+    @pytest.mark.parametrize("snapshot", ["[]", '"rerailer"', "{not json"])
+    def test_a_snapshot_that_is_not_an_object_resumes_as_if_absent(self, small_run, tmp_path, snapshot):
+        assert main(run_args(small_run)) == 0
+        out = tmp_path / "out"
+        report = (out / "report.json").read_bytes()
+        config = (out / "resolved_config.json").read_bytes()
+        (out / "resolved_config.json").write_text(snapshot)
+        assert main(run_args(small_run)) == 0
+        assert (out / "report.json").read_bytes() == report
+        assert (out / "resolved_config.json").read_bytes() == config
+
 
 class TestReplayCommand:
     def test_replay_confirms_a_matching_report(self, small_run, capsys):
@@ -325,6 +336,25 @@ class TestReplayCommand:
     def test_replay_of_an_empty_directory_fails(self, tmp_path, capsys):
         assert main(["replay", "--trace", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snapshot", ["[]", "3", "{not json", "\xff"])
+    def test_replay_of_a_snapshot_that_is_not_an_object_fails(self, small_run, tmp_path, capsys, snapshot):
+        assert main(run_args(small_run)) == 0
+        config = tmp_path / "out" / "resolved_config.json"
+        config.write_bytes(snapshot.encode("latin-1"))
+        capsys.readouterr()
+        assert main(["replay", "--trace", small_run["out"]]) == 1
+        assert str(config) in capsys.readouterr().err
+
+    def test_replay_of_a_malformed_usage_block_fails(self, small_run, tmp_path, capsys):
+        assert main(run_args(small_run)) == 0
+        outcomes = tmp_path / "out" / "outcomes.jsonl"
+        rows = [json.loads(line) for line in outcomes.read_text().splitlines()]
+        rows[1]["usage"] = {"cot": [1]}
+        outcomes.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["replay", "--trace", small_run["out"]]) == 1
+        assert "line 2: malformed outcome (malformed usage" in capsys.readouterr().err
 
 
 class TestReportCommand:

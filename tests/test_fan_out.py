@@ -21,8 +21,9 @@ from helpers import (
     mcqa_question,
     unfixable_script,
 )
+from rerail import gateway as gateway_module
 from rerail import harness
-from rerail.gateway import CallContext, CompletionParams, Gateway, ScriptedBackend
+from rerail.gateway import CallContext, CompletionParams, Gateway, ScriptedBackend, cache_key
 from rerail.prompts import PromptPair
 from rerail.types import STAGE_COT, STAGE_MAD
 
@@ -66,14 +67,14 @@ SCENARIOS = {
 LATENCIES_MS = (100, 200, 300, 0.1, 700.3)
 
 
-def run_scenario(tmp_path, mode, backend_of, name):
+def run_scenario(tmp_path, mode, backend_of, name, gateway_class=Gateway):
     overrides, scripts = SCENARIOS[mode]
     questions = [mcqa_question(qid=qid) for qid in scripts]
     scripted = [e for qid, script in scripts.items() for e in script(qid)]
     entries = [dict(e, latency_ms=LATENCIES_MS[i % len(LATENCIES_MS)]) for i, e in enumerate(scripted)]
     backend = backend_of(ScriptedBackend(entries))
     out_dir = tmp_path / name
-    gateway = Gateway(backend, cache_dir=out_dir / "cache", cache_enabled=True)
+    gateway = gateway_class(backend, cache_dir=out_dir / "cache", cache_enabled=True)
     harness.run(questions, make_settings(parallelism=2, **overrides), mode, out_dir, gateway)
     return out_dir, backend
 
@@ -101,18 +102,63 @@ def test_fan_out_writes_what_the_inline_path_writes(tmp_path, mode):
     assert report["counts"]["failed"] == 0
 
 
-def test_samples_of_a_question_overlap_in_time(tmp_path):
-    _, sleeping = run_scenario(tmp_path, "sc", lambda inner: SleepingBackend(inner, 0.02), "sc")
-    by_question: dict[str, list[tuple[float, float]]] = {}
+def first_waves(sleeping) -> dict[str, list[tuple[float, float]]]:
+    """The (start, end) of each question's five first samples."""
+    waves: dict[str, list[tuple[float, float]]] = {}
     for context, _, start, end in sleeping.spans:
         if context.sample_index is not None and context.sample_index < 5:
-            by_question.setdefault(context.question_id, []).append((start, end))
-    # The first wave of each of the two workers starts before any blocking
-    # call is measured; in the others every sample starts before any ends.
+            waves.setdefault(context.question_id, []).append((start, end))
+    return waves
+
+
+def test_samples_of_a_question_overlap_in_time(tmp_path):
+    _, sleeping = run_scenario(tmp_path, "sc", lambda inner: SleepingBackend(inner, 0.02), "sc")
+    by_question = first_waves(sleeping)
+    # The first wave of each of the two workers runs its first sample
+    # before the rest start; in the others every sample starts before any ends.
     overlapping = [
         qid for qid, spans in by_question.items() if max(s for s, _ in spans) < min(e for _, e in spans)
     ]
     assert len(overlapping) >= len(by_question) - 2
+
+
+def call_depth(spans) -> int:
+    """Largest set of calls that do not overlap in time (dependent rounds)."""
+    depth, reach = 0, float("-inf")
+    for start, end in sorted(spans, key=lambda span: span[1]):
+        if start >= reach:
+            depth, reach = depth + 1, end
+    return depth
+
+
+def test_every_first_wave_takes_at_most_two_rounds(tmp_path):
+    # Each worker's first question starts with no reading on its thread:
+    # one sample runs inline, then the other four overlap.
+    _, sleeping = run_scenario(tmp_path, "sc", lambda inner: SleepingBackend(inner, 0.02), "sc")
+    depths = {qid: call_depth(spans) for qid, spans in first_waves(sleeping).items()}
+    assert len(depths) == 6 and max(depths.values()) <= 2, depths
+
+
+def test_after_a_cache_hit_one_call_runs_inline_and_the_rest_overlap(tmp_path):
+    script = [entry(STAGE_COT, "q", "warm")] + [entry(STAGE_COT, "q", f"miss {k}") for k in range(4)]
+    sleeping = SleepingBackend(ScriptedBackend(script), sleep_s=0.02)
+    gateway = Gateway(sleeping, cache_dir=tmp_path, cache_enabled=True)
+    params = CompletionParams("m", 0.0, seed=0)
+    context = CallContext(STAGE_COT, "q")
+    gateway.complete(PromptPair("s", "warm"), params, context)
+    assert gateway.complete(PromptPair("s", "warm"), params, context).from_cache
+
+    def miss(k):
+        sample = CallContext(STAGE_COT, "q", sample_index=k + 1)
+        return gateway.complete(PromptPair("s", f"miss {k}"), params, sample).text
+
+    with gateway.run_scope(3):
+        texts = gateway.fan_out([partial(miss, k) for k in range(4)])
+    assert texts == [f"miss {k}" for k in range(4)]
+    first, *rest = sorted(sleeping.spans[1:], key=lambda span: span[2])
+    assert first[1] == threading.current_thread().name
+    assert first[3] <= min(start for _, _, start, _ in rest)
+    assert max(start for _, _, start, _ in rest) < min(end for _, _, _, end in rest)
 
 
 @pytest.mark.parametrize("max_in_flight,bound", [(None, 2 * 5 - 2), (3, 1)])
@@ -163,6 +209,34 @@ def test_cache_hits_never_fan_out(tmp_path):
     assert threads and not any(name.startswith(POOL_PREFIX) for name in threads)
 
 
+@pytest.mark.parametrize("backend_of", [lambda inner: inner, SleepingBackend], ids=["inline", "fanned"])
+def test_each_cache_line_is_written_before_its_completion_returns(tmp_path, monkeypatch, backend_of):
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(gateway_module, "open", tracking_open, raising=False)
+    stream = tmp_path / "run" / "cache" / "completions.jsonl"
+    unwritten = []
+
+    class Checking(Gateway):
+        def complete(self, prompt, params, context):
+            result = super().complete(prompt, params, context)
+            if not result.from_cache:
+                with stream.open(encoding="utf-8") as reader:
+                    keys = {json.loads(line)["key"] for line in reader}
+                if cache_key(prompt, params) not in keys:
+                    unwritten.append(context)
+            return result
+
+    out_dir, _ = run_scenario(tmp_path, "rerailer", backend_of, "run", Checking)
+    assert cache_keys(out_dir) and not unwritten
+    assert opened and all(handle.closed for handle in opened)
+
+
 def test_fan_out_raises_the_first_error_in_call_order_after_the_running_calls():
     gateway = Gateway(SleepingBackend(ScriptedBackend([entry(STAGE_COT, "q", "warm")])))
     started = threading.Event()
@@ -180,7 +254,7 @@ def test_fan_out_raises_the_first_error_in_call_order_after_the_running_calls():
     def third():
         raise ValueError("third")
 
-    with gateway.fan_out_pool(3):
+    with gateway.run_scope(3):
         gateway.complete(PromptPair("s", "u"), CompletionParams("m", 0.0, seed=0), CallContext(STAGE_COT, "q"))
         with pytest.raises(KeyError):
             gateway.fan_out([first, slow, third])
@@ -200,7 +274,7 @@ def test_concurrent_samples_each_get_their_own_entry_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with gateway.fan_out_pool(16):
+        with gateway.run_scope(16):
             gateway.complete(prompt, CompletionParams("m", 0.0, seed=0), CallContext(STAGE_COT, "q"))
             texts = gateway.fan_out([partial(sample, k) for k in range(n)])
     finally:
@@ -275,6 +349,6 @@ class TestFanOutGateIsPerThread:
             pool_threads.append(threading.current_thread().name.startswith(POOL_PREFIX))
             released.set()
 
-        with gateway.fan_out_pool(1):
+        with gateway.run_scope(1):
             gateway.fan_out([waits, sets])
         assert pool_threads == [True]

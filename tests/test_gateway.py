@@ -184,6 +184,15 @@ class TestScriptedBackend:
             ({"match": {"stage": "cot", "question_id": "q"}, "response": None, "usage": {}}, "None"),
             ({"match": {"stage": "cot", "question_id": "q"}, "response": {"a": 1}, "usage": {}}, "'a': 1"),
             ({"match": {"stage": "cot", "question_id": "q"}, "response": 7, "usage": {}}, "string, got 7"),
+            # a match value that can never match, or matches as another type
+            ({"match": {"stage": "cot", "question_id": "q", "step_index": True}, "response": "x", "usage": {}},
+             "step_index must be an integer >= 1, got True"),
+            ({"match": {"stage": "cot", "question_id": "q", "agent_id": 1.0}, "response": "x", "usage": {}},
+             "agent_id must be an integer >= 1, got 1.0"),
+            ({"match": {"stage": "cot", "question_id": "q", "round": "1"}, "response": "x", "usage": {}},
+             "round must be an integer >= 1, got '1'"),
+            ({"match": {"stage": "cot", "question_id": "q", "step_index": -3}, "response": "x", "usage": {}},
+             "step_index must be an integer >= 1, got -3"),
         ],
     )
     def test_entry_schema_enforced(self, raw, fragment):

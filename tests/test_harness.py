@@ -24,7 +24,7 @@ from helpers import (
     write_script,
 )
 from rerail.config import question_seed
-from rerail.gateway import Gateway, ProviderError, ScriptedBackend
+from rerail.gateway import Gateway, ProviderError, ScriptedBackend, StageUsage
 from rerail.harness import (
     CELL_FN,
     CELL_FP,
@@ -266,15 +266,14 @@ class TestConfusionMatrix:
 
 class TestUsageTotals:
     def block(self, live, prompt, completion, wall):
-        return {
-            "live_calls": live,
-            "cached_calls": 0,
-            "prompt_tokens": prompt,
-            "completion_tokens": completion,
-            "billed_prompt_tokens": prompt,
-            "billed_completion_tokens": completion,
-            "wall_time_s": wall,
-        }
+        return StageUsage(
+            live_calls=live,
+            prompt_tokens=prompt,
+            completion_tokens=completion,
+            billed_prompt_tokens=prompt,
+            billed_completion_tokens=completion,
+            wall_time_s=wall,
+        )
 
     def test_merges_stages_across_outcomes(self):
         rows = [
@@ -526,6 +525,35 @@ class TestLoadOutcomes:
         row = json.dumps(outcome("q1").to_json())
         path = self.write(tmp_path / "o.jsonl", row + "\n" + row[:-5] + "\n" + row + "\n")
         with pytest.raises(IncompleteTrace, match="line 2"):
+            load_outcomes(path)
+
+    def test_a_well_formed_usage_block_loads(self, tmp_path):
+        usage = {"cot": StageUsage(live_calls=3, prompt_tokens=30, wall_time_s=0.5)}
+        path = self.write(tmp_path / "o.jsonl", json.dumps(outcome("q1", usage=usage).to_json()) + "\n")
+        (loaded,) = load_outcomes(path)
+        assert loaded.usage == usage
+
+    @pytest.mark.parametrize(
+        "usage",
+        [
+            {"cot": [1]},
+            {"cot": dict(StageUsage().to_json(), live_calls="3")},
+            {"cot": dict(StageUsage().to_json(), live_calls=True)},
+            {"cot": dict(StageUsage().to_json(), live_calls=1.0)},
+            {"cot": dict(StageUsage().to_json(), wall_time_s="0.5")},
+            {"cot": dict(StageUsage().to_json(), retries=1)},
+            {"cot": {"live_calls": 1}},
+            {"cot": 3},
+            {"cot": None},
+            [["cot", {}]],
+            "cot",
+        ],
+    )
+    def test_malformed_usage_names_its_line(self, tmp_path, usage):
+        good = json.dumps(outcome("q1").to_json())
+        bad = json.dumps(dict(outcome("q2").to_json(), usage=usage))
+        path = self.write(tmp_path / "o.jsonl", good + "\n" + bad + "\n")
+        with pytest.raises(IncompleteTrace, match=r"line 2: malformed outcome \(malformed usage"):
             load_outcomes(path)
 
 
