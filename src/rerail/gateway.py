@@ -10,9 +10,9 @@ Two backends sit behind one Gateway:
 
 The Gateway adds content-addressed response caching, bounded retry with
 exponential backoff, in-flight and requests-per-minute throttles, and a
-thread-safe usage ledger split by live/cached calls. The cache is one
-append-only ``completions.jsonl`` in the cache directory, a line per
-completion, read into memory on the first lookup.
+usage ledger per question. The cache is one append-only ``completions.jsonl``
+in the cache directory, a line per completion, read into memory on the first
+lookup and appended through one handle from the first append to ``close()``.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import os
 import re
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 from pathlib import Path
@@ -95,8 +95,12 @@ class Usage:
     completion_tokens: int = 0
 
     def __post_init__(self) -> None:
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise ValueError("token counts must be non-negative")
+        # type() rather than isinstance(): a bool is an int subclass
+        if not (
+            type(self.prompt_tokens) is int and type(self.completion_tokens) is int
+            and self.prompt_tokens >= 0 and self.completion_tokens >= 0
+        ):
+            raise ValueError(f"token counts must be non-negative integers, got {self}")
 
 
 @dataclass(frozen=True)
@@ -196,17 +200,13 @@ class ScriptedBackend:
         usage_raw = raw["usage"]
         if not isinstance(usage_raw, dict):
             raise ScriptFormatError(f"script entry {line_no}: usage must be an object")
-        prompt_tokens = usage_raw.get("prompt_tokens", 0)
-        completion_tokens = usage_raw.get("completion_tokens", 0)
-        latency_ms = raw.get("latency_ms", 0)
-        # type() rather than isinstance(): a bool is an int subclass
-        if not (
-            type(prompt_tokens) is int and type(completion_tokens) is int
-            and prompt_tokens >= 0 and completion_tokens >= 0
-        ):
+        try:
+            usage = Usage(usage_raw.get("prompt_tokens", 0), usage_raw.get("completion_tokens", 0))
+        except ValueError:
             raise ScriptFormatError(
                 f"script entry {line_no}: token counts must be non-negative integers, got {usage_raw}"
-            )
+            ) from None
+        latency_ms = raw.get("latency_ms", 0)
         if type(latency_ms) not in (int, float) or not 0 <= latency_ms < math.inf:
             raise ScriptFormatError(
                 f"script entry {line_no}: latency_ms must be a non-negative number, got {latency_ms!r}"
@@ -224,7 +224,7 @@ class ScriptedBackend:
         return _ScriptEntry(
             extra=extra,
             response=raw["response"],
-            usage=Usage(prompt_tokens, completion_tokens),
+            usage=usage,
             latency_s=latency_ms / 1000.0,
         )
 
@@ -369,14 +369,15 @@ class StageUsage:
     @classmethod
     def from_json(cls, payload) -> "StageUsage":
         """A persisted usage block, which must hold exactly the fields:
-        integer counts and a number wall_time_s. ValueError otherwise."""
+        non-negative integer counts and a finite, non-negative number
+        wall_time_s. ValueError otherwise."""
         try:
             values = _usage_values(payload)  # KeyError for a missing field
             exact = len(payload) == len(values)
         except (KeyError, TypeError):  # TypeError: not an object
             exact = False
         # type() rather than isinstance(): a bool is an int subclass
-        if exact and tuple(map(type, values)) in _USAGE_TYPES:
+        if exact and tuple(map(type, values)) in _USAGE_TYPES and min(values) >= 0 and math.isfinite(values[-1]):
             return cls(*values)
         raise ValueError(f"malformed usage {payload!r}")
 
@@ -387,23 +388,17 @@ _USAGE_TYPES = {(int,) * 6 + (float,), (int,) * 7}  # six counts, then wall_time
 
 
 class UsageLedger:
-    """Thread-safe per-(question, stage) usage accumulation."""
+    """One question's completions, as (stage, result) pairs in call order."""
 
     def __init__(self) -> None:
-        self._rows: dict[str, dict[str, StageUsage]] = {}
-        self._lock = threading.Lock()
+        self.calls: list[tuple[str, CompletionResult]] = []
 
-    def record(self, question_id: str, stage: str, result: CompletionResult) -> None:
-        with self._lock:
-            row = self._rows.setdefault(question_id, {}).setdefault(stage, StageUsage())
-            row.add(result)
-
-    def question_usage(self, question_id: str) -> dict[str, StageUsage]:
-        with self._lock:
-            return {
-                stage: StageUsage(**vars(row))
-                for stage, row in self._rows.get(question_id, {}).items()
-            }
+    def question_usage(self) -> dict[str, StageUsage]:
+        """Usage per stage, in stage order, each summed in call order."""
+        usage: dict[str, StageUsage] = defaultdict(StageUsage)
+        for stage, result in self.calls:
+            usage[stage].add(result)
+        return dict(sorted(usage.items()))
 
 
 def cache_key(prompt: PromptPair, params: CompletionParams) -> str:
@@ -445,46 +440,51 @@ class Gateway:
         if cache_enabled and cache_dir is None:
             raise ValueError("cache_enabled requires a cache_dir")
         self._backend = backend
-        self.ledger = UsageLedger()
         self._cache_file = Path(cache_dir) / CACHE_FILE if cache_enabled else None
         self._cache: Optional[dict[str, CompletionResult]] = None  # read on the first lookup
         self._cache_lock = threading.Lock()
-        self._in_run = False  # inside run_scope, which holds _cache_out open
-        self._cache_out: Optional[TextIO] = None
+        self._cache_out: Optional[TextIO] = None  # opened at the first append
         self._gate = threading.Semaphore(max_in_flight) if max_in_flight is not None else None
         self._rpm = requests_per_minute
         self._recent_calls: deque[float] = deque()
         self._rpm_lock = threading.Lock()
         self._sleep = sleeper
         self._pool: Optional[ThreadPoolExecutor] = None
-        # Per thread: the usage a fan-out call holds back ("records"), and
-        # whether the thread's latest completion waited on the backend
-        # ("blocking"), which gates the fan-outs the thread starts.
+        # Per thread: the ledger open on it ("ledger"), and whether its
+        # latest completion waited on the backend ("blocking"), which gates
+        # the fan-outs the thread starts.
         self._thread = threading.local()
+
+    @contextmanager
+    def recording(self) -> Iterator[UsageLedger]:
+        """A new ledger that takes the thread's completions while the block
+        runs; the ledger open before it is open again on exit. A completion
+        on a thread with no ledger open is not recorded."""
+        outer = getattr(self._thread, "ledger", None)
+        self._thread.ledger = ledger = UsageLedger()
+        try:
+            yield ledger
+        finally:
+            self._thread.ledger = outer
 
     @contextmanager
     def run_scope(self, width: int) -> Iterator[None]:
         """What a run holds while the block runs, released on exit: at most
-        ``width`` threads that help ``fan_out``, all joined on exit, and,
-        with the cache on, one append handle on the cache stream, opened at
-        the first append and closed on exit."""
-        self._in_run = True
-        try:
-            if width < 1:
-                yield
-                return
-            with ThreadPoolExecutor(max_workers=width, thread_name_prefix="rerail-fan-out") as pool:
-                self._pool = pool
-                try:
-                    yield
-                finally:
-                    self._pool = None
-        finally:
-            with self._cache_lock:
-                self._in_run = False
-                if self._cache_out is not None:
-                    self._cache_out.close()
-                    self._cache_out = None
+        ``width`` threads that help ``fan_out``, all joined on exit, and the
+        cache stream, closed on exit."""
+        with ExitStack() as held:  # released in reverse order
+            held.callback(self.close)
+            if width >= 1:
+                self._pool = held.enter_context(ThreadPoolExecutor(width, thread_name_prefix="rerail-fan-out"))
+                held.callback(setattr, self, "_pool", None)
+            yield
+
+    def close(self) -> None:
+        """Close the cache stream, if open; the next append opens it again."""
+        with self._cache_lock:
+            if self._cache_out is not None:
+                self._cache_out.close()
+                self._cache_out = None
 
     def fan_out(self, calls: list[Callable[[], T]]) -> list[T]:
         """Run independent calls and return their results in call order.
@@ -496,10 +496,10 @@ class Gateway:
         threads also take the calls the caller has not reached; the caller
         waits only for those. So a wave of slow calls takes at most two
         dependent rounds, while cache hits and fast calls never leave the
-        caller's thread. Either way the ledger gets the calls' usage in call
-        order, and the first error in call order is raised once the calls
-        already running have finished; from the failed call on, calls no
-        pool thread has taken never start.
+        caller's thread. Either way the caller's ledger gets the calls' usage
+        in call order, and the first error in call order is raised once the
+        calls already running have finished; from the failed call on, calls
+        no pool thread has taken never start.
         """
         pool = self._pool
         results = []
@@ -520,30 +520,27 @@ class Gateway:
             elif error is None:  # not started: the caller runs it
                 done.append(self._deferred(call))
             error = error or done[-1][1]
-        for _, _, records in done:
-            for context, result in records:
-                self.ledger.record(context.question_id, context.stage, result)
+        ledger = getattr(self._thread, "ledger", None)
+        if ledger is not None:
+            for _, _, own in done:
+                ledger.calls.extend(own.calls)
         if error is not None:
             raise error
         return [value for value, _, _ in done]
 
-    def _deferred(self, call: Callable[[], T]) -> tuple[Optional[T], Optional[BaseException], list]:
-        """Run one call of a fan-out, holding back the usage it records so
-        that fan_out can write it to the ledger in call order."""
-        self._thread.records = records = []
-        try:
-            return call(), None, records
-        except BaseException as exc:  # raised by fan_out, in call order
-            return None, exc, records
-        finally:
-            self._thread.records = None
+    def _deferred(self, call: Callable[[], T]) -> tuple[Optional[T], Optional[BaseException], UsageLedger]:
+        """Run one call of a fan-out into a ledger of its own, which fan_out
+        adds to the caller's in call order."""
+        with self.recording() as ledger:
+            try:
+                return call(), None, ledger
+            except BaseException as exc:  # raised by fan_out, in call order
+                return None, exc, ledger
 
     def _record(self, context: CallContext, result: CompletionResult) -> None:
-        records = getattr(self._thread, "records", None)
-        if records is None:
-            self.ledger.record(context.question_id, context.stage, result)
-        else:
-            records.append((context, result))
+        ledger = getattr(self._thread, "ledger", None)
+        if ledger is not None:
+            ledger.calls.append((context.stage, result))
 
     def complete(
         self,
@@ -628,16 +625,13 @@ class Gateway:
     def _cache_append(self, key: str, result: CompletionResult) -> None:
         line = jsonl.encode({"key": key, "text": result.text, "usage": vars(result.usage)})
         with self._cache_lock:
-            if not self._in_run:
-                with open(self._cache_file, "a", encoding="utf-8") as handle:
-                    handle.write(line)
-            else:
-                # Reopening per line costs an open, fstat, seek and close,
-                # each a system call that hands the GIL to other workers.
-                if self._cache_out is None:
-                    self._cache_out = open(self._cache_file, "a", encoding="utf-8")
-                self._cache_out.write(line)
-                self._cache_out.flush()  # committed before the completion returns
+            # One handle until close(): reopening per line costs an open,
+            # fstat, seek and close, each a system call that hands the GIL
+            # to other workers.
+            if self._cache_out is None:
+                self._cache_out = open(self._cache_file, "a", encoding="utf-8")
+            self._cache_out.write(line)
+            self._cache_out.flush()  # committed before the completion returns
             self._cache[key] = replace(result, latency_s=0.0, from_cache=True)
 
 

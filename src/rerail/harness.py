@@ -42,7 +42,7 @@ from .grading import answer_bucket, grade_safe, majority_answer
 from .parsing import last_answer_marker
 from .prompts import TEMPLATE_MAD_INITIAL, TEMPLATE_MAD_REVISION, TEMPLATE_RAW_COT, render_prompt
 from .rerailer import rerail
-from .types import Question, RerailError, STAGE_COT, STAGE_MAD
+from .types import Category, Question, RerailError, STAGE_COT, STAGE_MAD
 
 MODE_COT = "cot"
 MODE_SC = "sc"
@@ -107,13 +107,47 @@ class QuestionOutcome:
 
     @classmethod
     def from_json(cls, payload: dict) -> "QuestionOutcome":
-        """A persisted outcome, its usage read into StageUsage rows;
-        ValueError or TypeError for a malformed record."""
+        """A persisted outcome, each field checked and its usage read into
+        StageUsage rows; ValueError or TypeError for a malformed record."""
         outcome = cls(**payload)
-        if type(outcome.usage) is not dict:
-            raise ValueError(f"malformed usage {outcome.usage!r}")
+        bad = outcome._malformed_field()
+        if bad is not None:
+            raise ValueError(f"malformed {bad} {getattr(outcome, bad)!r}")
         outcome.usage = {stage: StageUsage.from_json(row) for stage, row in outcome.usage.items()}
         return outcome
+
+    def _malformed_field(self) -> Optional[str]:
+        """The first field holding a value no run writes, if any."""
+        # type() rather than isinstance(): a bool is an int subclass
+        if type(self.question_id) is not str or not self.question_id:
+            return "question_id"
+        if self.category not in _CATEGORIES:
+            return "category"
+        if self.routing not in (None, "consistent", "derailed"):
+            return "routing"
+        if type(self.baseline_answer) not in _OPTIONAL_STR:
+            return "baseline_answer"
+        if type(self.final_answer) not in _OPTIONAL_STR:
+            return "final_answer"
+        if type(self.correct_baseline) not in _OPTIONAL_BOOL:
+            return "correct_baseline"
+        if type(self.correct_final) not in _OPTIONAL_BOOL:
+            return "correct_final"
+        if self.cell not in _OPTIONAL_CELLS:
+            return "cell"
+        if type(self.flags) is not list or not all(type(flag) is str for flag in self.flags):
+            return "flags"
+        if type(self.usage) is not dict:
+            return "usage"
+        if type(self.error) not in _OPTIONAL_STR:
+            return "error"
+        return None
+
+
+_CATEGORIES = tuple(category.value for category in Category)
+_OPTIONAL_CELLS = (None, *CELLS)
+_OPTIONAL_STR = (str, type(None))
+_OPTIONAL_BOOL = (bool, type(None))
 
 
 @dataclass(frozen=True)
@@ -351,19 +385,20 @@ def run_question(
     """Execute one question; a RerailError (provider, script, generation)
     becomes a recorded failed outcome, any other exception propagates."""
     runner = _MODE_RUNNERS[mode]
-    try:
-        mode_result = runner(question, gateway, settings)
-        outcome = grade_outcome(question, mode_result, settings)
-        trace = mode_result.trace
-    except RerailError as exc:  # recorded per question; the run continues
-        outcome = QuestionOutcome(
-            question_id=question.id,
-            category=question.category.value,
-            flags=["question-failed"],
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        trace = {"mode": mode, "error": outcome.error}
-    outcome.usage = dict(sorted(gateway.ledger.question_usage(question.id).items()))
+    with gateway.recording() as ledger:
+        try:
+            mode_result = runner(question, gateway, settings)
+            outcome = grade_outcome(question, mode_result, settings)
+            trace = mode_result.trace
+        except RerailError as exc:  # recorded per question; the run continues
+            outcome = QuestionOutcome(
+                question_id=question.id,
+                category=question.category.value,
+                flags=["question-failed"],
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            trace = {"mode": mode, "error": outcome.error}
+    outcome.usage = ledger.question_usage()
     return outcome, trace
 
 
@@ -623,8 +658,8 @@ def run(
         # Leaving the pool waits for every question at once; waiting on each
         # future in turn would wake this thread, and hand the GIL back and
         # forth, after every question. Each worker runs its own calls, so the
-        # fan-out pool adds at most the rest of each widest fan-out. The run
-        # scope also holds the cache stream open until the workers are done.
+        # fan-out pool adds at most the rest of each widest fan-out. Leaving
+        # the run scope closes the cache stream once the workers are done.
         fan_out_width = max_concurrent_calls(settings, mode) - settings.parallelism
         with gateway.run_scope(fan_out_width), ThreadPoolExecutor(max_workers=settings.parallelism) as pool:
             futures = [pool.submit(execute, question) for question in pending]

@@ -237,20 +237,20 @@ def scripted_gateway(entries: list[dict], **gateway_kwargs) -> RecordingGateway:
     return RecordingGateway(ScriptedBackend(entries), **gateway_kwargs)
 
 
-def question_calls(ledger: UsageLedger, question_id: str, stage: Optional[str] = None) -> int:
-    """Completions the ledger holds for a question, optionally one stage's."""
+def question_calls(ledger: UsageLedger, stage: Optional[str] = None) -> int:
+    """Completions a question's ledger holds, optionally one stage's."""
     return sum(
         row.live_calls + row.cached_calls
-        for st, row in ledger.question_usage(question_id).items()
+        for st, row in ledger.question_usage().items()
         if stage is None or st == stage
     )
 
 
-def ledger_totals(ledger: UsageLedger) -> StageUsage:
-    """Usage summed over every question and stage the ledger holds."""
+def ledger_totals(*ledgers: UsageLedger) -> StageUsage:
+    """Usage summed over every stage of the ledgers."""
     total = StageUsage()
-    for question_id in list(ledger._rows):
-        for row in ledger.question_usage(question_id).values():
+    for ledger in ledgers:
+        for row in ledger.question_usage().values():
             total.merge(row)
     return total
 

@@ -24,7 +24,6 @@ from helpers import (
     fixable_script,
     full_text,
     judge_selects,
-    ledger_totals,
     mad_answer,
     make_settings,
     mcqa_question,
@@ -228,13 +227,14 @@ def test_criterion_04_algorithm_one_fidelity():
         entries.append(entry(STAGE_REANSWER, "q1", cot_text(reanswer_steps, "B")))
 
         gw = scripted_gateway(entries)
-        result = rerail_pass(question, rp, 1, gw, settings)
+        with gw.recording() as ledger:
+            result = rerail_pass(question, rp, 1, gw, settings)
 
         assert result.changed is True
         assert result.trace["corrected_step"] == k
-        assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == k  # early return
-        assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 2
-        assert question_calls(gw.ledger, "q1", STAGE_REANSWER) == 1
+        assert question_calls(ledger, STAGE_EVALUATOR) == k  # early return
+        assert question_calls(ledger, STAGE_DEBATE) == 2
+        assert question_calls(ledger, STAGE_REANSWER) == 1
         # step k is replaced and left for the next pass to check; the
         # steps before it are verified
         assert result.rp_out.steps[k - 1] == correction
@@ -437,8 +437,7 @@ def test_criterion_09_determinism(tmp_path):
     # resuming over the same directory consumes nothing and changes nothing
     idle = scripted_gateway([])
     run(questions, settings, "rerailer", tmp_path / "a", idle)
-    total = ledger_totals(idle.ledger)
-    assert total.live_calls + total.cached_calls == 0
+    assert idle.records == []
     assert (tmp_path / "a" / "report.json").read_bytes() == first
 
 
@@ -451,8 +450,9 @@ def test_criterion_10_baseline_budgets():
         entry(STAGE_COT, "q1", cot_text(["Sample a route."], "B")) for _ in range(40)
     ]
     gw = scripted_gateway(sc_entries)
-    run_sc_baseline(mcqa_question(), gw, settings)
-    assert question_calls(gw.ledger, "q1", STAGE_COT) == 40
+    with gw.recording() as ledger:
+        run_sc_baseline(mcqa_question(), gw, settings)
+    assert question_calls(ledger, STAGE_COT) == 40
 
     agree = scripted_gateway(
         [
@@ -460,17 +460,19 @@ def test_criterion_10_baseline_budgets():
             entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=2, round_no=1),
         ]
     )
-    run_mad_baseline(mcqa_question(), agree, settings)
-    assert question_calls(agree.ledger, "q1", STAGE_MAD) == 2
+    with agree.recording() as agree_ledger:
+        run_mad_baseline(mcqa_question(), agree, settings)
+    assert question_calls(agree_ledger, STAGE_MAD) == 2
 
     disagree_entries = []
     for round_no in (1, 2, 3):
         disagree_entries.append(entry(STAGE_MAD, "q1", mad_answer("A"), agent_id=1, round_no=round_no))
         disagree_entries.append(entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=2, round_no=round_no))
     disagree = scripted_gateway(disagree_entries)
-    run_mad_baseline(mcqa_question(), disagree, settings)
-    assert question_calls(disagree.ledger, "q1", STAGE_MAD) <= 6
-    assert question_calls(disagree.ledger, "q1", STAGE_MAD) == 6
+    with disagree.recording() as disagree_ledger:
+        run_mad_baseline(mcqa_question(), disagree, settings)
+    assert question_calls(disagree_ledger, STAGE_MAD) <= 6
+    assert question_calls(disagree_ledger, STAGE_MAD) == 6
 
 
 # --- criterion 11 ----------------------------------------------------------

@@ -356,6 +356,19 @@ class TestReplayCommand:
         assert main(["replay", "--trace", small_run["out"]]) == 1
         assert "line 2: malformed outcome (malformed usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [("category", 5), ("question_id", 7), ("correct_final", "yes")])
+    def test_replay_of_a_malformed_outcome_field_fails(self, small_run, tmp_path, capsys, name, value):
+        assert main(run_args(small_run)) == 0
+        outcomes = tmp_path / "out" / "outcomes.jsonl"
+        rows = [json.loads(line) for line in outcomes.read_text().splitlines()]
+        rows[0][name] = value
+        outcomes.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["replay", "--trace", small_run["out"]]) == 1
+        err = capsys.readouterr().err
+        assert f"line 1: malformed outcome (malformed {name} " in err
+        assert "Traceback" not in err
+
 
 class TestReportCommand:
     def test_json_format_prints_the_report_verbatim(self, small_run, tmp_path, capsys):

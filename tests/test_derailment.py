@@ -251,12 +251,13 @@ class TestJudge:
 class TestRoute:
     def test_agreeing_samples_never_reach_the_judge(self):
         gw = scripted_gateway(consistent_script("q1"))
-        routed = route(mcqa_question(), gw, make_settings())
+        with gw.recording() as ledger:
+            routed = route(mcqa_question(), gw, make_settings())
         assert isinstance(routed, Consistent)
         assert routed.answer_raw == "B"
         assert routed.verdict.rule_fired == RULE_SAME_LEADING_OPTION
-        assert question_calls(gw.ledger, "q1", STAGE_JUDGE) == 0
-        assert question_calls(gw.ledger, "q1", STAGE_COT) == 3
+        assert question_calls(ledger, STAGE_JUDGE) == 0
+        assert question_calls(ledger, STAGE_COT) == 3
 
     def test_disagreeing_samples_go_through_the_judge(self):
         gw = scripted_gateway(
@@ -267,13 +268,14 @@ class TestRoute:
                 entry(STAGE_JUDGE, "q1", judge_selects(2)),
             ]
         )
-        routed = route(mcqa_question(), gw, make_settings())
+        with gw.recording() as ledger:
+            routed = route(mcqa_question(), gw, make_settings())
         assert isinstance(routed, Derailed)
         assert routed.selected_index == 2
         assert routed.selected.steps == ("Reason another way.",)
         assert routed.selected.final_answer == "B"
         assert routed.verdict.consistent is False
-        assert question_calls(gw.ledger, "q1", STAGE_JUDGE) == 1
+        assert question_calls(ledger, STAGE_JUDGE) == 1
 
     def test_single_sample_is_trivially_consistent(self):
         gw = scripted_gateway([sample(GOOD_COT)])

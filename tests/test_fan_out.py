@@ -274,13 +274,13 @@ def test_concurrent_samples_each_get_their_own_entry_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with gateway.run_scope(16):
+        with gateway.run_scope(16), gateway.recording() as ledger:
             gateway.complete(prompt, CompletionParams("m", 0.0, seed=0), CallContext(STAGE_COT, "q"))
             texts = gateway.fan_out([partial(sample, k) for k in range(n)])
     finally:
         sys.setswitchinterval(interval)
     assert texts == [f"sample {k}" for k in range(n)]
-    assert gateway.ledger.question_usage("q")[STAGE_COT].live_calls == n + 1
+    assert ledger.question_usage()[STAGE_COT].live_calls == n + 1
 
 
 class TestProgrammingErrorsPropagate:

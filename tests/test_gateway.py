@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 import requests
@@ -230,14 +231,15 @@ class TestCache:
              entry(STAGE_COT, "q1", "never used")]
         )
         gw = Gateway(backend, cache_dir=tmp_path, cache_enabled=True)
-        first = gw.complete(PROMPT, PARAMS, CTX)
-        second = gw.complete(PROMPT, PARAMS, CTX)
+        with closing(gw), gw.recording() as ledger:
+            first = gw.complete(PROMPT, PARAMS, CTX)
+            second = gw.complete(PROMPT, PARAMS, CTX)
         assert first.from_cache is False
         assert second.from_cache is True
         assert second.text == "cached answer"
         assert remaining(backend) == 1
 
-        row = gw.ledger.question_usage("q1")[STAGE_COT]
+        row = ledger.question_usage()[STAGE_COT]
         assert (row.live_calls, row.cached_calls) == (1, 1)
         assert row.prompt_tokens == 200
         assert row.billed_prompt_tokens == 100  # cache hits are free
@@ -249,7 +251,8 @@ class TestCache:
             cache_dir=tmp_path,
             cache_enabled=True,
         )
-        gw1.complete(PROMPT, PARAMS, CTX)
+        with closing(gw1):
+            gw1.complete(PROMPT, PARAMS, CTX)
         gw2 = Gateway(ScriptedBackend([]), cache_dir=tmp_path, cache_enabled=True)
         replayed = gw2.complete(PROMPT, PARAMS, CTX)
         assert replayed.text == "persisted"
@@ -260,9 +263,10 @@ class TestCache:
             [entry(STAGE_COT, "q1", "a"), entry(STAGE_COT, "q1", "b")]
         )
         gw = Gateway(backend, cache_dir=tmp_path, cache_enabled=True)
-        gw.complete(PROMPT, PARAMS, CTX)
-        other = CompletionParams(model_id="m1", temperature=0.0, seed=8)
-        assert gw.complete(PROMPT, other, CTX).text == "b"
+        with closing(gw):
+            gw.complete(PROMPT, PARAMS, CTX)
+            other = CompletionParams(model_id="m1", temperature=0.0, seed=8)
+            assert gw.complete(PROMPT, other, CTX).text == "b"
         assert remaining(backend) == 0
 
     @pytest.mark.parametrize(
@@ -277,6 +281,14 @@ class TestCache:
                     '{"text": "x", "usage": {"tokens": 1}}',
                     json.dumps({"key": KEY, "text": "x", "usage": {"tokens": 1}}),
                 ),
+                (
+                    '"prompt_tokens": 1.5',
+                    json.dumps({"key": KEY, "text": "x", "usage": {"prompt_tokens": 1.5, "completion_tokens": 1}}),
+                ),
+                (
+                    '"completion_tokens": true',
+                    json.dumps({"key": KEY, "text": "x", "usage": {"prompt_tokens": 1, "completion_tokens": True}}),
+                ),
             ]
         ],
     )
@@ -285,7 +297,8 @@ class TestCache:
         kept = {"key": cache_key(PROMPT, other), "text": "kept", "usage": {"prompt_tokens": 1, "completion_tokens": 2}}
         (tmp_path / "completions.jsonl").write_text(stored + "\n" + json.dumps(kept) + "\n")
         gw = Gateway(ScriptedBackend([entry(STAGE_COT, "q1", "fresh")]), cache_dir=tmp_path, cache_enabled=True)
-        result = gw.complete(PROMPT, PARAMS, CTX)
+        with closing(gw):
+            result = gw.complete(PROMPT, PARAMS, CTX)
         assert (result.text, result.from_cache) == ("fresh", False)
         assert gw.complete(PROMPT, other, CTX) == CompletionResult("kept", Usage(1, 2), 0.0, from_cache=True)
 
@@ -294,11 +307,13 @@ class TestCache:
             backend = ScriptedBackend([entry(STAGE_COT, "q1", text) for text in texts])
             return Gateway(backend, cache_dir=tmp_path, cache_enabled=True)
 
-        gateway("first").complete(PROMPT, PARAMS, CTX)
+        with closing(gateway("first")) as first:
+            first.complete(PROMPT, PARAMS, CTX)
         stream = tmp_path / "completions.jsonl"
         stream.write_bytes(stream.read_bytes() + b'{"key": "torn')
         other = CompletionParams(model_id="m1", temperature=0.0, seed=8)
-        assert gateway("second").complete(PROMPT, other, CTX).from_cache is False
+        with closing(gateway("second")) as second:
+            assert second.complete(PROMPT, other, CTX).from_cache is False
         fresh = gateway()
         assert fresh.complete(PROMPT, other, CTX).text == "second"
         assert fresh.complete(PROMPT, PARAMS, CTX).text == "first"
@@ -319,16 +334,21 @@ class TestCache:
 
         prompts = [PromptPair("sys", f"user {i}", "fmt") for i in range(100)]
         gw = Gateway(Echo(), cache_dir=tmp_path, cache_enabled=True)
+
+        def complete(prompt):
+            with gw.recording() as ledger:
+                return gw.complete(prompt, PARAMS, CTX).text, ledger
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=16) as pool:
-                futures = [pool.submit(gw.complete, prompt, PARAMS, CTX) for prompt in prompts * 2]
-                texts = [future.result(timeout=30).text for future in futures]
+            with closing(gw), ThreadPoolExecutor(max_workers=16) as pool:
+                futures = [pool.submit(complete, prompt) for prompt in prompts * 2]
+                texts, ledgers = zip(*(future.result(timeout=30) for future in futures))
         finally:
             sys.setswitchinterval(interval)
-        assert texts == [prompt.user for prompt in prompts * 2]
-        row = gw.ledger.question_usage("q1")[STAGE_COT]
+        assert list(texts) == [prompt.user for prompt in prompts * 2]
+        row = ledger_totals(*ledgers)
         assert row.live_calls >= len(prompts) and row.live_calls + row.cached_calls == 2 * len(prompts)
         lines = [json.loads(line) for line in (tmp_path / "completions.jsonl").read_text().splitlines()]
         assert len(lines) == row.live_calls
@@ -465,30 +485,31 @@ class TestUsageLedger:
             from_cache=cached,
         )
 
-    def test_accumulates_per_question_and_stage(self):
+    def test_accumulates_per_stage_in_stage_order(self):
         ledger = UsageLedger()
-        ledger.record("q1", STAGE_COT, self.result(100, 50, 0.2))
-        ledger.record("q1", STAGE_COT, self.result(200, 70, 0.3))
-        ledger.record("q1", STAGE_JUDGE, self.result(10, 5, 0.1))
-        ledger.record("q2", STAGE_COT, self.result(1, 1, 0.1))
+        ledger.calls.append((STAGE_JUDGE, self.result(10, 5, 0.1)))
+        ledger.calls.append((STAGE_COT, self.result(100, 50, 0.2)))
+        ledger.calls.append((STAGE_COT, self.result(200, 70, 0.3)))
 
-        row = ledger.question_usage("q1")[STAGE_COT]
+        usage = ledger.question_usage()
+        assert list(usage) == [STAGE_COT, STAGE_JUDGE]
+        row = usage[STAGE_COT]
         assert row.prompt_tokens == 300
         assert row.completion_tokens == 120
         assert row.live_calls + row.cached_calls == 2
-        assert row.wall_time_s == pytest.approx(0.5)
-        assert question_calls(ledger, "q1") == 3
-        assert question_calls(ledger, "q1", STAGE_JUDGE) == 1
+        assert row.wall_time_s == 0.2 + 0.3
+        assert question_calls(ledger) == 3
+        assert question_calls(ledger, STAGE_JUDGE) == 1
 
     def test_unknown_question_has_no_usage(self):
         ledger = UsageLedger()
-        assert ledger.question_usage("ghost") == {}
-        assert question_calls(ledger, "ghost") == 0
+        assert ledger.question_usage() == {}
+        assert question_calls(ledger) == 0
 
     def test_totals_merge_all_rows(self):
         ledger = UsageLedger()
-        ledger.record("q1", STAGE_COT, self.result(100, 50, 0.2))
-        ledger.record("q2", STAGE_JUDGE, self.result(50, 25, 0.1, cached=True))
+        ledger.calls.append((STAGE_COT, self.result(100, 50, 0.2)))
+        ledger.calls.append((STAGE_JUDGE, self.result(50, 25, 0.1, cached=True)))
         total = ledger_totals(ledger)
         assert total.live_calls == 1
         assert total.cached_calls == 1
@@ -798,12 +819,15 @@ def test_live_session_keeps_a_connection_per_call_in_flight(monkeypatch):
             n_samples=8,
         )
         gateway = harness.make_gateway(settings, "live", mode="rerailer")
+        ledgers = []
         for _ in range(2):
             barrier = threading.Barrier(16)
 
             def call(index):
                 barrier.wait(timeout=5)
-                gateway.complete(PROMPT, PARAMS, CallContext(STAGE_COT, f"q{index}"))
+                with gateway.recording() as ledger:
+                    gateway.complete(PROMPT, PARAMS, CallContext(STAGE_COT, f"q{index}"))
+                ledgers.append(ledger)
 
             wave = [threading.Thread(target=call, args=(i,)) for i in range(16)]
             for thread in wave:
@@ -811,7 +835,7 @@ def test_live_session_keeps_a_connection_per_call_in_flight(monkeypatch):
             for thread in wave:
                 thread.join(timeout=10)
             assert not any(thread.is_alive() for thread in wave)
-        assert question_calls(gateway.ledger, "q0") == 2
+        assert len(ledgers) == 32 and all(question_calls(ledger) == 1 for ledger in ledgers)
         assert server.connections <= 16
         gateway._backend._session.close()
     finally:

@@ -1,6 +1,8 @@
 """Mode runners, grading, report assembly, artifact persistence, and replay."""
 
+import gc
 import json
+import types
 
 import pytest
 
@@ -98,10 +100,11 @@ class TestRunScBaseline:
     def test_majority_vote_over_the_full_budget(self):
         entries = [sc_entry("A") for _ in range(21)] + [sc_entry("B") for _ in range(19)]
         gw = scripted_gateway(entries)
-        result = run_sc_baseline(mcqa_question(), gw, make_settings())
+        with gw.recording() as ledger:
+            result = run_sc_baseline(mcqa_question(), gw, make_settings())
         assert result.final_raw == "A"
         assert result.flags == ()
-        assert question_calls(gw.ledger, "q1", STAGE_COT) == 40
+        assert question_calls(ledger, STAGE_COT) == 40
 
     def test_tie_takes_the_first_reached_answer_and_flags(self):
         entries = [sc_entry("A") for _ in range(20)] + [sc_entry("B") for _ in range(20)]
@@ -112,9 +115,10 @@ class TestRunScBaseline:
 
     def test_budget_is_configurable(self):
         gw = scripted_gateway([sc_entry("B") for _ in range(5)])
-        result = run_sc_baseline(mcqa_question(), gw, make_settings(sc_budget=5))
+        with gw.recording() as ledger:
+            result = run_sc_baseline(mcqa_question(), gw, make_settings(sc_budget=5))
         assert result.final_raw == "B"
-        assert question_calls(gw.ledger, "q1", STAGE_COT) == 5
+        assert question_calls(ledger, STAGE_COT) == 5
 
     def test_votes_are_pooled_by_normalized_answer(self):
         entries = [sc_entry("b) choice B"), sc_entry("B."), sc_entry("A")]
@@ -130,10 +134,11 @@ def mad_entry(answer, agent, round_no, qid="q1"):
 class TestRunMadBaseline:
     def test_immediate_agreement_costs_two_calls(self):
         gw = scripted_gateway([mad_entry("B", 1, 1), mad_entry("B", 2, 1)])
-        result = run_mad_baseline(mcqa_question(), gw, make_settings())
+        with gw.recording() as ledger:
+            result = run_mad_baseline(mcqa_question(), gw, make_settings())
         assert result.final_raw == "B"
         assert result.flags == ()
-        assert question_calls(gw.ledger, "q1", STAGE_MAD) == 2
+        assert question_calls(ledger, STAGE_MAD) == 2
         assert result.trace["rounds_run"] == 1
 
     def test_convergence_in_round_two_costs_four_calls(self):
@@ -145,9 +150,10 @@ class TestRunMadBaseline:
                 mad_entry("B", 2, 2),
             ],
         )
-        result = run_mad_baseline(mcqa_question(), gw, make_settings())
+        with gw.recording() as ledger:
+            result = run_mad_baseline(mcqa_question(), gw, make_settings())
         assert result.final_raw == "B"
-        assert question_calls(gw.ledger, "q1", STAGE_MAD) == 4
+        assert question_calls(ledger, STAGE_MAD) == 4
         round_two = [p for c, p in gw.for_stage(STAGE_MAD) if c.round == 2]
         assert "Agent 1 answered: A" in round_two[0].user
         assert "Agent 2 answered: B" in round_two[0].user
@@ -158,8 +164,9 @@ class TestRunMadBaseline:
             entries.append(mad_entry("A", 1, round_no))
             entries.append(mad_entry("B", 2, round_no))
         gw = scripted_gateway(entries)
-        result = run_mad_baseline(mcqa_question(), gw, make_settings())
-        assert question_calls(gw.ledger, "q1", STAGE_MAD) == 6
+        with gw.recording() as ledger:
+            result = run_mad_baseline(mcqa_question(), gw, make_settings())
+        assert question_calls(ledger, STAGE_MAD) == 6
         assert result.final_raw == "A"
         assert FLAG_MAD_TIE in result.flags
         assert result.trace["rounds_run"] == 3
@@ -172,10 +179,11 @@ class TestRunMadBaseline:
             for agent, answer in enumerate(answers, start=1)
         ]
         gw = scripted_gateway(entries)
-        result = run_mad_baseline(mcqa_question(), gw, make_settings(mad_agents=5))
+        with gw.recording() as ledger:
+            result = run_mad_baseline(mcqa_question(), gw, make_settings(mad_agents=5))
         assert result.final_raw == "B"  # agent 1's "A" has a single vote
         assert FLAG_MAD_TIE in result.flags
-        assert question_calls(gw.ledger, "q1", STAGE_MAD) == 15
+        assert question_calls(ledger, STAGE_MAD) == 15
 
     def test_unparseable_agent_keeps_its_prior_answer(self):
         gw = scripted_gateway(
@@ -187,10 +195,11 @@ class TestRunMadBaseline:
                 mad_entry("B", 2, 2),
             ]
         )
-        result = run_mad_baseline(mcqa_question(), gw, make_settings())
+        with gw.recording() as ledger:
+            result = run_mad_baseline(mcqa_question(), gw, make_settings())
         assert result.final_raw == "B"
         assert FLAG_MAD_FAIL_OPEN in result.flags
-        assert question_calls(gw.ledger, "q1", STAGE_MAD) == 5
+        assert question_calls(ledger, STAGE_MAD) == 5
 
 
 class TestGrading:
@@ -384,6 +393,18 @@ def ten_question_fixture():
     return questions, entries
 
 
+def reachable(root):
+    """Every object the root refers to, directly or through others; classes,
+    modules and functions are not followed, since they lead everywhere."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) not in seen and not isinstance(ref, (type, types.ModuleType, types.FunctionType)):
+                seen.add(id(ref))
+                stack.append(ref)
+                yield ref
+
+
 class TestRun:
     def run_fixture(self, tmp_path, subdir="run", parallelism=1):
         questions, entries = ten_question_fixture()
@@ -444,9 +465,18 @@ class TestRun:
         entries = [entry(STAGE_COT, q.id, cot_text(["Think."], "B")) for q in questions]
         gw = scripted_gateway(entries)
         report = run(questions, make_settings(), "cot", tmp_path / "cot", gw)
-        assert ledger_totals(gw.ledger).live_calls == 3
+        assert len(gw.records) == 3
+        assert report["usage"]["live_calls"] == 3
         assert report["accuracy"]["overall"]["correct"] == 3
         assert report["confusion_matrix"] is None
+
+    def test_a_run_leaves_no_usage_in_the_gateway(self, tmp_path):
+        questions = [mcqa_question(qid=f"q{i:02d}") for i in range(50)]
+        gw = scripted_gateway([e for q in questions for e in consistent_script(q.id)])
+        report = run(questions, make_settings(parallelism=2), "rerailer", tmp_path / "r", gw)
+        assert report["usage"]["live_calls"] == 50 * sum(CONSISTENT_EXPECTED_CALLS.values())
+        # Each question's usage is in its outcome; the gateway keeps none.
+        assert not any(isinstance(obj, StageUsage) for obj in reachable(gw))
 
     def test_failing_question_is_recorded_not_fatal(self, tmp_path):
         questions = [mcqa_question(qid="q1"), mcqa_question(qid="q2")]
@@ -547,6 +577,11 @@ class TestLoadOutcomes:
             {"cot": None},
             [["cot", {}]],
             "cot",
+            {"cot": dict(StageUsage().to_json(), live_calls=-4)},
+            {"cot": dict(StageUsage().to_json(), billed_prompt_tokens=-1)},
+            {"cot": dict(StageUsage().to_json(), wall_time_s=-0.5)},
+            {"cot": dict(StageUsage().to_json(), wall_time_s=float("inf"))},
+            {"cot": dict(StageUsage().to_json(), wall_time_s=float("nan"))},
         ],
     )
     def test_malformed_usage_names_its_line(self, tmp_path, usage):
@@ -554,6 +589,33 @@ class TestLoadOutcomes:
         bad = json.dumps(dict(outcome("q2").to_json(), usage=usage))
         path = self.write(tmp_path / "o.jsonl", good + "\n" + bad + "\n")
         with pytest.raises(IncompleteTrace, match=r"line 2: malformed outcome \(malformed usage"):
+            load_outcomes(path)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("question_id", 7),
+            ("question_id", ""),
+            ("category", 5),
+            ("category", "Poetry"),
+            ("routing", "sideways"),
+            ("routing", True),
+            ("baseline_answer", ["A"]),
+            ("final_answer", 3),
+            ("correct_baseline", 1),
+            ("correct_final", "yes"),
+            ("cell", "XX"),
+            ("flags", "x"),
+            ("flags", [1]),
+            ("flags", None),
+            ("error", 1),
+        ],
+    )
+    def test_malformed_field_names_its_line(self, tmp_path, name, value):
+        good = json.dumps(outcome("q1").to_json())
+        bad = json.dumps(dict(outcome("q2").to_json(), **{name: value}))
+        path = self.write(tmp_path / "o.jsonl", good + "\n" + bad + "\n")
+        with pytest.raises(IncompleteTrace, match=rf"line 2: malformed outcome \(malformed {name} "):
             load_outcomes(path)
 
 
@@ -586,9 +648,10 @@ class TestMakeGateway:
             [entry(STAGE_COT, "q1", cot_text(["Think."], "B")) for _ in range(3)],
         )
         gw = make_gateway(make_settings(), "scripted", script_path=script, out_dir=tmp_path)
-        run_cot(mcqa_question(), gw, make_settings())
-        run_cot(mcqa_question(), gw, make_settings())
-        assert ledger_totals(gw.ledger).cached_calls == 0
+        with gw.recording() as ledger:
+            run_cot(mcqa_question(), gw, make_settings())
+            run_cot(mcqa_question(), gw, make_settings())
+        assert ledger_totals(ledger).cached_calls == 0
         assert not (tmp_path / "cache").exists()
 
     def test_scripted_cache_can_be_opted_in(self, tmp_path):
@@ -598,7 +661,9 @@ class TestMakeGateway:
         )
         settings = make_settings(cache_enabled=True)
         gw = make_gateway(settings, "scripted", script_path=script, out_dir=tmp_path)
-        run_cot(mcqa_question(), gw, settings)
-        run_cot(mcqa_question(), gw, settings)
-        assert ledger_totals(gw.ledger).cached_calls == 1
+        with gw.recording() as ledger:
+            run_cot(mcqa_question(), gw, settings)
+            run_cot(mcqa_question(), gw, settings)
+        gw.close()
+        assert ledger_totals(ledger).cached_calls == 1
         assert (tmp_path / "cache").exists()

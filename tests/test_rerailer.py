@@ -133,10 +133,11 @@ class TestEvaluateStep:
 
     def test_previously_verified_step_never_calls_out(self):
         gw = scripted_gateway([])  # any call would raise ScriptExhausted
-        result = evaluate_step(Q, SETTLED_THEN_OPEN, 1, gw, SETTINGS)
+        with gw.recording() as ledger:
+            result = evaluate_step(Q, SETTLED_THEN_OPEN, 1, gw, SETTINGS)
         assert result.auto is True
         assert result.hallucination is False
-        assert question_calls(gw.ledger, "q1") == 0
+        assert question_calls(ledger) == 0
 
     def test_unparseable_twice_fails_open(self):
         gw, backend = self.recording(
@@ -184,13 +185,14 @@ class TestDebate:
 
     def run(self, entries, **settings_overrides):
         gw = scripted_gateway(entries)
-        outcome = debate(
-            Q, self.MASKED, 2, self.ORIGINAL, gw, make_settings(**settings_overrides)
-        )
-        return outcome, gw
+        with gw.recording() as ledger:
+            outcome = debate(
+                Q, self.MASKED, 2, self.ORIGINAL, gw, make_settings(**settings_overrides)
+            )
+        return outcome, gw, ledger
 
     def test_unanimous_first_round_accepts_early(self):
-        outcome, gw = self.run(
+        outcome, _, ledger = self.run(
             [debate_entry(debate_agree(), 1, 1), debate_entry(debate_agree(), 2, 1)]
         )
         assert outcome.accepted is True
@@ -198,11 +200,11 @@ class TestDebate:
         assert outcome.rounds_run == 1
         assert len(outcome.transcript) == 2
         assert outcome.flags == ()
-        assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 2
+        assert question_calls(ledger, STAGE_DEBATE) == 2
 
     def test_revision_then_unanimous_agreement(self):
         revised = "A sharper correction."
-        outcome, gw = self.run(
+        outcome, _, ledger = self.run(
             [
                 debate_entry(debate_revise(revised), 1, 1),
                 debate_entry(debate_agree(), 2, 1),
@@ -214,12 +216,12 @@ class TestDebate:
         assert outcome.final_correction == revised
         assert outcome.rounds_run == 2
         assert len(outcome.transcript) == 4
-        assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 4
+        assert question_calls(ledger, STAGE_DEBATE) == 4
 
     def test_last_reviser_in_a_round_wins_the_standing_slot(self):
         first = "First revision."
         second = "Second revision."
-        outcome, _ = self.run(
+        outcome, _, _ = self.run(
             [
                 debate_entry(debate_revise(first), 1, 1),
                 debate_entry(debate_revise(second), 2, 1),
@@ -231,7 +233,7 @@ class TestDebate:
 
     def test_three_round_tie_keeps_prelast_revision_and_flags(self):
         c2, c3, c4 = "Second take.", "Third take.", "Fourth take."
-        outcome, _ = self.run(
+        outcome, _, _ = self.run(
             [
                 debate_entry(debate_agree(), 1, 1),
                 debate_entry(debate_revise(c2), 2, 1),
@@ -250,7 +252,7 @@ class TestDebate:
         assert FLAG_DEBATE_TIE in outcome.flags
 
     def test_majority_revise_at_the_cap_keeps_latest_revision(self):
-        outcome, _ = self.run(
+        outcome, _, _ = self.run(
             [
                 debate_entry(debate_agree(), 1, 1),
                 debate_entry(debate_revise("r1"), 2, 1),
@@ -271,7 +273,7 @@ class TestDebate:
         assert FLAG_DEBATE_TIE not in outcome.flags
 
     def test_unparseable_agent_fails_open_as_agreement(self):
-        outcome, gw = self.run(
+        outcome, _, ledger = self.run(
             [
                 debate_entry("mumble", 1, 1),
                 debate_entry("more mumble", 1, 1),
@@ -281,11 +283,11 @@ class TestDebate:
         assert outcome.accepted is True
         assert outcome.rounds_run == 1
         assert FLAG_DEBATE_FAIL_OPEN in outcome.flags
-        assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 3
+        assert question_calls(ledger, STAGE_DEBATE) == 3
 
     def test_second_round_prompt_replays_round_one(self):
         revised = "A sharper correction."
-        _, gw = self.run(
+        _, gw, _ = self.run(
             [
                 debate_entry(debate_revise(revised), 1, 1),
                 debate_entry(debate_agree(), 2, 1),
@@ -414,13 +416,14 @@ class TestRerailPass:
             entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=i) for i in range(1, 5)
         ]
         gw = scripted_gateway(entries)
-        result = rerail_pass(Q, rp, 1, gw, SETTINGS)
+        with gw.recording() as ledger:
+            result = rerail_pass(Q, rp, 1, gw, SETTINGS)
         assert result.changed is False
         assert result.rp_out.verified == 4
         assert result.rp_out.steps == tuple(FIVE_TEXTS[:4])
-        assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == 4
-        assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 0
-        assert question_calls(gw.ledger, "q1", STAGE_REANSWER) == 0
+        assert question_calls(ledger, STAGE_EVALUATOR) == 4
+        assert question_calls(ledger, STAGE_DEBATE) == 0
+        assert question_calls(ledger, STAGE_REANSWER) == 0
         assert result.trace["corrected_step"] is None
         assert len(result.trace["evaluations"]) == 4
 
@@ -436,9 +439,10 @@ class TestRerailPass:
                   cot_text([FIVE_TEXTS[0], corrected, "Finish from here."], "B")),
         ]
         gw = scripted_gateway(entries)
-        result = rerail_pass(Q, rp, 1, gw, SETTINGS)
+        with gw.recording() as ledger:
+            result = rerail_pass(Q, rp, 1, gw, SETTINGS)
         assert result.changed is True
-        assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == 2
+        assert question_calls(ledger, STAGE_EVALUATOR) == 2
         evaluated = [c.step_index for c, _ in gw.for_stage(STAGE_EVALUATOR)]
         assert max(evaluated) == 2  # steps 3..5 were never looked at
         assert result.trace["corrected_step"] == 2
@@ -502,7 +506,8 @@ class TestRerail:
             entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=3),
         ]
         gw = scripted_gateway(entries)
-        result = rerail(Q, rp, gw, SETTINGS)
+        with gw.recording() as ledger:
+            result = rerail(Q, rp, gw, SETTINGS)
 
         assert result.certified is True
         assert result.iterations_run == 3
@@ -512,9 +517,9 @@ class TestRerail:
         passes = result.trace["passes"]
         assert [p["corrected_step"] for p in passes] == [2, 3, None]
         assert [p.get("original_step") for p in passes] == [w2, t3, None]
-        assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == 5
-        assert question_calls(gw.ledger, "q1", STAGE_DEBATE) == 4
-        assert question_calls(gw.ledger, "q1", STAGE_REANSWER) == 2
+        assert question_calls(ledger, STAGE_EVALUATOR) == 5
+        assert question_calls(ledger, STAGE_DEBATE) == 4
+        assert question_calls(ledger, STAGE_REANSWER) == 2
         assert len(result.trace["passes"]) == 3
 
     def test_never_clean_path_hits_the_cap_uncertified(self):
@@ -532,7 +537,8 @@ class TestRerail:
                 ]
             )
         gw = scripted_gateway(entries)
-        result = rerail(Q, rp, gw, SETTINGS)
+        with gw.recording() as ledger:
+            result = rerail(Q, rp, gw, SETTINGS)
 
         assert result.certified is False
         assert result.iterations_run == 3
@@ -545,8 +551,8 @@ class TestRerail:
             s1, "Assume model number 2.", "Assume model number 3.",
         ]
         assert len(result.trace["passes"]) == 3
-        assert question_calls(gw.ledger, "q1", STAGE_EVALUATOR) == 3
-        assert question_calls(gw.ledger, "q1", STAGE_REANSWER) == 3
+        assert question_calls(ledger, STAGE_EVALUATOR) == 3
+        assert question_calls(ledger, STAGE_REANSWER) == 3
 
     def test_cap_is_configurable(self):
         rp = path_from(["Assume the wrong model."], answer="A")
