@@ -25,7 +25,7 @@ import re
 import threading
 import time
 from collections import defaultdict, deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields, replace
 from operator import itemgetter
@@ -322,11 +322,8 @@ class LiveBackend:
             raise ProviderError(f"malformed provider response: content is {text!r}", retriable=False)
         try:
             usage_raw = body.get("usage") or {}
-            usage = Usage(
-                prompt_tokens=int(usage_raw.get("prompt_tokens", 0)),
-                completion_tokens=int(usage_raw.get("completion_tokens", 0)),
-            )
-        except (AttributeError, TypeError, ValueError) as exc:
+            usage = Usage(usage_raw.get("prompt_tokens", 0), usage_raw.get("completion_tokens", 0))
+        except (AttributeError, ValueError) as exc:
             raise ProviderError(f"malformed provider usage: {exc}", retriable=False) from exc
         return CompletionResult(text=text, usage=usage, latency_s=latency)
 
@@ -388,16 +385,23 @@ _USAGE_TYPES = {(int,) * 6 + (float,), (int,) * 7}  # six counts, then wall_time
 
 
 class UsageLedger:
-    """One question's completions, as (stage, result) pairs in call order."""
+    """One question's completions, as (stage, result) pairs. The calls of a
+    fan-out append from several threads, so the order is not call order."""
 
     def __init__(self) -> None:
         self.calls: list[tuple[str, CompletionResult]] = []
 
     def question_usage(self) -> dict[str, StageUsage]:
-        """Usage per stage, in stage order, each summed in call order."""
+        """Usage per stage, in stage order. wall_time_s is the exact sum of
+        the stage's latencies (math.fsum), so the order the calls were
+        recorded in does not change it."""
         usage: dict[str, StageUsage] = defaultdict(StageUsage)
+        latencies: dict[str, list[float]] = defaultdict(list)
         for stage, result in self.calls:
             usage[stage].add(result)
+            latencies[stage].append(result.latency_s)
+        for stage, row in usage.items():
+            row.wall_time_s = math.fsum(latencies[stage])
         return dict(sorted(usage.items()))
 
 
@@ -458,8 +462,9 @@ class Gateway:
     @contextmanager
     def recording(self) -> Iterator[UsageLedger]:
         """A new ledger that takes the thread's completions while the block
-        runs; the ledger open before it is open again on exit. A completion
-        on a thread with no ledger open is not recorded."""
+        runs, and those of the calls its fan-outs hand to pool threads; the
+        ledger open before it is open again on exit. A completion on a
+        thread with no ledger open is not recorded."""
         outer = getattr(self._thread, "ledger", None)
         self._thread.ledger = ledger = UsageLedger()
         try:
@@ -496,10 +501,10 @@ class Gateway:
         threads also take the calls the caller has not reached; the caller
         waits only for those. So a wave of slow calls takes at most two
         dependent rounds, while cache hits and fast calls never leave the
-        caller's thread. Either way the caller's ledger gets the calls' usage
-        in call order, and the first error in call order is raised once the
-        calls already running have finished; from the failed call on, calls
-        no pool thread has taken never start.
+        caller's thread. Either way every call records into the caller's
+        ledger, and the first error in call order is raised once the calls
+        already running have finished; from the failed call on, calls no
+        pool thread has taken never start.
         """
         pool = self._pool
         results = []
@@ -510,32 +515,29 @@ class Gateway:
         return results
 
     def _overlap(self, pool: ThreadPoolExecutor, calls: list[Callable[[], T]]) -> list[T]:
-        """The calls run by the caller and idle pool threads at once."""
-        futures = [pool.submit(self._deferred, call) for call in calls[1:]]
-        done = [self._deferred(calls[0])]
-        error = done[0][1]
-        for call, future in zip(calls[1:], futures):
-            if not future.cancel():
-                done.append(future.result())
-            elif error is None:  # not started: the caller runs it
-                done.append(self._deferred(call))
-            error = error or done[-1][1]
+        """The calls run by the caller and idle pool threads at once, each
+        recording into the caller's ledger."""
         ledger = getattr(self._thread, "ledger", None)
-        if ledger is not None:
-            for _, _, own in done:
-                ledger.calls.extend(own.calls)
-        if error is not None:
-            raise error
-        return [value for value, _, _ in done]
+        futures = [pool.submit(self._recording_into, ledger, call) for call in calls[1:]]
+        try:
+            results = [calls[0]()]
+            for call, future in zip(calls[1:], futures):
+                # a call no pool thread has started is the caller's to run
+                results.append(call() if future.cancel() else future.result())
+            return results
+        finally:
+            # cancel() is true for a call that never started; a cancelled
+            # one is done only once a pool thread dequeues it, so only the
+            # running ones are waited for
+            wait([future for future in futures if not future.cancel()])
 
-    def _deferred(self, call: Callable[[], T]) -> tuple[Optional[T], Optional[BaseException], UsageLedger]:
-        """Run one call of a fan-out into a ledger of its own, which fan_out
-        adds to the caller's in call order."""
-        with self.recording() as ledger:
-            try:
-                return call(), None, ledger
-            except BaseException as exc:  # raised by fan_out, in call order
-                return None, exc, ledger
+    def _recording_into(self, ledger: Optional[UsageLedger], call: Callable[[], T]) -> T:
+        """One call of a fan-out on a pool thread, recorded in ``ledger``."""
+        self._thread.ledger = ledger
+        try:
+            return call()
+        finally:
+            self._thread.ledger = None
 
     def _record(self, context: CallContext, result: CompletionResult) -> None:
         ledger = getattr(self._thread, "ledger", None)

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import jsonl
-from .config import ConfigError, RunSettings, call_params
+from .config import ConfigError, RunSettings, call_params, settings_from_dict
 from .derailment import Consistent, Derailed, generate_rps, route
 from .gateway import (
     CallContext,
@@ -68,13 +68,9 @@ TRACES_FILE = "traces.jsonl"
 COST_COLUMNS = ("model_id", "n_questions", "cost_usd", "cost_per_1000_usd", "wall_time_s", "hours_per_1000")
 
 
-class MissingPrice(RerailError):
-    """The price table has no entry for the model."""
-
-
 class IncompleteTrace(RerailError):
     """A run directory lacks outcomes or the config snapshot, or holds a
-    malformed outcome."""
+    malformed outcome or config snapshot."""
 
 
 def cell_for(correct_baseline: bool, correct_final: bool) -> str:
@@ -454,11 +450,8 @@ def cost_report(usage: dict, price_table: dict, model_id: str, n_questions: int)
     """Dollar and wall-time projections per 1000 questions.
 
     ``price_table`` maps model id to {"prompt_per_1k": $, "completion_per_1k": $}.
-    Billing covers live calls only; cached replays are free. Raises
-    MissingPrice when the model has no price entry.
+    Billing covers live calls only; cached replays are free.
     """
-    if model_id not in price_table:
-        raise MissingPrice(f"no price entry for model {model_id!r}")
     price = price_table[model_id]
     cost = (
         usage["billed_prompt_tokens"] / 1000.0 * float(price["prompt_per_1k"])
@@ -689,5 +682,13 @@ def replay(out_dir: str | Path) -> dict:
         config_snapshot = None
     if not isinstance(config_snapshot, dict):
         raise IncompleteTrace(f"{config_path} does not hold a config object; cannot replay")
-    outcomes = load_outcomes(outcomes_path)
-    return build_report(outcomes, config_snapshot, config_snapshot.get("mode", MODE_RERAILER))
+    # the snapshot is the settings run wrote, plus the mode
+    settings = dict(config_snapshot)
+    mode = settings.pop("mode", None)
+    try:
+        if mode not in MODES:
+            raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
+        settings_from_dict(settings)
+    except ConfigError as exc:
+        raise IncompleteTrace(f"{config_path} does not hold a valid config ({exc}); cannot replay") from None
+    return build_report(load_outcomes(outcomes_path), config_snapshot, mode)

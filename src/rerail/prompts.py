@@ -24,10 +24,6 @@ class MissingVariable(RerailError):
         self.name = name
 
 
-class UnknownTemplate(RerailError):
-    pass
-
-
 @dataclass(frozen=True)
 class PromptPair:
     """A fully rendered prompt: system text, user text, format instructions."""
@@ -235,13 +231,6 @@ _CATALOG: dict[str, tuple[str, str, str]] = {
 }
 
 
-def _catalog_entry(template_id: str) -> tuple[str, str, str]:
-    try:
-        return _CATALOG[template_id]
-    except KeyError:
-        raise UnknownTemplate(f"no template named {template_id!r}") from None
-
-
 def _substitute(template: str, variables: dict[str, object]) -> str:
     # Single pass: braces inside substituted values are data, never expanded.
     def replace(match: re.Match) -> str:
@@ -257,7 +246,7 @@ def render_prompt(template_id: str, question: Question, **slots: object) -> Prom
     """Render a catalog template for a question, which fills the
     ``subject`` and ``question`` slots. Raises MissingVariable on an
     unfilled slot."""
-    system, human, fmt = _catalog_entry(template_id)
+    system, human, fmt = _CATALOG[template_id]
     variables = {"subject": question.subject, "question": format_question(question), **slots}
     return PromptPair(
         system=_substitute(system, variables),

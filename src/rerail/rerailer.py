@@ -24,7 +24,6 @@ from .types import (
     ParseFailure,
     Question,
     ReasoningPath,
-    RerailError,
     STAGE_DEBATE,
     STAGE_EVALUATOR,
     STAGE_REANSWER,
@@ -39,10 +38,6 @@ FLAG_DEBATE_TIE = "debate-tie"
 FLAG_STEP_BUDGET = "reanswer-step-budget-exceeded"
 FLAG_PREFIX_DIVERGENCE = "reanswer-prefix-divergence"
 FLAG_UNCERTIFIED = "uncertified"
-
-
-class IndexOutOfRange(RerailError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -85,15 +80,8 @@ class RerailResult:
     trace: dict = field(default_factory=dict)
 
 
-def _check_index(rp: ReasoningPath, index: int) -> None:
-    """Raise IndexOutOfRange unless `index` (1-based) names a step of the path."""
-    if not 1 <= index <= len(rp.steps):
-        raise IndexOutOfRange(f"step index {index} out of range 1..{len(rp.steps)}")
-
-
 def mask(rp: ReasoningPath, index: int) -> str:
     """Steps 1..index rendered for the evaluator; nothing after leaks in."""
-    _check_index(rp, index)
     return serialize_steps(rp, upto=index)
 
 
@@ -129,7 +117,6 @@ def evaluate_step(
     call. A parse failure after the single re-ask fails open: the step is
     treated as clean and the result is flagged.
     """
-    _check_index(rp, index)
     if index <= rp.verified:
         return EvaluationResult(False, "previously verified", auto=True)
 
@@ -230,7 +217,6 @@ def splice(rp: ReasoningPath, index: int, corrected_text: str) -> ReasoningPath:
     `index`, now verified, then the correction in place of step `index`.
     The steps after it are left out; the re-answer regenerates them.
     """
-    _check_index(rp, index)
     return replace(rp, steps=rp.steps[: index - 1] + (corrected_text,), verified=index - 1)
 
 

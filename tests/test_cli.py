@@ -19,6 +19,9 @@ def config_file(tmp_path):
     return write
 
 
+PRICE = {"prompt_per_1k": 0.03, "completion_per_1k": 0.06}
+
+
 @pytest.fixture
 def small_run(tmp_path, config_file):
     """Three consistent questions, their script, and a config path."""
@@ -345,6 +348,31 @@ class TestReplayCommand:
         capsys.readouterr()
         assert main(["replay", "--trace", small_run["out"]]) == 1
         assert str(config) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"price_table": {"gpt-4": 5}},
+            {"price_table": {"gpt-4": dict(PRICE, prompt_per_1k=None)}},
+            {"price_table": {"gpt-4": dict(PRICE, prompt_per_1k="abc")}},
+            {"price_table": {"gpt-4": {"completion_per_1k": 0.06}}},
+            {"price_table": [1]},
+            {"model_id": []},
+            {"mode": 5},
+        ],
+        ids=["price-entry-5", "price-null", "price-abc", "price-missing", "price-table-list", "model-id-list", "mode-5"],
+    )
+    def test_replay_of_a_snapshot_with_an_invalid_setting_fails(self, small_run, tmp_path, config_file, capsys, changed):
+        small_run["config"] = config_file(price_table={"gpt-4": PRICE})
+        assert main(run_args(small_run)) == 0
+        config = tmp_path / "out" / "resolved_config.json"
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        config.write_text(json.dumps(dict(json.loads(config.read_text()), **changed)))
+        capsys.readouterr()
+        assert main(["replay", "--trace", small_run["out"]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config} does not hold a valid config") and err.count("\n") == 1
+        assert (tmp_path / "out" / "report.json").read_bytes() == report
 
     def test_replay_of_a_malformed_usage_block_fails(self, small_run, tmp_path, capsys):
         assert main(run_args(small_run)) == 0

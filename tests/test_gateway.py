@@ -2,6 +2,7 @@
 output, the usage ledger, and the live HTTP backend against a stub session."""
 
 import http.server
+import itertools
 import json
 import socketserver
 import sys
@@ -30,6 +31,8 @@ from helpers import (
     serialize_structured,
     write_script,
 )
+from test_fan_out import LATENCIES_MS
+
 from rerail import harness
 from rerail.gateway import (
     CallContext,
@@ -501,6 +504,20 @@ class TestUsageLedger:
         assert question_calls(ledger) == 3
         assert question_calls(ledger, STAGE_JUDGE) == 1
 
+    def test_rows_do_not_depend_on_the_order_calls_were_recorded_in(self):
+        # the calls of a fan-out record in completion order
+        results = [
+            (STAGE_COT, self.result(10 * k, k, ms / 1000.0, cached=k == 2)) for k, ms in enumerate(LATENCIES_MS)
+        ]
+        results.append((STAGE_JUDGE, self.result(5, 5, 0.3)))
+        rows = []
+        for order in itertools.permutations(results):
+            ledger = UsageLedger()
+            ledger.calls.extend(order)
+            rows.append(ledger.question_usage())
+        assert all(row == rows[0] for row in rows)
+        assert rows[0][STAGE_COT].wall_time_s == 1.3004
+
     def test_unknown_question_has_no_usage(self):
         ledger = UsageLedger()
         assert ledger.question_usage() == {}
@@ -745,6 +762,14 @@ class TestLiveBackend:
         assert len(session.posts) == 1  # not retried
         [row] = harness.load_outcomes(tmp_path / harness.OUTCOMES_FILE)
         assert row.error.startswith("ProviderError: malformed provider usage")
+
+    @pytest.mark.parametrize("count", [1.9, "7", True, -1])
+    def test_token_counts_are_not_rounded_or_converted(self, monkeypatch, count):
+        body = {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": 3, "completion_tokens": count}}
+        backend, _ = self.backend(monkeypatch, [_StubResponse(body=body)])
+        with pytest.raises(ProviderError, match="malformed provider usage") as err:
+            backend.call(PROMPT, PARAMS, CTX)
+        assert err.value.retriable is False
 
     @pytest.mark.parametrize("content", [None, 7, ["Answer: B"]])
     def test_non_string_content_is_rejected(self, monkeypatch, content):

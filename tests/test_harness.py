@@ -37,7 +37,6 @@ from rerail.harness import (
     FLAG_MAD_TIE,
     FLAG_SC_TIE,
     IncompleteTrace,
-    MissingPrice,
     QuestionOutcome,
     _extract_answer,
     build_report,
@@ -320,10 +319,6 @@ class TestCostReport:
         report = cost_report(self.usage(0, 0, wall=0.0), PRICES, "gpt-4", 10)
         assert report["cost_usd"] == 0.0
         assert report["cost_per_1000_usd"] == 0.0
-
-    def test_unknown_model_raises(self):
-        with pytest.raises(MissingPrice, match="gpt-99"):
-            cost_report(self.usage(1, 1), PRICES, "gpt-99", 1)
 
     def test_projection_rounds_to_one_decimal(self):
         # $12.344 over 200 questions -> $61.72 per 1000 -> 61.7

@@ -6,7 +6,6 @@ from helpers import full_text, mcqa_question, numeric_question, template_placeho
 from rerail.prompts import (
     MissingVariable,
     PromptPair,
-    UnknownTemplate,
     TEMPLATE_DEBATE_MITIGATOR,
     TEMPLATE_JUDGE,
     TEMPLATE_MAD_INITIAL,
@@ -37,10 +36,6 @@ class TestRenderPrompt:
         with pytest.raises(MissingVariable) as err:
             render_prompt(TEMPLATE_STEP_EVALUATOR, Q, RP="x")
         assert err.value.name == "current_step"
-
-    def test_unknown_template(self):
-        with pytest.raises(UnknownTemplate):
-            render_prompt("oracle", Q)
 
     def test_reanswer_states_step_budget(self):
         pair = render_prompt(TEMPLATE_REANSWER, Q, RP="Step 1: x")
