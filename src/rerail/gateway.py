@@ -11,8 +11,9 @@ Two backends sit behind one Gateway:
 The Gateway adds content-addressed response caching, bounded retry with
 exponential backoff, in-flight and requests-per-minute throttles, and a
 usage ledger per question. The cache is one append-only ``completions.jsonl``
-in the cache directory, a line per completion, read into memory on the first
-lookup and appended through one handle from the first append to ``close()``.
+in the cache directory, a line per completion. It lives for a run: entering
+``Gateway.run_scope`` opens the stream and reads it into memory, and leaving
+it closes the stream once every fan-out thread has joined.
 """
 
 from __future__ import annotations
@@ -445,9 +446,10 @@ class Gateway:
             raise ValueError("cache_enabled requires a cache_dir")
         self._backend = backend
         self._cache_file = Path(cache_dir) / CACHE_FILE if cache_enabled else None
-        self._cache: Optional[dict[str, CompletionResult]] = None  # read on the first lookup
+        # the cache's completions by key and its stream, while a run scope is open
+        self._cache: Optional[dict[str, CompletionResult]] = None
+        self._cache_out: Optional[TextIO] = None
         self._cache_lock = threading.Lock()
-        self._cache_out: Optional[TextIO] = None  # opened at the first append
         self._gate = threading.Semaphore(max_in_flight) if max_in_flight is not None else None
         self._rpm = requests_per_minute
         self._recent_calls: deque[float] = deque()
@@ -474,22 +476,19 @@ class Gateway:
 
     @contextmanager
     def run_scope(self, width: int) -> Iterator[None]:
-        """What a run holds while the block runs, released on exit: at most
-        ``width`` threads that help ``fan_out``, all joined on exit, and the
-        cache stream, closed on exit."""
+        """What a run holds while the block runs, released on exit: the
+        cache stream, opened (its torn tail cut) and read on entry, and at
+        most ``width`` threads that help ``fan_out``, all joined on exit
+        before the stream closes. A cache-on completion needs one open."""
         with ExitStack() as held:  # released in reverse order
-            held.callback(self.close)
+            if self._cache_file is not None:
+                self._cache_out = held.enter_context(jsonl.append(self._cache_file))
+                self._cache = self._cache_load()
+                held.callback(setattr, self, "_cache", None)
             if width >= 1:
                 self._pool = held.enter_context(ThreadPoolExecutor(width, thread_name_prefix="rerail-fan-out"))
                 held.callback(setattr, self, "_pool", None)
             yield
-
-    def close(self) -> None:
-        """Close the cache stream, if open; the next append opens it again."""
-        with self._cache_lock:
-            if self._cache_out is not None:
-                self._cache_out.close()
-                self._cache_out = None
 
     def fan_out(self, calls: list[Callable[[], T]]) -> list[T]:
         """Run independent calls and return their results in call order.
@@ -553,7 +552,9 @@ class Gateway:
         """One completion: cache lookup, throttled backend call, recording."""
         key = cache_key(prompt, params) if self._cache_file is not None else None
         if key is not None:
-            cached = self._cache_lookup(key)
+            if self._cache is None:
+                raise RuntimeError("a cache-on completion needs an open Gateway.run_scope")
+            cached = self._cache.get(key)
             if cached is not None:
                 self._thread.blocking = False
                 self._record(context, cached)
@@ -600,18 +601,9 @@ class Gateway:
                     self._sleep(wait)
             self._recent_calls.append(time.monotonic())
 
-    def _cache_lookup(self, key: str) -> Optional[CompletionResult]:
-        with self._cache_lock:
-            if self._cache is None:
-                self._cache = self._cache_load()
-            return self._cache.get(key)
-
     def _cache_load(self) -> dict[str, CompletionResult]:
         """The stream's completions by key, the last line for a key winning.
-        A malformed line is skipped, so its key misses; a torn tail is cut
-        off before anything is appended."""
-        self._cache_file.parent.mkdir(parents=True, exist_ok=True)
-        self._cache_file.touch()
+        A malformed line is skipped, so its key misses."""
         entries: dict[str, CompletionResult] = {}
         for _, line in jsonl.committed_lines(self._cache_file):
             try:
@@ -621,17 +613,11 @@ class Gateway:
                     entries[payload["key"]] = result
             except (ValueError, KeyError, TypeError):
                 pass
-        jsonl.drop_torn_tail(self._cache_file)
         return entries
 
     def _cache_append(self, key: str, result: CompletionResult) -> None:
         line = jsonl.encode({"key": key, "text": result.text, "usage": vars(result.usage)})
         with self._cache_lock:
-            # One handle until close(): reopening per line costs an open,
-            # fstat, seek and close, each a system call that hands the GIL
-            # to other workers.
-            if self._cache_out is None:
-                self._cache_out = open(self._cache_file, "a", encoding="utf-8")
             self._cache_out.write(line)
             self._cache_out.flush()  # committed before the completion returns
             self._cache[key] = replace(result, latency_s=0.0, from_cache=True)

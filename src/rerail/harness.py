@@ -617,9 +617,6 @@ def run(
                 f"{out_path} holds an outcome of question {extra!r}, which the dataset lacks; "
                 "use a new --out directory"
             )
-        jsonl.drop_torn_tail(outcomes_path)
-    if traces_path.exists():
-        jsonl.drop_torn_tail(traces_path)
     outcomes = {qid: o for qid, o in stored.items() if o.error is None}
 
     out_path.mkdir(parents=True, exist_ok=True)
@@ -629,10 +626,7 @@ def run(
 
     pending = [q for q in questions if q.id not in outcomes]
     write_lock = threading.Lock()
-    with (
-        open(traces_path, "a", encoding="utf-8") as traces,
-        open(outcomes_path, "a", encoding="utf-8") as rows,
-    ):
+    with jsonl.append(traces_path) as traces, jsonl.append(outcomes_path) as rows:
 
         def execute(question: Question) -> None:
             outcome, trace = run_question(question, mode, gateway, settings)
@@ -651,8 +645,8 @@ def run(
         # Leaving the pool waits for every question at once; waiting on each
         # future in turn would wake this thread, and hand the GIL back and
         # forth, after every question. Each worker runs its own calls, so the
-        # fan-out pool adds at most the rest of each widest fan-out. Leaving
-        # the run scope closes the cache stream once the workers are done.
+        # fan-out pool adds at most the rest of each widest fan-out. The run
+        # scope reads the cache before any worker starts.
         fan_out_width = max_concurrent_calls(settings, mode) - settings.parallelism
         with gateway.run_scope(fan_out_width), ThreadPoolExecutor(max_workers=settings.parallelism) as pool:
             futures = [pool.submit(execute, question) for question in pending]

@@ -1,15 +1,15 @@
 """The one format of a run's streams (outcomes, traces, the completion
 cache): append-only JSON Lines. A line is committed once its newline is
 written, so a crash mid-append leaves at most an unterminated last line, a
-torn tail: readers skip it, and a writer cuts it off before its first
-append, so the next line is not glued onto it.
+torn tail: readers skip it, and ``append`` cuts it off before the stream
+is written to, so the next line is not glued onto it.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 
 def encode(record: dict) -> str:
@@ -25,9 +25,13 @@ def committed_lines(path: Path) -> Iterator[tuple[int, str]]:
                 yield line_no, line
 
 
-def drop_torn_tail(path: Path) -> None:
-    """Cut the stream back to its last newline."""
-    with open(path, "rb+") as handle:
+def append(path: Path) -> TextIO:
+    """The stream opened for appending: created with its directory if
+    missing, and cut back to its last newline."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "ab+") as handle:
+        handle.seek(0)
         data = handle.read()
         if not data.endswith(b"\n"):
             handle.truncate(data.rfind(b"\n") + 1)
+    return open(path, "a", encoding="utf-8")

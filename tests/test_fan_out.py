@@ -21,8 +21,7 @@ from helpers import (
     mcqa_question,
     unfixable_script,
 )
-from rerail import gateway as gateway_module
-from rerail import harness
+from rerail import harness, jsonl
 from rerail.gateway import CallContext, CompletionParams, Gateway, ScriptedBackend, cache_key
 from rerail.prompts import PromptPair
 from rerail.types import STAGE_COT, STAGE_MAD
@@ -145,14 +144,14 @@ def test_after_a_cache_hit_one_call_runs_inline_and_the_rest_overlap(tmp_path):
     gateway = Gateway(sleeping, cache_dir=tmp_path, cache_enabled=True)
     params = CompletionParams("m", 0.0, seed=0)
     context = CallContext(STAGE_COT, "q")
-    gateway.complete(PromptPair("s", "warm"), params, context)
-    assert gateway.complete(PromptPair("s", "warm"), params, context).from_cache
 
     def miss(k):
         sample = CallContext(STAGE_COT, "q", sample_index=k + 1)
         return gateway.complete(PromptPair("s", f"miss {k}"), params, sample).text
 
     with gateway.run_scope(3):
+        gateway.complete(PromptPair("s", "warm"), params, context)
+        assert gateway.complete(PromptPair("s", "warm"), params, context).from_cache
         texts = gateway.fan_out([partial(miss, k) for k in range(4)])
     assert texts == [f"miss {k}" for k in range(4)]
     first, *rest = sorted(sleeping.spans[1:], key=lambda span: span[2])
@@ -218,7 +217,7 @@ def test_each_cache_line_is_written_before_its_completion_returns(tmp_path, monk
         opened.append(handle)
         return handle
 
-    monkeypatch.setattr(gateway_module, "open", tracking_open, raising=False)
+    monkeypatch.setattr(jsonl, "open", tracking_open, raising=False)
     stream = tmp_path / "run" / "cache" / "completions.jsonl"
     unwritten = []
 
@@ -334,11 +333,6 @@ class TestFanOutGateIsPerThread:
             thread.start()
             thread.join()
 
-        on_another_thread(other_question)  # a miss, so the next one hits
-        blocking = gateway.complete(PromptPair("s", "q1"), params, CallContext(STAGE_COT, "q1"))
-        on_another_thread(other_question)
-        assert blocking.from_cache is False
-
         released = threading.Event()
         pool_threads = []
 
@@ -350,5 +344,9 @@ class TestFanOutGateIsPerThread:
             released.set()
 
         with gateway.run_scope(1):
+            on_another_thread(other_question)  # a miss, so the next one hits
+            blocking = gateway.complete(PromptPair("s", "q1"), params, CallContext(STAGE_COT, "q1"))
+            on_another_thread(other_question)
+            assert blocking.from_cache is False
             gateway.fan_out([waits, sets])
         assert pool_threads == [True]

@@ -9,7 +9,6 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 
 import pytest
 import requests
@@ -234,7 +233,7 @@ class TestCache:
              entry(STAGE_COT, "q1", "never used")]
         )
         gw = Gateway(backend, cache_dir=tmp_path, cache_enabled=True)
-        with closing(gw), gw.recording() as ledger:
+        with gw.run_scope(0), gw.recording() as ledger:
             first = gw.complete(PROMPT, PARAMS, CTX)
             second = gw.complete(PROMPT, PARAMS, CTX)
         assert first.from_cache is False
@@ -254,10 +253,11 @@ class TestCache:
             cache_dir=tmp_path,
             cache_enabled=True,
         )
-        with closing(gw1):
+        with gw1.run_scope(0):
             gw1.complete(PROMPT, PARAMS, CTX)
         gw2 = Gateway(ScriptedBackend([]), cache_dir=tmp_path, cache_enabled=True)
-        replayed = gw2.complete(PROMPT, PARAMS, CTX)
+        with gw2.run_scope(0):
+            replayed = gw2.complete(PROMPT, PARAMS, CTX)
         assert replayed.text == "persisted"
         assert replayed.from_cache is True
 
@@ -266,7 +266,7 @@ class TestCache:
             [entry(STAGE_COT, "q1", "a"), entry(STAGE_COT, "q1", "b")]
         )
         gw = Gateway(backend, cache_dir=tmp_path, cache_enabled=True)
-        with closing(gw):
+        with gw.run_scope(0):
             gw.complete(PROMPT, PARAMS, CTX)
             other = CompletionParams(model_id="m1", temperature=0.0, seed=8)
             assert gw.complete(PROMPT, other, CTX).text == "b"
@@ -300,35 +300,49 @@ class TestCache:
         kept = {"key": cache_key(PROMPT, other), "text": "kept", "usage": {"prompt_tokens": 1, "completion_tokens": 2}}
         (tmp_path / "completions.jsonl").write_text(stored + "\n" + json.dumps(kept) + "\n")
         gw = Gateway(ScriptedBackend([entry(STAGE_COT, "q1", "fresh")]), cache_dir=tmp_path, cache_enabled=True)
-        with closing(gw):
+        with gw.run_scope(0):
             result = gw.complete(PROMPT, PARAMS, CTX)
+            assert gw.complete(PROMPT, other, CTX) == CompletionResult("kept", Usage(1, 2), 0.0, from_cache=True)
         assert (result.text, result.from_cache) == ("fresh", False)
-        assert gw.complete(PROMPT, other, CTX) == CompletionResult("kept", Usage(1, 2), 0.0, from_cache=True)
 
     def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
         def gateway(*texts):
             backend = ScriptedBackend([entry(STAGE_COT, "q1", text) for text in texts])
             return Gateway(backend, cache_dir=tmp_path, cache_enabled=True)
 
-        with closing(gateway("first")) as first:
+        first = gateway("first")
+        with first.run_scope(0):
             first.complete(PROMPT, PARAMS, CTX)
         stream = tmp_path / "completions.jsonl"
         stream.write_bytes(stream.read_bytes() + b'{"key": "torn')
         other = CompletionParams(model_id="m1", temperature=0.0, seed=8)
-        with closing(gateway("second")) as second:
+        second = gateway("second")
+        with second.run_scope(0):
             assert second.complete(PROMPT, other, CTX).from_cache is False
         fresh = gateway()
-        assert fresh.complete(PROMPT, other, CTX).text == "second"
-        assert fresh.complete(PROMPT, PARAMS, CTX).text == "first"
+        with fresh.run_scope(0):
+            assert fresh.complete(PROMPT, other, CTX).text == "second"
+            assert fresh.complete(PROMPT, PARAMS, CTX).text == "first"
         assert [json.loads(line)["text"] for line in stream.read_text().splitlines()] == ["first", "second"]
 
-    def test_cache_is_read_on_the_first_lookup(self, tmp_path):
+    def test_cache_is_read_when_the_run_scope_opens(self, tmp_path):
         gw = Gateway(ScriptedBackend([]), cache_dir=tmp_path / "cache", cache_enabled=True)
         assert not (tmp_path / "cache").exists()
         (tmp_path / "cache").mkdir()
         line = {"key": KEY, "text": "written after the constructor", "usage": {}}
         (tmp_path / "cache" / "completions.jsonl").write_text(json.dumps(line) + "\n")
-        assert gw.complete(PROMPT, PARAMS, CTX).text == "written after the constructor"
+        with gw.run_scope(0):
+            assert gw.complete(PROMPT, PARAMS, CTX).text == "written after the constructor"
+
+    def test_cache_on_completion_outside_a_run_scope_raises(self, tmp_path):
+        gw = Gateway(ScriptedBackend([entry(STAGE_COT, "q1", "a")]), cache_dir=tmp_path / "cache", cache_enabled=True)
+        with pytest.raises(RuntimeError, match="run_scope"):
+            gw.complete(PROMPT, PARAMS, CTX)
+        assert not (tmp_path / "cache").exists()
+        with gw.run_scope(0):
+            gw.complete(PROMPT, PARAMS, CTX)
+        with pytest.raises(RuntimeError, match="run_scope"):  # a hit inside the scope
+            gw.complete(PROMPT, PARAMS, CTX)
 
     def test_concurrent_completions_each_keep_their_line(self, tmp_path):
         class Echo:
@@ -345,7 +359,7 @@ class TestCache:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with closing(gw), ThreadPoolExecutor(max_workers=16) as pool:
+            with gw.run_scope(0), ThreadPoolExecutor(max_workers=16) as pool:
                 futures = [pool.submit(complete, prompt) for prompt in prompts * 2]
                 texts, ledgers = zip(*(future.result(timeout=30) for future in futures))
         finally:
@@ -356,7 +370,8 @@ class TestCache:
         lines = [json.loads(line) for line in (tmp_path / "completions.jsonl").read_text().splitlines()]
         assert len(lines) == row.live_calls
         fresh = Gateway(ScriptedBackend([]), cache_dir=tmp_path, cache_enabled=True)
-        assert [fresh.complete(prompt, PARAMS, CTX).text for prompt in prompts] == [p.user for p in prompts]
+        with fresh.run_scope(0):
+            assert [fresh.complete(prompt, PARAMS, CTX).text for prompt in prompts] == [p.user for p in prompts]
 
     def test_cache_off_computes_no_key(self, tmp_path, monkeypatch):
         def no_key(prompt, params):
