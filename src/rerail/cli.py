@@ -4,7 +4,9 @@ Subcommands: validate (check a config and echo resolved defaults), run
 (execute a mode over a dataset), replay (recompute a run's report from its
 persisted outcomes), report (print a run's report).
 
-Exit codes: 0 success, 1 user/config/file-system error, 2 runtime failure.
+Exit codes: 0 success, 1 user/config/file-system error, 2 runtime failure,
+130 interrupted (Ctrl-C, or SIGTERM during run: the questions in flight are
+finished and written, the rest do not run, and a re-run resumes).
 Secrets never appear in arguments or output; live mode reads the API key from
 the environment variable named in the config.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -26,14 +29,15 @@ from .harness import (
     REPORT_FILE,
     make_gateway,
     replay,
-    report_to_bytes,
     run,
+    write_report,
 )
 from .types import DatasetError, RerailError
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
 EXIT_RUNTIME_ERROR = 2
+EXIT_INTERRUPTED = 130
 
 
 class UsageError(Exception):
@@ -91,7 +95,11 @@ def _cmd_run(args) -> int:
         raise UsageError("--backend scripted requires --script")
     questions = load_dataset(args.dataset)
     gateway = make_gateway(settings, args.backend, script_path=args.script, out_dir=args.out, mode=args.mode)
-    report = run(questions, settings, args.mode, args.out, gateway)
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as Ctrl-C does
+    try:
+        report = run(questions, settings, args.mode, args.out, gateway)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
     counts = report["counts"]
     overall = report["accuracy"]["overall"]
@@ -110,14 +118,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    report = replay(args.trace)
     report_path = Path(args.trace) / REPORT_FILE
-    new_bytes = report_to_bytes(report)
-    if report_path.exists() and report_path.read_bytes() == new_bytes:
-        print(f"replay matches the existing report at {report_path}")
-    else:
-        report_path.write_bytes(new_bytes)
+    if write_report(args.trace, replay(args.trace)):
         print(f"report recomputed and written to {report_path}")
+    else:
+        print(f"replay matches the existing report at {report_path}")
     return EXIT_OK
 
 
@@ -163,6 +168,9 @@ def main(argv=None) -> int:
     except RerailError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
+    except KeyboardInterrupt as exc:
+        print("interrupted" + (f": {exc}" if exc.args else ""), file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -9,11 +9,11 @@ key and the variable is read at backend construction time.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from . import jsonl
 from .gateway import CallContext, CompletionParams
 from .types import RerailError, STAGE_DEBATE, STAGE_EVALUATOR, STAGE_MAD, STAGE_REANSWER
 
@@ -182,10 +182,9 @@ def call_params(settings: RunSettings, context: CallContext) -> CompletionParams
 
 def load_settings(path: str | Path) -> RunSettings:
     try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+        raw = jsonl.loads(Path(path).read_bytes())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return settings_from_dict(raw, source=str(path))

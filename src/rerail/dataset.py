@@ -8,10 +8,10 @@ diagnostic naming the offending field, before any model call is made.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from pathlib import Path
 
+from . import jsonl
 from .grading import clean_text
 from .types import (
     Category,
@@ -129,19 +129,16 @@ def load_dataset(path: str | Path) -> list[Question]:
     """Load and validate a JSONL dataset. Duplicate ids are rejected."""
     questions: list[Question] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            question = question_from_record(record, line_no)
-            if question.id in seen:
-                raise DatasetError(f"line {line_no}: duplicate question id {question.id!r}")
-            seen.add(question.id)
-            questions.append(question)
+    for line_no, line in jsonl.lines(path, whole=True):
+        try:
+            record = jsonl.loads(line)
+        except ValueError as exc:
+            raise DatasetError(f"{path} line {line_no}: {exc}") from None
+        question = question_from_record(record, line_no)
+        if question.id in seen:
+            raise DatasetError(f"line {line_no}: duplicate question id {question.id!r}")
+        seen.add(question.id)
+        questions.append(question)
     if not questions:
         raise DatasetError(f"{path}: dataset is empty")
     return questions

@@ -168,14 +168,11 @@ class ScriptedBackend:
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         entries = []
-        with open(path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    entries.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise ScriptFormatError(f"script line {line_no}: invalid JSON ({exc.msg})") from None
+        for line_no, line in jsonl.lines(path, whole=True):
+            try:
+                entries.append(jsonl.loads(line))
+            except ValueError as exc:
+                raise ScriptFormatError(f"script {path} line {line_no}: {exc}") from None
         return cls(entries)
 
     @staticmethod
@@ -605,9 +602,9 @@ class Gateway:
         """The stream's completions by key, the last line for a key winning.
         A malformed line is skipped, so its key misses."""
         entries: dict[str, CompletionResult] = {}
-        for _, line in jsonl.committed_lines(self._cache_file):
+        for _, line in jsonl.lines(self._cache_file):
             try:
-                payload = json.loads(line)
+                payload = jsonl.loads(line)
                 result = CompletionResult(payload["text"], Usage(**payload["usage"]), 0.0, from_cache=True)
                 if isinstance(result.text, str):
                     entries[payload["key"]] = result

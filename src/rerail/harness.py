@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import csv
 import json
+import signal
 import threading
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -520,7 +521,13 @@ def report_to_bytes(report: dict) -> bytes:
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _write_csvs(report: dict, out_dir: Path) -> None:
+def write_report(out_dir: str | Path, report: dict) -> bool:
+    """Write report.json and the three CSV tables; whether report.json
+    held other bytes before, or was missing."""
+    out_dir = Path(out_dir)
+    report_path, data = out_dir / REPORT_FILE, report_to_bytes(report)
+    changed = not report_path.exists() or report_path.read_bytes() != data
+    report_path.write_bytes(data)
     with open(out_dir / "accuracy_by_category.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["category", "correct", "total", "accuracy"])
@@ -545,6 +552,7 @@ def _write_csvs(report: dict, out_dir: Path) -> None:
         cost = report.get("cost")
         if cost:
             writer.writerow([cost[column] for column in COST_COLUMNS])
+    return changed
 
 
 def load_outcomes(path: Path) -> list[QuestionOutcome]:
@@ -552,9 +560,9 @@ def load_outcomes(path: Path) -> list[QuestionOutcome]:
     winning. A malformed committed line, usage block included, raises
     IncompleteTrace."""
     latest: dict[str, QuestionOutcome] = {}
-    for line_no, line in jsonl.committed_lines(path):
+    for line_no, line in jsonl.lines(path):
         try:
-            outcome = QuestionOutcome.from_json(json.loads(line))
+            outcome = QuestionOutcome.from_json(jsonl.loads(line))
         except (ValueError, TypeError) as exc:
             raise IncompleteTrace(f"{path} line {line_no}: malformed outcome ({exc})") from None
         latest[outcome.question_id] = outcome
@@ -569,8 +577,7 @@ def _check_resumable(config_path: Path, config_snapshot: dict) -> None:
     a readable snapshot (a JSON object) resumes as it is.
     """
     try:
-        with open(config_path, encoding="utf-8") as handle:
-            stored = json.load(handle)
+        stored = jsonl.loads(config_path.read_bytes())
     except (FileNotFoundError, ValueError):
         stored = None
     if not isinstance(stored, dict):
@@ -581,6 +588,15 @@ def _check_resumable(config_path: Path, config_snapshot: dict) -> None:
                 f"{config_path.parent} holds a run with {key}={stored.get(key)!r}, "
                 f"not {config_snapshot.get(key)!r}; use a new --out directory"
             )
+
+
+def _leave_stop_signals_to_the_main_thread() -> None:
+    """Block SIGINT and SIGTERM on this worker thread and on the fan-out
+    threads it starts, which inherit its mask. The kernel may deliver a
+    signal to any thread that does not block it, and only one delivered to
+    the main thread wakes it from its wait for the questions."""
+    if hasattr(signal, "pthread_sigmask"):  # POSIX
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
 
 
 def run(
@@ -598,6 +614,9 @@ def run(
     re-run failed question keeps the usage of its earlier attempts. Each
     finished question appends its trace line, then its outcome line. A
     directory holding outcomes of questions the dataset lacks is refused.
+    On a KeyboardInterrupt the questions in flight finish and append their
+    lines, the rest never start, and a KeyboardInterrupt saying how many
+    did not run is raised.
     """
     if mode not in _MODE_RUNNERS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -642,21 +661,30 @@ def run(
                 rows.flush()
                 outcomes[question.id] = outcome
 
-        # Leaving the pool waits for every question at once; waiting on each
-        # future in turn would wake this thread, and hand the GIL back and
-        # forth, after every question. Each worker runs its own calls, so the
-        # fan-out pool adds at most the rest of each widest fan-out. The run
-        # scope reads the cache before any worker starts.
+        # One wait for every question at once; waiting on each future in turn
+        # would wake this thread, and hand the GIL back and forth, after every
+        # question. Each worker runs its own calls, so the fan-out pool adds at
+        # most the rest of each widest fan-out. The run scope reads the cache
+        # before any worker starts.
         fan_out_width = max_concurrent_calls(settings, mode) - settings.parallelism
-        with gateway.run_scope(fan_out_width), ThreadPoolExecutor(max_workers=settings.parallelism) as pool:
+        with (
+            gateway.run_scope(fan_out_width),
+            ThreadPoolExecutor(settings.parallelism, initializer=_leave_stop_signals_to_the_main_thread) as pool,
+        ):
             futures = [pool.submit(execute, question) for question in pending]
+            try:
+                wait(futures)
+            except BaseException as stop:
+                pool.shutdown(cancel_futures=True)
+                if type(stop) is not KeyboardInterrupt:
+                    raise
+                not_run = sum(future.cancelled() for future in futures)
+                raise KeyboardInterrupt(f"{not_run} of {len(pending)} questions did not run; rerun to resume") from None
     for future in futures:
         future.result()
 
     report = build_report([outcomes[q.id] for q in questions], config_snapshot, mode)
-    with open(out_path / REPORT_FILE, "wb") as handle:
-        handle.write(report_to_bytes(report))
-    _write_csvs(report, out_path)
+    write_report(out_path, report)
     return report
 
 
@@ -670,8 +698,7 @@ def replay(out_dir: str | Path) -> dict:
             f"{out_dir} lacks {OUTCOMES_FILE} or {CONFIG_FILE}; cannot replay"
         )
     try:
-        with open(config_path, encoding="utf-8") as handle:
-            config_snapshot = json.load(handle)
+        config_snapshot = jsonl.loads(config_path.read_bytes())
     except ValueError:
         config_snapshot = None
     if not isinstance(config_snapshot, dict):

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior: exit codes, output, artifact writes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rerail
 from helpers import consistent_script, mcqa_question, write_dataset, write_script
-from rerail.cli import main
+from rerail.cli import EXIT_INTERRUPTED, main
 
 
 @pytest.fixture
@@ -319,6 +323,62 @@ class TestResume:
         assert (out / "resolved_config.json").read_bytes() == config
 
 
+# Runs `rerail run` with every backend call slowed to 20 ms, and sends the
+# process SIGTERM as call number argv[1] starts; prints the calls started,
+# the threads left and whether SIGTERM's handler was restored.
+INTERRUPTED_RUN = """
+import json, os, signal, sys, threading, time
+from rerail import cli, gateway
+
+calls, lock, signalled_at, served = [], threading.Lock(), int(sys.argv[1]), gateway.ScriptedBackend.call
+
+def call(self, prompt, params, context):
+    with lock:
+        calls.append(context.question_id)
+        signalling = len(calls) == signalled_at
+    if signalling:
+        os.kill(os.getpid(), signal.SIGTERM)
+    time.sleep(0.02)
+    return served(self, prompt, params, context)
+
+gateway.ScriptedBackend.call = call
+code = cli.main(sys.argv[2:])
+threads = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+print(json.dumps({"calls": len(calls), "threads": threads,
+                  "restored": signal.getsignal(signal.SIGTERM) is signal.SIG_DFL}))
+sys.exit(code)
+"""
+
+
+class TestInterrupt:
+    def test_sigterm_stops_the_run_and_a_rerun_resumes_it(self, small_run, tmp_path):
+        questions = [mcqa_question(qid=f"q{i:02d}") for i in range(40)]
+        write_dataset(small_run["dataset"], questions)
+        write_script(small_run["script"], [e for q in questions for e in consistent_script(q.id)])
+        parallelism, calls_per_question, signalled_at = 2, 3, 10
+        args = run_args(small_run, parallelism=parallelism)
+        child = subprocess.run(
+            [sys.executable, "-c", INTERRUPTED_RUN, str(signalled_at), *args],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(rerail.__file__).parents[1])),
+        )
+        assert child.returncode == EXIT_INTERRUPTED, child.stderr
+        assert "Traceback" not in child.stderr
+        assert child.stderr.startswith("interrupted: ") and child.stderr.count("\n") == 1
+        seen = json.loads(child.stdout)
+        # at most the questions in flight start calls after the signal
+        assert signalled_at <= seen["calls"] <= signalled_at + parallelism * calls_per_question
+        assert seen["threads"] == [] and seen["restored"]
+        done = (tmp_path / "out" / "outcomes.jsonl").read_text().splitlines()
+        assert f"{len(questions) - len(done)} of {len(questions)} questions did not run" in child.stderr
+
+        assert main(args) == 0
+        uninterrupted = dict(small_run, out=str(tmp_path / "uninterrupted"))
+        assert main(run_args(uninterrupted, parallelism=parallelism)) == 0
+        resumed, whole = (tmp_path / name / "report.json" for name in ("out", "uninterrupted"))
+        assert resumed.read_bytes() == whole.read_bytes()
+
+
 class TestReplayCommand:
     def test_replay_confirms_a_matching_report(self, small_run, capsys):
         assert main(run_args(small_run)) == 0
@@ -335,6 +395,20 @@ class TestReplayCommand:
         assert main(["replay", "--trace", small_run["out"]]) == 0
         assert "recomputed" in capsys.readouterr().out
         assert report_path.read_bytes() == original
+
+    def test_replay_restores_the_report_and_the_csv_tables(self, small_run, config_file, tmp_path, capsys):
+        small_run["config"] = config_file(model_id="m", price_table={"m": PRICE})
+        assert main(run_args(small_run)) == 0
+        out = tmp_path / "out"
+        tables = ["report.json", "accuracy_by_category.csv", "confusion_matrix.csv", "cost.csv"]
+        written = [(out / name).read_bytes() for name in tables]
+        for name in tables:
+            (out / name).unlink()
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(out)]) == 0
+        assert "recomputed" in capsys.readouterr().out
+        assert [(out / name).read_bytes() for name in tables] == written
+        assert main(["report", "--out", str(out), "--format", "csv"]) == 0
 
     def test_replay_of_an_empty_directory_fails(self, tmp_path, capsys):
         assert main(["replay", "--trace", str(tmp_path)]) == 1
@@ -396,6 +470,57 @@ class TestReplayCommand:
         err = capsys.readouterr().err
         assert f"line 1: malformed outcome (malformed {name} " in err
         assert "Traceback" not in err
+
+
+def with_byte(path, line_no: int, byte: int) -> None:
+    """Put ``byte`` in place of the byte after the first quote of a line."""
+    lines = Path(path).read_bytes().split(b"\n")
+    at = lines[line_no - 1].index(b'"') + 1
+    lines[line_no - 1] = lines[line_no - 1][:at] + bytes([byte]) + lines[line_no - 1][at + 1:]
+    Path(path).write_bytes(b"\n".join(lines))
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("byte", [0xFF, 0xE9], ids=hex)
+class TestBytesThatAreNotUtf8:
+    """A byte that is not UTF-8 is the error of its line: exit 1 naming the
+    file and the line, or, in the cache, a miss."""
+
+    def test_in_the_config(self, config_file, capsys, byte):
+        path = config_file(model_id="m")
+        with_byte(path, 1, byte)
+        assert main(["validate", "--config", path]) == 1
+        assert one_error_line(capsys).startswith(f"error: {path}: not UTF-8 (byte {byte:#04x} at column 3)")
+
+    @pytest.mark.parametrize("file", ["dataset", "script"])
+    def test_in_an_input(self, small_run, capsys, byte, file):
+        with_byte(small_run[file], 2, byte)
+        assert main(run_args(small_run)) == 1
+        assert f"{small_run[file]} line 2: not UTF-8 (byte {byte:#04x} " in one_error_line(capsys)
+        assert not Path(small_run["out"]).exists()
+
+    def test_in_the_outcomes(self, small_run, capsys, byte):
+        assert main(run_args(small_run)) == 0
+        with_byte(Path(small_run["out"]) / "outcomes.jsonl", 2, byte)
+        capsys.readouterr()
+        assert main(["replay", "--trace", small_run["out"]]) == 1
+        assert "outcomes.jsonl line 2: malformed outcome (not UTF-8" in one_error_line(capsys)
+
+    def test_in_the_cache_is_a_miss(self, small_run, config_file, byte):
+        small_run["config"] = config_file(cache_enabled=True)
+        assert main(run_args(small_run)) == 0
+        out = Path(small_run["out"])
+        report = (out / "report.json").read_bytes()
+        with_byte(out / "cache" / "completions.jsonl", 1, byte)
+        (out / "outcomes.jsonl").unlink()
+        assert main(run_args(small_run)) == 0
+        usage = json.loads((out / "report.json").read_text())["usage"]
+        assert usage["live_calls"] == 1 and usage["cached_calls"] == json.loads(report)["usage"]["live_calls"] - 1
 
 
 class TestReportCommand:

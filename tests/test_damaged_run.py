@@ -1,5 +1,6 @@
-"""A run directory damaged in one place: ``rerail replay`` and a resumed
-``rerail run`` each end in a documented exit code and raise nothing."""
+"""A run directory damaged in one place (a JSON value, a truncated line, a
+byte that is not UTF-8): ``rerail replay`` and a resumed ``rerail run``
+each end in a documented exit code and raise nothing."""
 
 import json
 import shutil
@@ -54,15 +55,17 @@ def with_value(document, path, new):
 
 
 def damage(data, target):
-    """Change one JSON value, or truncate one line, of ``target``."""
-    text = target.read_text(encoding="utf-8")
-    if data.draw(st.booleans(), label="truncate"):
-        lines = text.splitlines(keepends=True)
+    """Change one JSON value, truncate one line, or put a byte that is not
+    UTF-8 in place of one byte of a committed line, of ``target``."""
+    how = data.draw(st.sampled_from(("value", "truncate", "byte")), label="how")
+    if how != "value":
+        lines = target.read_bytes().splitlines(keepends=True)
         index = data.draw(st.integers(0, len(lines) - 1), label="line")
-        cut = data.draw(st.integers(0, len(lines[index]) - 1), label="cut")
-        lines[index] = lines[index][:cut]
-        target.write_text("".join(lines), encoding="utf-8")
+        at = data.draw(st.integers(0, len(lines[index].rstrip(b"\n")) - 1), label="at")
+        lines[index] = lines[index][:at] if how == "truncate" else lines[index][:at] + b"\xff" + lines[index][at + 1:]
+        target.write_bytes(b"".join(lines))
         return
+    text = target.read_text(encoding="utf-8")
     # the config snapshot is one JSON document, a stream one per line
     units = [text] if target.name == CONFIG_FILE else text.splitlines()
     index = data.draw(st.integers(0, len(units) - 1), label="line")
