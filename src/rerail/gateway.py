@@ -482,6 +482,7 @@ class Gateway:
                 self._cache_out = held.enter_context(jsonl.append(self._cache_file))
                 self._cache = self._cache_load()
                 held.callback(setattr, self, "_cache", None)
+                held.callback(setattr, self, "_cache_out", None)
             if width >= 1:
                 self._pool = held.enter_context(ThreadPoolExecutor(width, thread_name_prefix="rerail-fan-out"))
                 held.callback(setattr, self, "_pool", None)

@@ -671,14 +671,16 @@ def run(
             gateway.run_scope(fan_out_width),
             ThreadPoolExecutor(settings.parallelism, initializer=_leave_stop_signals_to_the_main_thread) as pool,
         ):
-            futures = [pool.submit(execute, question) for question in pending]
-            try:
+            futures = []
+            try:  # opened before the first submit, so an interrupt while submitting also cancels
+                for question in pending:
+                    futures.append(pool.submit(execute, question))
                 wait(futures)
             except BaseException as stop:
                 pool.shutdown(cancel_futures=True)
                 if type(stop) is not KeyboardInterrupt:
                     raise
-                not_run = sum(future.cancelled() for future in futures)
+                not_run = len(pending) - len(futures) + sum(future.cancelled() for future in futures)
                 raise KeyboardInterrupt(f"{not_run} of {len(pending)} questions did not run; rerun to resume") from None
     for future in futures:
         future.result()

@@ -61,8 +61,12 @@ def damage(data, target):
     if how != "value":
         lines = target.read_bytes().splitlines(keepends=True)
         index = data.draw(st.integers(0, len(lines) - 1), label="line")
-        at = data.draw(st.integers(0, len(lines[index].rstrip(b"\n")) - 1), label="at")
-        lines[index] = lines[index][:at] if how == "truncate" else lines[index][:at] + b"\xff" + lines[index][at + 1:]
+        line = lines[index]
+        if how == "truncate":  # may cut only the newline, gluing two lines or leaving a torn tail
+            lines[index] = line[:data.draw(st.integers(0, len(line) - 1), label="cut")]
+        else:
+            at = data.draw(st.integers(0, len(line.rstrip(b"\n")) - 1), label="at")
+            lines[index] = line[:at] + b"\xff" + line[at + 1:]
         target.write_bytes(b"".join(lines))
         return
     text = target.read_text(encoding="utf-8")

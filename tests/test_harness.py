@@ -25,6 +25,7 @@ from helpers import (
     unfixable_script,
     write_script,
 )
+from rerail import harness
 from rerail.config import question_seed
 from rerail.gateway import Gateway, ProviderError, ScriptedBackend, StageUsage
 from rerail.harness import (
@@ -510,6 +511,25 @@ class TestRun:
         assert usage["billed_prompt_tokens"] == 1100
         assert usage["by_stage"][STAGE_COT]["billed_prompt_tokens"] == 300
         assert report_to_bytes(replay(out_dir)) == (out_dir / "report.json").read_bytes()
+
+    def test_an_interrupt_while_submitting_cancels_the_questions_not_started(self, tmp_path, monkeypatch):
+        class InterruptedPool(harness.ThreadPoolExecutor):
+            submitted = 0
+
+            def submit(self, *args, **kwargs):
+                InterruptedPool.submitted += 1
+                if InterruptedPool.submitted == 3:
+                    raise KeyboardInterrupt
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InterruptedPool)
+        questions, entries = ten_question_fixture()
+        out_dir = tmp_path / "r"
+        with pytest.raises(KeyboardInterrupt, match="of 10 questions did not run") as stopped:
+            run(questions, make_settings(), "rerailer", out_dir, scripted_gateway(entries))
+        not_run = int(str(stopped.value).split()[0])
+        done = (out_dir / "outcomes.jsonl").read_text().splitlines()
+        assert len(done) <= 2 and len(done) + not_run == 10
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="mode"):
