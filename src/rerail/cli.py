@@ -19,6 +19,7 @@ import signal
 import sys
 from pathlib import Path
 
+from . import jsonl
 from .config import ConfigError, load_settings
 from .dataset import load_dataset
 from .gateway import ProviderError, ScriptFormatError
@@ -38,6 +39,8 @@ EXIT_OK = 0
 EXIT_USER_ERROR = 1
 EXIT_RUNTIME_ERROR = 2
 EXIT_INTERRUPTED = 130
+
+CSV_TABLES = ["accuracy_by_category.csv", "confusion_matrix.csv", "cost.csv"]
 
 
 class UsageError(Exception):
@@ -127,20 +130,27 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    out_path = Path(args.out)
-    if args.format == "json":
-        report_path = out_path / REPORT_FILE
-        if not report_path.exists():
-            raise IncompleteTrace(f"no {REPORT_FILE} in {args.out}")
-        sys.stdout.write(report_path.read_text(encoding="utf-8"))
-        return EXIT_OK
-    for name in ("accuracy_by_category.csv", "confusion_matrix.csv", "cost.csv"):
-        table = out_path / name
-        if not table.exists():
-            raise IncompleteTrace(f"no {name} in {args.out}")
-        print(f"# {name}")
-        sys.stdout.write(table.read_text(encoding="utf-8"))
+    names = [REPORT_FILE] if args.format == "json" else CSV_TABLES
+    texts = [_read_artifact(Path(args.out), name) for name in names]  # all read before any is printed
+    for name, text in zip(names, texts):
+        if args.format == "csv":
+            print(f"# {name}")
+        sys.stdout.write(text)
     return EXIT_OK
+
+
+def _read_artifact(out_dir: Path, name: str) -> str:
+    """The text of a run artifact; IncompleteTrace if it is missing or not
+    UTF-8."""
+    path = out_dir / name
+    if not path.exists():
+        raise IncompleteTrace(f"no {name} in {out_dir}")
+    try:
+        text = jsonl.decode(path.read_bytes())
+    except ValueError as exc:
+        raise IncompleteTrace(f"{path}: {exc}") from None
+    # newlines as text mode reads them: the csv module ends its rows in \r\n
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 _COMMANDS = {

@@ -28,10 +28,10 @@ import time
 from collections import defaultdict, deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Optional, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 import requests
 import requests.adapters
@@ -90,7 +90,7 @@ class CompletionParams:
             raise ValueError("temperature must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Usage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
@@ -104,7 +104,7 @@ class Usage:
             raise ValueError(f"token counts must be non-negative integers, got {self}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionResult:
     text: str
     usage: Usage
@@ -127,17 +127,18 @@ class CallContext:
     sample_index: Optional[int] = None
 
 
-_MATCH_KEYS = ("stage", "question_id", "step_index", "agent_id", "round")
+_OPTIONAL_MATCH_KEYS = ("step_index", "agent_id", "round")
+_MATCH_KEYS = {"stage", "question_id", *_OPTIONAL_MATCH_KEYS}
 _ENTRY_KEYS = {"match", "response", "usage", "latency_ms"}
+_ANY = (None, None, None)
 
 
-@dataclass
+@dataclass(slots=True)
 class _ScriptEntry:
-    # match keys besides stage and question_id, which key the entry's list
-    extra: dict
-    response: str
-    usage: Usage
-    latency_s: float
+    result: CompletionResult  # built once, served as is
+    # the call's (step_index, agent_id, round) it matches, None for any;
+    # stage and question_id key the entry's list
+    where: tuple
     served: bool = False
 
 
@@ -157,82 +158,80 @@ class ScriptedBackend:
     match entries that carry its own.
     """
 
-    def __init__(self, entries: list[dict]) -> None:
+    def __init__(self, entries: Iterable[dict] = ()) -> None:
         self._entries: dict[tuple[str, str], list[_ScriptEntry]] = {}
-        for line_no, raw in enumerate(entries, start=1):
-            parsed = self._parse_entry(raw, line_no)
-            key = (raw["match"]["stage"], raw["match"]["question_id"])
-            self._entries.setdefault(key, []).append(parsed)
         self._lock = threading.Lock()
+        for number, raw in enumerate(entries, start=1):
+            self._add(raw, f"script entry {number}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        entries = []
+        """The script at ``path``, each line checked and kept before the
+        next is read; the first bad line is the error."""
+        backend = cls()
         for line_no, line in jsonl.lines(path, whole=True):
+            where = f"script {path} line {line_no}"
             try:
-                entries.append(jsonl.loads(line))
+                raw = jsonl.loads(line)
             except ValueError as exc:
-                raise ScriptFormatError(f"script {path} line {line_no}: {exc}") from None
-        return cls(entries)
+                raise ScriptFormatError(f"{where}: {exc}") from None
+            backend._add(raw, where)
+        return backend
 
-    @staticmethod
-    def _parse_entry(raw: dict, line_no: int) -> _ScriptEntry:
+    def _add(self, raw: dict, where: str) -> None:
+        """Queue one entry; ScriptFormatError naming ``where`` if it breaks
+        the script schema."""
         if not isinstance(raw, dict):
-            raise ScriptFormatError(f"script entry {line_no}: expected an object")
+            raise ScriptFormatError(f"{where}: expected an object")
         unknown = raw.keys() - _ENTRY_KEYS
         if unknown:
-            raise ScriptFormatError(f"script entry {line_no}: unknown field {min(unknown)!r}")
+            raise ScriptFormatError(f"{where}: unknown field {min(unknown)!r}")
         for required in ("match", "response", "usage"):
             if required not in raw:
-                raise ScriptFormatError(f"script entry {line_no}: missing field {required!r}")
+                raise ScriptFormatError(f"{where}: missing field {required!r}")
         match = raw["match"]
         if not isinstance(match, dict) or "stage" not in match or "question_id" not in match:
-            raise ScriptFormatError(
-                f"script entry {line_no}: match must be an object with at least stage and question_id"
-            )
+            raise ScriptFormatError(f"{where}: match must be an object with at least stage and question_id")
         if not isinstance(match["stage"], str) or not isinstance(match["question_id"], str):
-            raise ScriptFormatError(f"script entry {line_no}: stage and question_id must be strings")
+            raise ScriptFormatError(f"{where}: stage and question_id must be strings")
         bad = match.keys() - _MATCH_KEYS
         if bad:
-            raise ScriptFormatError(f"script entry {line_no}: unknown match field {min(bad)!r}")
+            raise ScriptFormatError(f"{where}: unknown match field {min(bad)!r}")
         usage_raw = raw["usage"]
         if not isinstance(usage_raw, dict):
-            raise ScriptFormatError(f"script entry {line_no}: usage must be an object")
+            raise ScriptFormatError(f"{where}: usage must be an object")
         try:
             usage = Usage(usage_raw.get("prompt_tokens", 0), usage_raw.get("completion_tokens", 0))
         except ValueError:
             raise ScriptFormatError(
-                f"script entry {line_no}: token counts must be non-negative integers, got {usage_raw}"
+                f"{where}: token counts must be non-negative integers, got {usage_raw}"
             ) from None
         latency_ms = raw.get("latency_ms", 0)
         if type(latency_ms) not in (int, float) or not 0 <= latency_ms < math.inf:
-            raise ScriptFormatError(
-                f"script entry {line_no}: latency_ms must be a non-negative number, got {latency_ms!r}"
-            )
+            raise ScriptFormatError(f"{where}: latency_ms must be a non-negative number, got {latency_ms!r}")
         if not isinstance(raw["response"], str):
-            raise ScriptFormatError(
-                f"script entry {line_no}: response must be a string, got {raw['response']!r}"
-            )
-        extra = dict(match)
-        del extra["stage"], extra["question_id"]
-        for key, value in extra.items():
-            # type() rather than isinstance(): True would match step 1
-            if type(value) is not int or value < 1:
-                raise ScriptFormatError(f"script entry {line_no}: {key} must be an integer >= 1, got {value!r}")
-        return _ScriptEntry(
-            extra=extra,
-            response=raw["response"],
-            usage=usage,
-            latency_s=latency_ms / 1000.0,
-        )
+            raise ScriptFormatError(f"{where}: response must be a string, got {raw['response']!r}")
+        wanted = _ANY
+        if len(match) > 2:
+            for key in _OPTIONAL_MATCH_KEYS:
+                # type() rather than isinstance(): True would match step 1
+                if key in match and (type(match[key]) is not int or match[key] < 1):
+                    raise ScriptFormatError(f"{where}: {key} must be an integer >= 1, got {match[key]!r}")
+            wanted = tuple(map(match.get, _OPTIONAL_MATCH_KEYS))
+        result = CompletionResult(text=raw["response"], usage=usage, latency_s=latency_ms / 1000.0)
+        key = (match["stage"], match["question_id"])
+        self._entries.setdefault(key, []).append(_ScriptEntry(result, wanted))
 
     def call(self, prompt: PromptPair, params: CompletionParams, context: CallContext) -> CompletionResult:
         rank = context.sample_index  # matching entries a dealt call skips
+        asked = (context.step_index, context.agent_id, context.round)
         with self._lock:
             for entry in self._entries.get((context.stage, context.question_id), ()):
                 if rank is None and entry.served:
                     continue
-                if entry.extra and not all(getattr(context, key) == value for key, value in entry.extra.items()):
+                if entry.where is not _ANY and not all(
+                    wanted is None or wanted == got for wanted, got in zip(entry.where, asked)
+                ):
                     continue
                 if rank:
                     rank -= 1
@@ -240,7 +239,7 @@ class ScriptedBackend:
                 if entry.served:
                     break
                 entry.served = True
-                return CompletionResult(text=entry.response, usage=entry.usage, latency_s=entry.latency_s)
+                return entry.result
         raise ScriptExhausted(
             f"no script entry left for stage={context.stage!r} "
             f"question_id={context.question_id!r} step_index={context.step_index} "
@@ -614,7 +613,7 @@ class Gateway:
         return entries
 
     def _cache_append(self, key: str, result: CompletionResult) -> None:
-        line = jsonl.encode({"key": key, "text": result.text, "usage": vars(result.usage)})
+        line = jsonl.encode({"key": key, "text": result.text, "usage": asdict(result.usage)})
         with self._cache_lock:
             self._cache_out.write(line)
             self._cache_out.flush()  # committed before the completion returns

@@ -8,14 +8,19 @@ A run's streams (outcomes, traces, the completion cache) are append-only
 JSON Lines. A line is committed once its newline is written, so a crash
 mid-append leaves at most an unterminated last line, a torn tail: readers
 skip it, and ``append`` cuts it off before the stream is written to, so the
-next line is not glued onto it.
+next line is not glued onto it. ``append`` finds the tail by reading back
+from the end of the stream in blocks of TAIL_BLOCK bytes to the last
+newline, so opening a stream costs the size of its tail, not of the stream.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator, TextIO
+
+TAIL_BLOCK = 64 * 1024
 
 
 def encode(record: dict) -> str:
@@ -23,17 +28,23 @@ def encode(record: dict) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
 
 
-def loads(data: bytes):
-    """The JSON value ``data`` holds; ValueError saying what is wrong
-    otherwise. The bytes are decoded here, as strict UTF-8: json.loads would
-    also take UTF-16 and UTF-32."""
+def decode(data: bytes) -> str:
+    """``data`` decoded as strict UTF-8; ValueError naming the first bad
+    byte and where it is otherwise."""
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         where = f"line {line}, " if line > 1 else ""
         column = exc.start - data.rfind(b"\n", 0, exc.start)
         raise ValueError(f"not UTF-8 (byte {data[exc.start]:#04x} at {where}column {column})") from None
+
+
+def loads(data: bytes):
+    """The JSON value ``data`` holds; ValueError saying what is wrong
+    otherwise. The bytes are decoded here, as strict UTF-8: json.loads would
+    also take UTF-16 and UTF-32."""
+    text = decode(data)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -55,8 +66,22 @@ def append(path: Path) -> TextIO:
     missing, and cut back to its last newline."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "ab+") as handle:
-        handle.seek(0)
-        data = handle.read()
-        if not data.endswith(b"\n"):
-            handle.truncate(data.rfind(b"\n") + 1)
+        size = handle.seek(0, os.SEEK_END)
+        committed = _committed_size(handle, size)
+        if committed < size:
+            handle.truncate(committed)
     return open(path, "a", encoding="utf-8")
+
+
+def _committed_size(handle: BinaryIO, size: int) -> int:
+    """The stream's bytes up to and with its last newline, 0 if it has none,
+    found reading back from its ``size`` bytes in TAIL_BLOCK blocks."""
+    end = size
+    while end:
+        start = max(0, end - TAIL_BLOCK)
+        handle.seek(start)
+        newline = handle.read(end - start).rfind(b"\n")
+        if newline >= 0:
+            return start + newline + 1
+        end = start
+    return 0

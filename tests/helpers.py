@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -271,6 +272,23 @@ def template_placeholders(template_id: str) -> set[str]:
 def remaining(backend: ScriptedBackend) -> int:
     """Script entries the backend has not served yet."""
     return sum(not e.served for entries in backend._entries.values() for e in entries)
+
+
+def allocated(work):
+    """``work()``'s result, the bytes it allocated and kept, and the most it
+    held at once while it ran, as traced by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = work()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, kept - before, peak - before
 
 
 def write_script(path: str | Path, entries: list[dict]) -> Path:

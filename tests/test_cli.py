@@ -168,9 +168,9 @@ class TestRun:
 
     def test_malformed_script_fails_cleanly(self, small_run, tmp_path, capsys):
         script = tmp_path / "bad.jsonl"
-        script.write_text('{"match": {"stage": "cot"}, "response": "x"}\nnot json\n')
+        script.write_text('{"match": {"stage": "cot", "question_id": "q1"}, "response": "x", "usage": {}}\nnot json\n')
         assert main(run_args(small_run, script=str(script))) == 1
-        assert "line 2" in capsys.readouterr().err
+        assert f"script {script} line 2: invalid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tokens", ["abc", -5])
     def test_bad_token_count_in_the_script_fails_cleanly(self, small_run, capsys, tokens):
@@ -178,7 +178,7 @@ class TestRun:
         entries[1]["usage"]["prompt_tokens"] = tokens
         write_script(small_run["script"], entries)
         assert main(run_args(small_run)) == 1
-        assert "script entry 2" in capsys.readouterr().err
+        assert f"script {small_run['script']} line 2: token counts" in capsys.readouterr().err
 
     def test_unparseable_price_is_a_config_error(self, small_run, config_file, capsys):
         small_run["config"] = config_file(
@@ -545,6 +545,18 @@ class TestReportCommand:
     def test_missing_report_fails(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,flags", [("report.json", []), ("cost.csv", ["--format", "csv"])])
+    def test_an_artifact_that_is_not_utf8_fails_naming_it(self, small_run, capsys, name, flags):
+        assert main(run_args(small_run)) == 0
+        path = Path(small_run["out"]) / name
+        with path.open("ab") as handle:
+            handle.write(b"\xff")
+        capsys.readouterr()
+        assert main(["report", "--out", small_run["out"], *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: not UTF-8 (byte 0xff at line ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 class TestParser:

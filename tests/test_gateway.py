@@ -131,6 +131,28 @@ class TestScriptedBackend:
         with pytest.raises(ScriptFormatError, match="line 2"):
             ScriptedBackend.from_file(path)
 
+    def test_a_schema_error_names_the_file_and_its_line(self, tmp_path):
+        good = entry(STAGE_COT, "q1", "a")
+        path = tmp_path / "s.jsonl"
+        path.write_text(f"\n{json.dumps(good)}\n\n{json.dumps(dict(good, response=7))}\n")
+        with pytest.raises(ScriptFormatError) as raised:
+            ScriptedBackend.from_file(path)
+        assert str(raised.value) == f"script {path} line 4: response must be a string, got 7"
+
+    @pytest.mark.parametrize("second,third", [("schema", "json"), ("json", "schema")])
+    def test_the_first_bad_line_in_file_order_is_the_error(self, tmp_path, second, third):
+        good = entry(STAGE_COT, "q1", "a")
+        bad = {"schema": json.dumps(dict(good, usage=3)), "json": "{oops"}
+        path = tmp_path / "s.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{bad[second]}\n{bad[third]}\n")
+        expected = {"schema": "usage must be an object", "json": "invalid JSON"}[second]
+        with pytest.raises(ScriptFormatError, match=f"line 2: {expected}"):
+            ScriptedBackend.from_file(path)
+
+    def test_entries_may_come_from_any_iterable(self):
+        backend = ScriptedBackend(entry(STAGE_COT, "q1", text) for text in ("a", "b"))
+        assert [backend.call(PROMPT, PARAMS, CTX).text for _ in range(2)] == ["a", "b"]
+
     @pytest.mark.parametrize(
         "raw,fragment",
         [
@@ -196,6 +218,9 @@ class TestScriptedBackend:
              "round must be an integer >= 1, got '1'"),
             ({"match": {"stage": "cot", "question_id": "q", "step_index": -3}, "response": "x", "usage": {}},
              "step_index must be an integer >= 1, got -3"),
+            # null is not "any": an entry that sets a key must give it a value
+            ({"match": {"stage": "cot", "question_id": "q", "round": None}, "response": "x", "usage": {}},
+             "round must be an integer >= 1, got None"),
         ],
     )
     def test_entry_schema_enforced(self, raw, fragment):

@@ -4,7 +4,8 @@ Timing checks are flaky, so this counts work instead: the Python line
 events a run executes, on every thread, over the benchmark's generated
 rerailer-overhead inputs at two sizes. A scan that grows with the dataset
 (the script, a ledger, the cache) would show as more events per question
-in the larger run.
+in the larger run. Loading the script is measured in memory: it may hold
+little more at its peak than the backend it builds.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 import threading
 from pathlib import Path
 
+from helpers import allocated
 from rerail.config import load_settings
 from rerail.dataset import load_dataset
 from rerail.gateway import Gateway, ScriptedBackend
@@ -63,3 +65,9 @@ def test_line_events_per_question_stay_flat_as_the_dataset_grows(tmp_path):
     small = line_events_per_question(tmp_path, 4)
     large = line_events_per_question(tmp_path, 16)
     assert large <= 1.05 * small, (small, large)
+
+
+def test_loading_the_script_holds_little_more_than_it_keeps(tmp_path):
+    generator().generate("rerailer-overhead", 1, tmp_path, blocks={"rerailer": 4})
+    backend, kept, peak = allocated(lambda: ScriptedBackend.from_file(tmp_path / "rerailer.script.jsonl"))
+    assert backend._entries and peak <= 1.25 * kept, (kept, peak)
