@@ -54,21 +54,22 @@ def _ground_truth_from_json(value, kind: QuestionKind, qid: str):
     return TextValue(cleaned)
 
 
-def question_from_record(record: dict, line_no: int = 0) -> Question:
-    where = f"line {line_no}" if line_no else "record"
+def question_from_record(record: dict) -> Question:
+    """The question ``record`` holds; DatasetError saying what is wrong
+    otherwise, which names the question once its id is known."""
     if not isinstance(record, dict):
-        raise DatasetError(f"{where}: expected a JSON object")
+        raise DatasetError("expected a JSON object")
 
     unknown = sorted(set(record) - ALLOWED_FIELDS)
     if unknown:
-        raise DatasetError(f"{where}: unknown field {unknown[0]!r}")
+        raise DatasetError(f"unknown field {unknown[0]!r}")
     missing = sorted(REQUIRED_FIELDS - set(record))
     if missing:
-        raise DatasetError(f"{where}: missing field {missing[0]!r}")
+        raise DatasetError(f"missing field {missing[0]!r}")
 
     qid = record["id"]
     if not isinstance(qid, str) or not qid:
-        raise DatasetError(f"{where}: field 'id' must be a non-empty string")
+        raise DatasetError("field 'id' must be a non-empty string")
     for field in ("subject", "question"):
         if not isinstance(record[field], str) or not record[field]:
             raise DatasetError(f"question {qid!r}: field {field!r} must be a non-empty string")
@@ -126,17 +127,17 @@ def question_from_record(record: dict, line_no: int = 0) -> Question:
 
 
 def load_dataset(path: str | Path) -> list[Question]:
-    """Load and validate a JSONL dataset. Duplicate ids are rejected."""
+    """Load and validate a JSONL dataset. Duplicate ids are rejected. Every
+    error names the file and the line it is on."""
     questions: list[Question] = []
     seen: set[str] = set()
     for line_no, line in jsonl.lines(path, whole=True):
         try:
-            record = jsonl.loads(line)
-        except ValueError as exc:
+            question = question_from_record(jsonl.loads(line))
+            if question.id in seen:
+                raise DatasetError(f"duplicate question id {question.id!r}")
+        except (DatasetError, ValueError) as exc:
             raise DatasetError(f"{path} line {line_no}: {exc}") from None
-        question = question_from_record(record, line_no)
-        if question.id in seen:
-            raise DatasetError(f"line {line_no}: duplicate question id {question.id!r}")
         seen.add(question.id)
         questions.append(question)
     if not questions:

@@ -28,17 +28,17 @@ import time
 from collections import defaultdict, deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
-
-import requests
-import requests.adapters
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from . import jsonl
 from .prompts import PromptPair
 from .types import RerailError
+
+if TYPE_CHECKING:  # LiveBackend imports it when built
+    import requests
 
 RETRY_BASE_SLEEP_S = 1.0
 RETRY_FACTOR = 2.0
@@ -248,7 +248,10 @@ class ScriptedBackend:
 
 
 class LiveBackend:
-    """Chat-completions HTTP backend (OpenAI-compatible payload shape)."""
+    """Chat-completions HTTP backend (OpenAI-compatible payload shape).
+
+    The one user of ``requests``, which it imports when built: no other
+    run, replay or report loads an HTTP stack."""
 
     def __init__(
         self,
@@ -256,20 +259,32 @@ class LiveBackend:
         api_key_env: str,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         session: Optional[requests.Session] = None,
-        connections: int = requests.adapters.DEFAULT_POOLSIZE,
+        connections: Optional[int] = None,
     ) -> None:
         """``connections`` is the most calls that can be in flight at once;
-        the session keeps that many open, so none is dropped and reopened."""
+        the session keeps that many open, so none is dropped and reopened.
+        None keeps the HTTP client's default pool size."""
         api_key = os.environ.get(api_key_env, "")
         if not api_key:
             raise ProviderError(
                 f"environment variable {api_key_env} is not set (required for live mode)",
                 retriable=False,
             )
+        try:
+            import requests
+            import requests.adapters
+        except ImportError as exc:
+            raise ProviderError(
+                f"live mode needs the 'requests' package, which cannot be imported ({exc})",
+                retriable=False,
+            ) from None
+        self._requests = requests
         self._endpoint = endpoint
         self._timeout_s = timeout_s
         if session is None:
             session = requests.Session()
+            if connections is None:
+                connections = requests.adapters.DEFAULT_POOLSIZE
             adapter = requests.adapters.HTTPAdapter(pool_maxsize=connections)
             session.mount("https://", adapter)
             session.mount("http://", adapter)
@@ -299,9 +314,9 @@ class LiveBackend:
             response = self._session.post(
                 self._endpoint, json=payload, headers=self._headers, timeout=self._timeout_s
             )
-        except requests.Timeout as exc:
+        except self._requests.Timeout as exc:
             raise CompletionTimeout(f"provider call exceeded {self._timeout_s}s") from exc
-        except requests.RequestException as exc:
+        except self._requests.RequestException as exc:
             raise ProviderError(f"provider connection failure: {exc}", retriable=True) from exc
         latency = time.monotonic() - started
 
@@ -404,7 +419,7 @@ class UsageLedger:
 
 def cache_key(prompt: PromptPair, params: CompletionParams) -> str:
     """Content hash over everything that determines a completion."""
-    material = json.dumps(
+    material = jsonl.SORTED_KEYS.encode(
         {
             "model_id": params.model_id,
             "temperature": repr(params.temperature),
@@ -412,9 +427,7 @@ def cache_key(prompt: PromptPair, params: CompletionParams) -> str:
             "system": prompt.system,
             "user": prompt.user,
             "format_instructions": prompt.format_instructions,
-        },
-        sort_keys=True,
-        ensure_ascii=True,
+        }
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
@@ -613,7 +626,8 @@ class Gateway:
         return entries
 
     def _cache_append(self, key: str, result: CompletionResult) -> None:
-        line = jsonl.encode({"key": key, "text": result.text, "usage": asdict(result.usage)})
+        usage = {"prompt_tokens": result.usage.prompt_tokens, "completion_tokens": result.usage.completion_tokens}
+        line = jsonl.encode({"key": key, "text": result.text, "usage": usage})
         with self._cache_lock:
             self._cache_out.write(line)
             self._cache_out.flush()  # committed before the completion returns

@@ -22,10 +22,15 @@ from typing import BinaryIO, Iterator, TextIO
 
 TAIL_BLOCK = 64 * 1024
 
+# json.dumps(..., sort_keys=True) with its other options at their defaults,
+# built once rather than per call. Threads share it: encode keeps no state
+# between calls.
+SORTED_KEYS = json.JSONEncoder(sort_keys=True)
+
 
 def encode(record: dict) -> str:
     """One record as a committed line."""
-    return json.dumps(record, sort_keys=True) + "\n"
+    return SORTED_KEYS.encode(record) + "\n"
 
 
 def decode(data: bytes) -> str:

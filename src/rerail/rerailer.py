@@ -12,7 +12,7 @@ the iteration cap is hit; steps settled by earlier passes carry a
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
 
@@ -320,7 +320,7 @@ def rerail_pass(
                 "accepted": outcome.accepted,
                 "final_correction": outcome.final_correction,
                 "rounds_run": outcome.rounds_run,
-                "transcript": [asdict(turn) for turn in outcome.transcript],
+                "transcript": [dict(vars(turn)) for turn in outcome.transcript],
             },
             "reanswer_answer": rp_new.final_answer,
             "flags": sorted(set(flags)),

@@ -141,6 +141,19 @@ class TestRun:
         assert main(run_args(small_run, backend="live")) == 1
         assert "RERAIL_API_KEY" in capsys.readouterr().err
 
+    def test_live_backend_without_an_http_client_fails_cleanly(self, small_run, config_file, monkeypatch, capsys):
+        small_run["config"] = config_file(endpoint="http://127.0.0.1:9/v1/chat")  # never leaves the host
+        monkeypatch.setenv("RERAIL_API_KEY", "sk-test")
+        monkeypatch.setitem(sys.modules, "requests", None)  # import requests raises ImportError
+        assert main(run_args(small_run, backend="live", script=None)) == 1
+        assert one_error_line(capsys).startswith("error: live mode needs the 'requests' package")
+
+    def test_a_bad_dataset_line_names_the_file(self, small_run, capsys):
+        with open(small_run["dataset"], "a", encoding="utf-8") as handle:
+            handle.write('{"id": "x", "oops": 1}\n')
+        assert main(run_args(small_run)) == 1
+        assert one_error_line(capsys) == f"error: {small_run['dataset']} line 4: unknown field 'oops'\n"
+
     def test_invalid_mode_is_a_usage_error(self, small_run, capsys):
         assert main(run_args(small_run, mode="oracle")) == 1
         assert "invalid choice" in capsys.readouterr().err
@@ -348,6 +361,31 @@ print(json.dumps({"calls": len(calls), "threads": threads,
                   "restored": signal.getsignal(signal.SIGTERM) is signal.SIG_DFL}))
 sys.exit(code)
 """
+
+
+# Runs a scripted cache-on run, its replay and its report in one fresh
+# interpreter, then prints whether any of them loaded the HTTP client.
+OFFLINE_COMMANDS = """
+import json, sys
+from rerail import cli
+
+run, out = json.loads(sys.argv[1]), sys.argv[2]
+codes = [cli.main(run), cli.main(["replay", "--trace", out]), cli.main(["report", "--out", out])]
+print(json.dumps({"codes": codes, "requests": "requests" in sys.modules}))
+"""
+
+
+def test_offline_commands_never_import_the_http_client(small_run, config_file):
+    small_run["config"] = config_file(cache_enabled=True)
+    child = subprocess.run(
+        [sys.executable, "-c", OFFLINE_COMMANDS, json.dumps(run_args(small_run)), small_run["out"]],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(rerail.__file__).parents[1])),
+    )
+    assert child.returncode == 0, child.stderr
+    seen = json.loads(child.stdout.splitlines()[-1])
+    assert seen == {"codes": [0, 0, 0], "requests": False}
+    assert (Path(small_run["out"]) / "cache" / "completions.jsonl").stat().st_size > 0
 
 
 class TestInterrupt:

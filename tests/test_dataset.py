@@ -55,10 +55,6 @@ class TestQuestionFromRecord:
         with pytest.raises(DatasetError, match="ground_truth"):
             question_from_record(rec)
 
-    def test_line_number_in_diagnostic(self):
-        with pytest.raises(DatasetError, match="line 7"):
-            question_from_record({"id": 3}, line_no=7)
-
     @pytest.mark.parametrize("bad_id", ["", 12])
     def test_id_must_be_nonempty_string(self, bad_id):
         with pytest.raises(DatasetError, match="'id'"):
@@ -177,6 +173,25 @@ class TestLoadDataset:
         self.write_lines(p, [json.dumps(record()), json.dumps(record())])
         with pytest.raises(DatasetError, match="line 2.*duplicate"):
             load_dataset(p)
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            ({"id": "x", "oops": 1}, "unknown field 'oops'"),  # before the id is known
+            (record(id=3), "field 'id' must be a non-empty string"),
+            (record(id="q2", category="Trivia"), "question 'q2': field 'category' must be one of"),
+            (record(id="q2", ground_truth="D"), "question 'q2': ground truth 'D' is not among"),
+            (record(), "duplicate question id 'q1'"),
+        ],
+        ids=["unknown-field", "id", "category", "ground-truth", "duplicate"],
+    )
+    def test_every_error_names_the_file_and_line(self, tmp_path, bad, error):
+        p = tmp_path / "data.jsonl"
+        self.write_lines(p, [json.dumps(record()), json.dumps(bad)])
+        with pytest.raises(DatasetError) as raised:
+            load_dataset(p)
+        assert str(raised.value).startswith(f"{p} line 2: {error}")
+        assert str(raised.value).count("line ") == 1
 
     def test_bad_json_names_line(self, tmp_path):
         p = tmp_path / "data.jsonl"
