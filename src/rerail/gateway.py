@@ -247,6 +247,23 @@ class ScriptedBackend:
         )
 
 
+def chat_payload(prompt: PromptPair, params: CompletionParams) -> dict:
+    """The chat-completions request body of one call. The format
+    instructions ride along in the user message."""
+    user_text = prompt.user
+    if prompt.format_instructions:
+        user_text = f"{user_text}\n\n{prompt.format_instructions}"
+    return {
+        "model": params.model_id,
+        "temperature": params.temperature,
+        "messages": [
+            {"role": "system", "content": prompt.system},
+            {"role": "user", "content": user_text},
+        ],
+        "seed": params.seed,
+    }
+
+
 class LiveBackend:
     """Chat-completions HTTP backend (OpenAI-compatible payload shape).
 
@@ -296,23 +313,10 @@ class LiveBackend:
         }
 
     def call(self, prompt: PromptPair, params: CompletionParams, context: CallContext) -> CompletionResult:
-        user_text = prompt.user
-        if prompt.format_instructions:
-            user_text = f"{user_text}\n\n{prompt.format_instructions}"
-        payload = {
-            "model": params.model_id,
-            "temperature": params.temperature,
-            "messages": [
-                {"role": "system", "content": prompt.system},
-                {"role": "user", "content": user_text},
-            ],
-            "seed": params.seed,
-        }
-
         started = time.monotonic()
         try:
             response = self._session.post(
-                self._endpoint, json=payload, headers=self._headers, timeout=self._timeout_s
+                self._endpoint, json=chat_payload(prompt, params), headers=self._headers, timeout=self._timeout_s
             )
         except self._requests.Timeout as exc:
             raise CompletionTimeout(f"provider call exceeded {self._timeout_s}s") from exc

@@ -1,19 +1,27 @@
 """Builders shared across the test modules.
 
-Everything here is plain data construction: questions, scripted-backend
-entries, fenced agent responses, and a few canned end-to-end scenarios
-(consistent, fixable, unfixable) with their exact per-stage call budgets.
+Mostly plain data construction: questions, scripted-backend entries, fenced
+agent responses, and a few canned end-to-end scenarios (consistent,
+fixable, unfixable) with their exact per-stage call budgets. Live mode is
+tested against a loopback chat-completions provider, and a CONNECT proxy
+in front of it, both kept here too.
 """
 
 from __future__ import annotations
 
+import http.server
 import json
+import selectors
+import socket
+import socketserver
+import ssl
 import threading
 import time
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
 
 from rerail import prompts
 from rerail.config import RunSettings
@@ -26,6 +34,7 @@ from rerail.gateway import (
     StageUsage,
     Usage,
     UsageLedger,
+    chat_payload,
 )
 from rerail.prompts import PromptPair
 from rerail.types import (
@@ -341,6 +350,207 @@ class FlakyBackend:
         if self._failures:
             raise self._failures.pop(0)
         return CompletionResult(text=self._text, usage=Usage(10, 5), latency_s=0.01)
+
+
+# ---------------------------------------------------------------------------
+# a loopback chat-completions provider, and a CONNECT proxy
+
+# A certificate for 127.0.0.1 and its key, made for these tests with
+#   openssl req -x509 -newkey rsa:2048 -nodes -days 36500 -subj "/CN=127.0.0.1"
+#     -addext "subjectAltName=IP:127.0.0.1"
+#     -addext "keyUsage=critical,digitalSignature,keyCertSign"
+LOOPBACK_CERT = Path(__file__).parent / "data" / "loopback.crt"
+LOOPBACK_KEY = Path(__file__).parent / "data" / "loopback.key"
+
+
+def payload_key(payload: dict) -> str:
+    """A request payload as the loopback provider looks its reply up."""
+    return json.dumps(payload, sort_keys=True)
+
+
+def chat_reply(text, prompt_tokens=12, completion_tokens=7) -> dict:
+    """A chat-completions reply body."""
+    return {
+        "choices": [{"message": {"role": "assistant", "content": text}}],
+        "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens},
+    }
+
+
+class PayloadRecorder:
+    """Wraps a backend and keeps each call's reply body in ``replies``,
+    under the key of the request payload live mode would send for it."""
+
+    def __init__(self, inner, replies: dict) -> None:
+        self.inner = inner
+        self.replies = replies
+
+    def call(self, prompt, params, context) -> CompletionResult:
+        result = self.inner.call(prompt, params, context)
+        body = chat_reply(result.text, result.usage.prompt_tokens, result.usage.completion_tokens)
+        # two calls with one payload must have had one reply
+        assert self.replies.setdefault(payload_key(chat_payload(prompt, params)), body) == body
+        return result
+
+
+@dataclass(frozen=True)
+class Fault:
+    """What the loopback provider sends in place of a call's plain reply."""
+
+    status: int = 200
+    headers: tuple[tuple[str, str], ...] = ()
+    # None: the reply the payload maps to, or an error object if the status
+    # is not 200
+    body: Optional[bytes] = None
+    delay_s: float = 0.0  # slept before the reply is sent
+    cut: bool = False  # the connection closes halfway through the body
+
+
+class _ProviderHandler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive, so connections can be reused
+    disable_nagle_algorithm = True  # the body goes out without waiting on an ACK
+
+    def do_POST(self):
+        provider = self.server
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with provider.lock:
+            provider.requests.append((self.path, dict(self.headers), payload))
+            fault = provider.faults.get(len(provider.requests), provider.every)
+        status, body = fault.status, fault.body
+        if body is None:
+            reply = provider.replies.get(payload_key(payload))
+            if status == 200 and reply is None:
+                status = 404
+            body = json.dumps(reply if status == 200 else {"error": f"HTTP {status}"}).encode()
+        time.sleep(fault.delay_s)
+        self.send_response(status)
+        for name, value in fault.headers:
+            self.send_header(name, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body[: len(body) // 2] if fault.cut else body)
+        # close without saying so: the client finds out on its next call
+        self.close_connection = fault.cut or provider.close_after_reply
+
+    def log_message(self, *args):
+        pass
+
+
+class _LoopbackServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
+    """A threaded server on 127.0.0.1 that serves on its own thread while
+    used as a context manager: a ThreadingHTTPServer, less the look-up of
+    the host's name on bind, when its handler speaks HTTP. Its backlog takes a wave of connects at
+    once; it counts the connections it accepts and signals ``closed`` as it
+    closes each."""
+
+    daemon_threads = True
+    request_queue_size = 64
+
+    def __init__(self, handler) -> None:
+        super().__init__(("127.0.0.1", 0), handler)
+        self.port = self.server_address[1]
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.closed = threading.Semaphore(0)
+        self._serving = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.05})
+
+    def __enter__(self):
+        self._serving.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
+        self.server_close()
+        self._serving.join(timeout=5)
+
+    def process_request(self, request, client_address) -> None:
+        with self.lock:
+            self.connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        self.closed.release()
+
+    def handle_error(self, request, client_address) -> None:
+        pass  # a client that gave up on a slow reply, say
+
+
+class LoopbackProvider(_LoopbackServer):
+    """A chat-completions provider on 127.0.0.1.
+
+    It answers each request from ``replies``, a map of ``payload_key`` to
+    reply body, and a payload it has no reply for with a 404. ``faults``
+    maps a request's number (1-based, in arrival order) to the Fault sent
+    in its place; ``every`` is the one sent for every other request. With
+    ``close_after_reply`` it closes each connection after its reply without
+    saying so. ``requests`` holds each request's path, headers and payload.
+    With ``tls`` it speaks HTTPS under LOOPBACK_CERT.
+    """
+
+    def __init__(
+        self,
+        replies: Optional[Mapping[str, dict]] = None,
+        faults: Optional[Mapping[int, Fault]] = None,
+        every: Fault = Fault(),
+        close_after_reply: bool = False,
+        tls: bool = False,
+    ) -> None:
+        super().__init__(_ProviderHandler)
+        self.replies = {} if replies is None else replies
+        self.faults = faults or {}
+        self.every = every
+        self.close_after_reply = close_after_reply
+        self.requests: list[tuple[str, dict, dict]] = []
+        self.tls = None
+        if tls:
+            self.tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            self.tls.load_cert_chain(LOOPBACK_CERT, LOOPBACK_KEY)
+        scheme = "https" if tls else "http"
+        self.url = f"{scheme}://127.0.0.1:{self.port}/v1/chat/completions"
+
+    def finish_request(self, request, client_address) -> None:
+        if self.tls is None:
+            return super().finish_request(request, client_address)
+        with self.tls.wrap_socket(request, server_side=True) as wrapped:
+            super().finish_request(wrapped, client_address)
+
+
+class _TunnelHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        target = self.rfile.readline().split()[1].decode("ascii")  # CONNECT host:port HTTP/1.1
+        while self.rfile.readline().strip():  # the rest of the header
+            pass
+        host, port = target.rsplit(":", 1)
+        with socket.create_connection((host, int(port))) as upstream:
+            with self.server.lock:
+                self.server.tunnels.append(target)
+            self.wfile.write(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            with selectors.DefaultSelector() as ready:
+                ready.register(self.connection, selectors.EVENT_READ, upstream)
+                ready.register(upstream, selectors.EVENT_READ, self.connection)
+                while True:
+                    for key, _ in ready.select():
+                        data = key.fileobj.recv(65536)
+                        if not data:
+                            return
+                        key.data.sendall(data)
+
+
+class ConnectProxy(_LoopbackServer):
+    """An HTTP proxy on 127.0.0.1 that only tunnels (CONNECT); ``tunnels``
+    holds the host:port of each tunnel it opened."""
+
+    def __init__(self) -> None:
+        super().__init__(_TunnelHandler)
+        self.tunnels: list[str] = []
+        self.url = f"http://127.0.0.1:{self.port}"
+
+
+def close_connections(live) -> None:
+    """Close the keep-alive connections a live backend, or the gateway
+    over one, holds open."""
+    getattr(live, "_backend", live)._session.close()
 
 
 # ---------------------------------------------------------------------------

@@ -364,14 +364,15 @@ sys.exit(code)
 
 
 # Runs a scripted cache-on run, its replay and its report in one fresh
-# interpreter, then prints whether any of them loaded the HTTP client.
+# interpreter, then prints which modules of an HTTP stack any of them loaded.
 OFFLINE_COMMANDS = """
 import json, sys
 from rerail import cli
 
 run, out = json.loads(sys.argv[1]), sys.argv[2]
 codes = [cli.main(run), cli.main(["replay", "--trace", out]), cli.main(["report", "--out", out])]
-print(json.dumps({"codes": codes, "requests": "requests" in sys.modules}))
+http = sorted({"requests", "http.client", "ssl", "urllib.request"} & sys.modules.keys())
+print(json.dumps({"codes": codes, "http": http}))
 """
 
 
@@ -384,7 +385,7 @@ def test_offline_commands_never_import_the_http_client(small_run, config_file):
     )
     assert child.returncode == 0, child.stderr
     seen = json.loads(child.stdout.splitlines()[-1])
-    assert seen == {"codes": [0, 0, 0], "requests": False}
+    assert seen == {"codes": [0, 0, 0], "http": []}
     assert (Path(small_run["out"]) / "cache" / "completions.jsonl").stat().st_size > 0
 
 

@@ -1,21 +1,25 @@
 """Gateway behavior: scripted replay, caching, retry, throttles, structured
-output, the usage ledger, and the live HTTP backend against a stub session."""
+output, the usage ledger, and the live HTTP backend against a loopback
+provider."""
 
-import http.server
 import itertools
 import json
-import socketserver
+import socket
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 
 import pytest
-import requests
 from hypothesis import given, strategies as st
 
 from helpers import (
+    Fault,
     FlakyBackend,
+    LoopbackProvider,
+    chat_reply,
+    close_connections,
     make_settings,
     mcqa_question,
     RecordingBackend,
@@ -693,45 +697,31 @@ class TestCompleteStructured:
         assert complete_structured(gw, PROMPT, PARAMS, ctx, read) is None
 
 
-class _StubResponse:
-    def __init__(self, status_code=200, body=None, invalid=False):
-        self.status_code = status_code
-        self._body = body
-        self._invalid = invalid
-
-    def json(self):
-        if self._invalid:
-            raise ValueError("not json")
-        return self._body
+GOOD_BODY = chat_reply("plain completion", prompt_tokens=12, completion_tokens=7)
 
 
-class _StubSession:
-    def __init__(self, outcomes):
-        self._outcomes = list(outcomes)
-        self.posts = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.posts.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        outcome = self._outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-GOOD_BODY = {
-    "choices": [{"message": {"content": "plain completion"}}],
-    "usage": {"prompt_tokens": 12, "completion_tokens": 7},
-}
+def answer(body) -> Fault:
+    """A 200 reply with ``body`` as JSON."""
+    return Fault(body=json.dumps(body).encode())
 
 
 class TestLiveBackend:
     ENV = "RERAIL_TEST_KEY"
 
-    def backend(self, monkeypatch, outcomes, timeout_s=9.0):
+    @pytest.fixture
+    def live(self, monkeypatch):
+        """live(*faults, timeout_s=9.0): a LiveBackend and the loopback
+        provider it calls, which sends the faults in turn; both closed when
+        the test ends."""
         monkeypatch.setenv(self.ENV, "sk-test")
-        session = _StubSession(outcomes)
-        return LiveBackend("https://example.invalid/v1/chat", self.ENV,
-                           timeout_s=timeout_s, session=session), session
+        with ExitStack() as held:
+            def make(*faults, timeout_s=9.0):
+                provider = held.enter_context(LoopbackProvider(faults=dict(enumerate(faults, start=1))))
+                backend = LiveBackend(provider.url, self.ENV, timeout_s=timeout_s)
+                held.callback(close_connections, backend)
+                return backend, provider
+
+            yield make
 
     def test_missing_key_is_fatal_and_names_the_variable(self, monkeypatch):
         monkeypatch.delenv(self.ENV, raising=False)
@@ -739,18 +729,17 @@ class TestLiveBackend:
             LiveBackend("https://example.invalid", self.ENV)
         assert err.value.retriable is False
 
-    def test_payload_shape_and_headers(self, monkeypatch):
-        backend, session = self.backend(monkeypatch, [_StubResponse(body=GOOD_BODY)])
+    def test_payload_shape_and_headers(self, live):
+        backend, provider = live(answer(GOOD_BODY))
         params = CompletionParams(model_id="m1", temperature=0.25, seed=5)
         result = backend.call(PROMPT, params, CTX)
         assert result.text == "plain completion"
         assert result.usage == Usage(12, 7)
 
-        post = session.posts[0]
-        assert post["url"] == "https://example.invalid/v1/chat"
-        assert post["timeout"] == 9.0
-        assert post["headers"]["Authorization"] == "Bearer sk-test"
-        payload = post["json"]
+        [(path, headers, payload)] = provider.requests
+        assert path == "/v1/chat/completions"
+        assert headers["Authorization"] == "Bearer sk-test"
+        assert headers["Content-Type"] == "application/json"
         assert payload["model"] == "m1"
         assert payload["temperature"] == 0.25
         assert payload["seed"] == 5
@@ -759,151 +748,117 @@ class TestLiveBackend:
         assert payload["messages"][1] == {"role": "user", "content": "usr\n\nfmt"}
 
     @pytest.mark.parametrize("status,retriable", [(429, True), (500, True), (503, True), (400, False), (404, False)])
-    def test_http_status_mapping(self, monkeypatch, status, retriable):
-        backend, _ = self.backend(monkeypatch, [_StubResponse(status_code=status)])
+    def test_http_status_mapping(self, live, status, retriable):
+        backend, _ = live(Fault(status=status))
         with pytest.raises(ProviderError) as err:
             backend.call(PROMPT, PARAMS, CTX)
         assert err.value.retriable is retriable
         assert str(status) in str(err.value)
 
-    def test_malformed_body_is_fatal(self, monkeypatch):
-        backend, _ = self.backend(monkeypatch, [_StubResponse(invalid=True)])
+    def test_malformed_body_is_fatal(self, live):
+        backend, _ = live(Fault(body=b"not json"))
         with pytest.raises(ProviderError, match="malformed") as err:
             backend.call(PROMPT, PARAMS, CTX)
         assert err.value.retriable is False
 
-    def test_missing_choices_is_fatal(self, monkeypatch):
-        backend, _ = self.backend(monkeypatch, [_StubResponse(body={"usage": {}})])
+    def test_missing_choices_is_fatal(self, live):
+        backend, _ = live(answer({"usage": {}}))
         with pytest.raises(ProviderError, match="malformed"):
             backend.call(PROMPT, PARAMS, CTX)
 
-    def test_socket_timeout_maps_to_completion_timeout(self, monkeypatch):
-        backend, _ = self.backend(monkeypatch, [requests.Timeout("too slow")])
+    def test_socket_timeout_maps_to_completion_timeout(self, live):
+        backend, _ = live(Fault(body=b"{}", delay_s=0.5), timeout_s=0.1)
         with pytest.raises(CompletionTimeout) as err:
             backend.call(PROMPT, PARAMS, CTX)
         assert err.value.retriable is True
 
     def test_connection_error_is_retriable(self, monkeypatch):
-        backend, _ = self.backend(monkeypatch, [requests.ConnectionError("refused")])
-        with pytest.raises(ProviderError) as err:
-            backend.call(PROMPT, PARAMS, CTX)
+        monkeypatch.setenv(self.ENV, "sk-test")
+        with socket.socket() as probe:  # a port nothing listens on once it closes
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        backend = LiveBackend(f"http://127.0.0.1:{port}/v1/chat", self.ENV)
+        try:
+            with pytest.raises(ProviderError) as err:
+                backend.call(PROMPT, PARAMS, CTX)
+        finally:
+            close_connections(backend)
         assert err.value.retriable is True
 
-    def test_malformed_usage_is_a_failed_question(self, monkeypatch, tmp_path):
+    def test_malformed_usage_is_a_failed_question(self, live, tmp_path):
         body = {"choices": [{"message": {"content": "Answer: B"}}], "usage": {"prompt_tokens": "x"}}
-        backend, session = self.backend(monkeypatch, [_StubResponse(body=body)])
+        backend, _ = live(answer(body))
         with pytest.raises(ProviderError, match="usage") as err:
             backend.call(PROMPT, PARAMS, CTX)
         assert err.value.retriable is False
 
-        backend, session = self.backend(monkeypatch, [_StubResponse(body=body)])
+        backend, provider = live(answer(body))
         report = harness.run([mcqa_question()], make_settings(), "cot", tmp_path, Gateway(backend))
         assert report["counts"]["failed"] == 1
-        assert len(session.posts) == 1  # not retried
+        assert len(provider.requests) == 1  # not retried
         [row] = harness.load_outcomes(tmp_path / harness.OUTCOMES_FILE)
         assert row.error.startswith("ProviderError: malformed provider usage")
 
     @pytest.mark.parametrize("count", [1.9, "7", True, -1])
-    def test_token_counts_are_not_rounded_or_converted(self, monkeypatch, count):
+    def test_token_counts_are_not_rounded_or_converted(self, live, count):
         body = {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": 3, "completion_tokens": count}}
-        backend, _ = self.backend(monkeypatch, [_StubResponse(body=body)])
+        backend, _ = live(answer(body))
         with pytest.raises(ProviderError, match="malformed provider usage") as err:
             backend.call(PROMPT, PARAMS, CTX)
         assert err.value.retriable is False
 
     @pytest.mark.parametrize("content", [None, 7, ["Answer: B"]])
-    def test_non_string_content_is_rejected(self, monkeypatch, content):
+    def test_non_string_content_is_rejected(self, live, content):
         body = {"choices": [{"message": {"content": content}}], "usage": GOOD_BODY["usage"]}
-        backend, session = self.backend(monkeypatch, [_StubResponse(body=body)])
+        backend, _ = live(answer(body))
         with pytest.raises(ProviderError, match="content") as err:
             backend.call(PROMPT, PARAMS, CTX)
         assert err.value.retriable is False
 
-    def test_null_content_fails_its_question_and_the_run_goes_on(self, monkeypatch, tmp_path):
+    def test_null_content_fails_its_question_and_the_run_goes_on(self, live, tmp_path):
         null = {"choices": [{"message": {"content": None}}], "usage": GOOD_BODY["usage"]}
         good = {"choices": [{"message": {"content": "Step 1: pick.\nAnswer: B"}}], "usage": GOOD_BODY["usage"]}
-        backend, session = self.backend(monkeypatch, [_StubResponse(body=null), _StubResponse(body=good)])
+        backend, provider = live(answer(null), answer(good))
         questions = [mcqa_question("q1"), mcqa_question("q2")]
         report = harness.run(questions, make_settings(), "cot", tmp_path, Gateway(backend))
         assert report["counts"]["failed"] == 1
         assert report["accuracy"]["overall"] == {"correct": 1, "total": 1, "accuracy": 1.0}
-        assert len(session.posts) == 2  # not retried
+        assert len(provider.requests) == 2  # not retried
         rows = {row.question_id: row for row in harness.load_outcomes(tmp_path / harness.OUTCOMES_FILE)}
         assert rows["q1"].error.startswith("ProviderError: malformed provider response")
         assert rows["q2"].error is None
 
 
-class _CountingHandler(http.server.BaseHTTPRequestHandler):
-    """Chat-completions stub that counts the connections it accepts."""
-
-    protocol_version = "HTTP/1.1"  # keep-alive, so connections can be reused
-
-    def setup(self):
-        super().setup()
-        with self.server.lock:
-            self.server.connections += 1
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        time.sleep(0.02)  # keeps the calls of a wave in flight together
-        data = json.dumps(GOOD_BODY).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-class _StubServer(socketserver.ThreadingTCPServer):
-    """Plain TCP server (HTTPServer would look up the host's name on bind)
-    whose backlog takes a whole wave of connects at once."""
-
-    daemon_threads = True
-    request_queue_size = 64
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.lock = threading.Lock()
-        self.connections = 0
-
-
 def test_live_session_keeps_a_connection_per_call_in_flight(monkeypatch):
     # 16 calls in flight: 2 workers times a fan-out of 8 samples
     monkeypatch.setenv("RERAIL_TEST_KEY", "sk-test")
-    server = _StubServer(("127.0.0.1", 0), _CountingHandler)
-    serving = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
-    serving.start()
-    try:
+    # each reply waits, which keeps the calls of a wave in flight together
+    with LoopbackProvider(every=Fault(body=json.dumps(GOOD_BODY).encode(), delay_s=0.02)) as provider:
         settings = make_settings(
-            endpoint=f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
+            endpoint=provider.url,
             api_key_env="RERAIL_TEST_KEY",
             parallelism=2,
             n_samples=8,
         )
         gateway = harness.make_gateway(settings, "live", mode="rerailer")
-        ledgers = []
-        for _ in range(2):
-            barrier = threading.Barrier(16)
+        try:
+            ledgers = []
+            for _ in range(2):
+                barrier = threading.Barrier(16)
 
-            def call(index):
-                barrier.wait(timeout=5)
-                with gateway.recording() as ledger:
-                    gateway.complete(PROMPT, PARAMS, CallContext(STAGE_COT, f"q{index}"))
-                ledgers.append(ledger)
+                def call(index):
+                    barrier.wait(timeout=5)
+                    with gateway.recording() as ledger:
+                        gateway.complete(PROMPT, PARAMS, CallContext(STAGE_COT, f"q{index}"))
+                    ledgers.append(ledger)
 
-            wave = [threading.Thread(target=call, args=(i,)) for i in range(16)]
-            for thread in wave:
-                thread.start()
-            for thread in wave:
-                thread.join(timeout=10)
-            assert not any(thread.is_alive() for thread in wave)
-        assert len(ledgers) == 32 and all(question_calls(ledger) == 1 for ledger in ledgers)
-        assert server.connections <= 16
-        gateway._backend._session.close()
-    finally:
-        server.shutdown()
-        server.server_close()
-        serving.join(timeout=5)
+                wave = [threading.Thread(target=call, args=(i,)) for i in range(16)]
+                for thread in wave:
+                    thread.start()
+                for thread in wave:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in wave)
+        finally:
+            close_connections(gateway)
+    assert len(ledgers) == 32 and all(question_calls(ledger) == 1 for ledger in ledgers)
+    assert provider.connections <= 16
