@@ -97,7 +97,7 @@ def _cmd_run(args) -> int:
     if args.backend == "scripted" and not args.script:
         raise UsageError("--backend scripted requires --script")
     questions = load_dataset(args.dataset)
-    gateway = make_gateway(settings, args.backend, script_path=args.script, out_dir=args.out, mode=args.mode)
+    gateway = make_gateway(settings, args.backend, script_path=args.script, out_dir=args.out)
     previous = signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as Ctrl-C does
     try:
         report = run(questions, settings, args.mode, args.out, gateway)

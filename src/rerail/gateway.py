@@ -29,16 +29,15 @@ from collections import defaultdict, deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
+from urllib.parse import urlsplit
 
 from . import jsonl
 from .prompts import PromptPair
 from .types import RerailError
-
-if TYPE_CHECKING:  # LiveBackend imports it when built
-    import requests
 
 RETRY_BASE_SLEEP_S = 1.0
 RETRY_FACTOR = 2.0
@@ -267,70 +266,92 @@ def chat_payload(prompt: PromptPair, params: CompletionParams) -> dict:
 class LiveBackend:
     """Chat-completions HTTP backend (OpenAI-compatible payload shape).
 
-    The one user of ``requests``, which it imports when built: no other
-    run, replay or report loads an HTTP stack."""
+    It speaks HTTP/1.1 through the standard library's http.client, which it
+    imports when built: no other run, replay or report loads an HTTP stack.
+    A call takes an idle keep-alive connection, or opens one, and puts it
+    back once it has read the whole reply, so as many are open as calls
+    were ever in flight at once. A proxy named in HTTPS_PROXY or HTTP_PROXY
+    is reached by CONNECT, unless NO_PROXY names the host."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key_env: str,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
-        session: Optional[requests.Session] = None,
-        connections: Optional[int] = None,
-    ) -> None:
-        """``connections`` is the most calls that can be in flight at once;
-        the session keeps that many open, so none is dropped and reopened.
-        None keeps the HTTP client's default pool size."""
+    def __init__(self, endpoint: str, api_key_env: str, timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
         api_key = os.environ.get(api_key_env, "")
         if not api_key:
             raise ProviderError(
                 f"environment variable {api_key_env} is not set (required for live mode)",
                 retriable=False,
             )
-        try:
-            import requests
-            import requests.adapters
-        except ImportError as exc:
-            raise ProviderError(
-                f"live mode needs the 'requests' package, which cannot be imported ({exc})",
-                retriable=False,
-            ) from None
-        self._requests = requests
-        self._endpoint = endpoint
+        import http.client
+        import ssl
+        import urllib.request
+
+        url = urlsplit(endpoint)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._timeout_s = timeout_s
-        if session is None:
-            session = requests.Session()
-            if connections is None:
-                connections = requests.adapters.DEFAULT_POOLSIZE
-            adapter = requests.adapters.HTTPAdapter(pool_maxsize=connections)
-            session.mount("https://", adapter)
-            session.mount("http://", adapter)
-        self._session = session
+        self._connection_class = http.client.HTTPConnection
+        if url.scheme == "https":  # one trust store, read once
+            self._connection_class = partial(http.client.HTTPSConnection, context=ssl.create_default_context())
+        self._address, self._tunnel = (url.hostname, url.port), None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.hostname):
+            proxy = urlsplit(proxy if "://" in proxy else f"//{proxy}")
+            self._address, self._tunnel = (proxy.hostname, proxy.port or 80), self._address
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
         # Keep the key off the object's repr and out of logs.
         self._headers = {
             "Authorization": f"Bearer {api_key}",
             "Content-Type": "application/json",
         }
 
+    def _connection(self):
+        """An idle connection the server has not closed, or a new one. An
+        idle connection whose socket reads as ready is at its end: the
+        server closed it."""
+        import selectors
+
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                connection = self._idle.pop()
+            if connection.sock is None:  # reopened by its next request
+                return connection
+            with selectors.DefaultSelector() as ready:
+                ready.register(connection.sock, selectors.EVENT_READ)
+                if not ready.select(0):
+                    return connection
+            connection.close()
+        connection = self._connection_class(*self._address, timeout=self._timeout_s)
+        if self._tunnel is not None:
+            connection.set_tunnel(*self._tunnel)
+        return connection
+
     def call(self, prompt: PromptPair, params: CompletionParams, context: CallContext) -> CompletionResult:
+        import http.client
+
+        payload = json.dumps(chat_payload(prompt, params)).encode()
         started = time.monotonic()
+        connection = self._connection()
         try:
-            response = self._session.post(
-                self._endpoint, json=chat_payload(prompt, params), headers=self._headers, timeout=self._timeout_s
-            )
-        except self._requests.Timeout as exc:
-            raise CompletionTimeout(f"provider call exceeded {self._timeout_s}s") from exc
-        except self._requests.RequestException as exc:
+            connection.request("POST", self._path, payload, self._headers)
+            response = connection.getresponse()
+            reply = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            if isinstance(exc, TimeoutError):
+                raise CompletionTimeout(f"provider call exceeded {self._timeout_s}s") from exc
             raise ProviderError(f"provider connection failure: {exc}", retriable=True) from exc
         latency = time.monotonic() - started
+        with self._lock:
+            self._idle.append(connection)
 
-        if response.status_code == 429 or response.status_code >= 500:
-            raise ProviderError(f"provider returned HTTP {response.status_code}", retriable=True)
-        if response.status_code >= 400:
-            raise ProviderError(f"provider returned HTTP {response.status_code}", retriable=False)
+        if response.status == 429 or response.status >= 500:
+            raise ProviderError(f"provider returned HTTP {response.status}", retriable=True)
+        if response.status >= 300:
+            raise ProviderError(f"provider returned HTTP {response.status}", retriable=False)
 
         try:
-            body = response.json()
+            body = jsonl.loads(reply)
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}", retriable=False) from exc

@@ -308,10 +308,8 @@ def make_gateway(
     backend_kind: str,
     script_path: Optional[str | Path] = None,
     out_dir: Optional[str | Path] = None,
-    mode: str = MODE_RERAILER,
 ) -> Gateway:
-    """Gateway wired for a run of the mode: scripted replays, live caches by
-    default and keeps a connection open per call that can be in flight."""
+    """Gateway wired for a run: scripted replays, live caches by default."""
     if backend_kind == "scripted":
         if script_path is None:
             raise ValueError("scripted backend requires a script file")
@@ -322,7 +320,6 @@ def make_gateway(
             endpoint=settings.endpoint,
             api_key_env=settings.api_key_env,
             timeout_s=settings.timeout_s,
-            connections=max_concurrent_calls(settings, mode),
         )
         cache_enabled = settings.cache_enabled is not False
     else:

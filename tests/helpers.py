@@ -548,9 +548,13 @@ class ConnectProxy(_LoopbackServer):
 
 
 def close_connections(live) -> None:
-    """Close the keep-alive connections a live backend, or the gateway
+    """Close the idle keep-alive connections a live backend, or the gateway
     over one, holds open."""
-    getattr(live, "_backend", live)._session.close()
+    backend = getattr(live, "_backend", live)
+    with backend._lock:
+        idle, backend._idle = backend._idle, []
+    for connection in idle:
+        connection.close()
 
 
 # ---------------------------------------------------------------------------

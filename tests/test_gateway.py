@@ -840,7 +840,7 @@ def test_live_session_keeps_a_connection_per_call_in_flight(monkeypatch):
             parallelism=2,
             n_samples=8,
         )
-        gateway = harness.make_gateway(settings, "live", mode="rerailer")
+        gateway = harness.make_gateway(settings, "live")
         try:
             ledgers = []
             for _ in range(2):
