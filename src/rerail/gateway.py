@@ -9,11 +9,12 @@ Two backends sit behind one Gateway:
   from an environment variable named in the config, never from the CLI.
 
 The Gateway adds content-addressed response caching, bounded retry with
-exponential backoff, in-flight and requests-per-minute throttles, and a
-usage ledger per question. The cache is one append-only ``completions.jsonl``
-in the cache directory, a line per completion. It lives for a run: entering
-``Gateway.run_scope`` opens the stream and reads it into memory, and leaving
-it closes the stream once every fan-out thread has joined.
+exponential backoff or the wait a provider asks for, in-flight and
+requests-per-minute throttles, and a usage ledger per question. The cache
+is one append-only ``completions.jsonl`` in the cache directory, a line per
+completion. It lives for a run: entering ``Gateway.run_scope`` opens the
+stream and reads it into memory, and leaving it closes the stream once
+every fan-out thread has joined.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
 from . import jsonl
 from .prompts import PromptPair
@@ -42,6 +43,7 @@ from .types import RerailError
 RETRY_BASE_SLEEP_S = 1.0
 RETRY_FACTOR = 2.0
 RETRY_MAX_ATTEMPTS = 5
+RETRY_AFTER_MAX_S = 60.0  # the longest wait a provider's Retry-After gets
 DEFAULT_TIMEOUT_S = 120.0
 
 CACHE_FILE = "completions.jsonl"
@@ -54,11 +56,13 @@ _FENCE_RE = re.compile(r"```(?:json)?[ \t]*\n?(.*?)```", re.DOTALL)
 
 
 class ProviderError(RerailError):
-    """A provider-side failure; retriable ones get the backoff treatment."""
+    """A provider-side failure; retriable ones get the backoff treatment,
+    or wait the ``retry_after_s`` seconds the provider asked for."""
 
-    def __init__(self, message: str, retriable: bool) -> None:
+    def __init__(self, message: str, retriable: bool, retry_after_s: Optional[float] = None) -> None:
         super().__init__(message)
         self.retriable = retriable
+        self.retry_after_s = retry_after_s
 
 
 class CompletionTimeout(ProviderError):
@@ -263,6 +267,19 @@ def chat_payload(prompt: PromptPair, params: CompletionParams) -> dict:
     }
 
 
+def _http_url(url: str, what: str) -> SplitResult:
+    """``url`` split; a non-retriable ProviderError naming it as ``what``
+    unless it is an http:// or https:// URL with a host and a valid port."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # ValueError for a port that is not a number in range
+        if parts.scheme in ("http", "https") and parts.hostname:
+            return parts
+    except ValueError:
+        pass
+    raise ProviderError(f"{what} {url!r} is not an http:// or https:// URL", retriable=False)
+
+
 class LiveBackend:
     """Chat-completions HTTP backend (OpenAI-compatible payload shape).
 
@@ -284,7 +301,7 @@ class LiveBackend:
         import ssl
         import urllib.request
 
-        url = urlsplit(endpoint)
+        url = _http_url(endpoint, "endpoint")
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._timeout_s = timeout_s
         self._connection_class = http.client.HTTPConnection
@@ -293,7 +310,7 @@ class LiveBackend:
         self._address, self._tunnel = (url.hostname, url.port), None
         proxy = urllib.request.getproxies().get(url.scheme)
         if proxy and not urllib.request.proxy_bypass(url.hostname):
-            proxy = urlsplit(proxy if "://" in proxy else f"//{proxy}")
+            proxy = _http_url(proxy if "://" in proxy else f"http://{proxy}", f"{url.scheme} proxy")
             self._address, self._tunnel = (proxy.hostname, proxy.port or 80), self._address
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
@@ -346,7 +363,13 @@ class LiveBackend:
             self._idle.append(connection)
 
         if response.status == 429 or response.status >= 500:
-            raise ProviderError(f"provider returned HTTP {response.status}", retriable=True)
+            # a 429 or 503 may say how long to wait: Retry-After in seconds
+            # is read, an HTTP-date is not
+            asked = (response.getheader("Retry-After") or "").strip()
+            raise ProviderError(
+                f"provider returned HTTP {response.status}", retriable=True,
+                retry_after_s=float(asked) if response.status in (429, 503) and asked.isdecimal() else None,
+            )
         if response.status >= 300:
             raise ProviderError(f"provider returned HTTP {response.status}", retriable=False)
 
@@ -617,10 +640,11 @@ class Gateway:
             except ProviderError as exc:
                 if not exc.retriable or attempt == RETRY_MAX_ATTEMPTS:
                     raise
+                pause = delay if exc.retry_after_s is None else min(exc.retry_after_s, RETRY_AFTER_MAX_S)
             finally:
                 if self._gate is not None:
                     self._gate.release()
-            self._sleep(delay)
+            self._sleep(pause)
             delay *= RETRY_FACTOR
 
     def _throttle(self) -> None:

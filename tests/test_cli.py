@@ -141,6 +141,19 @@ class TestRun:
         assert main(run_args(small_run, backend="live")) == 1
         assert "RERAIL_API_KEY" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("endpoint", [
+        "api.example.invalid/v1/chat", "ftp://api.example.invalid/v1/chat", "", "https:///v1/chat",
+        "http://api.example.invalid:port/v1/chat",
+    ])
+    def test_live_endpoint_that_is_not_an_http_url_fails_before_any_question(
+        self, small_run, config_file, monkeypatch, capsys, endpoint
+    ):
+        small_run["config"] = config_file(endpoint=endpoint)
+        monkeypatch.setenv("RERAIL_API_KEY", "sk-test")
+        assert main(run_args(small_run, backend="live", script=None)) == 1
+        assert one_error_line(capsys).startswith(f"error: endpoint {endpoint!r} is not an http:// or https:// URL")
+        assert not (Path(small_run["out"]) / "outcomes.jsonl").exists()
+
     def test_a_bad_dataset_line_names_the_file(self, small_run, capsys):
         with open(small_run["dataset"], "a", encoding="utf-8") as handle:
             handle.write('{"id": "x", "oops": 1}\n')

@@ -47,6 +47,7 @@ from rerail.gateway import (
     MalformedReply,
     ProviderError,
     REASK_REMINDER,
+    RETRY_AFTER_MAX_S,
     RETRY_MAX_ATTEMPTS,
     ScriptExhausted,
     ScriptFormatError,
@@ -480,6 +481,16 @@ class TestRetry:
         assert backend.attempts == 2
         assert sleeps == [1.0]
 
+    def test_a_provider_asked_wait_replaces_the_backoff_capped(self):
+        failures = [
+            ProviderError("throttled", retriable=True, retry_after_s=3.0),
+            ProviderError("hiccup", retriable=True),
+            ProviderError("throttled", retriable=True, retry_after_s=1e9),
+        ]
+        gw, sleeps = self.gateway(FlakyBackend(failures))
+        assert gw.complete(PROMPT, PARAMS, CTX).text == "ok"
+        assert sleeps == [3.0, 2.0, RETRY_AFTER_MAX_S]
+
 
 class _GaugeBackend:
     """Counts concurrent calls so throttling is observable."""
@@ -747,7 +758,9 @@ class TestLiveBackend:
         # format instructions ride along in the user message
         assert payload["messages"][1] == {"role": "user", "content": "usr\n\nfmt"}
 
-    @pytest.mark.parametrize("status,retriable", [(429, True), (500, True), (503, True), (400, False), (404, False)])
+    @pytest.mark.parametrize(
+        "status,retriable", [(429, True), (500, True), (503, True), (400, False), (404, False), (302, False)]
+    )
     def test_http_status_mapping(self, live, status, retriable):
         backend, _ = live(Fault(status=status))
         with pytest.raises(ProviderError) as err:
@@ -758,6 +771,14 @@ class TestLiveBackend:
     def test_malformed_body_is_fatal(self, live):
         backend, _ = live(Fault(body=b"not json"))
         with pytest.raises(ProviderError, match="malformed") as err:
+            backend.call(PROMPT, PARAMS, CTX)
+        assert err.value.retriable is False
+
+    def test_body_that_is_not_utf8_is_fatal(self, live):
+        # a byte of another encoding inside a string is not replaced
+        body = json.dumps(GOOD_BODY, ensure_ascii=False).replace("plain", "pl\u00e4in").encode("latin-1")
+        backend, _ = live(Fault(body=body))
+        with pytest.raises(ProviderError, match="not UTF-8") as err:
             backend.call(PROMPT, PARAMS, CTX)
         assert err.value.retriable is False
 

@@ -41,6 +41,7 @@ from rerail import cli, gateway as gateway_module
 from rerail.gateway import (
     CallContext,
     CompletionParams,
+    RETRY_AFTER_MAX_S,
     Gateway,
     LiveBackend,
     ProviderError,
@@ -256,6 +257,25 @@ def test_a_keep_alive_connection_the_server_closed_is_not_reused():
     assert len(provider.requests) == 4
 
 
+@pytest.mark.parametrize("status, asked, sleeps", [
+    (429, "3", [3.0]),
+    (503, "2", [2.0]),
+    (429, "86400", [RETRY_AFTER_MAX_S]),
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", [1.0]),
+    (429, "soon", [1.0]),
+    (500, "3", [1.0]),
+])
+def test_retry_after_in_seconds_is_the_wait_before_the_next_attempt(status, asked, sleeps):
+    recorded = []
+    with LoopbackProvider(faults={1: Fault(status=status, headers=(("Retry-After", asked),))}, every=OK) as provider:
+        backend = LiveBackend(provider.url, KEY_ENV)
+        try:
+            assert Gateway(backend, sleeper=recorded.append).complete(PROMPT, PARAMS, CTX).text == "ok"
+        finally:
+            close_connections(backend)
+    assert recorded == sleeps
+
+
 @pytest.fixture
 def trusted(monkeypatch):
     """LOOPBACK_CERT is the one certificate trusted."""
@@ -288,9 +308,10 @@ def test_an_untrusted_certificate_is_a_retriable_connection_failure(monkeypatch)
     assert provider.requests == []
 
 
-def test_https_proxy_tunnels_the_calls(trusted, monkeypatch):
+@pytest.mark.parametrize("scheme", ["http://", ""])
+def test_https_proxy_tunnels_the_calls(trusted, monkeypatch, scheme):
     with LoopbackProvider(every=OK, tls=True) as provider, ConnectProxy() as proxy:
-        monkeypatch.setenv("HTTPS_PROXY", proxy.url)
+        monkeypatch.setenv("HTTPS_PROXY", scheme + proxy.url.removeprefix("http://"))
         assert https_call(provider.url).text == "ok"
     assert proxy.tunnels == [f"127.0.0.1:{provider.port}"]
     assert len(provider.requests) == 1
@@ -303,3 +324,11 @@ def test_no_proxy_bypasses_the_proxy(trusted, monkeypatch):
         assert https_call(provider.url).text == "ok"
     assert proxy.tunnels == []
     assert len(provider.requests) == 1
+
+
+@pytest.mark.parametrize("named", ["socks5://127.0.0.1:1080", "http://", "http://127.0.0.1:port"])
+def test_a_proxy_that_is_not_an_http_url_is_refused(monkeypatch, named):
+    monkeypatch.setenv("HTTPS_PROXY", named)
+    with pytest.raises(ProviderError, match="https proxy .* is not an http:// or https:// URL") as err:
+        LiveBackend("https://127.0.0.1:9/v1/chat/completions", KEY_ENV)
+    assert err.value.retriable is False
