@@ -59,10 +59,11 @@ class ProviderError(RerailError):
     """A provider-side failure; retriable ones get the backoff treatment,
     or wait the ``retry_after_s`` seconds the provider asked for."""
 
-    def __init__(self, message: str, retriable: bool, retry_after_s: Optional[float] = None) -> None:
+    retry_after_s: Optional[float] = None
+
+    def __init__(self, message: str, retriable: bool) -> None:
         super().__init__(message)
         self.retriable = retriable
-        self.retry_after_s = retry_after_s
 
 
 class CompletionTimeout(ProviderError):
@@ -363,13 +364,13 @@ class LiveBackend:
             self._idle.append(connection)
 
         if response.status == 429 or response.status >= 500:
+            error = ProviderError(f"provider returned HTTP {response.status}", retriable=True)
             # a 429 or 503 may say how long to wait: Retry-After in seconds
             # is read, an HTTP-date is not
             asked = (response.getheader("Retry-After") or "").strip()
-            raise ProviderError(
-                f"provider returned HTTP {response.status}", retriable=True,
-                retry_after_s=float(asked) if response.status in (429, 503) and asked.isdecimal() else None,
-            )
+            if response.status in (429, 503) and asked.isdecimal():
+                error.retry_after_s = float(asked)
+            raise error
         if response.status >= 300:
             raise ProviderError(f"provider returned HTTP {response.status}", retriable=False)
 

@@ -482,11 +482,8 @@ class TestRetry:
         assert sleeps == [1.0]
 
     def test_a_provider_asked_wait_replaces_the_backoff_capped(self):
-        failures = [
-            ProviderError("throttled", retriable=True, retry_after_s=3.0),
-            ProviderError("hiccup", retriable=True),
-            ProviderError("throttled", retriable=True, retry_after_s=1e9),
-        ]
+        failures = [ProviderError(f"failure {n}", retriable=True) for n in range(3)]
+        failures[0].retry_after_s, failures[2].retry_after_s = 3.0, 1e9
         gw, sleeps = self.gateway(FlakyBackend(failures))
         assert gw.complete(PROMPT, PARAMS, CTX).text == "ok"
         assert sleeps == [3.0, 2.0, RETRY_AFTER_MAX_S]

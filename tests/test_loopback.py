@@ -280,7 +280,6 @@ def test_retry_after_in_seconds_is_the_wait_before_the_next_attempt(status, aske
 def trusted(monkeypatch):
     """LOOPBACK_CERT is the one certificate trusted."""
     monkeypatch.setenv("SSL_CERT_FILE", str(LOOPBACK_CERT))
-    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(LOOPBACK_CERT))
 
 
 def https_call(provider_url: str):
@@ -300,7 +299,7 @@ def test_https_with_a_trusted_certificate(trusted):
 
 def test_an_untrusted_certificate_is_a_retriable_connection_failure(monkeypatch):
     monkeypatch.delenv("SSL_CERT_FILE", raising=False)
-    monkeypatch.delenv("REQUESTS_CA_BUNDLE", raising=False)
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(LOOPBACK_CERT))  # not read
     with LoopbackProvider(every=OK, tls=True) as provider:
         with pytest.raises(ProviderError) as err:
             https_call(provider.url)
