@@ -170,13 +170,15 @@ def call_params(settings: RunSettings, context: CallContext) -> CompletionParams
     the deterministic one.
     """
     tag = _SEED_TAGS.get(context.stage)
-    parts = (context.question_id, tag, context.step_index, context.agent_id, context.round)
-    key = ":".join(str(part) for part in parts if part is not None)
-    sample = context.sample_index
+    step, agent, round_no, sample = context.step_index, context.agent_id, context.round, context.sample_index
+    key = (
+        f"{context.question_id}{'' if tag is None else ':' + tag}{'' if step is None else f':{step}'}"
+        f"{'' if agent is None else f':{agent}'}{'' if round_no is None else f':{round_no}'}"
+    )
     return CompletionParams(
-        model_id=settings.model_id,
-        temperature=settings.temperature if sample is None else settings.sampling_temperature,
-        seed=question_seed(settings.seed, key) + (sample or 0),
+        settings.model_id,
+        settings.temperature if sample is None else settings.sampling_temperature,
+        question_seed(settings.seed, key) + (sample or 0),
     )
 
 

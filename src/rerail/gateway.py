@@ -26,7 +26,8 @@ import os
 import re
 import threading
 import time
-from collections import defaultdict, deque
+import weakref
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields, replace
@@ -456,29 +457,41 @@ class UsageLedger:
         """Usage per stage, in stage order. wall_time_s is the exact sum of
         the stage's latencies (math.fsum), so the order the calls were
         recorded in does not change it."""
-        usage: dict[str, StageUsage] = defaultdict(StageUsage)
-        latencies: dict[str, list[float]] = defaultdict(list)
+        rows: dict[str, tuple[StageUsage, list[float]]] = {}
         for stage, result in self.calls:
-            usage[stage].add(result)
-            latencies[stage].append(result.latency_s)
-        for stage, row in usage.items():
-            row.wall_time_s = math.fsum(latencies[stage])
-        return dict(sorted(usage.items()))
+            row = rows.get(stage)
+            if row is None:
+                row = rows[stage] = (StageUsage(), [])
+            row[0].add(result)
+            row[1].append(result.latency_s)
+        for usage, latencies in rows.values():
+            usage.wall_time_s = math.fsum(latencies)
+        return {stage: rows[stage][0] for stage in sorted(rows)}
+
+
+# The key hashes the bytes jsonl.SORTED_KEYS writes for {"format_instructions",
+# "model_id", "seed", "system", "temperature" (its repr), "user"}, which every
+# cache/completions.jsonl depends on. The calls of a fan-out share one prompt
+# object, so its texts are escaped once, into the parts around model_id and
+# seed and around temperature, kept for as long as the prompt lives.
+_escape = json.encoder.encode_basestring_ascii  # what json.dumps makes of a str
+_PROMPT_PARTS: "weakref.WeakKeyDictionary[PromptPair, tuple[str, str, str]]" = weakref.WeakKeyDictionary()
 
 
 def cache_key(prompt: PromptPair, params: CompletionParams) -> str:
     """Content hash over everything that determines a completion."""
-    material = jsonl.SORTED_KEYS.encode(
-        {
-            "model_id": params.model_id,
-            "temperature": repr(params.temperature),
-            "seed": params.seed,
-            "system": prompt.system,
-            "user": prompt.user,
-            "format_instructions": prompt.format_instructions,
-        }
+    parts = _PROMPT_PARTS.get(prompt)
+    if parts is None:
+        parts = _PROMPT_PARTS[prompt] = (
+            f'{{"format_instructions": {_escape(prompt.format_instructions)}, "model_id": ',
+            f', "system": {_escape(prompt.system)}, "temperature": ',
+            f', "user": {_escape(prompt.user)}}}',
+        )
+    material = (
+        f'{parts[0]}{_escape(params.model_id)}, "seed": {params.seed}'
+        f"{parts[1]}{_escape(repr(params.temperature))}{parts[2]}"
     )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return hashlib.sha256(material.encode()).hexdigest()
 
 
 # A backend call at least this long is waiting on something other than this

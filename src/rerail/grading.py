@@ -15,6 +15,7 @@ itself introduces no rounding.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from typing import Optional
@@ -127,7 +128,14 @@ def majority_answer(raws: list[str], question: Question) -> tuple[str, bool]:
 
 
 def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(str(value))
+    return value if isinstance(value, Fraction) else _decimal_fraction(value)
+
+
+# A tolerance is one of a few configured values, so each is parsed once.
+# typed: 2**60 and 2.0**60 are equal keys but parse to different fractions.
+@functools.lru_cache(maxsize=None, typed=True)
+def _decimal_fraction(value) -> Fraction:
+    return Fraction(str(value))
 
 
 def answers_equal(

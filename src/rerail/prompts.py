@@ -231,28 +231,32 @@ _CATALOG: dict[str, tuple[str, str, str]] = {
 }
 
 
-def _substitute(template: str, variables: dict[str, object]) -> str:
-    # Single pass: braces inside substituted values are data, never expanded.
-    def replace(match: re.Match) -> str:
-        name = match.group(1)
+# Each template text split at its placeholders: literal text at even
+# indices, slot names at odd ones, so rendering is a fill and a join.
+_COMPILED = {
+    template_id: (_PLACEHOLDER_RE.split(system), _PLACEHOLDER_RE.split(human), fmt)
+    for template_id, (system, human, fmt) in _CATALOG.items()
+}
+
+
+def _fill(parts: list[str], variables: dict[str, object]) -> str:
+    # Single pass: braces inside filled values are data, never expanded.
+    pieces = parts.copy()
+    for index in range(1, len(parts), 2):
+        name = parts[index]
         if name not in variables:
             raise MissingVariable(name)
-        return str(variables[name])
-
-    return _PLACEHOLDER_RE.sub(replace, template)
+        pieces[index] = str(variables[name])
+    return "".join(pieces)
 
 
 def render_prompt(template_id: str, question: Question, **slots: object) -> PromptPair:
     """Render a catalog template for a question, which fills the
     ``subject`` and ``question`` slots. Raises MissingVariable on an
     unfilled slot."""
-    system, human, fmt = _CATALOG[template_id]
+    system, human, fmt = _COMPILED[template_id]
     variables = {"subject": question.subject, "question": format_question(question), **slots}
-    return PromptPair(
-        system=_substitute(system, variables),
-        user=_substitute(human, variables),
-        format_instructions=fmt,
-    )
+    return PromptPair(_fill(system, variables), _fill(human, variables), fmt)
 
 
 def format_question(question: Question) -> str:

@@ -278,6 +278,21 @@ def template_placeholders(template_id: str) -> set[str]:
     return set(prompts._PLACEHOLDER_RE.findall(system)) | set(prompts._PLACEHOLDER_RE.findall(human))
 
 
+def reference_render(template_id: str, question: Question, **slots: object) -> PromptPair:
+    """render_prompt as one regex substitution over each catalog text: the
+    reference the split templates are checked against."""
+    system, human, fmt = prompts._CATALOG[template_id]
+    variables = {"subject": question.subject, "question": prompts.format_question(question), **slots}
+
+    def replace(match) -> str:
+        name = match.group(1)
+        if name not in variables:
+            raise prompts.MissingVariable(name)
+        return str(variables[name])
+
+    return PromptPair(prompts._PLACEHOLDER_RE.sub(replace, system), prompts._PLACEHOLDER_RE.sub(replace, human), fmt)
+
+
 def remaining(backend: ScriptedBackend) -> int:
     """Script entries the backend has not served yet."""
     return sum(not e.served for entries in backend._entries.values() for e in entries)

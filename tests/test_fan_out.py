@@ -21,7 +21,7 @@ from helpers import (
     mcqa_question,
     unfixable_script,
 )
-from rerail import harness, jsonl
+from rerail import gateway as gateway_module, harness, jsonl
 from rerail.gateway import CallContext, CompletionParams, Gateway, ScriptedBackend, cache_key
 from rerail.prompts import PromptPair
 from rerail.types import STAGE_COT, STAGE_MAD
@@ -158,6 +158,36 @@ def test_after_a_cache_hit_one_call_runs_inline_and_the_rest_overlap(tmp_path):
     assert first[1] == threading.current_thread().name
     assert first[3] <= min(start for _, _, start, _ in rest)
     assert max(start for _, _, start, _ in rest) < min(end for _, _, _, end in rest)
+
+
+def test_a_shared_prompt_is_escaped_once_across_its_fan_out(tmp_path, monkeypatch):
+    texts = ("shared system", "shared user", "shared format")
+    escaped = []
+    escape = gateway_module._escape
+    monkeypatch.setattr(gateway_module, "_escape", lambda text: escaped.append(text) or escape(text))
+    n = 40
+
+    def cache_lines(name, fan_out):
+        """The cache stream of n samples of one prompt object."""
+        sleeping = SleepingBackend(ScriptedBackend([entry(STAGE_COT, "q", f"sample {k}") for k in range(n)]))
+        gateway = Gateway(sleeping, cache_dir=tmp_path / name, cache_enabled=True)
+        prompt = PromptPair(*texts)
+        calls = [
+            partial(
+                gateway.complete, prompt, CompletionParams("m", 0.7, seed=k), CallContext(STAGE_COT, "q", sample_index=k)
+            )
+            for k in range(n)
+        ]
+        with gateway.run_scope(n):
+            results = gateway.fan_out(calls) if fan_out else [call() for call in calls]
+        assert [result.text for result in results] == [f"sample {k}" for k in range(n)]
+        assert fan_out == any(thread.startswith(POOL_PREFIX) for _, thread, _, _ in sleeping.spans)
+        return sorted_lines(tmp_path / name / "completions.jsonl")
+
+    one_by_one = cache_lines("one-by-one", fan_out=False)
+    escaped.clear()
+    assert cache_lines("fanned", fan_out=True) == one_by_one
+    assert sorted(text for text in escaped if text.startswith("shared")) == sorted(texts)
 
 
 @pytest.mark.parametrize("max_in_flight,bound", [(None, 2 * 5 - 2), (3, 1)])

@@ -2,6 +2,8 @@
 output, the usage ledger, and the live HTTP backend against a loopback
 provider."""
 
+import gc
+import hashlib
 import itertools
 import json
 import socket
@@ -12,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     Fault,
@@ -36,7 +38,7 @@ from helpers import (
 )
 from test_fan_out import LATENCIES_MS
 
-from rerail import harness
+from rerail import gateway as gateway_module, harness, jsonl
 from rerail.gateway import (
     CallContext,
     CompletionParams,
@@ -420,6 +422,32 @@ class TestCache:
         assert gw.complete(PROMPT, PARAMS, CTX).text == "b"
 
 
+# Quotes, backslashes, control characters, non-ASCII and lone surrogates,
+# each escaped differently, among any other character.
+KEY_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\n/\u00e9\u2028\ud800\udfff\U0001f600'),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=30,
+)
+
+
+def reference_cache_key(prompt: PromptPair, params: CompletionParams) -> str:
+    """sha256 of the key material encoded whole, as one sorted-key JSON object."""
+    material = jsonl.SORTED_KEYS.encode(
+        {
+            "model_id": params.model_id,
+            "temperature": repr(params.temperature),
+            "seed": params.seed,
+            "system": prompt.system,
+            "user": prompt.user,
+            "format_instructions": prompt.format_instructions,
+        }
+    )
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
 class TestCacheKey:
     def test_sensitive_to_every_input(self):
         base = cache_key(PROMPT, PARAMS)
@@ -442,6 +470,45 @@ class TestCacheKey:
         key_a = cache_key(PromptPair("s", user_a, ""), PARAMS)
         key_b = cache_key(PromptPair("s", user_b, ""), PARAMS)
         assert (key_a == key_b) == (user_a == user_b)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        texts=st.tuples(KEY_TEXT, KEY_TEXT, KEY_TEXT),
+        params=st.lists(
+            st.builds(
+                CompletionParams,
+                KEY_TEXT,
+                st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+                st.integers(0, 2**48 + 40),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_is_the_hash_of_the_sorted_key_object(self, texts, params):
+        before = len(gateway_module._PROMPT_PARTS)
+        prompt = PromptPair(*texts)
+        shared = [cache_key(prompt, p) for p in params]
+        del prompt  # it holds no cycle, so it is freed here with its memo entry
+        assert len(gateway_module._PROMPT_PARTS) == before
+        assert shared == [cache_key(PromptPair(*texts), p) for p in params]
+        assert shared == [reference_cache_key(PromptPair(*texts), p) for p in params]
+
+    def test_a_prompt_is_escaped_once_and_forgotten_with_it(self, monkeypatch):
+        escaped = []
+        monkeypatch.setattr(gateway_module, "_escape", lambda text: escaped.append(text) or json.dumps(text))
+        before = len(gateway_module._PROMPT_PARTS)
+        prompt = PromptPair("memo system", "memo user", "memo format")
+        for seed in range(5):
+            assert cache_key(prompt, CompletionParams("m1", 0.5, seed)) == reference_cache_key(
+                prompt, CompletionParams("m1", 0.5, seed)
+            )
+        assert sorted(text for text in escaped if text.startswith("memo")) == sorted(vars(prompt).values())
+        assert len(gateway_module._PROMPT_PARTS) == before + 1
+        del prompt
+        gc.collect()
+        assert len(gateway_module._PROMPT_PARTS) == before
+
 
 
 class TestRetry:

@@ -1,8 +1,9 @@
 """Template rendering: placeholder handling and prompt wording stays pinned."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import full_text, mcqa_question, numeric_question, template_placeholders
+from helpers import full_text, mcqa_question, numeric_question, reference_render, template_placeholders
 from rerail.prompts import (
     MissingVariable,
     PromptPair,
@@ -87,6 +88,32 @@ class TestRenderPrompt:
             "subject", "question", "response",
         }
         assert template_placeholders(TEMPLATE_MAD_INITIAL) == {"subject", "question"}
+
+
+# Slot values made of brace syntax: lone braces, doubled ones and
+# placeholder-like names, which must land verbatim.
+BRACY = st.lists(
+    st.sampled_from(["{", "}", "{{", "}}", "{subject}", "{question}", "{RP}", "{rp1", "x", " ", "\u00e9"]),
+    max_size=6,
+).map("".join)
+SLOT_VALUE = st.one_of(BRACY, st.integers(0, 20), st.text(max_size=10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_render_prompt_is_the_regex_substitution(data):
+    template_id = data.draw(st.sampled_from(sorted(_CATALOG)), label="template")
+    names = sorted(template_placeholders(template_id) - {"subject", "question"}) + ["unused"]
+    slots = {name: data.draw(SLOT_VALUE, label=name) for name in names if data.draw(st.integers(0, 4), label="drop")}
+    question = numeric_question(subject=data.draw(BRACY, label="subject"), text=data.draw(BRACY, label="text"))
+    try:
+        expected = reference_render(template_id, question, **slots)
+    except MissingVariable as missing:
+        with pytest.raises(MissingVariable) as err:
+            render_prompt(template_id, question, **slots)
+        assert err.value.name == missing.name
+    else:
+        assert render_prompt(template_id, question, **slots) == expected
 
 
 class TestFormatInstructions:
