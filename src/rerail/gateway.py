@@ -24,6 +24,7 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 import time
 import weakref
@@ -522,6 +523,7 @@ class Gateway:
         self._cache_out: Optional[TextIO] = None
         self._cache_lock = threading.Lock()
         self._gate = threading.Semaphore(max_in_flight) if max_in_flight is not None else None
+        self._max_in_flight = max_in_flight
         self._rpm = requests_per_minute
         self._recent_calls: deque[float] = deque()
         self._rpm_lock = threading.Lock()
@@ -546,20 +548,23 @@ class Gateway:
             self._thread.ledger = outer
 
     @contextmanager
-    def run_scope(self, width: int) -> Iterator[None]:
+    def run_scope(self) -> Iterator[None]:
         """What a run holds while the block runs, released on exit: the
-        cache stream, opened (its torn tail cut) and read on entry, and at
-        most ``width`` threads that help ``fan_out``, all joined on exit
-        before the stream closes. A cache-on completion needs one open."""
+        cache stream, opened (its torn tail cut) and read on entry, and the
+        threads that help ``fan_out``, all joined on exit before the stream
+        closes. A cache-on completion needs one open. A helper thread starts
+        only when a call is handed over and no helper is idle, so there are
+        never more than calls that waited for one at once, and never more
+        than max_in_flight."""
         with ExitStack() as held:  # released in reverse order
             if self._cache_file is not None:
                 self._cache_out = held.enter_context(jsonl.append(self._cache_file))
                 self._cache = self._cache_load()
                 held.callback(setattr, self, "_cache", None)
                 held.callback(setattr, self, "_cache_out", None)
-            if width >= 1:
-                self._pool = held.enter_context(ThreadPoolExecutor(width, thread_name_prefix="rerail-fan-out"))
-                held.callback(setattr, self, "_pool", None)
+            width = self._max_in_flight or sys.maxsize
+            self._pool = held.enter_context(ThreadPoolExecutor(width, thread_name_prefix="rerail-fan-out"))
+            held.callback(setattr, self, "_pool", None)
             yield
 
     def fan_out(self, calls: list[Callable[[], T]]) -> list[T]:
@@ -568,7 +573,7 @@ class Gateway:
         The caller runs the calls itself, in order, while its latest
         completion did not wait on the backend for BLOCKING_CALL_S: a cache
         hit, a fast backend, or no completion yet on this thread. From the
-        first call after one that did, while a pool is open, idle pool
+        first call after one that did, while a run scope is open, pool
         threads also take the calls the caller has not reached; the caller
         waits only for those. So a wave of slow calls takes at most two
         dependent rounds, while cache hits and fast calls never leave the

@@ -289,20 +289,6 @@ MODES = tuple(_MODE_RUNNERS)
 BACKENDS = ("live", "scripted")  # the backends make_gateway builds
 
 
-def max_concurrent_calls(settings: RunSettings, mode: str) -> int:
-    """Most calls a run of the mode can have in flight at once: the worker
-    pool width times the widest fan-out of one question, capped by
-    max_in_flight."""
-    widest = {
-        MODE_COT: 1,
-        MODE_SC: settings.sc_budget,
-        MODE_MAD: settings.mad_agents,
-        MODE_RERAILER: max(settings.n_samples, settings.n_debate_agents),
-    }[mode]
-    calls = settings.parallelism * widest
-    return calls if settings.max_in_flight is None else min(calls, settings.max_in_flight)
-
-
 def make_gateway(
     settings: RunSettings,
     backend_kind: str,
@@ -660,12 +646,9 @@ def run(
 
         # One wait for every question at once; waiting on each future in turn
         # would wake this thread, and hand the GIL back and forth, after every
-        # question. Each worker runs its own calls, so the fan-out pool adds at
-        # most the rest of each widest fan-out. The run scope reads the cache
-        # before any worker starts.
-        fan_out_width = max_concurrent_calls(settings, mode) - settings.parallelism
+        # question. The run scope reads the cache before any worker starts.
         with (
-            gateway.run_scope(fan_out_width),
+            gateway.run_scope(),
             ThreadPoolExecutor(settings.parallelism, initializer=_leave_stop_signals_to_the_main_thread) as pool,
         ):
             futures = []

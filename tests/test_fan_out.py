@@ -149,7 +149,7 @@ def test_after_a_cache_hit_one_call_runs_inline_and_the_rest_overlap(tmp_path):
         sample = CallContext(STAGE_COT, "q", sample_index=k + 1)
         return gateway.complete(PromptPair("s", f"miss {k}"), params, sample).text
 
-    with gateway.run_scope(3):
+    with gateway.run_scope():
         gateway.complete(PromptPair("s", "warm"), params, context)
         assert gateway.complete(PromptPair("s", "warm"), params, context).from_cache
         texts = gateway.fan_out([partial(miss, k) for k in range(4)])
@@ -178,7 +178,7 @@ def test_a_shared_prompt_is_escaped_once_across_its_fan_out(tmp_path, monkeypatc
             )
             for k in range(n)
         ]
-        with gateway.run_scope(n):
+        with gateway.run_scope():
             results = gateway.fan_out(calls) if fan_out else [call() for call in calls]
         assert [result.text for result in results] == [f"sample {k}" for k in range(n)]
         assert fan_out == any(thread.startswith(POOL_PREFIX) for _, thread, _, _ in sleeping.spans)
@@ -190,7 +190,7 @@ def test_a_shared_prompt_is_escaped_once_across_its_fan_out(tmp_path, monkeypatc
     assert sorted(text for text in escaped if text.startswith("shared")) == sorted(texts)
 
 
-@pytest.mark.parametrize("max_in_flight,bound", [(None, 2 * 5 - 2), (3, 1)])
+@pytest.mark.parametrize("max_in_flight,bound", [(None, 2 * 5 - 2), (3, 3)])
 def test_pool_is_bounded_and_ends_with_the_run(tmp_path, max_in_flight, bound):
     peak = {"pool": 0, "calls": 0}
     in_flight = []
@@ -283,7 +283,7 @@ def test_fan_out_raises_the_first_error_in_call_order_after_the_running_calls():
     def third():
         raise ValueError("third")
 
-    with gateway.run_scope(3):
+    with gateway.run_scope():
         gateway.complete(PromptPair("s", "u"), CompletionParams("m", 0.0, seed=0), CallContext(STAGE_COT, "q"))
         with pytest.raises(KeyError):
             gateway.fan_out([first, slow, third])
@@ -303,7 +303,7 @@ def test_concurrent_samples_each_get_their_own_entry_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with gateway.run_scope(16), gateway.recording() as ledger:
+        with gateway.run_scope(), gateway.recording() as ledger:
             gateway.complete(prompt, CompletionParams("m", 0.0, seed=0), CallContext(STAGE_COT, "q"))
             texts = gateway.fan_out([partial(sample, k) for k in range(n)])
     finally:
@@ -373,7 +373,7 @@ class TestFanOutGateIsPerThread:
             pool_threads.append(threading.current_thread().name.startswith(POOL_PREFIX))
             released.set()
 
-        with gateway.run_scope(1):
+        with gateway.run_scope():
             on_another_thread(other_question)  # a miss, so the next one hits
             blocking = gateway.complete(PromptPair("s", "q1"), params, CallContext(STAGE_COT, "q1"))
             on_another_thread(other_question)

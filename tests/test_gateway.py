@@ -265,7 +265,7 @@ class TestCache:
              entry(STAGE_COT, "q1", "never used")]
         )
         gw = Gateway(backend, cache_dir=tmp_path, cache_enabled=True)
-        with gw.run_scope(0), gw.recording() as ledger:
+        with gw.run_scope(), gw.recording() as ledger:
             first = gw.complete(PROMPT, PARAMS, CTX)
             second = gw.complete(PROMPT, PARAMS, CTX)
         assert first.from_cache is False
@@ -285,10 +285,10 @@ class TestCache:
             cache_dir=tmp_path,
             cache_enabled=True,
         )
-        with gw1.run_scope(0):
+        with gw1.run_scope():
             gw1.complete(PROMPT, PARAMS, CTX)
         gw2 = Gateway(ScriptedBackend([]), cache_dir=tmp_path, cache_enabled=True)
-        with gw2.run_scope(0):
+        with gw2.run_scope():
             replayed = gw2.complete(PROMPT, PARAMS, CTX)
         assert replayed.text == "persisted"
         assert replayed.from_cache is True
@@ -298,7 +298,7 @@ class TestCache:
             [entry(STAGE_COT, "q1", "a"), entry(STAGE_COT, "q1", "b")]
         )
         gw = Gateway(backend, cache_dir=tmp_path, cache_enabled=True)
-        with gw.run_scope(0):
+        with gw.run_scope():
             gw.complete(PROMPT, PARAMS, CTX)
             other = CompletionParams(model_id="m1", temperature=0.0, seed=8)
             assert gw.complete(PROMPT, other, CTX).text == "b"
@@ -332,7 +332,7 @@ class TestCache:
         kept = {"key": cache_key(PROMPT, other), "text": "kept", "usage": {"prompt_tokens": 1, "completion_tokens": 2}}
         (tmp_path / "completions.jsonl").write_text(stored + "\n" + json.dumps(kept) + "\n")
         gw = Gateway(ScriptedBackend([entry(STAGE_COT, "q1", "fresh")]), cache_dir=tmp_path, cache_enabled=True)
-        with gw.run_scope(0):
+        with gw.run_scope():
             result = gw.complete(PROMPT, PARAMS, CTX)
             assert gw.complete(PROMPT, other, CTX) == CompletionResult("kept", Usage(1, 2), 0.0, from_cache=True)
         assert (result.text, result.from_cache) == ("fresh", False)
@@ -343,16 +343,16 @@ class TestCache:
             return Gateway(backend, cache_dir=tmp_path, cache_enabled=True)
 
         first = gateway("first")
-        with first.run_scope(0):
+        with first.run_scope():
             first.complete(PROMPT, PARAMS, CTX)
         stream = tmp_path / "completions.jsonl"
         stream.write_bytes(stream.read_bytes() + b'{"key": "torn')
         other = CompletionParams(model_id="m1", temperature=0.0, seed=8)
         second = gateway("second")
-        with second.run_scope(0):
+        with second.run_scope():
             assert second.complete(PROMPT, other, CTX).from_cache is False
         fresh = gateway()
-        with fresh.run_scope(0):
+        with fresh.run_scope():
             assert fresh.complete(PROMPT, other, CTX).text == "second"
             assert fresh.complete(PROMPT, PARAMS, CTX).text == "first"
         assert [json.loads(line)["text"] for line in stream.read_text().splitlines()] == ["first", "second"]
@@ -363,7 +363,7 @@ class TestCache:
         (tmp_path / "cache").mkdir()
         line = {"key": KEY, "text": "written after the constructor", "usage": {}}
         (tmp_path / "cache" / "completions.jsonl").write_text(json.dumps(line) + "\n")
-        with gw.run_scope(0):
+        with gw.run_scope():
             assert gw.complete(PROMPT, PARAMS, CTX).text == "written after the constructor"
 
     def test_cache_on_completion_outside_a_run_scope_raises(self, tmp_path):
@@ -371,7 +371,7 @@ class TestCache:
         with pytest.raises(RuntimeError, match="run_scope"):
             gw.complete(PROMPT, PARAMS, CTX)
         assert not (tmp_path / "cache").exists()
-        with gw.run_scope(0):
+        with gw.run_scope():
             gw.complete(PROMPT, PARAMS, CTX)
         with pytest.raises(RuntimeError, match="run_scope"):  # a hit inside the scope
             gw.complete(PROMPT, PARAMS, CTX)
@@ -391,7 +391,7 @@ class TestCache:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with gw.run_scope(0), ThreadPoolExecutor(max_workers=16) as pool:
+            with gw.run_scope(), ThreadPoolExecutor(max_workers=16) as pool:
                 futures = [pool.submit(complete, prompt) for prompt in prompts * 2]
                 texts, ledgers = zip(*(future.result(timeout=30) for future in futures))
         finally:
@@ -402,7 +402,7 @@ class TestCache:
         lines = [json.loads(line) for line in (tmp_path / "completions.jsonl").read_text().splitlines()]
         assert len(lines) == row.live_calls
         fresh = Gateway(ScriptedBackend([]), cache_dir=tmp_path, cache_enabled=True)
-        with fresh.run_scope(0):
+        with fresh.run_scope():
             assert [fresh.complete(prompt, PARAMS, CTX).text for prompt in prompts] == [p.user for p in prompts]
 
     def test_cache_off_computes_no_key(self, tmp_path, monkeypatch):

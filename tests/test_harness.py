@@ -676,7 +676,7 @@ class TestMakeGateway:
         )
         settings = make_settings(cache_enabled=True)
         gw = make_gateway(settings, "scripted", script_path=script, out_dir=tmp_path)
-        with gw.run_scope(0), gw.recording() as ledger:
+        with gw.run_scope(), gw.recording() as ledger:
             run_cot(mcqa_question(), gw, settings)
             run_cot(mcqa_question(), gw, settings)
         assert ledger_totals(ledger).cached_calls == 1

@@ -97,7 +97,7 @@ def test_golden_cache_key_of_the_first_sample():
 def test_cache_stream_holds_the_key_of_every_call(tmp_path):
     backend = RecordingBackend(ScriptedBackend(fixable_script("q1")))
     gw = RecordingGateway(backend, cache_dir=tmp_path, cache_enabled=True)
-    with gw.run_scope(0):
+    with gw.run_scope():
         run_rerailer_mode(mcqa_question(), gw, make_settings(seed=SEED))
     lines = (tmp_path / "completions.jsonl").read_text().splitlines()
     keys = [json.loads(line)["key"] for line in lines]
