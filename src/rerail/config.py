@@ -9,7 +9,7 @@ key and the variable is read at backend construction time.
 from __future__ import annotations
 
 import hashlib
-import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -26,8 +26,9 @@ class ConfigError(RerailError):
 
 
 def _is_amount(value) -> bool:
-    """A finite JSON number >= 0; type(), as a bool is an int subclass."""
-    return type(value) in (int, float) and 0 <= value < math.inf
+    """A JSON number >= 0 that a float holds finitely (10**309 does not);
+    type(), as a bool is an int subclass."""
+    return type(value) in (int, float) and 0 <= value <= sys.float_info.max
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,10 @@ diagnostic naming the offending field, before any model call is made.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
 
 from . import jsonl
-from .grading import clean_text
+from .grading import clean_text, exact_fraction
 from .types import (
     Category,
     DatasetError,
@@ -43,9 +42,9 @@ def _ground_truth_from_json(value, kind: QuestionKind, qid: str):
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise DatasetError(f"question {qid!r}: numeric ground_truth must be a number or string")
         try:
-            return NumericValue(Fraction(str(value)))
-        except (ValueError, ZeroDivisionError):
-            raise DatasetError(f"question {qid!r}: cannot parse numeric ground_truth {value!r}") from None
+            return NumericValue(exact_fraction(str(value)))
+        except UnnormalizableAnswer as exc:
+            raise DatasetError(f"question {qid!r}: numeric ground_truth: {exc}") from None
     if not isinstance(value, str):
         raise DatasetError(f"question {qid!r}: text ground_truth must be a string")
     cleaned = clean_text(value)

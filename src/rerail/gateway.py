@@ -706,7 +706,8 @@ def parse_structured_output(text: str) -> dict[str, str]:
     """Extract the first fenced JSON object as a string->string map.
 
     Non-string values are stringified canonically (compact JSON), never
-    rejected. Raises MalformedReply.
+    rejected. Raises MalformedReply, also for JSON nested too deeply to
+    parse or to stringify.
     """
     match = _FENCE_RE.search(text)
     if match is None:
@@ -714,17 +715,16 @@ def parse_structured_output(text: str) -> dict[str, str]:
     body = match.group(1).strip("\n").strip()
     try:
         parsed = json.loads(body)
+        if not isinstance(parsed, dict):
+            raise MalformedReply("fenced JSON is not an object")
+        return {
+            key: value if isinstance(value, str) else json.dumps(value, sort_keys=True, separators=(",", ":"))
+            for key, value in parsed.items()
+        }
     except json.JSONDecodeError as exc:
         raise MalformedReply(f"fenced block is not valid JSON: {exc.msg}") from None
-    if not isinstance(parsed, dict):
-        raise MalformedReply("fenced JSON is not an object")
-    output: dict[str, str] = {}
-    for key, value in parsed.items():
-        if isinstance(value, str):
-            output[key] = value
-        else:
-            output[key] = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return output
+    except RecursionError:
+        raise MalformedReply("fenced JSON is nested too deeply") from None
 
 
 def complete_structured(

@@ -39,9 +39,32 @@ _NON_ALNUM_SPACE_RE = re.compile(r"[^A-Za-z0-9 ]")
 _WS_RUN_RE = re.compile(r"\s+")
 
 # A number with optional sign, commas in the integer part, decimals, and an
-# exponent: "-1,234.5e-2". Fraction syntax covers "a/b" separately.
+# exponent: "-1,234.5e-2". Fraction syntax covers "a/b" separately; its
+# numerator starts where a run of digits does, or a search would retry
+# every suffix of a long run that is not followed by a slash.
 _NUMBER_RE = re.compile(r"[-+]?\d[\d,]*(?:\.\d+)?(?:[eE][-+]?\d+)?")
-_SIMPLE_FRACTION_RE = re.compile(r"([-+]?\d+)\s*/\s*(\d+)")
+_SIMPLE_FRACTION_RE = re.compile(r"([-+]?(?<!\d)\d+)\s*/\s*(\d+)")
+
+# Python's default limit on the digits int() reads from a string. A
+# literal's exact value has about as many digits as the literal plus its
+# exponent, so a longer one is refused before int() or Fraction() sees it:
+# "1e4000000" alone takes seconds to build.
+MAX_LITERAL_DIGITS = 4300
+
+
+def exact_fraction(literal: str) -> Fraction:
+    """``Fraction(literal)``; UnnormalizableAnswer if it is not a number or
+    its digits plus the size of its exponent exceed MAX_LITERAL_DIGITS."""
+    mantissa, _, exponent = literal.strip().lower().partition("e")
+    exponent = exponent.lstrip("+-").lstrip("0")
+    try:
+        # an exponent of five digits is over the bound, so a longer one is never read
+        size = int(exponent or 0) if len(exponent) < 5 else MAX_LITERAL_DIGITS + 1
+        if size + sum(map(str.isdigit, mantissa)) <= MAX_LITERAL_DIGITS:
+            return Fraction(literal)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UnnormalizableAnswer(f"cannot parse number {literal[:40]!r}") from exc
+    raise UnnormalizableAnswer(f"number longer than {MAX_LITERAL_DIGITS} digits, exponent counted: {literal[:40]!r}")
 
 
 def clean_text(text: str) -> str:
@@ -54,7 +77,8 @@ def parse_numeric(raw: str) -> Fraction:
     """Extract the first number in ``raw`` as an exact rational.
 
     A trailing percent sign divides by 100. Raises UnnormalizableAnswer when
-    no number is present.
+    no number is present, or when the number is longer than
+    MAX_LITERAL_DIGITS digits, its exponent counted (``exact_fraction``).
     """
     candidate = raw.strip().rstrip(".")
     fraction_match = _SIMPLE_FRACTION_RE.search(candidate)
@@ -63,15 +87,11 @@ def parse_numeric(raw: str) -> Fraction:
         number_match is None or fraction_match.start() <= number_match.start()
     ):
         numerator, denominator = fraction_match.groups()
-        if denominator != "0":
-            return Fraction(int(numerator), int(denominator))
+        if denominator.strip("0"):
+            return exact_fraction(f"{numerator}/{denominator}")
     if number_match is None:
         raise UnnormalizableAnswer(f"no number found in {raw!r}")
-    literal = number_match.group(0).replace(",", "")
-    try:
-        value = Fraction(literal)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UnnormalizableAnswer(f"cannot parse number {literal!r}") from exc
+    value = exact_fraction(number_match.group(0).replace(",", ""))
     rest = candidate[number_match.end():].lstrip()
     if rest.startswith("%") or rest.lower().startswith("percent"):
         value /= 100

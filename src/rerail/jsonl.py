@@ -47,13 +47,16 @@ def decode(data: bytes) -> str:
 
 def loads(data: bytes):
     """The JSON value ``data`` holds; ValueError saying what is wrong
-    otherwise. The bytes are decoded here, as strict UTF-8: json.loads would
-    also take UTF-16 and UTF-32."""
+    otherwise, a value nested too deeply for the parser included. The bytes
+    are decoded here, as strict UTF-8: json.loads would also take UTF-16 and
+    UTF-32."""
     text = decode(data)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ValueError("invalid JSON (nested too deeply)") from None
 
 
 def lines(path: str | Path, whole: bool = False) -> Iterator[tuple[int, bytes]]:

@@ -16,25 +16,32 @@ from typing import Optional
 
 from .types import ParseFailure, ReasoningPath
 
+# Each pattern scans a line once. The indent before a step marker stops at
+# the line's end, and the answer group takes the rest of its line, trailing
+# whitespace included: "\s*" there, or a lazy group before "\s*$", would
+# rescan a run of blank lines or of spaces once per character. Step and
+# answer text is stripped, so the whitespace either way reads the same.
+
 # "Step 3:", "step #3.", "Step 3)" at the start of a line.
-STEP_MARKER_RE = re.compile(r"(?im)^\s*step\s*#?\s*(\d+)\s*[:.)]\s*")
+STEP_MARKER_RE = re.compile(r"(?im)^[^\S\n]*step\s*#?\s*\d+\s*[:.)]\s*")
 
 # "1. text" ordinal fallback. Requires trailing whitespace after the dot so a
 # decimal number like "3.14" never starts a step.
-ORDINAL_MARKER_RE = re.compile(r"(?m)^\s*(\d+)\.\s+")
+ORDINAL_MARKER_RE = re.compile(r"(?m)^[^\S\n]*\d+\.\s+")
 
 # The answer section starts at the last "Answer:" or "Final Answer:" line.
-ANSWER_MARKER_RE = re.compile(r"(?im)^.*?\b(?:final\s+)?answer\s*:\s*(.+?)\s*$")
+ANSWER_MARKER_RE = re.compile(r"(?im)^.*?\b(?:final\s+)?answer\s*:\s*(.+)$")
 
 VERIFIED_MARKER = "(verified)"
 
 
-def _find_step_spans(text: str) -> list[tuple[int, int, int]]:
-    """(declared_index, start_of_body, start_of_marker) per step marker."""
-    spans = [(int(m.group(1)), m.end(), m.start()) for m in STEP_MARKER_RE.finditer(text)]
+def _find_step_spans(text: str) -> list[tuple[int, int]]:
+    """(start_of_body, start_of_marker) per step marker. The number a step
+    declares is not read: steps are numbered by position."""
+    spans = [(m.end(), m.start()) for m in STEP_MARKER_RE.finditer(text)]
     if spans:
         return spans
-    return [(int(m.group(1)), m.end(), m.start()) for m in ORDINAL_MARKER_RE.finditer(text)]
+    return [(m.end(), m.start()) for m in ORDINAL_MARKER_RE.finditer(text)]
 
 
 def last_answer_marker(text: str) -> Optional[re.Match]:
@@ -66,8 +73,8 @@ def parse_reasoning_path(text: str) -> ReasoningPath:
         raise ParseFailure("no step markers found before the answer")
 
     steps = []
-    for position, (_, body_start, marker_start) in enumerate(spans, start=1):
-        end = spans[position][2] if position < len(spans) else len(body)
+    for position, (body_start, _) in enumerate(spans, start=1):
+        end = spans[position][1] if position < len(spans) else len(body)
         step_text = body[body_start:end].strip()
         if not step_text:
             raise ParseFailure(f"step {position} has no text")

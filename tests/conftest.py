@@ -1,4 +1,5 @@
-"""Pytest wiring: per-criterion summary lines for the acceptance suite.
+"""Pytest wiring: per-criterion summary lines for the acceptance suite, and
+a check that no test leaves a fan-out thread running.
 
 Acceptance tests are named test_criterion_<NN>_<slug>; after the run a
 summary block prints one PASS/FAIL/SKIP line per criterion so the gate can
@@ -8,6 +9,9 @@ be read off directly.
 from __future__ import annotations
 
 import re
+import threading
+
+import pytest
 
 _ACCEPTANCE_FILE = "test_acceptance.py"
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)_([a-z0-9_]+)")
@@ -18,6 +22,15 @@ _STATUS_BY_OUTCOME = {
     "error": "FAIL",
     "skipped": "SKIP",
 }
+
+
+@pytest.fixture(autouse=True)
+def no_fan_out_thread_outlives_its_test():
+    """Every run scope opens the fan-out executor and joins its threads on
+    exit, so one still alive after a test is a scope left open."""
+    yield
+    alive = [thread.name for thread in threading.enumerate() if thread.name.startswith("rerail-fan-out")]
+    assert not alive, f"fan-out threads still running after the test: {alive}"
 
 
 def _criterion_of(nodeid: str):

@@ -196,6 +196,14 @@ def mad_answer(answer: str, reasoning: str = "worked through the options") -> st
     return fenced(answer=answer, reasoning=reasoning)
 
 
+# Model text in shapes that once ended a run in a traceback: a number one
+# digit longer than Python's int-string limit, an exponent whose exact value
+# has more digits than that, and JSON nested deeper than any Python parses.
+LONG_DIGITS = "9" * 4301
+BIG_EXPONENT = "1e5000"
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 # ---------------------------------------------------------------------------
 # scripted backend plumbing
 

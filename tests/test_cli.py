@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import rerail
-from helpers import consistent_script, mcqa_question, write_dataset, write_script
+from helpers import DEEP_JSON, consistent_script, entry, mad_answer, mcqa_question, write_dataset, write_script
 from rerail.cli import EXIT_INTERRUPTED, main
+from rerail.types import STAGE_MAD
 
 
 @pytest.fixture
@@ -104,6 +105,12 @@ class TestValidate:
         table = {"gpt-4": {"prompt_per_1k": price, "completion_per_1k": 0.06}}
         assert main(["validate", "--config", config_file(price_table=table)]) == 1
         assert "price_table['gpt-4']" in capsys.readouterr().err
+
+    def test_price_too_large_for_a_float_fails(self, config_file, capsys):
+        # a 401-digit integer passed, and float() ended validate in a traceback
+        table = {"gpt-4": {"prompt_per_1k": 10**400, "completion_per_1k": 0.06}}
+        assert main(["validate", "--config", config_file(price_table=table)]) == 1
+        assert "price_table['gpt-4'] prompt_per_1k" in one_error_line(capsys)
 
     def test_never_echoes_a_secret(self, config_file, capsys, monkeypatch):
         monkeypatch.setenv("RERAIL_API_KEY", "sk-supersecret")
@@ -566,6 +573,75 @@ class TestBytesThatAreNotUtf8:
         assert main(run_args(small_run)) == 0
         usage = json.loads((out / "report.json").read_text())["usage"]
         assert usage["live_calls"] == 1 and usage["cached_calls"] == json.loads(report)["usage"]["live_calls"] - 1
+
+
+def with_line(path, line_no: int, text: str) -> None:
+    """Put ``text`` in place of a line."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines[line_no - 1] = text
+    Path(path).write_text("\n".join(lines), encoding="utf-8")
+
+
+class TestJsonNestedTooDeeply:
+    """JSON nested deeper than the parser goes is invalid JSON: exit 1
+    naming the file and the line, in the cache a miss, and in a reply a
+    re-ask, then a fail-open. It raised RecursionError."""
+
+    def test_in_the_config(self, config_file, capsys):
+        path = config_file()
+        Path(path).write_text(f'{{"seed": {DEEP_JSON}}}')
+        assert main(["validate", "--config", path]) == 1
+        assert one_error_line(capsys) == f"error: {path}: invalid JSON (nested too deeply)\n"
+
+    @pytest.mark.parametrize("file", ["dataset", "script"])
+    def test_in_an_input(self, small_run, capsys, file):
+        with_line(small_run[file], 2, DEEP_JSON)
+        assert main(run_args(small_run)) == 1
+        assert f"{small_run[file]} line 2: invalid JSON (nested too deeply)" in one_error_line(capsys)
+        assert not Path(small_run["out"]).exists()
+
+    def test_in_the_outcomes(self, small_run, capsys):
+        assert main(run_args(small_run)) == 0
+        with_line(Path(small_run["out"]) / "outcomes.jsonl", 2, DEEP_JSON)
+        capsys.readouterr()
+        assert main(["replay", "--trace", small_run["out"]]) == 1
+        assert "outcomes.jsonl line 2: malformed outcome (invalid JSON (nested too deeply))" in one_error_line(capsys)
+
+    def test_in_the_config_snapshot(self, small_run, capsys):
+        assert main(run_args(small_run)) == 0
+        (Path(small_run["out"]) / "resolved_config.json").write_text(DEEP_JSON)
+        capsys.readouterr()
+        assert main(["replay", "--trace", small_run["out"]]) == 1
+        assert "does not hold a config object" in one_error_line(capsys)
+
+    def test_in_the_cache_is_a_miss(self, small_run, config_file):
+        small_run["config"] = config_file(cache_enabled=True)
+        assert main(run_args(small_run)) == 0
+        out = Path(small_run["out"])
+        report = (out / "report.json").read_bytes()
+        with_line(out / "cache" / "completions.jsonl", 1, DEEP_JSON)
+        (out / "outcomes.jsonl").unlink()
+        assert main(run_args(small_run)) == 0
+        usage = json.loads((out / "report.json").read_text())["usage"]
+        assert usage["live_calls"] == 1 and usage["cached_calls"] == json.loads(report)["usage"]["live_calls"] - 1
+
+    def test_in_a_reply_is_re_asked_then_fails_open(self, small_run, config_file, tmp_path):
+        deep = f"```json\n{DEEP_JSON}\n```"
+        entries = []
+        for qid in ("q1", "q2", "q3"):
+            entries += [
+                entry(STAGE_MAD, qid, deep, agent_id=1, round_no=1),
+                entry(STAGE_MAD, qid, mad_answer("B"), agent_id=1, round_no=1),
+                entry(STAGE_MAD, qid, deep, agent_id=2, round_no=1),
+                entry(STAGE_MAD, qid, deep, agent_id=2, round_no=1),
+            ]
+        write_script(small_run["script"], entries)
+        small_run["config"] = config_file(mad_rounds=1)
+        assert main(run_args(small_run, mode="mad")) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["counts"]["failed"] == 0 and report["accuracy"]["overall"]["correct"] == 3
+        outcomes = [json.loads(line) for line in (tmp_path / "out" / "outcomes.jsonl").read_text().splitlines()]
+        assert all(outcome["flags"] == ["mad-parse-fail-open"] for outcome in outcomes)
 
 
 class TestReportCommand:

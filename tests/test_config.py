@@ -144,6 +144,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"price_table\['gpt-4'\]"):
             settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": price, "completion_per_1k": 0.06}}})
 
+    def test_a_price_too_large_for_a_float_is_refused_naming_the_model(self):
+        # a 401-digit integer passed, then float() raised OverflowError
+        with pytest.raises(ConfigError, match=r"price_table\['gpt-4'\] completion_per_1k must be a finite number"):
+            settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": 0.03, "completion_per_1k": 10**400}}})
+
     def test_zero_and_integer_prices_are_floats(self):
         s = settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": 0, "completion_per_1k": 2}}})
         assert s.to_json()["price_table"] == {"gpt-4": {"prompt_per_1k": 0.0, "completion_per_1k": 2.0}}

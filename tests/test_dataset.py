@@ -109,6 +109,16 @@ class TestGroundTruth:
                        category="Math")
             )
 
+    @pytest.mark.parametrize("value", ["9" * 4301, "1e5000", "1e-5000"], ids=["digits", "exponent", "negative-exponent"])
+    def test_numeric_longer_than_the_bound_rejected(self, value):
+        # 1e5000 was read as a 5,001-digit integer, and a larger exponent
+        # took seconds to build
+        with pytest.raises(DatasetError, match="longer than 4300 digits"):
+            question_from_record(
+                record(kind="OpenEndedNumeric", options=None, ground_truth=value,
+                       category="Math")
+            )
+
     def test_text_is_cleaned(self):
         q = question_from_record(
             record(kind="OpenEndedText", options=None, ground_truth=" gravity! ",

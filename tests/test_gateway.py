@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    DEEP_JSON,
     Fault,
     FlakyBackend,
     LoopbackProvider,
@@ -687,6 +688,11 @@ class TestParseStructuredOutput:
         with pytest.raises(MalformedReply, match="fenced JSON is not an object"):
             parse_structured_output("```json\n[1, 2]\n```")
 
+    @pytest.mark.parametrize("body", [DEEP_JSON, f'{{"answer": {DEEP_JSON}}}'], ids=["array", "in-an-object"])
+    def test_json_nested_too_deeply(self, body):
+        with pytest.raises(MalformedReply, match="nested too deeply"):
+            parse_structured_output(f"```json\n{body}\n```")
+
     def test_non_string_values_are_stringified_compactly(self):
         text = '```json\n{"n": 3, "flag": true, "obj": {"b": 1, "a": 2}, "arr": [1, 2]}\n```'
         assert parse_structured_output(text) == {
@@ -737,6 +743,14 @@ class TestCompleteStructured:
         retry_prompt = gw.records[1][1]
         assert retry_prompt.user == f"{first_prompt.user}\n{REASK_REMINDER}"
         assert retry_prompt.system == first_prompt.system
+
+    def test_json_nested_too_deeply_spends_the_reask_then_fails_open(self):
+        deep = f"```json\n{DEEP_JSON}\n```"
+        gw, _ = self.recording_gateway([entry(STAGE_COT, "q1", deep), entry(STAGE_COT, "q1", fenced(answer="B"))])
+        assert complete_structured(gw, PROMPT, PARAMS, CTX, dict) == {"answer": "B"}
+        gw, backend = self.recording_gateway([entry(STAGE_COT, "q1", deep), entry(STAGE_COT, "q1", deep)])
+        assert complete_structured(gw, PROMPT, PARAMS, CTX, dict) is None
+        assert len(backend.calls) == 2
 
     def test_two_failures_give_none(self):
         gw, backend = self.recording_gateway(

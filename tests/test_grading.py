@@ -1,12 +1,14 @@
 """Answer normalization, tolerance comparison, and fail-closed grading."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import as_text, mcqa_question, text_question
+from helpers import BIG_EXPONENT, LONG_DIGITS, as_text, mcqa_question, numeric_question, text_question
 from rerail.grading import (
+    _SIMPLE_FRACTION_RE,
     answer_bucket,
     clean_text,
     grade,
@@ -76,6 +78,41 @@ class TestParseNumeric:
     def test_no_number_raises(self):
         with pytest.raises(UnnormalizableAnswer):
             parse_numeric("no digits at all")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [LONG_DIGITS, f"{LONG_DIGITS[:4300]}/7", f"{'5' * 5000}/2", BIG_EXPONENT, "1e-5000", "2.5e4299", f"1e{LONG_DIGITS}"],
+        ids=["digits", "fraction-at-4301", "fraction-at-5001", "exponent", "negative-exponent", "mantissa-and-exponent",
+             "long-exponent"],
+    )
+    def test_a_number_longer_than_the_bound_is_unnormalizable(self, raw):
+        # digits plus exponent: past 4,300 int() raised ValueError, and
+        # Fraction built the exponent's power of ten however large
+        with pytest.raises(UnnormalizableAnswer, match="longer than 4300 digits"):
+            parse_numeric(f"Answer: {raw}")
+
+    @pytest.mark.parametrize(
+        "raw", [LONG_DIGITS[:4300], f"{LONG_DIGITS[:4299]}/7", "1e4299", "2.5e-4298"],
+        ids=["digits", "fraction", "exponent", "mantissa-and-exponent"],
+    )
+    def test_a_number_at_the_bound_is_read_exactly(self, raw):
+        assert parse_numeric(raw) == Fraction(raw)
+
+    def test_a_zero_denominator_of_any_spelling_is_not_a_fraction(self):
+        # "3/00" raised ZeroDivisionError; "3/0" read the 3
+        assert parse_numeric("3/00") == parse_numeric("3/0") == 3
+
+
+# The fraction pattern before its numerator had to start a run of digits;
+# a search then retried every suffix of a long run not followed by a slash.
+FORMER_FRACTION_RE = re.compile(r"([-+]?\d+)\s*/\s*(\d+)")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(["1", "23", "-", "+", "/", " ", ",", ".", "x"]), max_size=12).map("".join))
+def test_the_fraction_pattern_finds_what_the_former_pattern_found(text):
+    found, former = _SIMPLE_FRACTION_RE.search(text), FORMER_FRACTION_RE.search(text)
+    assert (found and (found.span(), found.groups())) == (former and (former.span(), former.groups()))
 
 
 class TestNormalizeAnswer:
@@ -198,6 +235,12 @@ class TestGradeSafe:
         correct, flags = grade_safe("A", OptionLabel("A"), QuestionKind.MCQA)
         assert correct is True
         assert flags == []
+
+    @pytest.mark.parametrize("raw", [LONG_DIGITS, f"{'5' * 5000}/2", BIG_EXPONENT], ids=["digits", "fraction", "exponent"])
+    def test_a_number_longer_than_the_bound_fails_closed(self, raw):
+        truth = NumericValue(Fraction(5))
+        assert grade_safe(f"Answer: {raw}", truth, QuestionKind.OPEN_NUMERIC) == (False, ["answer-unnormalizable"])
+        assert answer_bucket(raw, numeric_question())[0] == "unnormalizable"
 
 
 class TestMajorityAnswer:

@@ -1,9 +1,10 @@
 """Opening a stream for appending: ``jsonl.append`` cuts a torn tail, which
-it finds by reading back from the end of the stream, never the whole of it."""
+it finds by reading back from the end of the stream, never the whole of it.
+Reading a JSON value: anything unreadable is a ValueError."""
 
 import pytest
 
-from helpers import allocated
+from helpers import DEEP_JSON, allocated
 from rerail import jsonl
 from rerail.jsonl import TAIL_BLOCK
 
@@ -38,3 +39,9 @@ def test_opening_a_large_committed_stream_reads_only_its_tail(tmp_path):
     size = path.stat().st_size
     _, _, peak = allocated(lambda: jsonl.append(path).close())
     assert path.stat().st_size == size and peak < 2**20, peak
+
+
+def test_json_nested_too_deeply_is_a_value_error():
+    # json.loads raised RecursionError, which no reader caught
+    with pytest.raises(ValueError, match=r"invalid JSON \(nested too deeply\)"):
+        jsonl.loads(DEEP_JSON.encode())

@@ -1,12 +1,16 @@
 """Segmentation of raw generations into steps plus a final answer."""
 
-import pytest
-from hypothesis import given, strategies as st
+import re
+from unittest import mock
 
-from rerail.parsing import parse_reasoning_path, serialize_path, serialize_steps
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rerail import parsing
+from rerail.parsing import last_answer_marker, parse_reasoning_path, serialize_path, serialize_steps
 from rerail.types import ParseFailure, ReasoningPath
 
-from helpers import cot_text, step_section
+from helpers import LONG_DIGITS, cot_text, step_section
 
 
 class TestParseReasoningPath:
@@ -68,6 +72,12 @@ class TestParseReasoningPath:
         path = parse_reasoning_path("Step 3: out of order\nStep 9: still counted\nAnswer: x")
         assert serialize_steps(path) == "Step 1: out of order\nStep 2: still counted"
 
+    @pytest.mark.parametrize("marker", [f"Step {LONG_DIGITS}:", f"{LONG_DIGITS}."], ids=["step", "ordinal"])
+    def test_a_step_number_of_any_length_is_not_read(self, marker):
+        # int() of the declared number raised ValueError past 4,300 digits
+        path = parse_reasoning_path(f"{marker} a step\nAnswer: 5")
+        assert path.steps == ("a step",)
+
     def test_step_with_no_text_fails(self):
         with pytest.raises(ParseFailure):
             parse_reasoning_path("Step 1:\nStep 2: real text\nAnswer: z")
@@ -75,6 +85,36 @@ class TestParseReasoningPath:
     def test_answer_before_all_steps_fails(self):
         with pytest.raises(ParseFailure):
             parse_reasoning_path("Answer: early\nand then prose without markers")
+
+
+# The patterns before each scanned a line once. They found the same steps
+# and answer, with more whitespace around them, which parsing strips.
+FORMER_PATTERNS = {
+    "STEP_MARKER_RE": re.compile(r"(?im)^\s*step\s*#?\s*(\d+)\s*[:.)]\s*"),
+    "ORDINAL_MARKER_RE": re.compile(r"(?m)^\s*(\d+)\.\s+"),
+    "ANSWER_MARKER_RE": re.compile(r"(?im)^.*?\b(?:final\s+)?answer\s*:\s*(.+?)\s*$"),
+}
+PIECES = [
+    "Step 1:", "step #2.", "STEP 3)", "1.", "2. ", "3.14", "Answer:", "answer", "Final  Answer", ":", " ", "\t", "\n",
+    "\n", "\r", "\x85", "\u2028", "B", "x y",
+]
+
+
+def parsed(text: str):
+    try:
+        return parse_reasoning_path(text)
+    except ParseFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(PIECES), max_size=16).map("".join))
+def test_parsing_reads_what_the_former_patterns_read(text):
+    with mock.patch.multiple(parsing, **FORMER_PATTERNS):
+        former = parsed(text), last_answer_marker(text)
+    found = last_answer_marker(text)
+    assert parsed(text) == former[0]
+    assert (found and found.group(1).strip()) == (former[1] and former[1].group(1).strip())
 
 
 class TestSerialization:
