@@ -8,9 +8,9 @@ Normalization is per question kind:
 * Text: drop everything but letters, digits, and spaces, collapse runs of
   whitespace, uppercase.
 
-Comparison is exact for options and text. Numeric answers match within
-abs 1e-6 or rel 1e-4, evaluated in rational arithmetic so the tolerance check
-itself introduces no rounding.
+Comparison is exact for options and text. Numeric answers match within the
+run's abs_tolerance or rel_tolerance, evaluated in rational arithmetic so the
+tolerance check itself introduces no rounding.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .types import (
     UnnormalizableAnswer,
     VALID_OPTION_LABELS,
 )
-
-ABS_TOLERANCE = Fraction(1, 10**6)
-REL_TOLERANCE = Fraction(1, 10**4)
 
 _NON_ALNUM_SPACE_RE = re.compile(r"[^A-Za-z0-9 ]")
 _WS_RUN_RE = re.compile(r"\s+")
@@ -147,10 +144,6 @@ def majority_answer(raws: list[str], question: Question) -> tuple[str, bool]:
     return next(raw for raw, bucket in zip(raws, buckets) if counts[bucket] == best), tied
 
 
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else _decimal_fraction(value)
-
-
 # A tolerance is one of a few configured values, so each is parsed once.
 # typed: 2**60 and 2.0**60 are equal keys but parse to different fractions.
 @functools.lru_cache(maxsize=None, typed=True)
@@ -158,18 +151,13 @@ def _decimal_fraction(value) -> Fraction:
     return Fraction(str(value))
 
 
-def answers_equal(
-    left: NormalizedAnswer,
-    right: NormalizedAnswer,
-    abs_tol=ABS_TOLERANCE,
-    rel_tol=REL_TOLERANCE,
-) -> bool:
+def answers_equal(left: NormalizedAnswer, right: NormalizedAnswer, abs_tol, rel_tol) -> bool:
     """Whether two normalized answers agree. Kinds must match."""
     if isinstance(left, OptionLabel) and isinstance(right, OptionLabel):
         return left.label == right.label
     if isinstance(left, NumericValue) and isinstance(right, NumericValue):
         difference = abs(left.value - right.value)
-        bound = max(_as_fraction(abs_tol), _as_fraction(rel_tol) * abs(right.value))
+        bound = max(_decimal_fraction(abs_tol), _decimal_fraction(rel_tol) * abs(right.value))
         return difference <= bound
     if isinstance(left, TextValue) and isinstance(right, TextValue):
         return left.text == right.text
@@ -178,25 +166,9 @@ def answers_equal(
     )
 
 
-def grade(
-    raw_answer: str,
-    ground_truth: NormalizedAnswer,
-    kind: QuestionKind,
-    abs_tol=ABS_TOLERANCE,
-    rel_tol=REL_TOLERANCE,
-) -> bool:
-    """Normalize ``raw_answer`` and compare it with the ground truth."""
-    return answers_equal(normalize_answer(raw_answer, kind), ground_truth, abs_tol, rel_tol)
-
-
-def grade_safe(
-    raw_answer: Optional[str],
-    ground_truth: NormalizedAnswer,
-    kind: QuestionKind,
-    abs_tol=ABS_TOLERANCE,
-    rel_tol=REL_TOLERANCE,
-) -> tuple[bool, list[str]]:
-    """Fail-closed grading: anything unparseable counts as incorrect.
+def grade_safe(raw_answer: Optional[str], question: Question, abs_tol, rel_tol) -> tuple[bool, list[str]]:
+    """Fail-closed grading of ``raw_answer`` against the question's ground
+    truth: anything unparseable counts as incorrect.
 
     Returns (correct, flags). Flags name what went wrong so a report can
     distinguish a wrong answer from an unusable one.
@@ -204,6 +176,7 @@ def grade_safe(
     if raw_answer is None:
         return False, ["answer-missing"]
     try:
-        return grade(raw_answer, ground_truth, kind, abs_tol, rel_tol), []
+        answer = normalize_answer(raw_answer, question.kind)
     except UnnormalizableAnswer:
         return False, ["answer-unnormalizable"]
+    return answers_equal(answer, question.ground_truth, abs_tol, rel_tol), []

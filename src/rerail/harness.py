@@ -328,20 +328,9 @@ def make_gateway(
 
 def grade_outcome(question: Question, mode_result: ModeResult, settings: RunSettings) -> QuestionOutcome:
     """Grade a mode result into a persisted outcome record."""
-    correct_baseline, base_flags = grade_safe(
-        mode_result.baseline_raw,
-        question.ground_truth,
-        question.kind,
-        settings.abs_tolerance,
-        settings.rel_tolerance,
-    )
-    correct_final, final_flags = grade_safe(
-        mode_result.final_raw,
-        question.ground_truth,
-        question.kind,
-        settings.abs_tolerance,
-        settings.rel_tolerance,
-    )
+    tolerances = settings.abs_tolerance, settings.rel_tolerance
+    correct_baseline, base_flags = grade_safe(mode_result.baseline_raw, question, *tolerances)
+    correct_final, final_flags = grade_safe(mode_result.final_raw, question, *tolerances)
     flags = sorted(set(mode_result.flags) | set(base_flags) | set(final_flags))
     cell = None
     if mode_result.routing == "derailed":

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import BIG_EXPONENT, LONG_DIGITS, as_text, mcqa_question, numeric_question, text_question
+from rerail.config import RunSettings
 from rerail.grading import (
     _SIMPLE_FRACTION_RE,
     answer_bucket,
     clean_text,
-    grade,
     grade_safe,
     majority_answer,
     normalize_answer,
@@ -26,6 +26,9 @@ from rerail.types import (
     TextValue,
     UnnormalizableAnswer,
 )
+
+# A run's default tolerances, as grading receives them.
+TOLERANCES = RunSettings().abs_tolerance, RunSettings().rel_tolerance
 
 
 class TestCleanText:
@@ -163,47 +166,47 @@ class TestNormalizeAnswer:
 
 class TestAnswersEqual:
     def test_option_identity(self):
-        assert answers_equal(OptionLabel("A"), OptionLabel("A")) is True
-        assert answers_equal(OptionLabel("A"), OptionLabel("B")) is False
+        assert answers_equal(OptionLabel("A"), OptionLabel("A"), *TOLERANCES) is True
+        assert answers_equal(OptionLabel("A"), OptionLabel("B"), *TOLERANCES) is False
 
     def test_numeric_within_relative_tolerance(self):
         a = NumericValue(Fraction("0.3333333"))
         g = NumericValue(Fraction(1, 3))
-        assert answers_equal(a, g) is True
+        assert answers_equal(a, g, *TOLERANCES) is True
 
     def test_relative_bound_is_tight(self):
         g = NumericValue(Fraction(10000))
-        assert answers_equal(NumericValue(Fraction(10001)), g) is True
-        assert answers_equal(NumericValue(Fraction("10001.1")), g) is False
+        assert answers_equal(NumericValue(Fraction(10001)), g, *TOLERANCES) is True
+        assert answers_equal(NumericValue(Fraction("10001.1")), g, *TOLERANCES) is False
 
     def test_absolute_bound_near_zero(self):
         g = NumericValue(Fraction(0))
-        assert answers_equal(NumericValue(Fraction(1, 2 * 10**6)), g) is True
-        assert answers_equal(NumericValue(Fraction(2, 10**6)), g) is False
+        assert answers_equal(NumericValue(Fraction(1, 2 * 10**6)), g, *TOLERANCES) is True
+        assert answers_equal(NumericValue(Fraction(2, 10**6)), g, *TOLERANCES) is False
 
     def test_kind_mismatch(self):
         with pytest.raises(KindMismatch):
-            answers_equal(OptionLabel("A"), NumericValue(Fraction(4)))
+            answers_equal(OptionLabel("A"), NumericValue(Fraction(4)), *TOLERANCES)
 
     def test_tolerances_overridable(self):
         g = NumericValue(Fraction(8))
         a = NumericValue(Fraction("8.4"))
-        assert answers_equal(a, g) is False
-        assert answers_equal(a, g, abs_tol=0.5) is True
+        assert answers_equal(a, g, *TOLERANCES) is False
+        assert answers_equal(a, g, 0.5, TOLERANCES[1]) is True
 
 
 class TestGrade:
     def test_raw_option_against_ground_truth(self):
-        assert grade("b) 42", OptionLabel("B"), QuestionKind.MCQA) is True
+        assert grade_safe("b) 42", mcqa_question(gt="B"), *TOLERANCES)[0] is True
 
     def test_numeric_tolerance_flows_through(self):
-        assert grade("0.33333", NumericValue(Fraction(1, 3)), QuestionKind.OPEN_NUMERIC) is True
-        assert grade("0.3", NumericValue(Fraction(1, 3)), QuestionKind.OPEN_NUMERIC) is False
+        assert grade_safe("0.33333", numeric_question(gt="1/3"), *TOLERANCES)[0] is True
+        assert grade_safe("0.3", numeric_question(gt="1/3"), *TOLERANCES)[0] is False
 
     @given(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF"))
     def test_option_grading_symmetric(self, x, y):
-        forward = grade(x, OptionLabel(y), QuestionKind.MCQA)
-        backward = grade(y, OptionLabel(x), QuestionKind.MCQA)
+        forward = grade_safe(x, mcqa_question(gt=y, n_options=6), *TOLERANCES)[0]
+        backward = grade_safe(y, mcqa_question(gt=x, n_options=6), *TOLERANCES)[0]
         assert forward == backward
 
     @given(
@@ -215,31 +218,31 @@ class TestGrade:
         ),
     )
     def test_text_grading_symmetric(self, x, y):
-        forward = grade(x, TextValue(clean_text(y)), QuestionKind.OPEN_TEXT)
-        backward = grade(y, TextValue(clean_text(x)), QuestionKind.OPEN_TEXT)
+        forward = grade_safe(x, text_question(gt=clean_text(y)), *TOLERANCES)[0]
+        backward = grade_safe(y, text_question(gt=clean_text(x)), *TOLERANCES)[0]
         assert forward == backward
 
 
 class TestGradeSafe:
     def test_missing_answer_fails_closed(self):
-        correct, flags = grade_safe(None, OptionLabel("A"), QuestionKind.MCQA)
+        correct, flags = grade_safe(None, mcqa_question(gt="A"), *TOLERANCES)
         assert correct is False
         assert flags == ["answer-missing"]
 
     def test_unnormalizable_fails_closed(self):
-        correct, flags = grade_safe("zebra", OptionLabel("A"), QuestionKind.MCQA)
+        correct, flags = grade_safe("zebra", mcqa_question(gt="A"), *TOLERANCES)
         assert correct is False
         assert flags == ["answer-unnormalizable"]
 
     def test_clean_answer_has_no_flags(self):
-        correct, flags = grade_safe("A", OptionLabel("A"), QuestionKind.MCQA)
+        correct, flags = grade_safe("A", mcqa_question(gt="A"), *TOLERANCES)
         assert correct is True
         assert flags == []
 
     @pytest.mark.parametrize("raw", [LONG_DIGITS, f"{'5' * 5000}/2", BIG_EXPONENT], ids=["digits", "fraction", "exponent"])
     def test_a_number_longer_than_the_bound_fails_closed(self, raw):
-        truth = NumericValue(Fraction(5))
-        assert grade_safe(f"Answer: {raw}", truth, QuestionKind.OPEN_NUMERIC) == (False, ["answer-unnormalizable"])
+        truth = numeric_question(gt="5")
+        assert grade_safe(f"Answer: {raw}", truth, *TOLERANCES) == (False, ["answer-unnormalizable"])
         assert answer_bucket(raw, numeric_question())[0] == "unnormalizable"
 
 
