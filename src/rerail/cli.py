@@ -25,6 +25,7 @@ from .dataset import load_dataset
 from .gateway import ProviderError, ScriptFormatError
 from .harness import (
     BACKENDS,
+    CSV_TABLES,
     MODES,
     IncompleteTrace,
     REPORT_FILE,
@@ -39,8 +40,6 @@ EXIT_OK = 0
 EXIT_USER_ERROR = 1
 EXIT_RUNTIME_ERROR = 2
 EXIT_INTERRUPTED = 130
-
-CSV_TABLES = ["accuracy_by_category.csv", "confusion_matrix.csv", "cost.csv"]
 
 
 class UsageError(Exception):
@@ -130,7 +129,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    names = [REPORT_FILE] if args.format == "json" else CSV_TABLES
+    names = (REPORT_FILE,) if args.format == "json" else CSV_TABLES
     texts = [_read_artifact(Path(args.out), name) for name in names]  # all read before any is printed
     for name, text in zip(names, texts):
         if args.format == "csv":

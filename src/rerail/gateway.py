@@ -46,7 +46,6 @@ RETRY_BASE_SLEEP_S = 1.0
 RETRY_FACTOR = 2.0
 RETRY_MAX_ATTEMPTS = 5
 RETRY_AFTER_MAX_S = 60.0  # the longest wait a provider's Retry-After gets
-DEFAULT_TIMEOUT_S = 120.0
 
 CACHE_FILE = "completions.jsonl"
 
@@ -293,7 +292,7 @@ class LiveBackend:
     were ever in flight at once. A proxy named in HTTPS_PROXY or HTTP_PROXY
     is reached by CONNECT, unless NO_PROXY names the host."""
 
-    def __init__(self, endpoint: str, api_key_env: str, timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
+    def __init__(self, endpoint: str, api_key_env: str, timeout_s: float) -> None:
         api_key = os.environ.get(api_key_env, "")
         if not api_key:
             raise ProviderError(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import signal
 import threading
 from collections import defaultdict
@@ -65,6 +66,10 @@ OUTCOMES_FILE = "outcomes.jsonl"
 REPORT_FILE = "report.json"
 CONFIG_FILE = "resolved_config.json"
 TRACES_FILE = "traces.jsonl"
+ACCURACY_TABLE = "accuracy_by_category.csv"
+CONFUSION_TABLE = "confusion_matrix.csv"
+COST_TABLE = "cost.csv"
+CSV_TABLES = (ACCURACY_TABLE, CONFUSION_TABLE, COST_TABLE)
 
 COST_COLUMNS = ("model_id", "n_questions", "cost_usd", "cost_per_1000_usd", "wall_time_s", "hours_per_1000")
 
@@ -493,14 +498,26 @@ def report_to_bytes(report: dict) -> bytes:
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
+def _replace_whole(path: Path, data: bytes) -> None:
+    """Put ``data`` at ``path`` through a temporary file beside it, so a
+    write that fails part-way, or is interrupted, leaves the old file whole."""
+    temporary = path.with_name(f".{path.name}.tmp")
+    try:
+        temporary.write_bytes(data)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def write_report(out_dir: str | Path, report: dict) -> bool:
     """Write report.json and the three CSV tables; whether report.json
     held other bytes before, or was missing."""
     out_dir = Path(out_dir)
     report_path, data = out_dir / REPORT_FILE, report_to_bytes(report)
     changed = not report_path.exists() or report_path.read_bytes() != data
-    report_path.write_bytes(data)
-    with open(out_dir / "accuracy_by_category.csv", "w", newline="", encoding="utf-8") as handle:
+    _replace_whole(report_path, data)
+    with open(out_dir / ACCURACY_TABLE, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["category", "correct", "total", "accuracy"])
         for category, block in sorted(report["accuracy"]["by_category"].items()):
@@ -508,7 +525,7 @@ def write_report(out_dir: str | Path, report: dict) -> bool:
         overall = report["accuracy"]["overall"]
         writer.writerow(["overall", overall["correct"], overall["total"], overall["accuracy"]])
 
-    with open(out_dir / "confusion_matrix.csv", "w", newline="", encoding="utf-8") as handle:
+    with open(out_dir / CONFUSION_TABLE, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["scope", "TP", "TN", "FN", "FP"])
         matrix = report.get("confusion_matrix")
@@ -518,7 +535,7 @@ def write_report(out_dir: str | Path, report: dict) -> bool:
             for category, cells in sorted(matrix["by_category"].items()):
                 writer.writerow([category] + [cells[c] for c in CELLS])
 
-    with open(out_dir / "cost.csv", "w", newline="", encoding="utf-8") as handle:
+    with open(out_dir / COST_TABLE, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(COST_COLUMNS)
         cost = report.get("cost")
@@ -611,9 +628,7 @@ def run(
     outcomes = {qid: o for qid, o in stored.items() if o.error is None}
 
     out_path.mkdir(parents=True, exist_ok=True)
-    with open(out_path / CONFIG_FILE, "w", encoding="utf-8") as handle:
-        json.dump(config_snapshot, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    _replace_whole(out_path / CONFIG_FILE, report_to_bytes(config_snapshot))
 
     pending = [q for q in questions if q.id not in outcomes]
     write_lock = threading.Lock()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,18 @@ from pathlib import Path
 import pytest
 
 import rerail
-from helpers import DEEP_JSON, consistent_script, entry, mad_answer, mcqa_question, write_dataset, write_script
+from helpers import (
+    DEEP_JSON,
+    consistent_script,
+    entry,
+    mad_answer,
+    mcqa_question,
+    numeric_question,
+    write_dataset,
+    write_script,
+)
 from rerail.cli import EXIT_INTERRUPTED, main
+from rerail.harness import CSV_TABLES
 from rerail.types import STAGE_MAD
 
 
@@ -220,6 +231,23 @@ class TestRun:
         assert main(run_args(small_run)) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, correct", [({}, False), ({"abs_tolerance": 0.5}, True)])
+    def test_the_run_s_tolerances_decide_the_grade(self, small_run, config_file, overrides, correct):
+        # 8.4 against a truth of 8: outside the default bounds, inside 0.5
+        question = numeric_question(gt="8")
+        write_dataset(small_run["dataset"], [question])
+        write_script(small_run["script"], consistent_script(question.id, answer="8.4")[:1])
+        small_run["config"] = config_file(**overrides)
+        assert main(run_args(small_run, mode="cot")) == 0
+        out = Path(small_run["out"])
+        (outcome,) = map(json.loads, (out / "outcomes.jsonl").read_text().splitlines())
+        assert (outcome["final_answer"], outcome["correct_final"], outcome["flags"]) == ("8.4", correct, [])
+        report = (out / "report.json").read_bytes()
+        assert json.loads(report)["accuracy"]["overall"]["correct"] == int(correct)
+        (out / "report.json").unlink()
+        assert main(["replay", "--trace", small_run["out"]]) == 0
+        assert (out / "report.json").read_bytes() == report
+
 
 ARTIFACTS = [
     "accuracy_by_category.csv",
@@ -347,6 +375,43 @@ class TestResume:
         assert main(run_args(small_run)) == 0
         assert (out / "report.json").read_bytes() == report
         assert (out / "resolved_config.json").read_bytes() == config
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a POSIX file size limit")
+    @pytest.mark.parametrize("name", ["resolved_config.json", "report.json"])
+    def test_a_rewrite_that_fails_part_way_leaves_the_file_whole(self, small_run, tmp_path, config_file, name):
+        # A torn snapshot read as no snapshot, so a different config resumed.
+        small_run["config"] = config_file(model_id="model-a")
+        assert main(run_args(small_run)) == 0
+        out = tmp_path / "out"
+        before = {artifact: (out / artifact).read_bytes() for artifact in ARTIFACTS}
+        snapshot_size = len(before["resolved_config.json"])
+        assert len(before["report.json"]) > snapshot_size
+        # the report's cap lets the snapshot, written first, through whole
+        cap = snapshot_size // 2 if name == "resolved_config.json" else snapshot_size
+        child = subprocess.run(
+            [sys.executable, "-c", SIZE_CAPPED_RUN, str(cap), *run_args(small_run)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(rerail.__file__).parents[1])),
+        )
+        assert child.returncode == 1, child.stderr
+        assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr
+        assert sorted(p.name for p in out.iterdir()) == ARTIFACTS
+        assert {artifact: (out / artifact).read_bytes() for artifact in ARTIFACTS} == before
+        small_run["config"] = config_file(model_id="model-b")
+        assert main(run_args(small_run)) == 1
+
+
+# Runs `rerail run` with each file it writes capped at argv[1] bytes, so a
+# write past the cap fails part-way, as on a full disk: with EFBIG, since
+# SIGXFSZ is ignored.
+SIZE_CAPPED_RUN = """
+import resource, signal, sys
+from rerail import cli
+
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(cli.main(sys.argv[2:]))
+"""
 
 
 # Runs `rerail run` with every backend call slowed to 20 ms, and sends the
@@ -662,6 +727,14 @@ class TestReportCommand:
         assert "# confusion_matrix.csv" in out
         assert "scope,TP,TN,FN,FP" in out
         assert "# cost.csv" in out
+
+    def test_csv_format_prints_each_table_the_run_wrote_in_order(self, small_run, capsys):
+        assert main(run_args(small_run)) == 0
+        assert sorted(p.name for p in Path(small_run["out"]).glob("*.csv")) == sorted(CSV_TABLES)
+        capsys.readouterr()
+        assert main(["report", "--out", small_run["out"], "--format", "csv"]) == 0
+        headers = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# ")]
+        assert headers == [f"# {name}" for name in CSV_TABLES]
 
     def test_missing_report_fails(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 1

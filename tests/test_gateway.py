@@ -815,8 +815,14 @@ class TestLiveBackend:
     def test_missing_key_is_fatal_and_names_the_variable(self, monkeypatch):
         monkeypatch.delenv(self.ENV, raising=False)
         with pytest.raises(ProviderError, match=self.ENV) as err:
-            LiveBackend("https://example.invalid", self.ENV)
+            LiveBackend("https://example.invalid", self.ENV, timeout_s=9.0)
         assert err.value.retriable is False
+
+    def test_the_timeout_has_no_default_of_its_own(self, monkeypatch):
+        # the run's timeout_s, from RunSettings, is the one default
+        monkeypatch.setenv(self.ENV, "sk-test")
+        with pytest.raises(TypeError, match="timeout_s"):
+            LiveBackend("http://127.0.0.1:9/v1/chat", self.ENV)
 
     def test_payload_shape_and_headers(self, live):
         backend, provider = live(answer(GOOD_BODY))
@@ -876,7 +882,7 @@ class TestLiveBackend:
         with socket.socket() as probe:  # a port nothing listens on once it closes
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
-        backend = LiveBackend(f"http://127.0.0.1:{port}/v1/chat", self.ENV)
+        backend = LiveBackend(f"http://127.0.0.1:{port}/v1/chat", self.ENV, timeout_s=9.0)
         try:
             with pytest.raises(ProviderError) as err:
                 backend.call(PROMPT, PARAMS, CTX)

@@ -245,7 +245,7 @@ def test_a_keep_alive_connection_the_server_closed_is_not_reused():
     # a call must not go out on one, which would fail and back off.
     sleeps = []
     with LoopbackProvider(every=OK, close_after_reply=True) as provider:
-        backend = LiveBackend(provider.url, KEY_ENV)
+        backend = LiveBackend(provider.url, KEY_ENV, timeout_s=9.0)
         gateway = Gateway(backend, sleeper=sleeps.append)
         try:
             for _ in range(4):
@@ -268,7 +268,7 @@ def test_a_keep_alive_connection_the_server_closed_is_not_reused():
 def test_retry_after_in_seconds_is_the_wait_before_the_next_attempt(status, asked, sleeps):
     recorded = []
     with LoopbackProvider(faults={1: Fault(status=status, headers=(("Retry-After", asked),))}, every=OK) as provider:
-        backend = LiveBackend(provider.url, KEY_ENV)
+        backend = LiveBackend(provider.url, KEY_ENV, timeout_s=9.0)
         try:
             assert Gateway(backend, sleeper=recorded.append).complete(PROMPT, PARAMS, CTX).text == "ok"
         finally:
@@ -283,7 +283,7 @@ def trusted(monkeypatch):
 
 
 def https_call(provider_url: str):
-    backend = LiveBackend(provider_url, KEY_ENV)
+    backend = LiveBackend(provider_url, KEY_ENV, timeout_s=9.0)
     try:
         return backend.call(PROMPT, PARAMS, CTX)
     finally:
@@ -329,5 +329,5 @@ def test_no_proxy_bypasses_the_proxy(trusted, monkeypatch):
 def test_a_proxy_that_is_not_an_http_url_is_refused(monkeypatch, named):
     monkeypatch.setenv("HTTPS_PROXY", named)
     with pytest.raises(ProviderError, match="https proxy .* is not an http:// or https:// URL") as err:
-        LiveBackend("https://127.0.0.1:9/v1/chat/completions", KEY_ENV)
+        LiveBackend("https://127.0.0.1:9/v1/chat/completions", KEY_ENV, timeout_s=9.0)
     assert err.value.retriable is False
