@@ -719,22 +719,15 @@ class TestReportCommand:
 
     def test_csv_format_prints_all_tables(self, small_run, capsys):
         assert main(run_args(small_run)) == 0
-        capsys.readouterr()
-        assert main(["report", "--out", small_run["out"], "--format", "csv"]) == 0
-        out = capsys.readouterr().out
-        assert "# accuracy_by_category.csv" in out
-        assert "category,correct,total,accuracy" in out
-        assert "# confusion_matrix.csv" in out
-        assert "scope,TP,TN,FN,FP" in out
-        assert "# cost.csv" in out
-
-    def test_csv_format_prints_each_table_the_run_wrote_in_order(self, small_run, capsys):
-        assert main(run_args(small_run)) == 0
+        # each table the run wrote, in order
         assert sorted(p.name for p in Path(small_run["out"]).glob("*.csv")) == sorted(CSV_TABLES)
         capsys.readouterr()
         assert main(["report", "--out", small_run["out"], "--format", "csv"]) == 0
-        headers = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# ")]
-        assert headers == [f"# {name}" for name in CSV_TABLES]
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("# ")] == [f"# {name}" for name in CSV_TABLES]
+        assert CSV_TABLES == ("accuracy_by_category.csv", "confusion_matrix.csv", "cost.csv")
+        assert "category,correct,total,accuracy" in out
+        assert "scope,TP,TN,FN,FP" in out
 
     def test_missing_report_fails(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 1
