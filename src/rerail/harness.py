@@ -66,10 +66,7 @@ OUTCOMES_FILE = "outcomes.jsonl"
 REPORT_FILE = "report.json"
 CONFIG_FILE = "resolved_config.json"
 TRACES_FILE = "traces.jsonl"
-ACCURACY_TABLE = "accuracy_by_category.csv"
-CONFUSION_TABLE = "confusion_matrix.csv"
-COST_TABLE = "cost.csv"
-CSV_TABLES = (ACCURACY_TABLE, CONFUSION_TABLE, COST_TABLE)
+CSV_TABLES = ("accuracy_by_category.csv", "confusion_matrix.csv", "cost.csv")
 
 COST_COLUMNS = ("model_id", "n_questions", "cost_usd", "cost_per_1000_usd", "wall_time_s", "hours_per_1000")
 
@@ -517,7 +514,8 @@ def write_report(out_dir: str | Path, report: dict) -> bool:
     report_path, data = out_dir / REPORT_FILE, report_to_bytes(report)
     changed = not report_path.exists() or report_path.read_bytes() != data
     _replace_whole(report_path, data)
-    with open(out_dir / ACCURACY_TABLE, "w", newline="", encoding="utf-8") as handle:
+    accuracy_csv, confusion_csv, cost_csv = (out_dir / name for name in CSV_TABLES)
+    with open(accuracy_csv, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["category", "correct", "total", "accuracy"])
         for category, block in sorted(report["accuracy"]["by_category"].items()):
@@ -525,7 +523,7 @@ def write_report(out_dir: str | Path, report: dict) -> bool:
         overall = report["accuracy"]["overall"]
         writer.writerow(["overall", overall["correct"], overall["total"], overall["accuracy"]])
 
-    with open(out_dir / CONFUSION_TABLE, "w", newline="", encoding="utf-8") as handle:
+    with open(confusion_csv, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["scope", "TP", "TN", "FN", "FP"])
         matrix = report.get("confusion_matrix")
@@ -535,7 +533,7 @@ def write_report(out_dir: str | Path, report: dict) -> bool:
             for category, cells in sorted(matrix["by_category"].items()):
                 writer.writerow([category] + [cells[c] for c in CELLS])
 
-    with open(out_dir / COST_TABLE, "w", newline="", encoding="utf-8") as handle:
+    with open(cost_csv, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(COST_COLUMNS)
         cost = report.get("cost")

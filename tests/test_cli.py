@@ -719,7 +719,7 @@ class TestReportCommand:
 
     def test_csv_format_prints_all_tables(self, small_run, capsys):
         assert main(run_args(small_run)) == 0
-        # each table the run wrote, in order
+        # each table the run wrote
         assert sorted(p.name for p in Path(small_run["out"]).glob("*.csv")) == sorted(CSV_TABLES)
         capsys.readouterr()
         assert main(["report", "--out", small_run["out"], "--format", "csv"]) == 0

@@ -197,16 +197,17 @@ class TestAnswersEqual:
 
 class TestGrade:
     def test_raw_option_against_ground_truth(self):
-        assert grade_safe("b) 42", mcqa_question(gt="B"), *TOLERANCES)[0] is True
+        assert grade_safe("b) 42", mcqa_question(gt="B"), *TOLERANCES) == (True, [])
 
     def test_numeric_tolerance_flows_through(self):
-        assert grade_safe("0.33333", numeric_question(gt="1/3"), *TOLERANCES)[0] is True
-        assert grade_safe("0.3", numeric_question(gt="1/3"), *TOLERANCES)[0] is False
+        assert grade_safe("0.33333", numeric_question(gt="1/3"), *TOLERANCES) == (True, [])
+        assert grade_safe("0.3", numeric_question(gt="1/3"), *TOLERANCES) == (False, [])
 
     @given(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF"))
     def test_option_grading_symmetric(self, x, y):
-        forward = grade_safe(x, mcqa_question(gt=y, n_options=6), *TOLERANCES)[0]
-        backward = grade_safe(y, mcqa_question(gt=x, n_options=6), *TOLERANCES)[0]
+        forward = grade_safe(x, mcqa_question(gt=y, n_options=6), *TOLERANCES)
+        backward = grade_safe(y, mcqa_question(gt=x, n_options=6), *TOLERANCES)
+        assert forward[1] == backward[1] == []
         assert forward == backward
 
     @given(
@@ -218,8 +219,9 @@ class TestGrade:
         ),
     )
     def test_text_grading_symmetric(self, x, y):
-        forward = grade_safe(x, text_question(gt=clean_text(y)), *TOLERANCES)[0]
-        backward = grade_safe(y, text_question(gt=clean_text(x)), *TOLERANCES)[0]
+        forward = grade_safe(x, text_question(gt=clean_text(y)), *TOLERANCES)
+        backward = grade_safe(y, text_question(gt=clean_text(x)), *TOLERANCES)
+        assert forward[1] == backward[1] == []
         assert forward == backward
 
 
