@@ -444,19 +444,17 @@ def cost_report(usage: dict, price_table: dict, model_id: str, n_questions: int)
     }
 
 
-def build_report(outcomes: list[QuestionOutcome], config_snapshot: dict, mode: str) -> dict:
-    """The full run report. Pure: same outcomes + config -> same bytes."""
+def build_report(outcomes: list[QuestionOutcome], config_snapshot: dict) -> dict:
+    """The full run report of the snapshot's mode. Pure: same outcomes + config -> same bytes."""
+    mode = config_snapshot["mode"]
     ordered = sorted(outcomes, key=lambda o: o.question_id)
-    failed = [o for o in ordered if o.error is not None]
     graded = [o for o in ordered if o.error is None]
+    consistent_rows = [o for o in graded if o.routing == "consistent"]
+    derailed_rows = [o for o in graded if o.routing == "derailed"]
 
-    counts: dict = {"total": len(ordered), "failed": len(failed)}
+    counts = dict(total=len(ordered), failed=len(ordered) - len(graded), consistent=None, derailed=None)
     if mode == MODE_RERAILER:
-        counts["consistent"] = sum(1 for o in graded if o.routing == "consistent")
-        counts["derailed"] = sum(1 for o in graded if o.routing == "derailed")
-    else:
-        counts["consistent"] = None
-        counts["derailed"] = None
+        counts.update(consistent=len(consistent_rows), derailed=len(derailed_rows))
 
     categories = sorted({o.category for o in ordered})
     accuracy = {
@@ -464,8 +462,6 @@ def build_report(outcomes: list[QuestionOutcome], config_snapshot: dict, mode: s
         "by_category": {cat: _accuracy_block([o for o in ordered if o.category == cat]) for cat in categories},
     }
     if mode == MODE_RERAILER:
-        consistent_rows = [o for o in graded if o.routing == "consistent"]
-        derailed_rows = [o for o in graded if o.routing == "derailed"]
         accuracy["split"] = {
             "consistent_route": _accuracy_block(consistent_rows),
             "derailed_route": _accuracy_block(derailed_rows),
@@ -479,7 +475,7 @@ def build_report(outcomes: list[QuestionOutcome], config_snapshot: dict, mode: s
     if model_id in snapshot_prices:
         cost = cost_report(usage, snapshot_prices, model_id, len(graded))
 
-    report = {
+    return {
         "mode": mode,
         "config": config_snapshot,
         "counts": counts,
@@ -488,7 +484,6 @@ def build_report(outcomes: list[QuestionOutcome], config_snapshot: dict, mode: s
         "usage": usage,
         "cost": cost,
     }
-    return report
 
 
 def report_to_bytes(report: dict) -> bytes:
@@ -556,18 +551,37 @@ def load_outcomes(path: Path) -> list[QuestionOutcome]:
     return list(latest.values())
 
 
+def read_snapshot(config_path: Path) -> Optional[dict]:
+    """The config snapshot a run wrote: its settings plus the mode. None if
+    the file is missing; IncompleteTrace naming the file unless it holds a
+    JSON object with a valid config and a mode of MODES."""
+    try:
+        snapshot = jsonl.loads(config_path.read_bytes())
+    except FileNotFoundError:
+        return None
+    except ValueError:
+        snapshot = None
+    if not isinstance(snapshot, dict):
+        raise IncompleteTrace(f"{config_path} does not hold a config object")
+    try:
+        if snapshot.get("mode") not in MODES:
+            raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {snapshot.get('mode')!r}")
+        settings_from_dict({key: value for key, value in snapshot.items() if key != "mode"})
+    except ConfigError as exc:
+        raise IncompleteTrace(f"{config_path} does not hold a valid config ({exc})") from None
+    return snapshot
+
+
 def _check_resumable(config_path: Path, config_snapshot: dict) -> None:
     """Refuse to add to a directory written under a different config, even
     one with no outcomes yet: its cached completions would be reused.
 
     Only the worker pool width may change between runs. A directory without
-    a readable snapshot (a JSON object) resumes as it is.
+    a snapshot resumes as it is; one whose snapshot cannot be read is
+    refused (read_snapshot).
     """
-    try:
-        stored = jsonl.loads(config_path.read_bytes())
-    except (FileNotFoundError, ValueError):
-        stored = None
-    if not isinstance(stored, dict):
+    stored = read_snapshot(config_path)
+    if stored is None:
         return
     for key in sorted(set(stored) | set(config_snapshot)):
         if key != "parallelism" and stored.get(key) != config_snapshot.get(key):
@@ -610,8 +624,7 @@ def run(
     out_path = Path(out_dir)
     outcomes_path = out_path / OUTCOMES_FILE
     traces_path = out_path / TRACES_FILE
-    config_snapshot = settings.to_json()
-    config_snapshot["mode"] = mode
+    config_snapshot = dict(settings.to_json(), mode=mode)
     _check_resumable(out_path / CONFIG_FILE, config_snapshot)
     stored: dict[str, QuestionOutcome] = {}
     if outcomes_path.exists():
@@ -667,7 +680,7 @@ def run(
     for future in futures:
         future.result()
 
-    report = build_report([outcomes[q.id] for q in questions], config_snapshot, mode)
+    report = build_report([outcomes[q.id] for q in questions], config_snapshot)
     write_report(out_path, report)
     return report
 
@@ -676,24 +689,7 @@ def replay(out_dir: str | Path) -> dict:
     """Recompute the report from a run directory's persisted outcomes."""
     out_path = Path(out_dir)
     outcomes_path = out_path / OUTCOMES_FILE
-    config_path = out_path / CONFIG_FILE
-    if not outcomes_path.exists() or not config_path.exists():
-        raise IncompleteTrace(
-            f"{out_dir} lacks {OUTCOMES_FILE} or {CONFIG_FILE}; cannot replay"
-        )
-    try:
-        config_snapshot = jsonl.loads(config_path.read_bytes())
-    except ValueError:
-        config_snapshot = None
-    if not isinstance(config_snapshot, dict):
-        raise IncompleteTrace(f"{config_path} does not hold a config object; cannot replay")
-    # the snapshot is the settings run wrote, plus the mode
-    settings = dict(config_snapshot)
-    mode = settings.pop("mode", None)
-    try:
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
-        settings_from_dict(settings)
-    except ConfigError as exc:
-        raise IncompleteTrace(f"{config_path} does not hold a valid config ({exc}); cannot replay") from None
-    return build_report(load_outcomes(outcomes_path), config_snapshot, mode)
+    config_snapshot = read_snapshot(out_path / CONFIG_FILE)
+    if config_snapshot is None or not outcomes_path.exists():
+        raise IncompleteTrace(f"{out_dir} lacks {OUTCOMES_FILE} or {CONFIG_FILE}; cannot replay")
+    return build_report(load_outcomes(outcomes_path), config_snapshot)

@@ -50,6 +50,7 @@ from rerail.types import (
     STAGE_DEBATE,
     STAGE_EVALUATOR,
     STAGE_JUDGE,
+    STAGE_MAD,
     STAGE_REANSWER,
     TextValue,
 )
@@ -661,6 +662,35 @@ def unfixable_script(qid: str, wrong: str = "A") -> list[dict]:
         script.append(entry(STAGE_DEBATE, qid, debate_agree(), step_index=1, agent_id=2, round_no=1))
         script.append(entry(STAGE_REANSWER, qid, cot_text([fix, continuation], wrong)))
     return script
+
+
+def rerailer_fixture(consistent: int, fixable: int, unfixable: int) -> tuple[list[Question], list[dict]]:
+    """Questions q01, q02, ... with their script: the consistent ones first,
+    then the fixable ones, then the unfixable ones."""
+    scripts = [consistent_script] * consistent + [fixable_script] * fixable + [unfixable_script] * unfixable
+    questions = [mcqa_question(qid=f"q{number:02d}") for number in range(1, len(scripts) + 1)]
+    return questions, [e for question, script in zip(questions, scripts) for e in script(question.id)]
+
+
+def sc_regen_script(qid: str) -> list[dict]:
+    """Five `sc` samples, the second unparseable, so its regeneration is
+    dealt the sixth."""
+    return [
+        entry(STAGE_COT, qid, "Step 1: no answer marker" if answer is None else cot_text(["Weigh the options."], answer))
+        for answer in ("B", None, "A", "B", "B", "C")
+    ]
+
+
+def mad_reask_script(qid: str) -> list[dict]:
+    """Two `mad` agents that agree in round 2; agent 1's first reply has no
+    fence, so it is asked again."""
+    return [
+        entry(STAGE_MAD, qid, "no fence here", agent_id=1, round_no=1),
+        entry(STAGE_MAD, qid, mad_answer("A"), agent_id=1, round_no=1),
+        entry(STAGE_MAD, qid, mad_answer("B"), agent_id=2, round_no=1),
+        entry(STAGE_MAD, qid, mad_answer("B"), agent_id=1, round_no=2),
+        entry(STAGE_MAD, qid, mad_answer("B"), agent_id=2, round_no=2),
+    ]
 
 
 def stage_calls(outcome_usage: dict[str, StageUsage]) -> dict[str, int]:

@@ -15,13 +15,11 @@ import pytest
 from helpers import (
     FIXABLE_EXPECTED_CALLS,
     UNFIXABLE_EXPECTED_CALLS,
-    consistent_script,
     cot_text,
     debate_agree,
     entry,
     evaluator_no,
     evaluator_yes,
-    fixable_script,
     full_text,
     judge_selects,
     mad_answer,
@@ -29,9 +27,9 @@ from helpers import (
     mcqa_question,
     numeric_question,
     question_calls,
+    rerailer_fixture,
     scripted_gateway,
     stage_calls,
-    unfixable_script,
     write_script,
 )
 from rerail.derailment import check_consistency
@@ -125,25 +123,8 @@ def test_criterion_01_consistency_oracle_equivalence():
 
 # --- criterion 2 -----------------------------------------------------------
 
-def thirty_question_fixture():
-    questions, entries = [], []
-    for i in range(1, 11):
-        qid = f"q{i:02d}"
-        questions.append(mcqa_question(qid=qid))
-        entries.extend(consistent_script(qid))
-    for i in range(11, 26):
-        qid = f"q{i:02d}"
-        questions.append(mcqa_question(qid=qid))
-        entries.extend(fixable_script(qid))
-    for i in range(26, 31):
-        qid = f"q{i:02d}"
-        questions.append(mcqa_question(qid=qid))
-        entries.extend(unfixable_script(qid))
-    return questions, entries
-
-
 def test_criterion_02_routing_and_budget_conservation(tmp_path):
-    questions, entries = thirty_question_fixture()
+    questions, entries = rerailer_fixture(10, 15, 5)
     settings = make_settings()
 
     started = time.perf_counter()
@@ -423,7 +404,7 @@ def test_criterion_08_cost_projection_arithmetic():
 # --- criterion 9 -----------------------------------------------------------
 
 def test_criterion_09_determinism(tmp_path):
-    questions, entries = thirty_question_fixture()
+    questions, entries = rerailer_fixture(10, 15, 5)
     settings = make_settings()
 
     run(questions, settings, "rerailer", tmp_path / "a", scripted_gateway(entries))

@@ -365,16 +365,28 @@ class TestResume:
         assert (out / "outcomes.jsonl").read_bytes() == outcomes
         assert (out / "report.json").read_bytes() == report
 
-    @pytest.mark.parametrize("snapshot", ["[]", '"rerailer"', "{not json"])
-    def test_a_snapshot_that_is_not_an_object_resumes_as_if_absent(self, small_run, tmp_path, snapshot):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda _: b"[]",
+            lambda _: b'"rerailer"',
+            lambda _: b"{not json",
+            lambda snapshot: snapshot[:len(snapshot) // 2],
+        ],
+        ids=["list", "string", "not-json", "cut-in-half"],
+    )
+    def test_a_snapshot_that_is_not_an_object_is_refused(self, small_run, tmp_path, capsys, damage):
         assert main(run_args(small_run)) == 0
         out = tmp_path / "out"
-        report = (out / "report.json").read_bytes()
-        config = (out / "resolved_config.json").read_bytes()
-        (out / "resolved_config.json").write_text(snapshot)
-        assert main(run_args(small_run)) == 0
-        assert (out / "report.json").read_bytes() == report
-        assert (out / "resolved_config.json").read_bytes() == config
+        config = out / "resolved_config.json"
+        config.write_bytes(damage(config.read_bytes()))
+        before = {name: (out / name).read_bytes() for name in ARTIFACTS}
+        capsys.readouterr()
+        assert main(run_args(small_run)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config} does not hold a config object\n"
+        assert sorted(p.name for p in out.iterdir()) == ARTIFACTS
+        assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
 
     @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a POSIX file size limit")
     @pytest.mark.parametrize("name", ["resolved_config.json", "report.json"])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,26 @@ from rerail.config import (
     question_seed,
     settings_from_dict,
 )
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_defaults() -> list[tuple[str, object]]:
+    """Each field the README's Configuration table names, with the default
+    it gives, in table order. A row may pair fields (`a` / `b`); a default
+    that is not JSON is a string written bare."""
+    section = README.read_text(encoding="utf-8").split("\n## Configuration\n")[1].split("\n## ")[0]
+    pairs = []
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            names, defaults = (cell.strip() for cell in row.split("|")[1:3])
+            for name, default in zip(names.split(" / "), defaults.split(" / "), strict=True):
+                try:
+                    value = json.loads(default.strip("`"))
+                except ValueError:
+                    value = default.strip("`")
+                pairs.append((name.strip("`"), value))
+    return pairs
 
 
 class TestDefaults:
@@ -34,6 +55,14 @@ class TestDefaults:
         assert s.abs_tolerance == 1e-6
         assert s.rel_tolerance == 1e-4
         assert s.price_table == {}
+
+    def test_the_readme_table_names_every_field_once_with_its_default(self):
+        documented = readme_defaults()
+        assert sorted(name for name, _ in documented) == sorted(RunSettings.__dataclass_fields__)
+        # compared as JSON text, so 3 and 3.0, or 1 and true, differ
+        assert {name: json.dumps(value) for name, value in documented} == {
+            name: json.dumps(value) for name, value in RunSettings().to_json().items()
+        }
 
     def test_secrets_live_in_the_environment(self):
         payload = RunSettings().to_json()

@@ -1,6 +1,8 @@
 """A run directory damaged in one place (a JSON value, a truncated line, a
 byte that is not UTF-8): ``rerail replay`` and a resumed ``rerail run``
-each end in a documented exit code and raise nothing."""
+each end in a documented exit code and raise nothing. A resume over a
+config snapshot that no longer holds the run's config is refused and
+writes nothing."""
 
 import json
 import shutil
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import consistent_script, fixable_script, mcqa_question, write_dataset, write_script
+from rerail import jsonl
 from rerail.cli import EXIT_OK, EXIT_RUNTIME_ERROR, EXIT_USER_ERROR, main
 from rerail.harness import CONFIG_FILE, OUTCOMES_FILE, TRACES_FILE
 
@@ -87,4 +90,23 @@ def test_replay_and_resume_of_a_damaged_run_end_in_an_exit_code(pristine, tmp_pa
     shutil.copytree(source, out)
     damage(data, out / data.draw(st.sampled_from(STREAMS), label="file"))
     assert main(["replay", "--trace", str(out)]) in EXIT_CODES
-    assert main(run + ["--out", str(out)]) in EXIT_CODES
+    before = contents(out)
+    changed = parsed(out / CONFIG_FILE) != parsed(source / CONFIG_FILE)
+    resumed = main(run + ["--out", str(out)])
+    assert resumed in EXIT_CODES
+    if changed:
+        assert resumed == EXIT_USER_ERROR
+        assert contents(out) == before
+
+
+def contents(directory):
+    """The bytes of every file under ``directory``, by relative path."""
+    return {str(path.relative_to(directory)): path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+def parsed(path):
+    """The JSON value the file holds, or None if it holds none."""
+    try:
+        return jsonl.loads(path.read_bytes())
+    except ValueError:
+        return None

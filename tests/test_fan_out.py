@@ -13,41 +13,20 @@ import pytest
 from helpers import (
     SleepingBackend,
     consistent_script,
-    cot_text,
     entry,
     fixable_script,
-    mad_answer,
+    mad_reask_script,
     make_settings,
     mcqa_question,
+    sc_regen_script,
     unfixable_script,
 )
 from rerail import gateway as gateway_module, harness, jsonl
 from rerail.gateway import CallContext, CompletionParams, Gateway, ScriptedBackend, cache_key
 from rerail.prompts import PromptPair
-from rerail.types import STAGE_COT, STAGE_MAD
+from rerail.types import STAGE_COT
 
 POOL_PREFIX = "rerail-fan-out"
-
-
-def sc_script(qid: str) -> list[dict]:
-    """Five samples, one unparseable and regenerated after the others."""
-    answers = ["B", "A", None, "B", "C"]
-    script = [
-        entry(STAGE_COT, qid, "no steps here" if a is None else cot_text(["Sample a route."], a))
-        for a in answers
-    ]
-    return script + [entry(STAGE_COT, qid, cot_text(["Sample again."], "B"))]
-
-
-def mad_script(qid: str) -> list[dict]:
-    """Two agents that converge in round 2; agent 1 re-asked in round 1."""
-    return [
-        entry(STAGE_MAD, qid, "static noise", agent_id=1, round_no=1),
-        entry(STAGE_MAD, qid, mad_answer("A"), agent_id=1, round_no=1),
-        entry(STAGE_MAD, qid, mad_answer("B"), agent_id=2, round_no=1),
-        entry(STAGE_MAD, qid, mad_answer("B"), agent_id=1, round_no=2),
-        entry(STAGE_MAD, qid, mad_answer("B"), agent_id=2, round_no=2),
-    ]
 
 
 SCENARIOS = {
@@ -56,8 +35,8 @@ SCENARIOS = {
         {"c1": consistent_script, "f1": fixable_script, "u1": unfixable_script,
          "c2": consistent_script, "f2": fixable_script, "u2": unfixable_script},
     ),
-    "sc": ({"sc_budget": 5}, {f"s{i}": sc_script for i in range(6)}),
-    "mad": ({}, {f"m{i}": mad_script for i in range(4)}),
+    "sc": ({"sc_budget": 5}, {f"s{i}": sc_regen_script for i in range(6)}),
+    "mad": ({}, {f"m{i}": mad_reask_script for i in range(4)}),
 }
 
 
@@ -210,7 +189,7 @@ def test_pool_is_bounded_and_ends_with_the_run(tmp_path, max_in_flight, bound):
                     in_flight.remove(context)
 
     questions = [mcqa_question(qid=f"s{i}") for i in range(6)]
-    entries = [e for q in questions for e in sc_script(q.id)]
+    entries = [e for q in questions for e in sc_regen_script(q.id)]
     settings = make_settings(parallelism=2, sc_budget=5, max_in_flight=max_in_flight)
     gateway = Gateway(Counting(ScriptedBackend(entries)), max_in_flight=max_in_flight)
     report = harness.run(questions, settings, "sc", tmp_path / "out", gateway)

@@ -20,9 +20,9 @@ from helpers import (
     mad_answer,
     mcqa_question,
     question_calls,
+    rerailer_fixture,
     scripted_gateway,
     stage_calls,
-    unfixable_script,
     write_script,
 )
 from rerail import harness
@@ -346,7 +346,7 @@ class TestBuildReport:
         ]
 
     def test_counts_and_accuracy(self):
-        report = build_report(self.rows(), self.snapshot(), "rerailer")
+        report = build_report(self.rows(), self.snapshot())
         assert report["counts"] == {"total": 4, "failed": 1, "consistent": 1, "derailed": 2}
         overall = report["accuracy"]["overall"]
         assert (overall["correct"], overall["total"]) == (2, 3)
@@ -356,37 +356,19 @@ class TestBuildReport:
         assert report["confusion_matrix"]["overall"]["TN"] == 1
 
     def test_cost_absent_without_a_price_entry(self):
-        report = build_report(self.rows(), self.snapshot(model_id="unpriced"), "rerailer")
+        report = build_report(self.rows(), self.snapshot(model_id="unpriced"))
         assert report["cost"] is None
 
     def test_baseline_modes_skip_pipeline_sections(self):
         rows = [outcome("q1", correct_final=True)]
-        report = build_report(rows, self.snapshot(mode="cot"), "cot")
+        report = build_report(rows, self.snapshot(mode="cot"))
         assert report["confusion_matrix"] is None
         assert report["counts"]["consistent"] is None
 
     def test_report_is_a_pure_function_of_its_inputs(self):
-        a = report_to_bytes(build_report(self.rows(), self.snapshot(), "rerailer"))
-        b = report_to_bytes(build_report(list(reversed(self.rows())), self.snapshot(), "rerailer"))
+        a = report_to_bytes(build_report(self.rows(), self.snapshot()))
+        b = report_to_bytes(build_report(list(reversed(self.rows())), self.snapshot()))
         assert a == b  # outcome order cannot matter
-
-
-def ten_question_fixture():
-    """4 consistent, 4 fixable, 2 unfixable questions with their script."""
-    questions, entries = [], []
-    for i in range(1, 5):
-        qid = f"q{i:02d}"
-        questions.append(mcqa_question(qid=qid))
-        entries.extend(consistent_script(qid))
-    for i in range(5, 9):
-        qid = f"q{i:02d}"
-        questions.append(mcqa_question(qid=qid))
-        entries.extend(fixable_script(qid))
-    for i in range(9, 11):
-        qid = f"q{i:02d}"
-        questions.append(mcqa_question(qid=qid))
-        entries.extend(unfixable_script(qid))
-    return questions, entries
 
 
 def reachable(root):
@@ -403,7 +385,7 @@ def reachable(root):
 
 class TestRun:
     def run_fixture(self, tmp_path, subdir="run", parallelism=1):
-        questions, entries = ten_question_fixture()
+        questions, entries = rerailer_fixture(4, 4, 2)
         gw = scripted_gateway(entries)
         settings = make_settings(parallelism=parallelism)
         out_dir = tmp_path / subdir
@@ -523,7 +505,7 @@ class TestRun:
                 return super().submit(*args, **kwargs)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", InterruptedPool)
-        questions, entries = ten_question_fixture()
+        questions, entries = rerailer_fixture(4, 4, 2)
         out_dir = tmp_path / "r"
         with pytest.raises(KeyboardInterrupt, match="of 10 questions did not run") as stopped:
             run(questions, make_settings(), "rerailer", out_dir, scripted_gateway(entries))
@@ -538,7 +520,7 @@ class TestRun:
 
 class TestReplay:
     def test_replay_reproduces_the_report_bytes(self, tmp_path):
-        questions, entries = ten_question_fixture()
+        questions, entries = rerailer_fixture(4, 4, 2)
         out_dir = tmp_path / "run"
         run(questions, make_settings(), "rerailer", out_dir, scripted_gateway(entries))
         replayed = replay(out_dir)

@@ -30,9 +30,10 @@ from helpers import (
     cot_text,
     entry,
     fixable_script,
-    mad_answer,
+    mad_reask_script,
     make_settings,
     mcqa_question,
+    sc_regen_script,
     unfixable_script,
     write_dataset,
     write_script,
@@ -50,7 +51,7 @@ from rerail.gateway import (
 )
 from rerail.harness import OUTCOMES_FILE, load_outcomes, make_gateway, run
 from rerail.prompts import PromptPair
-from rerail.types import STAGE_COT, STAGE_MAD
+from rerail.types import STAGE_COT
 
 KEY_ENV = "RERAIL_API_KEY"
 LATENCY_FIELDS = {"wall_time_s", "hours_per_1000"}
@@ -65,31 +66,11 @@ def questions(count: int = 3):
     return [mcqa_question(qid=f"q{i}") for i in range(1, count + 1)]
 
 
-def sc_script(qid: str) -> list[dict]:
-    # five samples, the second unparseable, so its regeneration is dealt the sixth
-    answers = ("B", None, "A", "B", "B", "C")
-    return [
-        entry(STAGE_COT, qid, "Step 1: no answer marker" if answer is None else cot_text(["Weigh it."], answer))
-        for answer in answers
-    ]
-
-
-def mad_script(qid: str) -> list[dict]:
-    # agent 1's first reply has no fence, so it is asked again
-    return [
-        entry(STAGE_MAD, qid, "no fence here", agent_id=1, round_no=1),
-        entry(STAGE_MAD, qid, mad_answer("A"), agent_id=1, round_no=1),
-        entry(STAGE_MAD, qid, mad_answer("B"), agent_id=2, round_no=1),
-        entry(STAGE_MAD, qid, mad_answer("B"), agent_id=1, round_no=2),
-        entry(STAGE_MAD, qid, mad_answer("B"), agent_id=2, round_no=2),
-    ]
-
-
 # Per mode, the script of three questions q1..q3.
 SCRIPTS = {
     "cot": lambda: [entry(STAGE_COT, f"q{i}", cot_text(["Reason."], answer)) for i, answer in enumerate("BAB", 1)],
-    "sc": lambda: [e for qid in ("q1", "q2", "q3") for e in sc_script(qid)],
-    "mad": lambda: [e for qid in ("q1", "q2", "q3") for e in mad_script(qid)],
+    "sc": lambda: [e for qid in ("q1", "q2", "q3") for e in sc_regen_script(qid)],
+    "mad": lambda: [e for qid in ("q1", "q2", "q3") for e in mad_reask_script(qid)],
     "rerailer": lambda: consistent_script("q1") + fixable_script("q2") + unfixable_script("q3"),
 }
 

@@ -20,15 +20,16 @@ from helpers import (
     cot_text,
     entry,
     fixable_script,
-    mad_answer,
+    mad_reask_script,
     make_settings,
     mcqa_question,
+    sc_regen_script,
     unfixable_script,
 )
 from rerail.config import question_seed
 from rerail.gateway import Gateway, ScriptedBackend, cache_key
 from rerail.harness import run, run_cot, run_mad_baseline, run_rerailer_mode, run_sc_baseline
-from rerail.types import STAGE_COT, STAGE_MAD
+from rerail.types import STAGE_COT
 
 SEED = 5
 GOLDEN_FIRST_SAMPLE_KEY = "95502375cc57305e9ad8cdd6a837947bfc241e058942430881dd253247671d22"
@@ -65,17 +66,8 @@ def test_fixable_scenario_seeds_follow_the_documented_derivation():
     ]
 
 
-MAD_REASK_SCRIPT = [
-    entry(STAGE_MAD, "q1", "no fence here", agent_id=1, round_no=1),
-    entry(STAGE_MAD, "q1", mad_answer("A"), agent_id=1, round_no=1),
-    entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=2, round_no=1),
-    entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=1, round_no=2),
-    entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=2, round_no=2),
-]
-
-
 def test_mad_scenario_seeds_include_the_reask_bump():
-    calls = recorded(MAD_REASK_SCRIPT, run_mad_baseline)
+    calls = recorded(mad_reask_script("q1"), run_mad_baseline)
     assert calls == [
         ("mad", None, 1, 1, 0.0, seed_of("q1:mad:1:1")),
         ("mad", None, 1, 1, 0.0, seed_of("q1:mad:1:1", 1)),
@@ -119,13 +111,6 @@ class KeyedBackend:
         return self.inner.call(prompt, params, context)
 
 
-# Five samples, the second unparseable, so its regeneration is dealt the sixth.
-SC_SCRIPT = [
-    entry(STAGE_COT, "q1", "Step 1: no answer marker" if answer is None else cot_text(["Weigh the options."], answer))
-    for answer in ("B", None, "A", "B", "B", "C")
-]
-
-
 @pytest.mark.parametrize(
     "entries, runner, settings, calls, digest",
     [
@@ -133,9 +118,9 @@ SC_SCRIPT = [
          "9df661f8a76c624a7684c58e962356a1cea398737a6e1774bc3191bc355621ba"),
         (unfixable_script("q1"), run_rerailer_mode, {}, 16,
          "a0e3e77d4253ce21a7d0ab740d954d7a0f13acfda3ca0f92b5ee2ae873ff917e"),
-        (SC_SCRIPT, run_sc_baseline, {"sc_budget": 5}, 6,
+        (sc_regen_script("q1"), run_sc_baseline, {"sc_budget": 5}, 6,
          "e27882b8f2080e90c3b34330af5a84c0bfb7893260071e2e12a2d899baa8417e"),
-        (MAD_REASK_SCRIPT, run_mad_baseline, {}, 5,
+        (mad_reask_script("q1"), run_mad_baseline, {}, 5,
          "647b1a9a45baed183c485dab787d7bb17b18d5960409b3e685221da5c83644f8"),
         ([entry(STAGE_COT, "q1", cot_text(["Reason."], "B"))], run_cot, {}, 1,
          "4cb12a1a52ab2edb72b834e5d75a82fe11461f13c5525269745b67da65243cf7"),
@@ -160,9 +145,9 @@ ARTIFACTS = ("report.json", "outcomes.jsonl", "traces.jsonl")
          "b75e77016394a50c47bcccf29c4b045980c65510143f2b3d3991fed8f765cc0c"),
         (unfixable_script("q1"), "rerailer", {},
          "f930e86987b1a2beadee954dbb798aeb531fe4cd8eabfca2d401a498cf817132"),
-        (SC_SCRIPT, "sc", {"sc_budget": 5},
+        (sc_regen_script("q1"), "sc", {"sc_budget": 5},
          "8b754f3200b2bdc7bc3f27dbf238304a20a21a306ec03d2ab9386b89faaca704"),
-        (MAD_REASK_SCRIPT, "mad", {},
+        (mad_reask_script("q1"), "mad", {},
          "f3c6732372e1487424c02f0063f99886c21a17fc92d9704138734820cf689954"),
         ([entry(STAGE_COT, "q1", cot_text(["Reason."], "B"))], "cot", {},
          "3c90be87a64cd3231ebfc8f24e5687ab74c619231f51bcabc361d17e3c341074"),
