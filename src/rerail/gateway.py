@@ -528,23 +528,21 @@ class Gateway:
         self._rpm_lock = threading.Lock()
         self._sleep = sleeper
         self._pool: Optional[ThreadPoolExecutor] = None
-        # Per thread: the ledger open on it ("ledger"), and whether its
-        # latest completion waited on the backend ("blocking"), which gates
-        # the fan-outs the thread starts.
+        self._ledgers: dict[str, UsageLedger] = {}  # the open ones, by question id
+        # Per thread: whether its latest completion waited on the backend
+        # ("blocking"), which gates the fan-outs the thread starts.
         self._thread = threading.local()
 
     @contextmanager
-    def recording(self) -> Iterator[UsageLedger]:
-        """A new ledger that takes the thread's completions while the block
-        runs, and those of the calls its fan-outs hand to pool threads; the
-        ledger open before it is open again on exit. A completion on a
-        thread with no ledger open is not recorded."""
-        outer = getattr(self._thread, "ledger", None)
-        self._thread.ledger = ledger = UsageLedger()
+    def recording(self, question_id: str) -> Iterator[UsageLedger]:
+        """A new ledger that takes every completion whose context names
+        ``question_id`` while the block runs, on any thread. A run opens
+        each question once; a question with no ledger open records nothing."""
+        self._ledgers[question_id] = ledger = UsageLedger()
         try:
             yield ledger
         finally:
-            self._thread.ledger = outer
+            del self._ledgers[question_id]
 
     @contextmanager
     def run_scope(self) -> Iterator[None]:
@@ -576,10 +574,10 @@ class Gateway:
         threads also take the calls the caller has not reached; the caller
         waits only for those. So a wave of slow calls takes at most two
         dependent rounds, while cache hits and fast calls never leave the
-        caller's thread. Either way every call records into the caller's
-        ledger, and the first error in call order is raised once the calls
-        already running have finished; from the failed call on, calls no
-        pool thread has taken never start.
+        caller's thread. Either way every call records into the ledger of
+        the question its context names, and the first error in call order is
+        raised once the calls already running have finished; from the failed
+        call on, calls no pool thread has taken never start.
         """
         pool = self._pool
         results = []
@@ -590,10 +588,8 @@ class Gateway:
         return results
 
     def _overlap(self, pool: ThreadPoolExecutor, calls: list[Callable[[], T]]) -> list[T]:
-        """The calls run by the caller and idle pool threads at once, each
-        recording into the caller's ledger."""
-        ledger = getattr(self._thread, "ledger", None)
-        futures = [pool.submit(self._recording_into, ledger, call) for call in calls[1:]]
+        """The calls run by the caller and idle pool threads at once."""
+        futures = [pool.submit(call) for call in calls[1:]]
         try:
             results = [calls[0]()]
             for call, future in zip(calls[1:], futures):
@@ -606,16 +602,8 @@ class Gateway:
             # running ones are waited for
             wait([future for future in futures if not future.cancel()])
 
-    def _recording_into(self, ledger: Optional[UsageLedger], call: Callable[[], T]) -> T:
-        """One call of a fan-out on a pool thread, recorded in ``ledger``."""
-        self._thread.ledger = ledger
-        try:
-            return call()
-        finally:
-            self._thread.ledger = None
-
     def _record(self, context: CallContext, result: CompletionResult) -> None:
-        ledger = getattr(self._thread, "ledger", None)
+        ledger = self._ledgers.get(context.question_id)
         if ledger is not None:
             ledger.calls.append((context.stage, result))
 

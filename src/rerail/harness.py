@@ -18,6 +18,7 @@ The three streams share one append-only format (``jsonl``).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import signal
@@ -27,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import jsonl
 from .config import ConfigError, RunSettings, call_params, settings_from_dict
@@ -294,10 +295,11 @@ BACKENDS = ("live", "scripted")  # the backends make_gateway builds
 def make_gateway(
     settings: RunSettings,
     backend_kind: str,
+    out_dir: str | Path,
     script_path: Optional[str | Path] = None,
-    out_dir: Optional[str | Path] = None,
 ) -> Gateway:
-    """Gateway wired for a run: scripted replays, live caches by default."""
+    """Gateway wired for a run in ``out_dir``: scripted replays, live caches
+    by default, in ``out_dir``/cache."""
     if backend_kind == "scripted":
         if script_path is None:
             raise ValueError("scripted backend requires a script file")
@@ -313,8 +315,8 @@ def make_gateway(
     else:
         raise ValueError(f"unknown backend {backend_kind!r}")
 
-    cache_dir = Path(out_dir) / "cache" if (cache_enabled and out_dir is not None) else None
-    if cache_dir is not None and any(cache_dir.glob("*.json")):
+    cache_dir = Path(out_dir) / "cache"
+    if cache_enabled and any(cache_dir.glob("*.json")):
         raise ConfigError(
             f"{cache_dir} holds a completion cache of one file per completion, which this "
             "version does not read; move it aside or use a new --out directory"
@@ -322,7 +324,7 @@ def make_gateway(
     return Gateway(
         backend,
         cache_dir=cache_dir,
-        cache_enabled=cache_enabled and cache_dir is not None,
+        cache_enabled=cache_enabled,
         max_in_flight=settings.max_in_flight,
         requests_per_minute=settings.requests_per_minute,
     )
@@ -356,7 +358,7 @@ def run_question(
     """Execute one question; a RerailError (provider, script, generation)
     becomes a recorded failed outcome, any other exception propagates."""
     runner = _MODE_RUNNERS[mode]
-    with gateway.recording() as ledger:
+    with gateway.recording(question.id) as ledger:
         try:
             mode_result = runner(question, gateway, settings)
             outcome = grade_outcome(question, mode_result, settings)
@@ -385,6 +387,15 @@ def _accuracy_block(outcomes: list[QuestionOutcome], correct_field: str = "corre
     }
 
 
+def _overall_and_by_category(outcomes: list[QuestionOutcome], block: Callable[[list[QuestionOutcome]], dict]) -> dict:
+    """``block`` of all the outcomes and of each category's, in category order."""
+    categories = sorted({o.category for o in outcomes})
+    return {
+        "overall": block(outcomes),
+        "by_category": {cat: block([o for o in outcomes if o.category == cat]) for cat in categories},
+    }
+
+
 def confusion_matrix(outcomes: list[QuestionOutcome]) -> dict:
     """Cell counts overall and per category, over derailed questions only."""
     def count(rows: list[QuestionOutcome]) -> dict:
@@ -394,11 +405,7 @@ def confusion_matrix(outcomes: list[QuestionOutcome]) -> dict:
                 cells[row.cell] += 1
         return cells
 
-    categories = sorted({o.category for o in outcomes})
-    return {
-        "overall": count(outcomes),
-        "by_category": {cat: count([o for o in outcomes if o.category == cat]) for cat in categories},
-    }
+    return _overall_and_by_category(outcomes, count)
 
 
 def _usage_by_stage(usages: Iterable[dict[str, StageUsage]]) -> dict[str, StageUsage]:
@@ -456,11 +463,7 @@ def build_report(outcomes: list[QuestionOutcome], config_snapshot: dict) -> dict
     if mode == MODE_RERAILER:
         counts.update(consistent=len(consistent_rows), derailed=len(derailed_rows))
 
-    categories = sorted({o.category for o in ordered})
-    accuracy = {
-        "overall": _accuracy_block(ordered),
-        "by_category": {cat: _accuracy_block([o for o in ordered if o.category == cat]) for cat in categories},
-    }
+    accuracy = _overall_and_by_category(ordered, _accuracy_block)
     if mode == MODE_RERAILER:
         accuracy["split"] = {
             "consistent_route": _accuracy_block(consistent_rows),
@@ -503,37 +506,32 @@ def _replace_whole(path: Path, data: bytes) -> None:
 
 
 def write_report(out_dir: str | Path, report: dict) -> bool:
-    """Write report.json and the three CSV tables; whether report.json
-    held other bytes before, or was missing."""
+    """Write report.json and the three CSV tables, each replaced whole;
+    whether report.json held other bytes before, or was missing."""
     out_dir = Path(out_dir)
     report_path, data = out_dir / REPORT_FILE, report_to_bytes(report)
     changed = not report_path.exists() or report_path.read_bytes() != data
     _replace_whole(report_path, data)
-    accuracy_csv, confusion_csv, cost_csv = (out_dir / name for name in CSV_TABLES)
-    with open(accuracy_csv, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["category", "correct", "total", "accuracy"])
-        for category, block in sorted(report["accuracy"]["by_category"].items()):
-            writer.writerow([category, block["correct"], block["total"], block["accuracy"]])
-        overall = report["accuracy"]["overall"]
-        writer.writerow(["overall", overall["correct"], overall["total"], overall["accuracy"]])
+    accuracy = report["accuracy"]
+    accuracy_rows = [["category", "correct", "total", "accuracy"]]
+    for category, block in [*sorted(accuracy["by_category"].items()), ("overall", accuracy["overall"])]:
+        accuracy_rows.append([category, block["correct"], block["total"], block["accuracy"]])
 
-    with open(confusion_csv, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["scope", "TP", "TN", "FN", "FP"])
-        matrix = report.get("confusion_matrix")
-        if matrix:
-            overall = matrix["overall"]
-            writer.writerow(["overall"] + [overall[c] for c in CELLS])
-            for category, cells in sorted(matrix["by_category"].items()):
-                writer.writerow([category] + [cells[c] for c in CELLS])
+    confusion_rows = [["scope", *CELLS]]
+    matrix = report.get("confusion_matrix")
+    if matrix:
+        for scope, cells in [("overall", matrix["overall"]), *sorted(matrix["by_category"].items())]:
+            confusion_rows.append([scope] + [cells[c] for c in CELLS])
 
-    with open(cost_csv, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(COST_COLUMNS)
-        cost = report.get("cost")
-        if cost:
-            writer.writerow([cost[column] for column in COST_COLUMNS])
+    cost_rows = [COST_COLUMNS]
+    cost = report.get("cost")
+    if cost:
+        cost_rows.append([cost[column] for column in COST_COLUMNS])
+
+    for name, rows in zip(CSV_TABLES, (accuracy_rows, confusion_rows, cost_rows)):
+        table = io.StringIO(newline="")  # csv.writer ends each row with \r\n itself
+        csv.writer(table).writerows(rows)
+        _replace_whole(out_dir / name, table.getvalue().encode("utf-8"))
     return changed
 
 

@@ -208,7 +208,7 @@ def test_criterion_04_algorithm_one_fidelity():
         entries.append(entry(STAGE_REANSWER, "q1", cot_text(reanswer_steps, "B")))
 
         gw = scripted_gateway(entries)
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = rerail_pass(question, rp, 1, gw, settings)
 
         assert result.changed is True
@@ -431,7 +431,7 @@ def test_criterion_10_baseline_budgets():
         entry(STAGE_COT, "q1", cot_text(["Sample a route."], "B")) for _ in range(40)
     ]
     gw = scripted_gateway(sc_entries)
-    with gw.recording() as ledger:
+    with gw.recording("q1") as ledger:
         run_sc_baseline(mcqa_question(), gw, settings)
     assert question_calls(ledger, STAGE_COT) == 40
 
@@ -441,7 +441,7 @@ def test_criterion_10_baseline_budgets():
             entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=2, round_no=1),
         ]
     )
-    with agree.recording() as agree_ledger:
+    with agree.recording("q1") as agree_ledger:
         run_mad_baseline(mcqa_question(), agree, settings)
     assert question_calls(agree_ledger, STAGE_MAD) == 2
 
@@ -450,7 +450,7 @@ def test_criterion_10_baseline_budgets():
         disagree_entries.append(entry(STAGE_MAD, "q1", mad_answer("A"), agent_id=1, round_no=round_no))
         disagree_entries.append(entry(STAGE_MAD, "q1", mad_answer("B"), agent_id=2, round_no=round_no))
     disagree = scripted_gateway(disagree_entries)
-    with disagree.recording() as disagree_ledger:
+    with disagree.recording("q1") as disagree_ledger:
         run_mad_baseline(mcqa_question(), disagree, settings)
     assert question_calls(disagree_ledger, STAGE_MAD) <= 6
     assert question_calls(disagree_ledger, STAGE_MAD) == 6

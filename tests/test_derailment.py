@@ -251,7 +251,7 @@ class TestJudge:
 class TestRoute:
     def test_agreeing_samples_never_reach_the_judge(self):
         gw = scripted_gateway(consistent_script("q1"))
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             routed = route(mcqa_question(), gw, make_settings())
         assert isinstance(routed, Consistent)
         assert routed.answer_raw == "B"
@@ -268,7 +268,7 @@ class TestRoute:
                 entry(STAGE_JUDGE, "q1", judge_selects(2)),
             ]
         )
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             routed = route(mcqa_question(), gw, make_settings())
         assert isinstance(routed, Derailed)
         assert routed.selected_index == 2

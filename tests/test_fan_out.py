@@ -282,13 +282,41 @@ def test_concurrent_samples_each_get_their_own_entry_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with gateway.run_scope(), gateway.recording() as ledger:
+        with gateway.run_scope(), gateway.recording("q") as ledger:
             gateway.complete(prompt, CompletionParams("m", 0.0, seed=0), CallContext(STAGE_COT, "q"))
             texts = gateway.fan_out([partial(sample, k) for k in range(n)])
     finally:
         sys.setswitchinterval(interval)
     assert texts == [f"sample {k}" for k in range(n)]
     assert ledger.question_usage()[STAGE_COT].live_calls == n + 1
+
+
+def test_questions_recording_at_once_keep_disjoint_ledgers():
+    n = 6
+    entries = [entry(STAGE_COT, qid, f"{qid} {k}") for qid in ("q1", "q2") for k in range(n + 1)]
+    sleeping = SleepingBackend(ScriptedBackend(entries))
+    gateway = Gateway(sleeping)
+    prompt = PromptPair("s", "u")
+    ledgers = {}
+
+    def question(qid):
+        with gateway.recording(qid) as ledgers[qid]:
+            gateway.complete(prompt, CompletionParams("m", 0.0, seed=0), CallContext(STAGE_COT, qid))
+            gateway.fan_out([
+                partial(gateway.complete, prompt, CompletionParams("m", 0.0, seed=k), CallContext(STAGE_COT, qid))
+                for k in range(1, n + 1)
+            ])
+
+    with gateway.run_scope():
+        threads = [threading.Thread(target=question, args=(qid,)) for qid in ("q1", "q2")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+    assert any(name.startswith(POOL_PREFIX) for _, name, _, _ in sleeping.spans)  # the calls overlapped
+    for qid, ledger in ledgers.items():
+        assert sorted(result.text for _, result in ledger.calls) == [f"{qid} {k}" for k in range(n + 1)]
 
 
 class TestProgrammingErrorsPropagate:

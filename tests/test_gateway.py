@@ -266,7 +266,7 @@ class TestCache:
              entry(STAGE_COT, "q1", "never used")]
         )
         gw = Gateway(backend, cache_dir=tmp_path, cache_enabled=True)
-        with gw.run_scope(), gw.recording() as ledger:
+        with gw.run_scope(), gw.recording("q1") as ledger:
             first = gw.complete(PROMPT, PARAMS, CTX)
             second = gw.complete(PROMPT, PARAMS, CTX)
         assert first.from_cache is False
@@ -385,19 +385,22 @@ class TestCache:
         prompts = [PromptPair("sys", f"user {i}", "fmt") for i in range(100)]
         gw = Gateway(Echo(), cache_dir=tmp_path, cache_enabled=True)
 
-        def complete(prompt):
-            with gw.recording() as ledger:
-                return gw.complete(prompt, PARAMS, CTX).text, ledger
+        def complete(index, prompt):
+            # the key does not cover the question id, so the two completions
+            # of a prompt still race on one key
+            with gw.recording(f"q{index}") as ledger:
+                return gw.complete(prompt, PARAMS, CallContext(STAGE_COT, f"q{index}")).text, ledger
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with gw.run_scope(), ThreadPoolExecutor(max_workers=16) as pool:
-                futures = [pool.submit(complete, prompt) for prompt in prompts * 2]
+                futures = [pool.submit(complete, index, prompt) for index, prompt in enumerate(prompts * 2)]
                 texts, ledgers = zip(*(future.result(timeout=30) for future in futures))
         finally:
             sys.setswitchinterval(interval)
         assert list(texts) == [prompt.user for prompt in prompts * 2]
+        assert all(question_calls(ledger) == 1 for ledger in ledgers)
         row = ledger_totals(*ledgers)
         assert row.live_calls >= len(prompts) and row.live_calls + row.cached_calls == 2 * len(prompts)
         lines = [json.loads(line) for line in (tmp_path / "completions.jsonl").read_text().splitlines()]
@@ -653,6 +656,18 @@ class TestUsageLedger:
         assert total.prompt_tokens == 150
         assert total.billed_prompt_tokens == 100
         assert total.billed_completion_tokens == 50
+
+    def test_a_completion_records_into_the_ledger_its_context_names(self):
+        gw = Gateway(ScriptedBackend([entry(STAGE_COT, "q1", "a"), entry(STAGE_COT, "q2", "b")]))
+        with gw.recording("q1") as first, gw.recording("q2") as second:
+            # a bare thread that opened no ledger
+            thread = threading.Thread(target=gw.complete, args=(PROMPT, PARAMS, CTX))
+            thread.start()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        gw.complete(PROMPT, PARAMS, CallContext(STAGE_COT, "q2"))  # no ledger open for q2
+        assert [(stage, result.text) for stage, result in first.calls] == [(STAGE_COT, "a")]
+        assert second.calls == []
 
     def test_stage_usage_round_trips_through_json(self):
         row = StageUsage(live_calls=2, cached_calls=1, prompt_tokens=30,
@@ -934,7 +949,7 @@ class TestLiveBackend:
         assert rows["q2"].error is None
 
 
-def test_live_session_keeps_a_connection_per_call_in_flight(monkeypatch):
+def test_live_session_keeps_a_connection_per_call_in_flight(monkeypatch, tmp_path):
     # 16 calls in flight: 2 workers times a fan-out of 8 samples
     monkeypatch.setenv("RERAIL_TEST_KEY", "sk-test")
     # each reply waits, which keeps the calls of a wave in flight together
@@ -944,8 +959,9 @@ def test_live_session_keeps_a_connection_per_call_in_flight(monkeypatch):
             api_key_env="RERAIL_TEST_KEY",
             parallelism=2,
             n_samples=8,
+            cache_enabled=False,  # a cache-on completion needs a run scope
         )
-        gateway = harness.make_gateway(settings, "live")
+        gateway = harness.make_gateway(settings, "live", out_dir=tmp_path)
         try:
             ledgers = []
             for _ in range(2):
@@ -953,7 +969,7 @@ def test_live_session_keeps_a_connection_per_call_in_flight(monkeypatch):
 
                 def call(index):
                     barrier.wait(timeout=5)
-                    with gateway.recording() as ledger:
+                    with gateway.recording(f"q{index}") as ledger:
                         gateway.complete(PROMPT, PARAMS, CallContext(STAGE_COT, f"q{index}"))
                     ledgers.append(ledger)
 

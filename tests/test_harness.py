@@ -1,5 +1,7 @@
 """Mode runners, grading, report assembly, artifact persistence, and replay."""
 
+import csv
+import errno
 import gc
 import json
 import types
@@ -33,6 +35,7 @@ from rerail.harness import (
     CELL_FP,
     CELL_TN,
     CELL_TP,
+    CSV_TABLES,
     FLAG_COT_UNPARSEABLE,
     FLAG_MAD_FAIL_OPEN,
     FLAG_MAD_TIE,
@@ -55,6 +58,7 @@ from rerail.harness import (
     run_question,
     run_sc_baseline,
     usage_totals,
+    write_report,
 )
 from rerail.types import STAGE_COT, STAGE_MAD
 
@@ -100,7 +104,7 @@ class TestRunScBaseline:
     def test_majority_vote_over_the_full_budget(self):
         entries = [sc_entry("A") for _ in range(21)] + [sc_entry("B") for _ in range(19)]
         gw = scripted_gateway(entries)
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = run_sc_baseline(mcqa_question(), gw, make_settings())
         assert result.final_raw == "A"
         assert result.flags == ()
@@ -115,7 +119,7 @@ class TestRunScBaseline:
 
     def test_budget_is_configurable(self):
         gw = scripted_gateway([sc_entry("B") for _ in range(5)])
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = run_sc_baseline(mcqa_question(), gw, make_settings(sc_budget=5))
         assert result.final_raw == "B"
         assert question_calls(ledger, STAGE_COT) == 5
@@ -134,7 +138,7 @@ def mad_entry(answer, agent, round_no, qid="q1"):
 class TestRunMadBaseline:
     def test_immediate_agreement_costs_two_calls(self):
         gw = scripted_gateway([mad_entry("B", 1, 1), mad_entry("B", 2, 1)])
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = run_mad_baseline(mcqa_question(), gw, make_settings())
         assert result.final_raw == "B"
         assert result.flags == ()
@@ -150,7 +154,7 @@ class TestRunMadBaseline:
                 mad_entry("B", 2, 2),
             ],
         )
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = run_mad_baseline(mcqa_question(), gw, make_settings())
         assert result.final_raw == "B"
         assert question_calls(ledger, STAGE_MAD) == 4
@@ -164,7 +168,7 @@ class TestRunMadBaseline:
             entries.append(mad_entry("A", 1, round_no))
             entries.append(mad_entry("B", 2, round_no))
         gw = scripted_gateway(entries)
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = run_mad_baseline(mcqa_question(), gw, make_settings())
         assert question_calls(ledger, STAGE_MAD) == 6
         assert result.final_raw == "A"
@@ -179,7 +183,7 @@ class TestRunMadBaseline:
             for agent, answer in enumerate(answers, start=1)
         ]
         gw = scripted_gateway(entries)
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = run_mad_baseline(mcqa_question(), gw, make_settings(mad_agents=5))
         assert result.final_raw == "B"  # agent 1's "A" has a single vote
         assert FLAG_MAD_TIE in result.flags
@@ -195,7 +199,7 @@ class TestRunMadBaseline:
                 mad_entry("B", 2, 2),
             ]
         )
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = run_mad_baseline(mcqa_question(), gw, make_settings())
         assert result.final_raw == "B"
         assert FLAG_MAD_FAIL_OPEN in result.flags
@@ -369,6 +373,35 @@ class TestBuildReport:
         a = report_to_bytes(build_report(self.rows(), self.snapshot()))
         b = report_to_bytes(build_report(list(reversed(self.rows())), self.snapshot()))
         assert a == b  # outcome order cannot matter
+
+
+class TestWriteReport:
+    def test_a_table_write_that_fails_part_way_leaves_the_old_table_whole(self, tmp_path, monkeypatch):
+        snapshot = dict(make_settings().to_json(), mode="rerailer")
+        rows = TestBuildReport().rows()
+        write_report(tmp_path, build_report(rows, snapshot))
+        before = {name: (tmp_path / name).read_bytes() for name in CSV_TABLES}
+        real_writer = csv.writer
+
+        class FailsAfterOneRow:  # as a full disk would, mid-table
+            def __init__(self, handle):
+                self.writer, self.rows = real_writer(handle), 0
+
+            def writerow(self, row):
+                if self.rows == 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.rows += 1
+                self.writer.writerow(row)
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailsAfterOneRow)
+        with pytest.raises(OSError):
+            write_report(tmp_path, build_report(rows[:1], snapshot))
+        assert {name: (tmp_path / name).read_bytes() for name in CSV_TABLES} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*CSV_TABLES, harness.REPORT_FILE])
 
 
 def reachable(root):
@@ -626,18 +659,18 @@ class TestRunQuestion:
 
 
 class TestMakeGateway:
-    def test_scripted_requires_a_script(self):
+    def test_scripted_requires_a_script(self, tmp_path):
         with pytest.raises(ValueError, match="script"):
-            make_gateway(make_settings(), "scripted")
+            make_gateway(make_settings(), "scripted", out_dir=tmp_path)
 
-    def test_unknown_backend_rejected(self):
+    def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="backend"):
-            make_gateway(make_settings(), "abacus")
+            make_gateway(make_settings(), "abacus", out_dir=tmp_path)
 
-    def test_live_requires_the_named_environment_variable(self, monkeypatch):
+    def test_live_requires_the_named_environment_variable(self, monkeypatch, tmp_path):
         monkeypatch.delenv("RERAIL_API_KEY", raising=False)
         with pytest.raises(ProviderError, match="RERAIL_API_KEY"):
-            make_gateway(make_settings(), "live")
+            make_gateway(make_settings(), "live", out_dir=tmp_path)
 
     def test_scripted_cache_is_off_by_default(self, tmp_path):
         script = write_script(
@@ -645,7 +678,7 @@ class TestMakeGateway:
             [entry(STAGE_COT, "q1", cot_text(["Think."], "B")) for _ in range(3)],
         )
         gw = make_gateway(make_settings(), "scripted", script_path=script, out_dir=tmp_path)
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             run_cot(mcqa_question(), gw, make_settings())
             run_cot(mcqa_question(), gw, make_settings())
         assert ledger_totals(ledger).cached_calls == 0
@@ -658,7 +691,7 @@ class TestMakeGateway:
         )
         settings = make_settings(cache_enabled=True)
         gw = make_gateway(settings, "scripted", script_path=script, out_dir=tmp_path)
-        with gw.run_scope(), gw.recording() as ledger:
+        with gw.run_scope(), gw.recording("q1") as ledger:
             run_cot(mcqa_question(), gw, settings)
             run_cot(mcqa_question(), gw, settings)
         assert ledger_totals(ledger).cached_calls == 1

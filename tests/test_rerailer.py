@@ -126,7 +126,7 @@ class TestEvaluateStep:
 
     def test_previously_verified_step_never_calls_out(self):
         gw = scripted_gateway([])  # any call would raise ScriptExhausted
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = evaluate_step(Q, SETTLED_THEN_OPEN, 1, gw, SETTINGS)
         assert result.auto is True
         assert result.hallucination is False
@@ -174,7 +174,7 @@ class TestDebate:
 
     def run(self, entries, **settings_overrides):
         gw = scripted_gateway(entries)
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             outcome = debate(
                 Q, self.MASKED, 2, self.ORIGINAL, gw, make_settings(**settings_overrides)
             )
@@ -400,7 +400,7 @@ class TestRerailPass:
             entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=i) for i in range(1, 5)
         ]
         gw = scripted_gateway(entries)
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = rerail_pass(Q, rp, 1, gw, SETTINGS)
         assert result.changed is False
         assert result.rp_out.verified == 4
@@ -423,7 +423,7 @@ class TestRerailPass:
                   cot_text([FIVE_TEXTS[0], corrected, "Finish from here."], "B")),
         ]
         gw = scripted_gateway(entries)
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = rerail_pass(Q, rp, 1, gw, SETTINGS)
         assert result.changed is True
         assert question_calls(ledger, STAGE_EVALUATOR) == 2
@@ -490,7 +490,7 @@ class TestRerail:
             entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=3),
         ]
         gw = scripted_gateway(entries)
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = rerail(Q, rp, gw, SETTINGS)
 
         assert result.certified is True
@@ -521,7 +521,7 @@ class TestRerail:
                 ]
             )
         gw = scripted_gateway(entries)
-        with gw.recording() as ledger:
+        with gw.recording("q1") as ledger:
             result = rerail(Q, rp, gw, SETTINGS)
 
         assert result.certified is False
