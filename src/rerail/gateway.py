@@ -140,7 +140,13 @@ _ANY = (None, None, None)
 
 @dataclass(slots=True)
 class _ScriptEntry:
-    result: CompletionResult  # built once, served as is
+    """What one script line says; its CompletionResult is built when the
+    entry is served, at most once."""
+
+    text: str
+    prompt_tokens: int
+    completion_tokens: int
+    latency_s: float
     # the call's (step_index, agent_id, round) it matches, None for any;
     # stage and question_id key the entry's list
     where: tuple
@@ -165,9 +171,13 @@ class ScriptedBackend:
 
     def __init__(self, entries: Iterable[dict] = ()) -> None:
         self._entries: dict[tuple[str, str], list[_ScriptEntry]] = {}
+        self._wheres: dict[tuple, tuple] = {}  # one copy of each match tuple
         self._lock = threading.Lock()
         for number, raw in enumerate(entries, start=1):
-            self._add(raw, f"script entry {number}")
+            try:
+                self._add(raw)
+            except ScriptFormatError as exc:
+                raise ScriptFormatError(f"script entry {number}: {exc}") from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
@@ -175,61 +185,65 @@ class ScriptedBackend:
         next is read; the first bad line is the error."""
         backend = cls()
         for line_no, line in jsonl.lines(path, whole=True):
-            where = f"script {path} line {line_no}"
             try:
-                raw = jsonl.loads(line)
-            except ValueError as exc:
-                raise ScriptFormatError(f"{where}: {exc}") from None
-            backend._add(raw, where)
+                backend._add(jsonl.loads(line))
+            except (ScriptFormatError, ValueError) as exc:
+                raise ScriptFormatError(f"script {path} line {line_no}: {exc}") from None
         return backend
 
-    def _add(self, raw: dict, where: str) -> None:
-        """Queue one entry; ScriptFormatError naming ``where`` if it breaks
-        the script schema."""
+    def _add(self, raw: dict) -> None:
+        """Queue one entry; ScriptFormatError saying what is wrong if it
+        breaks the script schema."""
         if not isinstance(raw, dict):
-            raise ScriptFormatError(f"{where}: expected an object")
+            raise ScriptFormatError("expected an object")
         unknown = raw.keys() - _ENTRY_KEYS
         if unknown:
-            raise ScriptFormatError(f"{where}: unknown field {min(unknown)!r}")
+            raise ScriptFormatError(f"unknown field {min(unknown)!r}")
         for required in ("match", "response", "usage"):
             if required not in raw:
-                raise ScriptFormatError(f"{where}: missing field {required!r}")
+                raise ScriptFormatError(f"missing field {required!r}")
         match = raw["match"]
         if not isinstance(match, dict) or "stage" not in match or "question_id" not in match:
-            raise ScriptFormatError(f"{where}: match must be an object with at least stage and question_id")
-        if not isinstance(match["stage"], str) or not isinstance(match["question_id"], str):
-            raise ScriptFormatError(f"{where}: stage and question_id must be strings")
+            raise ScriptFormatError("match must be an object with at least stage and question_id")
+        stage, question_id = match["stage"], match["question_id"]
+        if not isinstance(stage, str) or not isinstance(question_id, str):
+            raise ScriptFormatError("stage and question_id must be strings")
         bad = match.keys() - _MATCH_KEYS
         if bad:
-            raise ScriptFormatError(f"{where}: unknown match field {min(bad)!r}")
-        usage_raw = raw["usage"]
-        if not isinstance(usage_raw, dict):
-            raise ScriptFormatError(f"{where}: usage must be an object")
-        try:
-            usage = Usage(usage_raw.get("prompt_tokens", 0), usage_raw.get("completion_tokens", 0))
-        except ValueError:
-            raise ScriptFormatError(
-                f"{where}: token counts must be non-negative integers, got {usage_raw}"
-            ) from None
+            raise ScriptFormatError(f"unknown match field {min(bad)!r}")
+        usage = raw["usage"]
+        if not isinstance(usage, dict):
+            raise ScriptFormatError("usage must be an object")
+        prompt_tokens, completion_tokens = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+        # type() rather than isinstance(): a bool is an int subclass
+        if not (
+            type(prompt_tokens) is int and type(completion_tokens) is int
+            and prompt_tokens >= 0 and completion_tokens >= 0
+        ):
+            raise ScriptFormatError(f"token counts must be non-negative integers, got {usage}")
         latency_ms = raw.get("latency_ms", 0)
         if type(latency_ms) not in (int, float) or not 0 <= latency_ms < math.inf:
-            raise ScriptFormatError(f"{where}: latency_ms must be a non-negative number, got {latency_ms!r}")
-        if not isinstance(raw["response"], str):
-            raise ScriptFormatError(f"{where}: response must be a string, got {raw['response']!r}")
+            raise ScriptFormatError(f"latency_ms must be a non-negative number, got {latency_ms!r}")
+        text = raw["response"]
+        if not isinstance(text, str):
+            raise ScriptFormatError(f"response must be a string, got {text!r}")
         wanted = _ANY
         if len(match) > 2:
             for key in _OPTIONAL_MATCH_KEYS:
                 # type() rather than isinstance(): True would match step 1
                 if key in match and (type(match[key]) is not int or match[key] < 1):
-                    raise ScriptFormatError(f"{where}: {key} must be an integer >= 1, got {match[key]!r}")
+                    raise ScriptFormatError(f"{key} must be an integer >= 1, got {match[key]!r}")
             wanted = tuple(map(match.get, _OPTIONAL_MATCH_KEYS))
-        result = CompletionResult(text=raw["response"], usage=usage, latency_s=latency_ms / 1000.0)
-        key = (match["stage"], match["question_id"])
-        self._entries.setdefault(key, []).append(_ScriptEntry(result, wanted))
+            wanted = self._wheres.setdefault(wanted, wanted)
+        queue = self._entries.get((stage, question_id))
+        if queue is None:  # the key keeps one copy of each stage and question id
+            queue = self._entries[sys.intern(stage), sys.intern(question_id)] = []
+        queue.append(_ScriptEntry(text, prompt_tokens, completion_tokens, latency_ms / 1000.0, wanted))
 
     def call(self, prompt: PromptPair, params: CompletionParams, context: CallContext) -> CompletionResult:
         rank = context.sample_index  # matching entries a dealt call skips
         asked = (context.step_index, context.agent_id, context.round)
+        served = None
         with self._lock:
             for entry in self._entries.get((context.stage, context.question_id), ()):
                 if rank is None and entry.served:
@@ -241,10 +255,13 @@ class ScriptedBackend:
                 if rank:
                     rank -= 1
                     continue
-                if entry.served:
-                    break
-                entry.served = True
-                return entry.result
+                if not entry.served:
+                    entry.served = True
+                    served = entry
+                break
+        if served is not None:
+            usage = Usage(served.prompt_tokens, served.completion_tokens)
+            return CompletionResult(served.text, usage, served.latency_s)
         raise ScriptExhausted(
             f"no script entry left for stage={context.stage!r} "
             f"question_id={context.question_id!r} step_index={context.step_index} "
@@ -390,7 +407,7 @@ class LiveBackend:
         return CompletionResult(text=text, usage=usage, latency_s=latency)
 
 
-@dataclass
+@dataclass(slots=True)
 class StageUsage:
     """Accumulated usage for one (question, stage) pair."""
 
@@ -423,7 +440,7 @@ class StageUsage:
         self.wall_time_s += other.wall_time_s
 
     def to_json(self) -> dict:
-        return dict(vars(self))
+        return {name: getattr(self, name) for name in _USAGE_NAMES}
 
     @classmethod
     def from_json(cls, payload) -> "StageUsage":

@@ -334,7 +334,9 @@ def grade_outcome(question: Question, mode_result: ModeResult, settings: RunSett
     """Grade a mode result into a persisted outcome record."""
     tolerances = settings.abs_tolerance, settings.rel_tolerance
     correct_baseline, base_flags = grade_safe(mode_result.baseline_raw, question, *tolerances)
-    correct_final, final_flags = grade_safe(mode_result.final_raw, question, *tolerances)
+    correct_final, final_flags = correct_baseline, base_flags
+    if mode_result.final_raw != mode_result.baseline_raw:
+        correct_final, final_flags = grade_safe(mode_result.final_raw, question, *tolerances)
     flags = sorted(set(mode_result.flags) | set(base_flags) | set(final_flags))
     cell = None
     if mode_result.routing == "derailed":
@@ -615,7 +617,9 @@ def run(
     directory holding outcomes of questions the dataset lacks is refused.
     On a KeyboardInterrupt the questions in flight finish and append their
     lines, the rest never start, and a KeyboardInterrupt saying how many
-    did not run is raised.
+    did not run is raised. An exception from a question other than a
+    RerailError starts no further question either, and is raised once the
+    questions in flight have finished.
     """
     if mode not in _MODE_RUNNERS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -657,23 +661,45 @@ def run(
                 rows.flush()
                 outcomes[question.id] = outcome
 
-        # One wait for every question at once; waiting on each future in turn
-        # would wake this thread, and hand the GIL back and forth, after every
-        # question. The run scope reads the cache before any worker starts.
+        # Each worker takes the next question when it is free, so a run holds
+        # one future per worker, whatever the dataset's size. Taking every
+        # question not started (``drain``) is how a run stops: an interrupt,
+        # or a non-RerailError from a question, lets the questions in flight
+        # finish and starts no other.
+        todo = iter(pending)
+        take_lock = threading.Lock()
+
+        def take() -> Optional[Question]:
+            with take_lock:
+                return next(todo, None)
+
+        def drain() -> int:
+            with take_lock:
+                return sum(1 for _ in todo)
+
+        def work() -> None:
+            try:
+                while (question := take()) is not None:
+                    execute(question)
+            except BaseException:
+                drain()
+                raise
+
+        # The run scope reads the cache before any worker starts.
         with (
             gateway.run_scope(),
             ThreadPoolExecutor(settings.parallelism, initializer=_leave_stop_signals_to_the_main_thread) as pool,
         ):
             futures = []
-            try:  # opened before the first submit, so an interrupt while submitting also cancels
-                for question in pending:
-                    futures.append(pool.submit(execute, question))
+            try:  # opened before the first submit, so an interrupt while submitting also stops the run
+                for _ in range(min(settings.parallelism, len(pending))):
+                    futures.append(pool.submit(work))
                 wait(futures)
             except BaseException as stop:
-                pool.shutdown(cancel_futures=True)
+                not_run = drain()
                 if type(stop) is not KeyboardInterrupt:
                     raise
-                not_run = len(pending) - len(futures) + sum(future.cancelled() for future in futures)
+                # leaving the pool waits for the questions in flight
                 raise KeyboardInterrupt(f"{not_run} of {len(pending)} questions did not run; rerun to resume") from None
     for future in futures:
         future.result()

@@ -27,6 +27,11 @@ TAIL_BLOCK = 64 * 1024
 # between calls.
 SORTED_KEYS = json.JSONEncoder(sort_keys=True)
 
+# The scanner of a default JSONDecoder, the one json.loads runs, and the
+# whitespace json.loads allows after a value.
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
+_WHITESPACE = json.decoder.WHITESPACE
+
 
 def encode(record: dict) -> str:
     """One record as a committed line."""
@@ -49,8 +54,18 @@ def loads(data: bytes):
     """The JSON value ``data`` holds; ValueError saying what is wrong
     otherwise, a value nested too deeply for the parser included. The bytes
     are decoded here, as strict UTF-8: json.loads would also take UTF-16 and
-    UTF-32."""
+    UTF-32.
+
+    A value that starts at the first character is read by the scanner
+    json.loads itself runs, without its wrappers; anything else, and any
+    error, goes through json.loads, which words the error."""
     text = decode(data)
+    try:
+        value, end = _scan_once(text, 0)
+        if end == len(text) or _WHITESPACE.match(text, end).end() == len(text):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -255,8 +255,19 @@ def render_prompt(template_id: str, question: Question, **slots: object) -> Prom
     ``subject`` and ``question`` slots. Raises MissingVariable on an
     unfilled slot."""
     system, human, fmt = _COMPILED[template_id]
-    variables = {"subject": question.subject, "question": format_question(question), **slots}
+    variables = {"subject": question.subject, "question": _question_slot(question), **slots}
     return PromptPair(_fill(system, variables), _fill(human, variables), fmt)
+
+
+def _question_slot(question: Question) -> str:
+    """format_question(question), made on the question's first render and
+    kept in its ``__dict__`` (a frozen dataclass refuses setattr, and eq,
+    hash and repr read only its fields): every prompt about a question
+    shares it, about seven per rerailer question."""
+    slot = question.__dict__.get("_question_slot")
+    if slot is None:
+        slot = question.__dict__["_question_slot"] = format_question(question)
+    return slot
 
 
 def format_question(question: Question) -> str:

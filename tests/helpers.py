@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional
 
-from rerail import prompts
+from rerail import jsonl, prompts
 from rerail.config import RunSettings
 from rerail.gateway import (
     CallContext,
@@ -203,6 +203,18 @@ def mad_answer(answer: str, reasoning: str = "worked through the options") -> st
 LONG_DIGITS = "9" * 4301
 BIG_EXPONENT = "1e5000"
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def reference_loads(data: bytes):
+    """``jsonl.loads`` before it called the JSON scanner directly: json.loads
+    on the strictly decoded text, each error a ValueError."""
+    text = jsonl.decode(data)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ValueError("invalid JSON (nested too deeply)") from None
 
 
 # ---------------------------------------------------------------------------

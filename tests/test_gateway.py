@@ -10,6 +10,7 @@ import socket
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 
@@ -33,6 +34,7 @@ from helpers import (
     ledger_totals,
     question_calls,
     remaining,
+    rerailer_fixture,
     scripted_gateway,
     serialize_structured,
     write_script,
@@ -156,6 +158,38 @@ class TestScriptedBackend:
         expected = {"schema": "usage must be an object", "json": "invalid JSON"}[second]
         with pytest.raises(ScriptFormatError, match=f"line 2: {expected}"):
             ScriptedBackend.from_file(path)
+
+    def test_a_result_is_built_when_its_entry_is_served_and_as_its_line_says(self, tmp_path, monkeypatch):
+        questions, entries = rerailer_fixture(1, 1, 1)
+        for number, raw in enumerate(entries):
+            raw["usage"] = {"prompt_tokens": 300 + number, "completion_tokens": number}
+            raw["latency_ms"] = number * 0.7
+        # the result each line stood for when the whole script was built at load
+        expected = Counter(
+            CompletionResult(raw["response"], Usage(**raw["usage"]), raw["latency_ms"] / 1000.0) for raw in entries
+        )
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(CompletionResult(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(gateway_module, "CompletionResult", counted)
+        backend = ScriptedBackend.from_file(write_script(tmp_path / "s.jsonl", entries))
+        assert built == []
+        served, lock = [], threading.Lock()
+
+        class Served:
+            def call(self, prompt, params, context):
+                with lock:  # a question's samples are served on several threads
+                    result = backend.call(prompt, params, context)
+                    served.append(result)
+                    assert built == served  # one result per entry served, none before
+                return result
+
+        harness.run(questions, make_settings(), "rerailer", tmp_path / "run", Gateway(Served()))
+        assert remaining(backend) == 0
+        assert Counter(served) == expected and not any(result.from_cache for result in served)
 
     def test_entries_may_come_from_any_iterable(self):
         backend = ScriptedBackend(entry(STAGE_COT, "q1", text) for text in ("a", "b"))

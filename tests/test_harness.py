@@ -4,6 +4,7 @@ import csv
 import errno
 import gc
 import json
+import threading
 import types
 
 import pytest
@@ -18,18 +19,22 @@ from helpers import (
     entry,
     fixable_script,
     ledger_totals,
-    make_settings,
     mad_answer,
+    mad_reask_script,
+    make_settings,
     mcqa_question,
     question_calls,
     rerailer_fixture,
+    sc_regen_script,
     scripted_gateway,
     stage_calls,
+    unfixable_script,
     write_script,
 )
 from rerail import harness
 from rerail.config import question_seed
 from rerail.gateway import Gateway, ProviderError, ScriptedBackend, StageUsage
+from rerail.grading import grade_safe
 from rerail.harness import (
     CELL_FN,
     CELL_FP,
@@ -243,6 +248,31 @@ class TestGrading:
         assert "answer-unnormalizable" in outcome.flags
         assert "custom" in outcome.flags
         assert outcome.cell == CELL_FN  # fail-closed on both sides
+
+    @pytest.mark.parametrize(
+        "mode,script,graded",
+        [
+            ("cot", lambda qid: [entry(STAGE_COT, qid, cot_text(["Think."], "B"))], 1),
+            ("sc", sc_regen_script, 1),
+            ("mad", mad_reask_script, 1),
+            ("rerailer", consistent_script, 1),
+            ("rerailer", fixable_script, 2),  # derailed from A to B
+            ("rerailer", unfixable_script, 1),  # derailed, still A
+        ],
+    )
+    def test_an_answer_is_graded_once_when_baseline_and_final_agree(self, tmp_path, monkeypatch, mode, script, graded):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return grade_safe(*args)
+
+        monkeypatch.setattr(harness, "grade_safe", counted)
+        questions = [mcqa_question(qid=f"q{i}") for i in range(3)]
+        gw = scripted_gateway([e for q in questions for e in script(q.id)])
+        report = run(questions, make_settings(sc_budget=5), mode, tmp_path, gw)
+        assert report["counts"]["failed"] == 0
+        assert len(calls) == graded * len(questions)
 
 
 def outcome(qid, cat="Math", routing=None, cell=None, correct_final=None,
@@ -528,23 +558,87 @@ class TestRun:
         assert report_to_bytes(replay(out_dir)) == (out_dir / "report.json").read_bytes()
 
     def test_an_interrupt_while_submitting_cancels_the_questions_not_started(self, tmp_path, monkeypatch):
-        class InterruptedPool(harness.ThreadPoolExecutor):
-            submitted = 0
+        # The first worker is held in its first call until the run leaves the
+        # pool, so the interrupt at the second submit finds one question in flight.
+        entered, released = threading.Event(), threading.Event()
 
+        class HeldBackend(ScriptedBackend):
+            def call(self, prompt, params, context):
+                if not entered.is_set():
+                    entered.set()
+                    assert released.wait(timeout=10)
+                return super().call(prompt, params, context)
+
+        class InterruptedPool(harness.ThreadPoolExecutor):
             def submit(self, *args, **kwargs):
-                InterruptedPool.submitted += 1
-                if InterruptedPool.submitted == 3:
+                if entered.is_set():
                     raise KeyboardInterrupt
-                return super().submit(*args, **kwargs)
+                future = super().submit(*args, **kwargs)
+                assert entered.wait(timeout=10)
+                return future
+
+            def shutdown(self, *args, **kwargs):
+                released.set()
+                super().shutdown(*args, **kwargs)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", InterruptedPool)
         questions, entries = rerailer_fixture(4, 4, 2)
         out_dir = tmp_path / "r"
-        with pytest.raises(KeyboardInterrupt, match="of 10 questions did not run") as stopped:
-            run(questions, make_settings(), "rerailer", out_dir, scripted_gateway(entries))
-        not_run = int(str(stopped.value).split()[0])
-        done = (out_dir / "outcomes.jsonl").read_text().splitlines()
-        assert len(done) <= 2 and len(done) + not_run == 10
+        with pytest.raises(KeyboardInterrupt, match="^9 of 10 questions did not run"):
+            run(questions, make_settings(parallelism=3), "rerailer", out_dir, Gateway(HeldBackend(entries)))
+        assert [o.question_id for o in load_outcomes(out_dir / "outcomes.jsonl")] == ["q01"]
+
+    def test_an_error_that_is_not_a_rerail_error_is_raised_once_the_questions_in_flight_finish(
+        self, tmp_path, monkeypatch
+    ):
+        # q01 fails while q02 is in flight, and q02 is held until q01's
+        # worker has stopped: q02 finishes, and q03 on never start.
+        in_flight, stopped = threading.Event(), threading.Event()
+
+        class WatchedPool(harness.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                future.add_done_callback(lambda done: done.exception() and stopped.set())
+                return future
+
+        class BreaksOnQ01(ScriptedBackend):
+            def call(self, prompt, params, context):
+                if context.question_id == "q01":
+                    assert in_flight.wait(timeout=10)
+                    raise RuntimeError("not a RerailError")
+                if not in_flight.is_set():
+                    in_flight.set()
+                    assert stopped.wait(timeout=10)
+                return super().call(prompt, params, context)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", WatchedPool)
+        questions = [mcqa_question(qid=f"q{i:02d}") for i in range(1, 11)]
+        backend = BreaksOnQ01([e for q in questions for e in consistent_script(q.id)])
+        out_dir = tmp_path / "r"
+        with pytest.raises(RuntimeError, match="not a RerailError"):
+            run(questions, make_settings(parallelism=2), "rerailer", out_dir, Gateway(backend))
+        assert [o.question_id for o in load_outcomes(out_dir / "outcomes.jsonl")] == ["q02"]
+
+    @pytest.mark.parametrize("parallelism,pending", [(1, 5), (3, 5), (8, 5), (4, 0)])
+    def test_a_run_submits_one_task_per_worker_it_needs(self, tmp_path, monkeypatch, parallelism, pending):
+        submits = []
+
+        class CountingPool(harness.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
+        questions = [mcqa_question(qid=f"q{i}") for i in range(5)]
+        out_dir = tmp_path / "r"
+        script = [e for q in questions for e in consistent_script(q.id)]
+        done = questions[:5 - pending]
+        if done:  # a resume runs only the questions still pending
+            run(done, make_settings(), "rerailer", out_dir, scripted_gateway(script))
+            submits.clear()
+        report = run(questions, make_settings(parallelism=parallelism), "rerailer", out_dir, scripted_gateway(script))
+        assert len(submits) == min(parallelism, pending)
+        assert report["counts"]["failed"] == 0 and report["counts"]["total"] == 5
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="mode"):

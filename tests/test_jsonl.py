@@ -1,10 +1,14 @@
 """Opening a stream for appending: ``jsonl.append`` cuts a torn tail, which
 it finds by reading back from the end of the stream, never the whole of it.
-Reading a JSON value: anything unreadable is a ValueError."""
+Reading a JSON value: anything unreadable is a ValueError, worded as
+json.loads words it."""
+
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import DEEP_JSON, allocated
+from helpers import DEEP_JSON, allocated, reference_loads
 from rerail import jsonl
 from rerail.jsonl import TAIL_BLOCK
 
@@ -45,3 +49,59 @@ def test_json_nested_too_deeply_is_a_value_error():
     # json.loads raised RecursionError, which no reader caught
     with pytest.raises(ValueError, match=r"invalid JSON \(nested too deeply\)"):
         jsonl.loads(DEEP_JSON.encode())
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),  # floats include NaN and Infinity
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+# characters that change what a JSON text means, and some that JSON never allows
+TOKENS = '{}[],:"\\ \n\t0-1.eE+aeflnrstuINy\x00\x7f\u00e9\u2028\ufeff'
+PREFIXES = ("", "\ufeff", " ", "\n", "\r\n\t")
+SUFFIXES = ("", "\n", " \n", "\r\n", "\t\t", "\x0b", "\x0c", "\u00a0", "\u2028", "x", " 1", "{}", "\n\n")
+NOT_UTF8 = (b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\xc0\xaf")
+
+
+@st.composite
+def documents(draw):
+    """A line as a reader meets it: a JSON text, a nesting deeper than the
+    recursion limit, or a literal, maybe mutated or holding a byte that is
+    not UTF-8, framed by whitespace, a BOM or trailing data."""
+    kind = draw(st.sampled_from(("value", "nested", "literal")))
+    if kind == "value":
+        text = json.dumps(draw(JSON_VALUES), ensure_ascii=draw(st.booleans()))
+    elif kind == "nested":
+        # deeper than any recursion limit Python or Hypothesis sets
+        depth = draw(st.sampled_from((5_000, 20_000, 100_000)))
+        opener, closer = draw(st.sampled_from((("[", "]"), ('{"k": ', "}"))))
+        text = opener * depth + "1" + closer * depth
+    else:  # an integer longer than int() converts, and the constants json.dumps writes
+        text = draw(st.sampled_from(("1" * 4301, "-" + "9" * 5000, "NaN", "Infinity", "-Infinity")))
+    damage = draw(st.sampled_from(("none", "mutate", "not-utf8")))
+    if damage == "mutate":
+        at = draw(st.integers(0, len(text)))
+        how = draw(st.sampled_from(("delete", "insert", "replace")))
+        token = "" if how == "delete" else draw(st.sampled_from(TOKENS))
+        text = text[:at] + token + text[at + (how != "insert"):]
+    data = (draw(st.sampled_from(PREFIXES)) + text + draw(st.sampled_from(SUFFIXES))).encode("utf-8", "surrogatepass")
+    if damage == "not-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return data
+
+
+def read(loads, data: bytes):
+    """What ``loads`` makes of ``data``: the repr of the value (so 1, 1.0
+    and True differ, and NaN equals NaN), or the type and message of the
+    error."""
+    try:
+        return "value", repr(loads(data))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(data=documents())
+def test_loads_reads_every_line_as_json_loads_does(data):
+    assert read(jsonl.loads, data) == read(reference_loads, data)

@@ -3,7 +3,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import full_text, mcqa_question, numeric_question, reference_render, template_placeholders
+from helpers import (
+    full_text,
+    make_settings,
+    mcqa_question,
+    numeric_question,
+    reference_render,
+    rerailer_fixture,
+    scripted_gateway,
+    template_placeholders,
+)
+from rerail import prompts
+from rerail.harness import run
 from rerail.prompts import (
     MissingVariable,
     PromptPair,
@@ -148,3 +159,17 @@ class TestFormatQuestion:
 
     def test_bare_question(self):
         assert format_question(numeric_question(text="What gives?")) == "What gives?"
+
+    def test_a_rerailer_run_formats_each_question_once(self, tmp_path, monkeypatch):
+        formatted = []
+
+        def counted(question):
+            formatted.append(question.id)
+            return format_question(question)
+
+        monkeypatch.setattr(prompts, "format_question", counted)
+        questions, entries = rerailer_fixture(1, 1, 1)
+        gateway = scripted_gateway(entries)
+        run(questions, make_settings(), "rerailer", tmp_path, gateway)
+        assert len(gateway.records) == 3 + 11 + 16
+        assert sorted(formatted) == ["q01", "q02", "q03"]
