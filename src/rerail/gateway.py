@@ -95,17 +95,21 @@ class CompletionParams:
             raise ValueError("temperature must be >= 0")
 
 
+def _token_counts_valid(prompt_tokens, completion_tokens) -> bool:
+    # type() rather than isinstance(): a bool is an int subclass
+    return (
+        type(prompt_tokens) is int and type(completion_tokens) is int
+        and prompt_tokens >= 0 and completion_tokens >= 0
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class Usage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
     def __post_init__(self) -> None:
-        # type() rather than isinstance(): a bool is an int subclass
-        if not (
-            type(self.prompt_tokens) is int and type(self.completion_tokens) is int
-            and self.prompt_tokens >= 0 and self.completion_tokens >= 0
-        ):
+        if not _token_counts_valid(self.prompt_tokens, self.completion_tokens):
             raise ValueError(f"token counts must be non-negative integers, got {self}")
 
 
@@ -215,11 +219,7 @@ class ScriptedBackend:
         if not isinstance(usage, dict):
             raise ScriptFormatError("usage must be an object")
         prompt_tokens, completion_tokens = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
-        # type() rather than isinstance(): a bool is an int subclass
-        if not (
-            type(prompt_tokens) is int and type(completion_tokens) is int
-            and prompt_tokens >= 0 and completion_tokens >= 0
-        ):
+        if not _token_counts_valid(prompt_tokens, completion_tokens):
             raise ScriptFormatError(f"token counts must be non-negative integers, got {usage}")
         latency_ms = raw.get("latency_ms", 0)
         if type(latency_ms) not in (int, float) or not 0 <= latency_ms < math.inf:
