@@ -248,7 +248,7 @@ class ScriptedBackend:
             for entry in self._entries.get((context.stage, context.question_id), ()):
                 if rank is None and entry.served:
                     continue
-                if entry.where is not _ANY and not all(
+                if entry.where is not _ANY and entry.where != asked and not all(
                     wanted is None or wanted == got for wanted, got in zip(entry.where, asked)
                 ):
                     continue
@@ -440,7 +440,15 @@ class StageUsage:
         self.wall_time_s += other.wall_time_s
 
     def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in _USAGE_NAMES}
+        return {
+            "live_calls": self.live_calls,
+            "cached_calls": self.cached_calls,
+            "prompt_tokens": self.prompt_tokens,
+            "completion_tokens": self.completion_tokens,
+            "billed_prompt_tokens": self.billed_prompt_tokens,
+            "billed_completion_tokens": self.billed_completion_tokens,
+            "wall_time_s": self.wall_time_s,
+        }
 
     @classmethod
     def from_json(cls, payload) -> "StageUsage":
