@@ -419,17 +419,6 @@ class StageUsage:
     billed_completion_tokens: int = 0
     wall_time_s: float = 0.0
 
-    def add(self, result: CompletionResult) -> None:
-        self.prompt_tokens += result.usage.prompt_tokens
-        self.completion_tokens += result.usage.completion_tokens
-        self.wall_time_s += result.latency_s
-        if result.from_cache:
-            self.cached_calls += 1
-        else:
-            self.live_calls += 1
-            self.billed_prompt_tokens += result.usage.prompt_tokens
-            self.billed_completion_tokens += result.usage.completion_tokens
-
     def merge(self, other: "StageUsage") -> None:
         self.live_calls += other.live_calls
         self.cached_calls += other.cached_calls
@@ -482,16 +471,24 @@ class UsageLedger:
         """Usage per stage, in stage order. wall_time_s is the exact sum of
         the stage's latencies (math.fsum), so the order the calls were
         recorded in does not change it."""
-        rows: dict[str, tuple[StageUsage, list[float]]] = {}
+        by_stage: dict[str, list[CompletionResult]] = {}
         for stage, result in self.calls:
-            row = rows.get(stage)
-            if row is None:
-                row = rows[stage] = (StageUsage(), [])
-            row[0].add(result)
-            row[1].append(result.latency_s)
-        for usage, latencies in rows.values():
-            usage.wall_time_s = math.fsum(latencies)
-        return {stage: rows[stage][0] for stage in sorted(rows)}
+            by_stage.setdefault(stage, []).append(result)
+        rows = {}
+        for stage in sorted(by_stage):
+            row = rows[stage] = StageUsage()
+            for result in by_stage[stage]:
+                prompt, completion = result.usage.prompt_tokens, result.usage.completion_tokens
+                row.prompt_tokens += prompt
+                row.completion_tokens += completion
+                if result.from_cache:
+                    row.cached_calls += 1
+                else:
+                    row.live_calls += 1
+                    row.billed_prompt_tokens += prompt
+                    row.billed_completion_tokens += completion
+            row.wall_time_s = math.fsum(result.latency_s for result in by_stage[stage])
+        return rows
 
 
 # The key hashes the bytes jsonl.SORTED_KEYS writes for {"format_instructions",

@@ -264,8 +264,7 @@ def run_rerailer_mode(question: Question, gateway: Gateway, settings: RunSetting
         )
 
     assert isinstance(routed, Derailed)
-    result = rerail(question, routed.selected, gateway, settings)
-    flags = tuple(sorted(set(routed.flags) | set(result.flags)))
+    path, flags, fields = rerail(question, routed.selected, gateway, settings)
     trace = {
         "mode": MODE_RERAILER,
         "routing": "derailed",
@@ -273,12 +272,10 @@ def run_rerailer_mode(question: Question, gateway: Gateway, settings: RunSetting
         "answers": list(routed.verdict.answers),
         "selected_index": routed.selected_index,
         "judge_rationale": routed.judge_rationale,
-        "iterations_run": result.iterations_run,
-        "certified": result.certified,
-        "rerail": result.trace,
+        **fields,
     }
     return ModeResult(
-        routed.selected.final_answer, result.path.final_answer, "derailed", flags, trace
+        routed.selected.final_answer, path.final_answer, "derailed", routed.flags + tuple(flags), trace
     )
 
 

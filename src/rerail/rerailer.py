@@ -12,7 +12,7 @@ the iteration cap is hit; steps settled by earlier passes carry a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
@@ -51,33 +51,6 @@ class EvaluationResult:
     def __post_init__(self) -> None:
         if not self.hallucination and self.proposed_correction is not None:
             raise ValueError("a clean step cannot carry a correction")
-
-
-@dataclass(frozen=True)
-class DebateTurn:
-    agent_id: int
-    round: int
-    verdict: str
-    reasoning: str
-    correction: str
-
-
-@dataclass(frozen=True)
-class DebateOutcome:
-    accepted: bool  # final correction is the evaluator's original proposal
-    final_correction: str
-    transcript: tuple[DebateTurn, ...]
-    rounds_run: int
-    flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class RerailResult:
-    path: ReasoningPath
-    iterations_run: int
-    certified: bool
-    flags: tuple[str, ...]
-    trace: dict = field(default_factory=dict)
 
 
 def mask(rp: ReasoningPath, index: int) -> str:
@@ -127,21 +100,25 @@ def evaluate_step(
     return evaluation or EvaluationResult(False, "", flags=(FLAG_EVALUATOR_FAIL_OPEN,))
 
 
-def _read_turn(fields: dict[str, str]) -> tuple[str, str, str]:
-    """A debate agent's (verdict, reasoning, correction); a revision carries one."""
+def _read_turn(fields: dict[str, str]) -> dict[str, str]:
+    """A debate agent's verdict, reasoning and correction; a revision carries one."""
     verdict = _verdict_token(fields.get("verdict"))
     correction = fields.get("correction", "").strip()
     if verdict not in (VERDICT_AGREE, VERDICT_REVISE):
         raise ValueError(f"debate verdict must be AGREE or REVISE, got {fields.get('verdict')!r}")
     if verdict == VERDICT_REVISE and not correction:
         raise ValueError("verdict=REVISE requires a non-empty correction")
-    return verdict, fields.get("reasoning", ""), correction
+    return {"verdict": verdict, "reasoning": fields.get("reasoning", ""), "correction": correction}
 
 
-def _turn_text(turn: DebateTurn) -> str:
-    text = f"Agent {turn.agent_id} (round {turn.round}) [{turn.verdict}]: {turn.reasoning}"
-    if turn.verdict == VERDICT_REVISE and turn.correction:
-        text += f"\nAgent {turn.agent_id} revised correction: {turn.correction}"
+# What an agent whose reply stayed unreadable is taken to have said.
+_FAIL_OPEN_TURN = {"verdict": VERDICT_AGREE, "reasoning": "", "correction": ""}
+
+
+def _turn_text(turn: dict) -> str:
+    text = f"Agent {turn['agent_id']} (round {turn['round']}) [{turn['verdict']}]: {turn['reasoning']}"
+    if turn["verdict"] == VERDICT_REVISE and turn["correction"]:
+        text += f"\nAgent {turn['agent_id']} revised correction: {turn['correction']}"
     return text
 
 
@@ -152,7 +129,7 @@ def debate(
     correction: str,
     gateway: Gateway,
     settings: RunSettings,
-) -> DebateOutcome:
+) -> tuple[dict, list[str]]:
     """Validate a proposed correction through rounds of agent debate.
 
     Unanimous agreement at a round end accepts the standing correction and
@@ -160,12 +137,17 @@ def debate(
     boundary. After the last round its majority decides between the
     correction that round debated and its latest revision; a tie keeps the
     debated one and is flagged.
+
+    Returns (entry, flags). The entry is the pass trace's "debate" block:
+    accepted (the final correction is the proposed one), final_correction,
+    rounds_run, and the transcript of turns, each a dict of agent_id,
+    round, verdict, reasoning and correction.
     """
     if not correction.strip():
         raise ValueError("debate needs a non-empty proposed correction")
 
     standing = correction
-    transcript: list[DebateTurn] = []
+    transcript: list[dict] = []
     flags: list[str] = []
 
     for round_no in range(1, settings.n_debate_rounds + 1):
@@ -185,15 +167,14 @@ def debate(
         replies = gateway.fan_out([
             partial(complete_structured, gateway, prompt, call_params(settings, c), c, _read_turn) for c in contexts
         ])
-        # An agent whose reply stayed unreadable counts as agreeing.
         flags.extend(FLAG_DEBATE_FAIL_OPEN for reply in replies if reply is None)
         round_turns = [
-            DebateTurn(c.agent_id, c.round, *(reply or (VERDICT_AGREE, "", "")))
+            {"agent_id": c.agent_id, "round": c.round, **(reply or _FAIL_OPEN_TURN)}
             for c, reply in zip(contexts, replies)
         ]
         transcript.extend(round_turns)
 
-        revisions = [t.correction for t in round_turns if t.verdict == VERDICT_REVISE]
+        revisions = [t["correction"] for t in round_turns if t["verdict"] == VERDICT_REVISE]
         if not revisions:
             break
         # Revisions land at the round boundary; the last reviser wins.
@@ -203,13 +184,13 @@ def debate(
     final = standing if len(revisions) > agreements else debated
     if len(revisions) == agreements:
         flags.append(FLAG_DEBATE_TIE)
-    return DebateOutcome(
-        accepted=final == correction,
-        final_correction=final,
-        transcript=tuple(transcript),
-        rounds_run=round_no,
-        flags=tuple(flags),
-    )
+    entry = {
+        "accepted": final == correction,
+        "final_correction": final,
+        "rounds_run": round_no,
+        "transcript": transcript,
+    }
+    return entry, flags
 
 
 def splice(rp: ReasoningPath, index: int, corrected_text: str) -> ReasoningPath:
@@ -265,25 +246,18 @@ def reanswer(
     return ReasoningPath(steps, parsed.final_answer, verified), flags
 
 
-@dataclass(frozen=True)
-class PassResult:
-    changed: bool
-    rp_out: ReasoningPath
-    flags: tuple[str, ...]
-    trace: dict
-
-
 def rerail_pass(
     question: Question,
     rp: ReasoningPath,
     iteration: int,
     gateway: Gateway,
     settings: RunSettings,
-) -> PassResult:
+) -> tuple[ReasoningPath, dict]:
     """One sweep: evaluate steps in order, fix the first flagged one.
 
-    Returns immediately after splice + re-answer; a sweep with no flagged
-    step marks every step verified and reports changed=False.
+    Returns (path, entry), where entry is the pass's trace. It returns
+    immediately after splice + re-answer; a sweep with no flagged step
+    marks every step verified and leaves the entry's corrected_step None.
     """
     flags: list[str] = []
     evaluations: list[dict] = []
@@ -302,39 +276,31 @@ def rerail_pass(
             continue
 
         assert evaluation.proposed_correction is not None
-        masked = mask(rp, index)
-        outcome = debate(
-            question, masked, index, evaluation.proposed_correction, gateway, settings
+        outcome, debate_flags = debate(
+            question, mask(rp, index), index, evaluation.proposed_correction, gateway, settings
         )
-        flags.extend(outcome.flags)
-        prefix = splice(rp, index, outcome.final_correction)
+        flags.extend(debate_flags)
+        prefix = splice(rp, index, outcome["final_correction"])
         rp_new, reanswer_flags = reanswer(question, prefix, iteration, gateway, settings)
         flags.extend(reanswer_flags)
-        trace = {
+        return rp_new, {
             "iteration": iteration,
             "evaluations": evaluations,
             "corrected_step": index,
             "original_step": rp.steps[index - 1],
             "proposed_correction": evaluation.proposed_correction,
-            "debate": {
-                "accepted": outcome.accepted,
-                "final_correction": outcome.final_correction,
-                "rounds_run": outcome.rounds_run,
-                "transcript": [dict(vars(turn)) for turn in outcome.transcript],
-            },
+            "debate": outcome,
             "reanswer_answer": rp_new.final_answer,
             "flags": sorted(set(flags)),
         }
-        return PassResult(changed=True, rp_out=rp_new, flags=tuple(flags), trace=trace)
 
-    trace = {
+    entry = {
         "iteration": iteration,
         "evaluations": evaluations,
         "corrected_step": None,
         "flags": sorted(set(flags)),
     }
-    verified = replace(rp, verified=len(rp.steps))
-    return PassResult(changed=False, rp_out=verified, flags=tuple(flags), trace=trace)
+    return replace(rp, verified=len(rp.steps)), entry
 
 
 def rerail(
@@ -342,28 +308,22 @@ def rerail(
     rp: ReasoningPath,
     gateway: Gateway,
     settings: RunSettings,
-) -> RerailResult:
+) -> tuple[ReasoningPath, list[str], dict]:
     """Repeat passes until one is clean or the iteration cap is reached.
 
-    Hitting the cap is not an error: the last path is returned with the
-    uncertified flag.
+    Returns (path, flags, fields): the flags of every pass, and the trace
+    fields iterations_run, certified and rerail (the pass entries).
+    Hitting the cap is not an error: the last path is returned, and the
+    uncertified flag is added when its last pass still corrected a step.
     """
-    current = rp
-    flags: list[str] = []
     passes: list[dict] = []
     for iteration in range(1, settings.max_rerail_iterations + 1):
-        result = rerail_pass(question, current, iteration, gateway, settings)
-        flags.extend(result.flags)
-        passes.append(result.trace)
-        current = result.rp_out
-        if not result.changed:
+        rp, entry = rerail_pass(question, rp, iteration, gateway, settings)
+        passes.append(entry)
+        if entry["corrected_step"] is None:
             break
-    if result.changed:
+    certified = passes[-1]["corrected_step"] is None
+    flags = [flag for entry in passes for flag in entry["flags"]]
+    if not certified:
         flags.append(FLAG_UNCERTIFIED)
-    return RerailResult(
-        path=current,
-        iterations_run=iteration,
-        certified=not result.changed,
-        flags=tuple(sorted(set(flags))),
-        trace={"passes": passes},
-    )
+    return rp, flags, {"iterations_run": len(passes), "certified": certified, "rerail": {"passes": passes}}

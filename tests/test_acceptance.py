@@ -209,18 +209,17 @@ def test_criterion_04_algorithm_one_fidelity():
 
         gw = scripted_gateway(entries)
         with gw.recording("q1") as ledger:
-            result = rerail_pass(question, rp, 1, gw, settings)
+            path, trace = rerail_pass(question, rp, 1, gw, settings)
 
-        assert result.changed is True
-        assert result.trace["corrected_step"] == k
+        assert trace["corrected_step"] == k  # the pass changed the path
         assert question_calls(ledger, STAGE_EVALUATOR) == k  # early return
         assert question_calls(ledger, STAGE_DEBATE) == 2
         assert question_calls(ledger, STAGE_REANSWER) == 1
         # step k is replaced and left for the next pass to check; the
         # steps before it are verified
-        assert result.rp_out.steps[k - 1] == correction
-        assert result.rp_out.verified == k - 1
-        assert result.trace["original_step"] == texts[k - 1]
+        assert path.steps[k - 1] == correction
+        assert path.verified == k - 1
+        assert trace["original_step"] == texts[k - 1]
 
 
 # --- criterion 5 -----------------------------------------------------------
@@ -256,13 +255,13 @@ def test_criterion_05_multi_pass_rerailment():
         final_answer="A",
     )
 
-    result = rerail(question, rp, scripted_gateway(two_correction_entries()), settings)
-    assert result.certified is True
-    assert result.iterations_run == 3
+    path, _, fields = rerail(question, rp, scripted_gateway(two_correction_entries()), settings)
+    assert fields["certified"] is True
+    assert fields["iterations_run"] == 3
     # pass 2 rewrote the path last; pass 3 found nothing to fix
-    assert [p["corrected_step"] for p in result.trace["passes"]] == [2, 3, None]
-    assert result.path.final_answer == "B"
-    assert result.path.verified == 3
+    assert [p["corrected_step"] for p in fields["rerail"]["passes"]] == [2, 3, None]
+    assert path.final_answer == "B"
+    assert path.verified == 3
 
     never_clean = []
     fixes = [f"Attempted repair number {i}." for i in (1, 2, 3)]
@@ -277,13 +276,13 @@ def test_criterion_05_multi_pass_rerailment():
         steps=("Assume a relation that does not apply.", "Conclude as before."),
         final_answer="A",
     )
-    capped = rerail(question, stuck, scripted_gateway(never_clean), settings)
-    assert capped.certified is False
-    assert capped.iterations_run == settings.max_rerail_iterations == 3
-    assert FLAG_UNCERTIFIED in capped.flags
+    path, flags, fields = rerail(question, stuck, scripted_gateway(never_clean), settings)
+    assert fields["certified"] is False
+    assert fields["iterations_run"] == settings.max_rerail_iterations == 3
+    assert FLAG_UNCERTIFIED in flags
     # the last pass rewrote the path too, leaving its fix unchecked
-    assert [p["corrected_step"] for p in capped.trace["passes"]] == [1, 1, 1]
-    assert capped.path.verified == 0
+    assert [p["corrected_step"] for p in fields["rerail"]["passes"]] == [1, 1, 1]
+    assert path.verified == 0
 
 
 # --- criterion 6 -----------------------------------------------------------

@@ -21,7 +21,6 @@ from rerail.config import question_seed
 from rerail.gateway import Gateway, ScriptedBackend
 from rerail.parsing import parse_reasoning_path
 from rerail.rerailer import (
-    DebateOutcome,
     EvaluationResult,
     FLAG_DEBATE_FAIL_OPEN,
     FLAG_DEBATE_TIE,
@@ -175,25 +174,25 @@ class TestDebate:
     def run(self, entries, **settings_overrides):
         gw = scripted_gateway(entries)
         with gw.recording("q1") as ledger:
-            outcome = debate(
+            outcome, flags = debate(
                 Q, self.MASKED, 2, self.ORIGINAL, gw, make_settings(**settings_overrides)
             )
-        return outcome, gw, ledger
+        return outcome, flags, gw, ledger
 
     def test_unanimous_first_round_accepts_early(self):
-        outcome, _, ledger = self.run(
+        outcome, flags, _, ledger = self.run(
             [debate_entry(debate_agree(), 1, 1), debate_entry(debate_agree(), 2, 1)]
         )
-        assert outcome.accepted is True
-        assert outcome.final_correction == self.ORIGINAL
-        assert outcome.rounds_run == 1
-        assert len(outcome.transcript) == 2
-        assert outcome.flags == ()
+        assert outcome["accepted"] is True
+        assert outcome["final_correction"] == self.ORIGINAL
+        assert outcome["rounds_run"] == 1
+        assert len(outcome["transcript"]) == 2
+        assert flags == []
         assert question_calls(ledger, STAGE_DEBATE) == 2
 
     def test_revision_then_unanimous_agreement(self):
         revised = "A sharper correction."
-        outcome, _, ledger = self.run(
+        outcome, flags, _, ledger = self.run(
             [
                 debate_entry(debate_revise(revised), 1, 1),
                 debate_entry(debate_agree(), 2, 1),
@@ -201,16 +200,16 @@ class TestDebate:
                 debate_entry(debate_agree(), 2, 2),
             ]
         )
-        assert outcome.accepted is False  # the original did not survive
-        assert outcome.final_correction == revised
-        assert outcome.rounds_run == 2
-        assert len(outcome.transcript) == 4
+        assert outcome["accepted"] is False  # the original did not survive
+        assert outcome["final_correction"] == revised
+        assert outcome["rounds_run"] == 2
+        assert len(outcome["transcript"]) == 4
         assert question_calls(ledger, STAGE_DEBATE) == 4
 
     def test_last_reviser_in_a_round_wins_the_standing_slot(self):
         first = "First revision."
         second = "Second revision."
-        outcome, _, _ = self.run(
+        outcome, _, _, _ = self.run(
             [
                 debate_entry(debate_revise(first), 1, 1),
                 debate_entry(debate_revise(second), 2, 1),
@@ -218,11 +217,11 @@ class TestDebate:
                 debate_entry(debate_agree(), 2, 2),
             ]
         )
-        assert outcome.final_correction == second
+        assert outcome["final_correction"] == second
 
     def test_three_round_tie_keeps_prelast_revision_and_flags(self):
         c2, c3, c4 = "Second take.", "Third take.", "Fourth take."
-        outcome, _, _ = self.run(
+        outcome, flags, _, _ = self.run(
             [
                 debate_entry(debate_agree(), 1, 1),
                 debate_entry(debate_revise(c2), 2, 1),
@@ -232,16 +231,16 @@ class TestDebate:
                 debate_entry(debate_revise(c4), 2, 3),
             ]
         )
-        assert outcome.rounds_run == 3
-        assert len(outcome.transcript) == 6
+        assert outcome["rounds_run"] == 3
+        assert len(outcome["transcript"]) == 6
         # the tie is judged on what the final round debated: the standing
         # correction entering round 3, not the revision made inside it
-        assert outcome.final_correction == c3
-        assert outcome.accepted is False
-        assert FLAG_DEBATE_TIE in outcome.flags
+        assert outcome["final_correction"] == c3
+        assert outcome["accepted"] is False
+        assert FLAG_DEBATE_TIE in flags
 
     def test_majority_revise_at_the_cap_keeps_latest_revision(self):
-        outcome, _, _ = self.run(
+        outcome, flags, _, _ = self.run(
             [
                 debate_entry(debate_agree(), 1, 1),
                 debate_entry(debate_revise("r1"), 2, 1),
@@ -255,28 +254,28 @@ class TestDebate:
             ],
             n_debate_agents=3,
         )
-        assert outcome.rounds_run == 3
-        assert len(outcome.transcript) == 9
-        assert outcome.final_correction == "r5"
-        assert outcome.accepted is False
-        assert FLAG_DEBATE_TIE not in outcome.flags
+        assert outcome["rounds_run"] == 3
+        assert len(outcome["transcript"]) == 9
+        assert outcome["final_correction"] == "r5"
+        assert outcome["accepted"] is False
+        assert FLAG_DEBATE_TIE not in flags
 
     def test_unparseable_agent_fails_open_as_agreement(self):
-        outcome, _, ledger = self.run(
+        outcome, flags, _, ledger = self.run(
             [
                 debate_entry("mumble", 1, 1),
                 debate_entry("more mumble", 1, 1),
                 debate_entry(debate_agree(), 2, 1),
             ]
         )
-        assert outcome.accepted is True
-        assert outcome.rounds_run == 1
-        assert FLAG_DEBATE_FAIL_OPEN in outcome.flags
+        assert outcome["accepted"] is True
+        assert outcome["rounds_run"] == 1
+        assert FLAG_DEBATE_FAIL_OPEN in flags
         assert question_calls(ledger, STAGE_DEBATE) == 3
 
     def test_second_round_prompt_replays_round_one(self):
         revised = "A sharper correction."
-        _, gw, _ = self.run(
+        _, _, gw, _ = self.run(
             [
                 debate_entry(debate_revise(revised), 1, 1),
                 debate_entry(debate_agree(), 2, 1),
@@ -401,15 +400,14 @@ class TestRerailPass:
         ]
         gw = scripted_gateway(entries)
         with gw.recording("q1") as ledger:
-            result = rerail_pass(Q, rp, 1, gw, SETTINGS)
-        assert result.changed is False
-        assert result.rp_out.verified == 4
-        assert result.rp_out.steps == tuple(FIVE_TEXTS[:4])
+            path, trace = rerail_pass(Q, rp, 1, gw, SETTINGS)
+        assert trace["corrected_step"] is None  # the pass left the path unchanged
+        assert path.verified == 4
+        assert path.steps == tuple(FIVE_TEXTS[:4])
         assert question_calls(ledger, STAGE_EVALUATOR) == 4
         assert question_calls(ledger, STAGE_DEBATE) == 0
         assert question_calls(ledger, STAGE_REANSWER) == 0
-        assert result.trace["corrected_step"] is None
-        assert len(result.trace["evaluations"]) == 4
+        assert len(trace["evaluations"]) == 4
 
     def test_first_flag_stops_the_sweep(self):
         rp = path_from(FIVE_TEXTS)
@@ -424,15 +422,14 @@ class TestRerailPass:
         ]
         gw = scripted_gateway(entries)
         with gw.recording("q1") as ledger:
-            result = rerail_pass(Q, rp, 1, gw, SETTINGS)
-        assert result.changed is True
+            path, trace = rerail_pass(Q, rp, 1, gw, SETTINGS)
+        assert trace["corrected_step"] == 2  # the pass changed the path
         assert question_calls(ledger, STAGE_EVALUATOR) == 2
         evaluated = [c.step_index for c, _ in gw.for_stage(STAGE_EVALUATOR)]
         assert max(evaluated) == 2  # steps 3..5 were never looked at
-        assert result.trace["corrected_step"] == 2
-        assert result.rp_out.final_answer == "B"
-        assert result.rp_out.steps[1] == corrected
-        assert result.trace["original_step"] == FIVE_TEXTS[1]
+        assert path.final_answer == "B"
+        assert path.steps[1] == corrected
+        assert trace["original_step"] == FIVE_TEXTS[1]
 
     def test_flag_at_the_last_step_reanswers_from_the_whole_path(self):
         texts = FIVE_TEXTS[:3]
@@ -448,10 +445,62 @@ class TestRerailPass:
                   cot_text([texts[0], texts[1], corrected], "C")),
         ]
         gw = scripted_gateway(entries)
-        result = rerail_pass(Q, rp, 1, gw, SETTINGS)
-        assert result.changed is True
-        assert result.rp_out.steps == (texts[0], texts[1], corrected)
-        assert result.rp_out.verified == 2
+        path, trace = rerail_pass(Q, rp, 1, gw, SETTINGS)
+        assert trace["corrected_step"] == 3  # the pass changed the path
+        assert path.steps == (texts[0], texts[1], corrected)
+        assert path.verified == 2
+
+
+# Paths and scripts for rerail(), each run to its end under SETTINGS' cap of three passes.
+
+
+def rerail_clean_scenario():
+    rp = path_from(FIVE_TEXTS[:3])
+    return rp, [entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=i) for i in range(1, 4)]
+
+
+def rerail_fixable_scenario():
+    fix = "Pick the correct relation."
+    return path_from(FIVE_TEXTS[:3]), [
+        entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=1),
+        entry(STAGE_EVALUATOR, "q1", evaluator_yes(fix), step_index=2),
+        debate_entry("mumble", 1, 1),  # agent 1 fails open, flagging the pass
+        debate_entry("more mumble", 1, 1),
+        debate_entry(debate_agree(), 2, 1),
+        entry(STAGE_REANSWER, "q1", cot_text([FIVE_TEXTS[0], fix, "Finish from here."], "B")),
+        entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=2),
+        entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=3),
+    ]
+
+
+def rerail_two_corrections_scenario():
+    s1, c2, c3 = FIVE_TEXTS[0], "Pick the correct relation.", "Substitute the right values."
+    return path_from(FIVE_TEXTS[:3]), [
+        entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=1),
+        entry(STAGE_EVALUATOR, "q1", evaluator_yes(c2), step_index=2),
+        debate_entry(debate_agree(), 1, 1),
+        debate_entry(debate_agree(), 2, 1),
+        entry(STAGE_REANSWER, "q1", cot_text([s1, c2, FIVE_TEXTS[2]], "B")),
+        entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=2),
+        entry(STAGE_EVALUATOR, "q1", evaluator_yes(c3), step_index=3),
+        debate_entry(debate_agree(), 1, 1, step=3),
+        debate_entry(debate_agree(), 2, 1, step=3),
+        entry(STAGE_REANSWER, "q1", cot_text([s1, c2, c3], "C")),
+        entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=3),
+    ]
+
+
+def rerail_never_clean_scenario():
+    entries = []
+    for iteration in range(1, 4):
+        fix = f"Assume model number {iteration + 1}."
+        entries += [
+            entry(STAGE_EVALUATOR, "q1", evaluator_yes(fix), step_index=1),
+            debate_entry(debate_agree(), 1, 1, step=1),
+            debate_entry(debate_agree(), 2, 1, step=1),
+            entry(STAGE_REANSWER, "q1", cot_text([fix, "Carry it through again."], "A")),
+        ]
+    return path_from(["Assume the wrong model.", "Carry it through."]), entries
 
 
 class TestRerail:
@@ -461,12 +510,12 @@ class TestRerail:
             entry(STAGE_EVALUATOR, "q1", evaluator_no(), step_index=i) for i in range(1, 4)
         ]
         gw = scripted_gateway(entries)
-        result = rerail(Q, rp, gw, SETTINGS)
-        assert result.certified is True
-        assert result.iterations_run == 1
-        assert FLAG_UNCERTIFIED not in result.flags
-        assert result.path.final_answer == "A"
-        assert result.path.verified == 3
+        path, flags, fields = rerail(Q, rp, gw, SETTINGS)
+        assert fields["certified"] is True
+        assert fields["iterations_run"] == 1
+        assert FLAG_UNCERTIFIED not in flags
+        assert path.final_answer == "A"
+        assert path.verified == 3
 
     def test_two_corrections_then_certification(self):
         s1, w2, t3 = "State the given numbers.", "Add when you should multiply.", "Read off the total."
@@ -491,20 +540,20 @@ class TestRerail:
         ]
         gw = scripted_gateway(entries)
         with gw.recording("q1") as ledger:
-            result = rerail(Q, rp, gw, SETTINGS)
+            path, _, fields = rerail(Q, rp, gw, SETTINGS)
 
-        assert result.certified is True
-        assert result.iterations_run == 3
-        assert result.path.final_answer == "B"
-        assert result.path.verified == 3
+        assert fields["certified"] is True
+        assert fields["iterations_run"] == 3
+        assert path.final_answer == "B"
+        assert path.verified == 3
         # the pass trace names each rewrite and the step text it replaced
-        passes = result.trace["passes"]
+        passes = fields["rerail"]["passes"]
         assert [p["corrected_step"] for p in passes] == [2, 3, None]
         assert [p.get("original_step") for p in passes] == [w2, t3, None]
         assert question_calls(ledger, STAGE_EVALUATOR) == 5
         assert question_calls(ledger, STAGE_DEBATE) == 4
         assert question_calls(ledger, STAGE_REANSWER) == 2
-        assert len(result.trace["passes"]) == 3
+        assert len(fields["rerail"]["passes"]) == 3
 
     def test_never_clean_path_hits_the_cap_uncertified(self):
         s1, s2 = "Assume the wrong model.", "Carry it through."
@@ -522,19 +571,19 @@ class TestRerail:
             )
         gw = scripted_gateway(entries)
         with gw.recording("q1") as ledger:
-            result = rerail(Q, rp, gw, SETTINGS)
+            _, flags, fields = rerail(Q, rp, gw, SETTINGS)
 
-        assert result.certified is False
-        assert result.iterations_run == 3
-        assert FLAG_UNCERTIFIED in result.flags
+        assert fields["certified"] is False
+        assert fields["iterations_run"] == 3
+        assert FLAG_UNCERTIFIED in flags
         # each pass rewrote step 1 and recorded what it replaced that time,
         # not the text the path started with
-        passes = result.trace["passes"]
+        passes = fields["rerail"]["passes"]
         assert [p["corrected_step"] for p in passes] == [1, 1, 1]
         assert [p["original_step"] for p in passes] == [
             s1, "Assume model number 2.", "Assume model number 3.",
         ]
-        assert len(result.trace["passes"]) == 3
+        assert len(fields["rerail"]["passes"]) == 3
         assert question_calls(ledger, STAGE_EVALUATOR) == 3
         assert question_calls(ledger, STAGE_REANSWER) == 3
 
@@ -547,6 +596,27 @@ class TestRerail:
             entry(STAGE_REANSWER, "q1", cot_text(["Try another model."], "A")),
         ]
         gw = scripted_gateway(entries)
-        result = rerail(Q, rp, gw, make_settings(max_rerail_iterations=1))
-        assert result.certified is False
-        assert result.iterations_run == 1
+        _, _, fields = rerail(Q, rp, gw, make_settings(max_rerail_iterations=1))
+        assert fields["certified"] is False
+        assert fields["iterations_run"] == 1
+
+    @pytest.mark.parametrize(
+        "scenario, passes_run",
+        [
+            (rerail_clean_scenario, 1),
+            (rerail_fixable_scenario, 2),
+            (rerail_two_corrections_scenario, 3),
+            (rerail_never_clean_scenario, 3),
+        ],
+        ids=["clean", "fixable", "two-corrections", "never-clean"],
+    )
+    def test_flags_and_fields_follow_the_passes(self, scenario, passes_run):
+        rp, entries = scenario()
+        _, flags, fields = rerail(Q, rp, scripted_gateway(entries), SETTINGS)
+        passes = fields["rerail"]["passes"]
+        assert len(passes) == passes_run
+        last_corrected = passes[-1]["corrected_step"] is not None
+        pass_flags = {flag for p in passes for flag in p["flags"]}
+        assert set(flags) == pass_flags | ({FLAG_UNCERTIFIED} if last_corrected else set())
+        assert fields["iterations_run"] == len(passes)
+        assert fields["certified"] is not last_corrected
