@@ -32,6 +32,7 @@ from .harness import (
     make_gateway,
     replay,
     run,
+    sole_writer,
     write_report,
 )
 from .types import DatasetError, RerailError
@@ -121,7 +122,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_replay(args) -> int:
     report_path = Path(args.trace) / REPORT_FILE
-    if write_report(args.trace, replay(args.trace)):
+    with sole_writer(args.trace):
+        changed = write_report(args.trace, replay(args.trace))
+    if changed:
         print(f"report recomputed and written to {report_path}")
     else:
         print(f"replay matches the existing report at {report_path}")

@@ -8,9 +8,8 @@ least-erroneous path (picked by the Judge) to the rerailer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Union
+from typing import Optional
 
 from .config import RunSettings, call_params
 from .gateway import CallContext, Gateway, complete_structured
@@ -51,23 +50,13 @@ class GenerationFailure(RerailError):
     """Too few parseable reasoning paths even after the retry policy."""
 
 
-@dataclass(frozen=True)
-class ConsistencyVerdict:
-    consistent: bool
-    answers: tuple[str, ...]
-    rule_fired: str
-
-    def __post_init__(self) -> None:
-        if (self.rule_fired == RULE_INCONSISTENT) == self.consistent:
-            raise ValueError("rule_fired must be Inconsistent exactly when consistent is false")
-
-
 def _consistency_clean(option: str) -> str:
     return _CONSISTENCY_CLEAN_RE.sub("", option).upper()
 
 
-def check_consistency(answers: list[str]) -> ConsistencyVerdict:
-    """Apply the four consistency rules, in order, to raw answer strings.
+def check_consistency(answers: list[str]) -> str:
+    """The first of the four consistency rules, in order, that the raw answer
+    strings meet, or RULE_INCONSISTENT if none does.
 
     1. Every raw answer longer than 30 characters -> consistent (AllLong).
     2. Clean each answer (keep alphanumerics and spaces, uppercase).
@@ -78,12 +67,11 @@ def check_consistency(answers: list[str]) -> ConsistencyVerdict:
     """
     if not answers:
         raise ValueError("check_consistency needs at least one answer")
-    frozen = tuple(answers)
 
-    if all(len(answer) > ALL_LONG_THRESHOLD for answer in frozen):
-        return ConsistencyVerdict(True, frozen, RULE_ALL_LONG)
+    if all(len(answer) > ALL_LONG_THRESHOLD for answer in answers):
+        return RULE_ALL_LONG
 
-    cleaned = [_consistency_clean(answer) for answer in frozen]
+    cleaned = [_consistency_clean(answer) for answer in answers]
 
     if (
         all(cleaned)
@@ -91,12 +79,12 @@ def check_consistency(answers: list[str]) -> ConsistencyVerdict:
         and cleaned[0][0] in VALID_OPTION_LABELS
         and all(len(c) < SHORT_OPTION_LIMIT for c in cleaned)
     ):
-        return ConsistencyVerdict(True, frozen, RULE_SAME_LEADING_OPTION)
+        return RULE_SAME_LEADING_OPTION
 
     if len(set(cleaned)) == 1:
-        return ConsistencyVerdict(True, frozen, RULE_ALL_IDENTICAL)
+        return RULE_ALL_IDENTICAL
 
-    return ConsistencyVerdict(False, frozen, RULE_INCONSISTENT)
+    return RULE_INCONSISTENT
 
 
 def generate_rps(
@@ -190,54 +178,28 @@ def judge(
     return *selection, flags
 
 
-@dataclass(frozen=True)
-class Consistent:
-    """All sampled answers agree; the pipeline stops here for this question."""
+def route(
+    question: Question, gateway: Gateway, settings: RunSettings
+) -> tuple[str, Optional[ReasoningPath], list[str], dict]:
+    """Sample, check consistency, and either answer or select for rerailing.
 
-    answer_raw: str
-    verdict: ConsistencyVerdict
-    flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Derailed:
-    """Sampled answers disagree; `selected` goes on to the rerailer."""
-
-    selected: ReasoningPath
-    selected_index: int
-    judge_rationale: str
-    verdict: ConsistencyVerdict
-    flags: tuple[str, ...] = ()
-
-
-Routed = Union[Consistent, Derailed]
-
-
-def _resolve_consistent_answer(
-    paths: list[ReasoningPath], verdict: ConsistencyVerdict, question: Question
-) -> tuple[str, list[str]]:
-    if verdict.rule_fired == RULE_ALL_LONG and len(paths) > 1:
+    Returns (answer, selected, flags, fields): the baseline answer; the path
+    the judge picked for repair, None when the samples agree; the routing
+    flags; and the trace fields ``routing``, ``rule_fired`` and ``answers``,
+    plus ``selected_index`` and ``judge_rationale`` for a derailed question.
+    """
+    paths = generate_rps(question, gateway, settings)
+    answers = [p.final_answer for p in paths]
+    rule = check_consistency(answers)
+    fields = {"routing": "consistent", "rule_fired": rule, "answers": answers}
+    if rule == RULE_ALL_LONG and len(paths) > 1:
         # Long answers are deemed consistent without agreeing; output the
         # majority answer, the first-listed leader on ties.
-        raw, _ = majority_answer([p.final_answer for p in paths], question)
-        return raw, [FLAG_ALL_LONG]
-    return paths[0].final_answer, []
-
-
-def route(question: Question, gateway: Gateway, settings: RunSettings) -> Routed:
-    """Sample, check consistency, and either answer or select for rerailing."""
-    paths = generate_rps(question, gateway, settings)
-    verdict = check_consistency([p.final_answer for p in paths])
-
-    if verdict.consistent:
-        raw, flags = _resolve_consistent_answer(paths, verdict, question)
-        return Consistent(answer_raw=raw, verdict=verdict, flags=tuple(flags))
+        return majority_answer(answers, question)[0], None, [FLAG_ALL_LONG], fields
+    if rule != RULE_INCONSISTENT:
+        return answers[0], None, [], fields
 
     index, rationale, flags = judge(question, paths, gateway, settings)
-    return Derailed(
-        selected=paths[index - 1],
-        selected_index=index,
-        judge_rationale=rationale,
-        verdict=verdict,
-        flags=tuple(flags),
-    )
+    selected = paths[index - 1]
+    fields.update(routing="derailed", selected_index=index, judge_rationale=rationale)
+    return selected.final_answer, selected, flags, fields

@@ -104,19 +104,12 @@ def _token_counts_valid(prompt_tokens, completion_tokens) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class Usage:
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-
-    def __post_init__(self) -> None:
-        if not _token_counts_valid(self.prompt_tokens, self.completion_tokens):
-            raise ValueError(f"token counts must be non-negative integers, got {self}")
-
-
-@dataclass(frozen=True, slots=True)
 class CompletionResult:
+    """One completion; its token counts are checked where it is built."""
+
     text: str
-    usage: Usage
+    prompt_tokens: int
+    completion_tokens: int
     latency_s: float
     from_cache: bool = False
 
@@ -260,8 +253,7 @@ class ScriptedBackend:
                     served = entry
                 break
         if served is not None:
-            usage = Usage(served.prompt_tokens, served.completion_tokens)
-            return CompletionResult(served.text, usage, served.latency_s)
+            return CompletionResult(served.text, served.prompt_tokens, served.completion_tokens, served.latency_s)
         raise ScriptExhausted(
             f"no script entry left for stage={context.stage!r} "
             f"question_id={context.question_id!r} step_index={context.step_index} "
@@ -399,12 +391,11 @@ class LiveBackend:
             raise ProviderError(f"malformed provider response: {exc}", retriable=False) from exc
         if not isinstance(text, str):
             raise ProviderError(f"malformed provider response: content is {text!r}", retriable=False)
-        try:
-            usage_raw = body.get("usage") or {}
-            usage = Usage(usage_raw.get("prompt_tokens", 0), usage_raw.get("completion_tokens", 0))
-        except (AttributeError, ValueError) as exc:
-            raise ProviderError(f"malformed provider usage: {exc}", retriable=False) from exc
-        return CompletionResult(text=text, usage=usage, latency_s=latency)
+        usage = body.get("usage") or {}
+        counts = (usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)) if isinstance(usage, dict) else None
+        if counts is None or not _token_counts_valid(*counts):
+            raise ProviderError(f"malformed provider usage: {usage!r}", retriable=False)
+        return CompletionResult(text, *counts, latency)
 
 
 @dataclass(slots=True)
@@ -478,7 +469,7 @@ class UsageLedger:
         for stage in sorted(by_stage):
             row = rows[stage] = StageUsage()
             for result in by_stage[stage]:
-                prompt, completion = result.usage.prompt_tokens, result.usage.completion_tokens
+                prompt, completion = result.prompt_tokens, result.completion_tokens
                 row.prompt_tokens += prompt
                 row.completion_tokens += completion
                 if result.from_cache:
@@ -690,20 +681,22 @@ class Gateway:
 
     def _cache_load(self) -> dict[str, CompletionResult]:
         """The stream's completions by key, the last line for a key winning.
-        A malformed line is skipped, so its key misses."""
+        A malformed line is skipped, so its key misses. A count missing from
+        ``usage`` is 0; a key it does not know is malformed."""
         entries: dict[str, CompletionResult] = {}
         for _, line in jsonl.lines(self._cache_file):
             try:
                 payload = jsonl.loads(line)
-                result = CompletionResult(payload["text"], Usage(**payload["usage"]), 0.0, from_cache=True)
-                if isinstance(result.text, str):
-                    entries[payload["key"]] = result
+                usage, text = {**payload["usage"]}, payload["text"]
+                counts = usage.pop("prompt_tokens", 0), usage.pop("completion_tokens", 0)
+                if isinstance(text, str) and not usage and _token_counts_valid(*counts):
+                    entries[payload["key"]] = CompletionResult(text, *counts, 0.0, from_cache=True)
             except (ValueError, KeyError, TypeError):
                 pass
         return entries
 
     def _cache_append(self, key: str, result: CompletionResult) -> None:
-        usage = {"prompt_tokens": result.usage.prompt_tokens, "completion_tokens": result.usage.completion_tokens}
+        usage = {"prompt_tokens": result.prompt_tokens, "completion_tokens": result.completion_tokens}
         line = jsonl.encode({"key": key, "text": result.text, "usage": usage})
         with self._cache_lock:
             self._cache_out.write(line)

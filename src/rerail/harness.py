@@ -18,6 +18,7 @@ The three streams share one append-only format (``jsonl``).
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
 import json
 import os
@@ -25,14 +26,15 @@ import signal
 import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import jsonl
 from .config import ConfigError, RunSettings, call_params, settings_from_dict
-from .derailment import Consistent, Derailed, generate_rps, route
+from .derailment import generate_rps, route
 from .gateway import (
     CallContext,
     Gateway,
@@ -251,32 +253,13 @@ def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings
 
 def run_rerailer_mode(question: Question, gateway: Gateway, settings: RunSettings) -> ModeResult:
     """Full pipeline: route on consistency, then repair derailed paths."""
-    routed = route(question, gateway, settings)
-    if isinstance(routed, Consistent):
-        trace = {
-            "mode": MODE_RERAILER,
-            "routing": "consistent",
-            "rule_fired": routed.verdict.rule_fired,
-            "answers": list(routed.verdict.answers),
-        }
-        return ModeResult(
-            routed.answer_raw, routed.answer_raw, "consistent", routed.flags, trace
-        )
-
-    assert isinstance(routed, Derailed)
-    path, flags, fields = rerail(question, routed.selected, gateway, settings)
-    trace = {
-        "mode": MODE_RERAILER,
-        "routing": "derailed",
-        "rule_fired": routed.verdict.rule_fired,
-        "answers": list(routed.verdict.answers),
-        "selected_index": routed.selected_index,
-        "judge_rationale": routed.judge_rationale,
-        **fields,
-    }
-    return ModeResult(
-        routed.selected.final_answer, path.final_answer, "derailed", routed.flags + tuple(flags), trace
-    )
+    answer, selected, flags, fields = route(question, gateway, settings)
+    trace = {"mode": MODE_RERAILER, **fields}
+    if selected is None:
+        return ModeResult(answer, answer, "consistent", tuple(flags), trace)
+    path, repair_flags, repair_fields = rerail(question, selected, gateway, settings)
+    trace.update(repair_fields)
+    return ModeResult(answer, path.final_answer, "derailed", (*flags, *repair_flags), trace)
 
 
 _MODE_RUNNERS = {
@@ -588,6 +571,22 @@ def _check_resumable(config_path: Path, config_snapshot: dict) -> None:
             )
 
 
+@contextmanager
+def sole_writer(out_dir: str | Path) -> Iterator[None]:
+    """Hold an exclusive lock on the run directory itself while the block
+    runs; ConfigError naming it if another process holds one. The lock
+    (flock, POSIX) makes no file and dies with its process."""
+    descriptor = os.open(out_dir, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(descriptor, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"{out_dir} is being written by another process; wait for it to end") from None
+        yield
+    finally:
+        os.close(descriptor)
+
+
 def _leave_stop_signals_to_the_main_thread() -> None:
     """Block SIGINT and SIGTERM on this worker thread and on the fan-out
     threads it starts, which inherit its mask. The kernel may deliver a
@@ -616,7 +615,8 @@ def run(
     lines, the rest never start, and a KeyboardInterrupt saying how many
     did not run is raised. An exception from a question other than a
     RerailError starts no further question either, and is raised once the
-    questions in flight have finished.
+    questions in flight have finished. The run holds the directory's lock
+    (sole_writer) from before it reads anything until the report is written.
     """
     if mode not in _MODE_RUNNERS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -624,85 +624,87 @@ def run(
     outcomes_path = out_path / OUTCOMES_FILE
     traces_path = out_path / TRACES_FILE
     config_snapshot = dict(settings.to_json(), mode=mode)
-    _check_resumable(out_path / CONFIG_FILE, config_snapshot)
-    stored: dict[str, QuestionOutcome] = {}
-    if outcomes_path.exists():
-        stored = {o.question_id: o for o in load_outcomes(outcomes_path)}
-        ids = {q.id for q in questions}
-        extra = next((qid for qid in stored if qid not in ids), None)
-        if extra is not None:
-            raise ConfigError(
-                f"{out_path} holds an outcome of question {extra!r}, which the dataset lacks; "
-                "use a new --out directory"
-            )
-    outcomes = {qid: o for qid, o in stored.items() if o.error is None}
-
     out_path.mkdir(parents=True, exist_ok=True)
-    _replace_whole(out_path / CONFIG_FILE, report_to_bytes(config_snapshot))
+    with sole_writer(out_path):
+        _check_resumable(out_path / CONFIG_FILE, config_snapshot)
+        stored: dict[str, QuestionOutcome] = {}
+        if outcomes_path.exists():
+            stored = {o.question_id: o for o in load_outcomes(outcomes_path)}
+            ids = {q.id for q in questions}
+            extra = next((qid for qid in stored if qid not in ids), None)
+            if extra is not None:
+                raise ConfigError(
+                    f"{out_path} holds an outcome of question {extra!r}, which the dataset lacks; "
+                    "use a new --out directory"
+                )
+        outcomes = {qid: o for qid, o in stored.items() if o.error is None}
 
-    pending = [q for q in questions if q.id not in outcomes]
-    write_lock = threading.Lock()
-    with jsonl.append(traces_path) as traces, jsonl.append(outcomes_path) as rows:
+        _replace_whole(out_path / CONFIG_FILE, report_to_bytes(config_snapshot))
 
-        def execute(question: Question) -> None:
-            outcome, trace = run_question(question, mode, gateway, settings)
-            if question.id in stored:  # a failed attempt, run again
-                merged = _usage_by_stage([stored[question.id].usage, outcome.usage])
-                outcome.usage = dict(sorted(merged.items()))
-            trace_line = jsonl.encode({"question_id": question.id, "trace": trace})
-            outcome_line = jsonl.encode(outcome.to_json())
-            with write_lock:
-                traces.write(trace_line)
-                traces.flush()
-                rows.write(outcome_line)
-                rows.flush()
-                outcomes[question.id] = outcome
+        pending = [q for q in questions if q.id not in outcomes]
+        write_lock = threading.Lock()
+        with jsonl.append(traces_path) as traces, jsonl.append(outcomes_path) as rows:
 
-        # Each worker takes the next question when it is free, so a run holds
-        # one future per worker, whatever the dataset's size. Taking every
-        # question not started (``drain``) is how a run stops: an interrupt,
-        # or a non-RerailError from a question, lets the questions in flight
-        # finish and starts no other.
-        todo = iter(pending)
-        take_lock = threading.Lock()
+            def execute(question: Question) -> None:
+                outcome, trace = run_question(question, mode, gateway, settings)
+                if question.id in stored:  # a failed attempt, run again
+                    merged = _usage_by_stage([stored[question.id].usage, outcome.usage])
+                    outcome.usage = dict(sorted(merged.items()))
+                trace_line = jsonl.encode({"question_id": question.id, "trace": trace})
+                outcome_line = jsonl.encode(outcome.to_json())
+                with write_lock:
+                    traces.write(trace_line)
+                    traces.flush()
+                    rows.write(outcome_line)
+                    rows.flush()
+                    outcomes[question.id] = outcome
 
-        def take() -> Optional[Question]:
-            with take_lock:
-                return next(todo, None)
+            # Each worker takes the next question when it is free, so a run holds
+            # one future per worker, whatever the dataset's size. Taking every
+            # question not started (``drain``) is how a run stops: an interrupt,
+            # or a non-RerailError from a question, lets the questions in flight
+            # finish and starts no other.
+            todo = iter(pending)
+            take_lock = threading.Lock()
 
-        def drain() -> int:
-            with take_lock:
-                return sum(1 for _ in todo)
+            def take() -> Optional[Question]:
+                with take_lock:
+                    return next(todo, None)
 
-        def work() -> None:
-            try:
-                while (question := take()) is not None:
-                    execute(question)
-            except BaseException:
-                drain()
-                raise
+            def drain() -> int:
+                with take_lock:
+                    return sum(1 for _ in todo)
 
-        # The run scope reads the cache before any worker starts.
-        with (
-            gateway.run_scope(),
-            ThreadPoolExecutor(settings.parallelism, initializer=_leave_stop_signals_to_the_main_thread) as pool,
-        ):
-            futures = []
-            try:  # opened before the first submit, so an interrupt while submitting also stops the run
-                for _ in range(min(settings.parallelism, len(pending))):
-                    futures.append(pool.submit(work))
-                wait(futures)
-            except BaseException as stop:
-                not_run = drain()
-                if type(stop) is not KeyboardInterrupt:
+            def work() -> None:
+                try:
+                    while (question := take()) is not None:
+                        execute(question)
+                except BaseException:
+                    drain()
                     raise
-                # leaving the pool waits for the questions in flight
-                raise KeyboardInterrupt(f"{not_run} of {len(pending)} questions did not run; rerun to resume") from None
-    for future in futures:
-        future.result()
 
-    report = build_report([outcomes[q.id] for q in questions], config_snapshot)
-    write_report(out_path, report)
+            # The run scope reads the cache before any worker starts.
+            with (
+                gateway.run_scope(),
+                ThreadPoolExecutor(settings.parallelism, initializer=_leave_stop_signals_to_the_main_thread) as pool,
+            ):
+                futures = []
+                try:  # opened before the first submit, so an interrupt while submitting also stops the run
+                    for _ in range(min(settings.parallelism, len(pending))):
+                        futures.append(pool.submit(work))
+                    wait(futures)
+                except BaseException as stop:
+                    not_run = drain()
+                    if type(stop) is not KeyboardInterrupt:
+                        raise
+                    # leaving the pool waits for the questions in flight
+                    message = f"{not_run} of {len(pending)} questions did not run; rerun to resume"
+                    raise KeyboardInterrupt(message) from None
+        for future in futures:
+            future.result()
+
+        report = build_report([outcomes[q.id] for q in questions], config_snapshot)
+        write_report(out_path, report)
     return report
 
 

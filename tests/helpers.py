@@ -32,7 +32,6 @@ from rerail.gateway import (
     Gateway,
     ScriptedBackend,
     StageUsage,
-    Usage,
     UsageLedger,
     chat_payload,
 )
@@ -385,7 +384,7 @@ class FlakyBackend:
         self.attempts += 1
         if self._failures:
             raise self._failures.pop(0)
-        return CompletionResult(text=self._text, usage=Usage(10, 5), latency_s=0.01)
+        return CompletionResult(self._text, 10, 5, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +421,7 @@ class PayloadRecorder:
 
     def call(self, prompt, params, context) -> CompletionResult:
         result = self.inner.call(prompt, params, context)
-        body = chat_reply(result.text, result.usage.prompt_tokens, result.usage.completion_tokens)
+        body = chat_reply(result.text, result.prompt_tokens, result.completion_tokens)
         # two calls with one payload must have had one reply
         assert self.replies.setdefault(payload_key(chat_payload(prompt, params)), body) == body
         return result

@@ -32,7 +32,7 @@ from helpers import (
     stage_calls,
     write_script,
 )
-from rerail.derailment import check_consistency
+from rerail.derailment import RULE_INCONSISTENT, check_consistency
 from rerail.harness import (
     QuestionOutcome,
     cell_for,
@@ -116,8 +116,8 @@ def test_criterion_01_consistency_oracle_equivalence():
 
     started = time.perf_counter()
     for triple in triples:
-        verdict = check_consistency(list(triple))
-        assert verdict.consistent == reference_check(triple), triple
+        rule = check_consistency(list(triple))
+        assert (rule != RULE_INCONSISTENT) == reference_check(triple), triple
     assert time.perf_counter() - started < 1.0
 
 

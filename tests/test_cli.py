@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: exit codes, output, artifact writes."""
 
+import fcntl
 import json
 import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -504,6 +506,83 @@ class TestInterrupt:
         assert main(args) == 0
         uninterrupted = dict(small_run, out=str(tmp_path / "uninterrupted"))
         assert main(run_args(uninterrupted, parallelism=parallelism)) == 0
+        resumed, whole = (tmp_path / name / "report.json" for name in ("out", "uninterrupted"))
+        assert resumed.read_bytes() == whole.read_bytes()
+
+
+def directory_bytes(out: Path) -> dict:
+    """Every file below ``out``, by relative path, with its bytes."""
+    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+# Runs `rerail run` with every backend call slowed to 20 ms.
+SLOWED_RUN = """
+import sys, time
+from rerail import cli, gateway
+
+served = gateway.ScriptedBackend.call
+
+def call(self, *args):
+    time.sleep(0.02)
+    return served(self, *args)
+
+gateway.ScriptedBackend.call = call
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestOneWriter:
+    def test_a_second_writer_exits_one_and_changes_no_byte(self, small_run, tmp_path, config_file, capsys):
+        small_run["config"] = config_file(cache_enabled=True)
+        assert main(run_args(small_run)) == 0
+        out = tmp_path / "out"
+        # a run cut after its first question: both commands would write here
+        for name in ("outcomes.jsonl", "traces.jsonl"):
+            (out / name).write_text((out / name).read_text().splitlines(keepends=True)[0])
+        for name in ("report.json", *CSV_TABLES):
+            (out / name).unlink()
+        before = directory_bytes(out)
+        capsys.readouterr()
+        held = os.open(out, os.O_RDONLY)
+        try:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            for args in (run_args(small_run), ["replay", "--trace", str(out)]):
+                assert main(args) == 1
+                assert capsys.readouterr().err == f"error: {out} is being written by another process; wait for it to end\n"
+                assert directory_bytes(out) == before
+        finally:
+            os.close(held)
+        assert main(run_args(small_run)) == 0  # the lock went with its descriptor
+        assert len((out / "outcomes.jsonl").read_text().splitlines()) == 3
+
+    def test_a_killed_run_resumes_to_the_uninterrupted_report(self, small_run, tmp_path, capsys):
+        questions = [mcqa_question(qid=f"q{i:02d}") for i in range(40)]
+        write_dataset(small_run["dataset"], questions)
+        write_script(small_run["script"], [e for q in questions for e in consistent_script(q.id)])
+        args = run_args(small_run)
+        outcomes = tmp_path / "out" / "outcomes.jsonl"
+        child = subprocess.Popen(
+            [sys.executable, "-c", SLOWED_RUN, *args],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=dict(os.environ, PYTHONPATH=str(Path(rerail.__file__).parents[1])),
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not (outcomes.exists() and outcomes.read_bytes().count(b"\n") >= 2):
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            capsys.readouterr()
+            assert main(args) == 1  # the child holds the directory
+            assert "is being written by another process" in capsys.readouterr().err
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+        assert child.returncode == -signal.SIGKILL
+        assert len(outcomes.read_text().splitlines()) < len(questions)
+
+        assert main(args) == 0
+        uninterrupted = dict(small_run, out=str(tmp_path / "uninterrupted"))
+        assert main(run_args(uninterrupted)) == 0
         resumed, whole = (tmp_path / name / "report.json" for name in ("out", "uninterrupted"))
         assert resumed.read_bytes() == whole.read_bytes()
 

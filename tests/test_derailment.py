@@ -17,9 +17,6 @@ from helpers import (
 )
 from rerail.config import question_seed
 from rerail.derailment import (
-    Consistent,
-    ConsistencyVerdict,
-    Derailed,
     FLAG_ALL_LONG,
     FLAG_JUDGE_DUPLICATED_RP3,
     FLAG_JUDGE_FALLBACK,
@@ -48,14 +45,10 @@ GOOD_COT = cot_text(["List the candidates.", "Eliminate the wrong ones."], "B")
 
 class TestCheckConsistency:
     def test_same_leading_option_fires_before_identity(self):
-        verdict = check_consistency(["A", "A", "A"])
-        assert verdict.consistent is True
-        assert verdict.rule_fired == RULE_SAME_LEADING_OPTION
+        assert check_consistency(["A", "A", "A"]) == RULE_SAME_LEADING_OPTION
 
     def test_mixed_options_are_inconsistent(self):
-        verdict = check_consistency(["A. 42", "B) 17", "A. 42"])
-        assert verdict.consistent is False
-        assert verdict.rule_fired == RULE_INCONSISTENT
+        assert check_consistency(["A. 42", "B) 17", "A. 42"]) == RULE_INCONSISTENT
 
     def test_three_long_disagreeing_answers_count_as_consistent(self):
         answers = [
@@ -64,55 +57,47 @@ class TestCheckConsistency:
             "by symmetry the middle term cancels out",
         ]
         assert all(len(a) > 30 for a in answers)
-        verdict = check_consistency(answers)
-        assert verdict.consistent is True
-        assert verdict.rule_fired == RULE_ALL_LONG
+        assert check_consistency(answers) == RULE_ALL_LONG
 
     def test_decorated_option_variants_agree(self):
-        verdict = check_consistency(["a.", "A", "A "])
-        assert verdict.consistent is True
-        assert verdict.rule_fired == RULE_SAME_LEADING_OPTION
+        assert check_consistency(["a.", "A", "A "]) == RULE_SAME_LEADING_OPTION
 
     def test_thirty_characters_is_not_long(self):
         answers = ["x" * 30, "y" * 30, "z" * 30]
-        verdict = check_consistency(answers)
-        assert verdict.rule_fired == RULE_INCONSISTENT
+        assert check_consistency(answers) == RULE_INCONSISTENT
 
     def test_thirty_one_characters_is_long(self):
         answers = ["x" * 31, "y" * 31]
-        assert check_consistency(answers).rule_fired == RULE_ALL_LONG
+        assert check_consistency(answers) == RULE_ALL_LONG
 
     def test_option_rule_requires_under_forty_cleaned_chars(self):
         # mix lengths so the all-long rule cannot fire first
         long_option = "A" + "X" * 39  # cleaned length exactly 40
-        verdict = check_consistency(["A", long_option])
-        assert verdict.rule_fired == RULE_INCONSISTENT
+        assert check_consistency(["A", long_option]) == RULE_INCONSISTENT
         shorter = "A" + "X" * 38  # cleaned length 39, inside the limit
-        assert check_consistency(["A", shorter]).rule_fired == RULE_SAME_LEADING_OPTION
+        assert check_consistency(["A", shorter]) == RULE_SAME_LEADING_OPTION
 
     def test_identical_non_option_strings(self):
-        verdict = check_consistency(["G", "G"])
-        assert verdict.consistent is True
-        assert verdict.rule_fired == RULE_ALL_IDENTICAL
+        assert check_consistency(["G", "G"]) == RULE_ALL_IDENTICAL
 
     def test_identical_after_cleaning_to_nothing(self):
-        verdict = check_consistency(["?!", "!!"])
-        assert verdict.rule_fired == RULE_ALL_IDENTICAL
+        assert check_consistency(["?!", "!!"]) == RULE_ALL_IDENTICAL
 
     def test_case_and_punctuation_fold_together(self):
-        verdict = check_consistency(["the answer is 42", "The Answer is 42!"])
-        assert verdict.rule_fired == RULE_ALL_IDENTICAL
+        assert check_consistency(["the answer is 42", "The Answer is 42!"]) == RULE_ALL_IDENTICAL
 
     def test_single_answer_is_consistent(self):
-        assert check_consistency(["B"]).consistent is True
+        assert check_consistency(["B"]) != RULE_INCONSISTENT
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             check_consistency([])
 
     def test_verdict_preserves_raw_answers_in_order(self):
-        verdict = check_consistency(["b)", "B.", "b"])
-        assert verdict.answers == ("b)", "B.", "b")
+        # the answers the rules judged reach the trace as sampled
+        gw = scripted_gateway([sample(cot_text(["Pick one."], answer)) for answer in ("b)", "B.", "b")])
+        _, _, _, fields = route(mcqa_question(), gw, make_settings())
+        assert fields["answers"] == ["b)", "B.", "b"]
 
     @given(
         st.lists(st.text(max_size=50), min_size=1, max_size=5),
@@ -121,16 +106,7 @@ class TestCheckConsistency:
     def test_verdict_is_order_invariant(self, answers, rng):
         shuffled = list(answers)
         rng.shuffle(shuffled)
-        original = check_consistency(answers)
-        permuted = check_consistency(shuffled)
-        assert original.consistent == permuted.consistent
-        assert original.rule_fired == permuted.rule_fired
-
-    def test_verdict_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            ConsistencyVerdict(True, ("A",), RULE_INCONSISTENT)
-        with pytest.raises(ValueError):
-            ConsistencyVerdict(False, ("A", "B"), RULE_ALL_LONG)
+        assert check_consistency(answers) == check_consistency(shuffled)
 
 
 class TestGenerateRps:
@@ -252,10 +228,10 @@ class TestRoute:
     def test_agreeing_samples_never_reach_the_judge(self):
         gw = scripted_gateway(consistent_script("q1"))
         with gw.recording("q1") as ledger:
-            routed = route(mcqa_question(), gw, make_settings())
-        assert isinstance(routed, Consistent)
-        assert routed.answer_raw == "B"
-        assert routed.verdict.rule_fired == RULE_SAME_LEADING_OPTION
+            answer, selected, _, fields = route(mcqa_question(), gw, make_settings())
+        assert selected is None
+        assert answer == "B"
+        assert fields["rule_fired"] == RULE_SAME_LEADING_OPTION
         assert question_calls(ledger, STAGE_JUDGE) == 0
         assert question_calls(ledger, STAGE_COT) == 3
 
@@ -269,19 +245,19 @@ class TestRoute:
             ]
         )
         with gw.recording("q1") as ledger:
-            routed = route(mcqa_question(), gw, make_settings())
-        assert isinstance(routed, Derailed)
-        assert routed.selected_index == 2
-        assert routed.selected.steps == ("Reason another way.",)
-        assert routed.selected.final_answer == "B"
-        assert routed.verdict.consistent is False
+            _, selected, _, fields = route(mcqa_question(), gw, make_settings())
+        assert selected is not None
+        assert fields["selected_index"] == 2
+        assert selected.steps == ("Reason another way.",)
+        assert selected.final_answer == "B"
+        assert fields["rule_fired"] == RULE_INCONSISTENT
         assert question_calls(ledger, STAGE_JUDGE) == 1
 
     def test_single_sample_is_trivially_consistent(self):
         gw = scripted_gateway([sample(GOOD_COT)])
-        routed = route(mcqa_question(), gw, make_settings(n_samples=1))
-        assert isinstance(routed, Consistent)
-        assert routed.answer_raw == "B"
+        answer, selected, _, _ = route(mcqa_question(), gw, make_settings(n_samples=1))
+        assert selected is None
+        assert answer == "B"
 
     def test_long_answers_resolve_by_majority(self):
         q = numeric_question()
@@ -294,11 +270,11 @@ class TestRoute:
         gw = scripted_gateway(
             [sample(cot_text(["Work it through."], a)) for a in answers]
         )
-        routed = route(q, gw, make_settings())
-        assert isinstance(routed, Consistent)
-        assert routed.verdict.rule_fired == RULE_ALL_LONG
-        assert FLAG_ALL_LONG in routed.flags
-        assert routed.answer_raw == answers[0]
+        answer, selected, flags, fields = route(q, gw, make_settings())
+        assert selected is None
+        assert fields["rule_fired"] == RULE_ALL_LONG
+        assert FLAG_ALL_LONG in flags
+        assert answer == answers[0]
 
     def test_consistent_but_unnormalizable_answer_is_flagged(self):
         gw = scripted_gateway(
@@ -309,3 +285,44 @@ class TestRoute:
         assert outcome.final_answer == "zebra"
         assert outcome.correct_final is False
         assert "answer-unnormalizable" in outcome.flags
+
+
+LONG_ANSWERS = [
+    "the computation finally settles on the value 8",
+    "a completely different derivation gives a total of 9",
+    "after rechecking the arithmetic the total is 8 overall",
+]
+
+# scenario: (question, sampled answers, judge replies), then what route
+# returns: (answer, flags, selected_index, judge_rationale)
+ROUTE_SCENARIOS = {
+    "consistent": ((mcqa_question, ["B", "B.", "b"], []), ("B", [], None, None)),
+    "all-long": ((numeric_question, LONG_ANSWERS, []), (LONG_ANSWERS[0], [FLAG_ALL_LONG], None, None)),
+    "two-sample-derailment": (
+        (mcqa_question, ["C", "B"], [judge_selects(2)]),
+        ("B", [FLAG_JUDGE_DUPLICATED_RP3], 2, "the most coherent path"),
+    ),
+    "judge-fallback": (
+        (mcqa_question, ["C", "B", "A"], [judge_selects(5)] * 2),
+        ("C", [FLAG_JUDGE_FALLBACK], 1, "fallback:first"),
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", ROUTE_SCENARIOS)
+def test_route_returns_what_its_trace_fields_say(scenario):
+    (make_question, answers, replies), expected = ROUTE_SCENARIOS[scenario]
+    gw = scripted_gateway(
+        [sample(cot_text([f"Reason toward {a}."], a)) for a in answers]
+        + [entry(STAGE_JUDGE, "q1", reply) for reply in replies]
+    )
+    answer, selected, flags, fields = route(make_question(), gw, make_settings(n_samples=len(answers)))
+    assert (selected is None) == (fields["routing"] == "consistent") == (fields["rule_fired"] != RULE_INCONSISTENT)
+    assert fields["answers"] == answers
+    assert (answer, flags, fields.get("selected_index"), fields.get("judge_rationale")) == expected
+    if selected is None:
+        assert list(fields) == ["routing", "rule_fired", "answers"]
+    else:
+        assert list(fields) == ["routing", "rule_fired", "answers", "selected_index", "judge_rationale"]
+        assert fields["routing"] == "derailed"
+        assert answer == selected.final_answer

@@ -58,7 +58,6 @@ from rerail.gateway import (
     ScriptFormatError,
     ScriptedBackend,
     StageUsage,
-    Usage,
     UsageLedger,
     cache_key,
     complete_structured,
@@ -78,7 +77,7 @@ class TestScriptedBackend:
         backend = ScriptedBackend([entry(STAGE_COT, "q1", "hello", latency_ms=250)])
         result = backend.call(PROMPT, PARAMS, CTX)
         assert result.text == "hello"
-        assert result.usage == Usage(100, 50)
+        assert (result.prompt_tokens, result.completion_tokens) == (100, 50)
         assert result.latency_s == pytest.approx(0.25)
         assert result.from_cache is False
 
@@ -166,7 +165,8 @@ class TestScriptedBackend:
             raw["latency_ms"] = number * 0.7
         # the result each line stood for when the whole script was built at load
         expected = Counter(
-            CompletionResult(raw["response"], Usage(**raw["usage"]), raw["latency_ms"] / 1000.0) for raw in entries
+            CompletionResult(raw["response"], number + 300, number, raw["latency_ms"] / 1000.0)
+            for number, raw in enumerate(entries)
         )
         built = []
 
@@ -369,7 +369,7 @@ class TestCache:
         gw = Gateway(ScriptedBackend([entry(STAGE_COT, "q1", "fresh")]), cache_dir=tmp_path, cache_enabled=True)
         with gw.run_scope():
             result = gw.complete(PROMPT, PARAMS, CTX)
-            assert gw.complete(PROMPT, other, CTX) == CompletionResult("kept", Usage(1, 2), 0.0, from_cache=True)
+            assert gw.complete(PROMPT, other, CTX) == CompletionResult("kept", 1, 2, 0.0, from_cache=True)
         assert (result.text, result.from_cache) == ("fresh", False)
 
     def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
@@ -401,6 +401,34 @@ class TestCache:
         with gw.run_scope():
             assert gw.complete(PROMPT, PARAMS, CTX).text == "written after the constructor"
 
+    @pytest.mark.parametrize(
+        "usage,counts",
+        [
+            ({}, (0, 0)),
+            ({"prompt_tokens": 3}, (3, 0)),
+            ({"completion_tokens": 2}, (0, 2)),
+            ({"prompt_tokens": 3, "completion_tokens": 2}, (3, 2)),
+            ({"prompt_tokens": 3, "completion_tokens": 2, "cost": 0}, None),
+            ({"prompt_tokens": -1}, None),
+            ({"prompt_tokens": 3.0}, None),
+            ([], None),
+            ([["prompt_tokens", 3]], None),
+            (None, None),
+            (7, None),
+        ],
+    )
+    def test_a_cache_line_hits_as_its_usage_says(self, tmp_path, usage, counts):
+        # a count the line leaves out is 0; another key, or a usage that is
+        # not an object, makes the line a miss
+        (tmp_path / "completions.jsonl").write_text(json.dumps({"key": KEY, "text": "cached", "usage": usage}) + "\n")
+        gw = Gateway(ScriptedBackend([entry(STAGE_COT, "q1", "fresh")]), cache_dir=tmp_path, cache_enabled=True)
+        with gw.run_scope():
+            result = gw.complete(PROMPT, PARAMS, CTX)
+        if counts is None:
+            assert (result.text, result.from_cache) == ("fresh", False)
+        else:
+            assert result == CompletionResult("cached", *counts, 0.0, from_cache=True)
+
     def test_cache_on_completion_outside_a_run_scope_raises(self, tmp_path):
         gw = Gateway(ScriptedBackend([entry(STAGE_COT, "q1", "a")]), cache_dir=tmp_path / "cache", cache_enabled=True)
         with pytest.raises(RuntimeError, match="run_scope"):
@@ -414,7 +442,7 @@ class TestCache:
     def test_concurrent_completions_each_keep_their_line(self, tmp_path):
         class Echo:
             def call(self, prompt, params, context):
-                return CompletionResult(prompt.user, Usage(1, 1), 0.0)
+                return CompletionResult(prompt.user, 1, 1, 0.0)
 
         prompts = [PromptPair("sys", f"user {i}", "fmt") for i in range(100)]
         gw = Gateway(Echo(), cache_dir=tmp_path, cache_enabled=True)
@@ -609,7 +637,7 @@ class _GaugeBackend:
         time.sleep(0.005)
         with self._lock:
             self.active -= 1
-        return CompletionResult(text="ok", usage=Usage(1, 1), latency_s=0.001)
+        return CompletionResult("ok", 1, 1, 0.001)
 
 
 class TestThrottles:
@@ -640,7 +668,8 @@ class TestUsageLedger:
     def result(self, prompt_tokens, completion_tokens, latency_s, cached=False):
         return CompletionResult(
             text="x",
-            usage=Usage(prompt_tokens, completion_tokens),
+            prompt_tokens=prompt_tokens,
+            completion_tokens=completion_tokens,
             latency_s=latency_s,
             from_cache=cached,
         )
@@ -878,7 +907,7 @@ class TestLiveBackend:
         params = CompletionParams(model_id="m1", temperature=0.25, seed=5)
         result = backend.call(PROMPT, params, CTX)
         assert result.text == "plain completion"
-        assert result.usage == Usage(12, 7)
+        assert (result.prompt_tokens, result.completion_tokens) == (12, 7)
 
         [(path, headers, payload)] = provider.requests
         assert path == "/v1/chat/completions"

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import BIG_EXPONENT, DEEP_JSON, LONG_DIGITS, make_settings, mcqa_question, numeric_question, text_question
 from rerail import harness
-from rerail.gateway import CompletionResult, Gateway, Usage
+from rerail.gateway import CompletionResult, Gateway
 
 
 class Replies:
@@ -25,7 +25,7 @@ class Replies:
     def call(self, prompt, params, context) -> CompletionResult:
         with self._lock:
             text = next(self._replies)
-        return CompletionResult(text, Usage(1, 1), 0.0)
+        return CompletionResult(text, 1, 1, 0.0)
 
 
 def structured(answer: str) -> str:

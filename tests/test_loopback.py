@@ -47,7 +47,6 @@ from rerail.gateway import (
     LiveBackend,
     ProviderError,
     ScriptedBackend,
-    Usage,
 )
 from rerail.harness import OUTCOMES_FILE, load_outcomes, make_gateway, run
 from rerail.prompts import PromptPair
@@ -274,7 +273,7 @@ def https_call(provider_url: str):
 def test_https_with_a_trusted_certificate(trusted):
     with LoopbackProvider(every=OK, tls=True) as provider:
         result = https_call(provider.url)
-    assert (result.text, result.usage) == ("ok", Usage(12, 7))
+    assert (result.text, result.prompt_tokens, result.completion_tokens) == ("ok", 12, 7)
     assert provider.url.startswith("https://")
 
 
