@@ -32,12 +32,6 @@ def _is_amount(value) -> bool:
 
 
 @dataclass(frozen=True)
-class PriceEntry:
-    prompt_per_1k: float
-    completion_per_1k: float
-
-
-@dataclass(frozen=True)
 class RunSettings:
     """Every knob of a run, fully resolved (file values + defaults)."""
 
@@ -62,7 +56,8 @@ class RunSettings:
     cache_enabled: bool | None = None  # None = backend default (live on, scripted off)
     abs_tolerance: float = 1e-6
     rel_tolerance: float = 1e-4
-    price_table: dict[str, PriceEntry] = field(default_factory=dict)
+    # model id -> {"prompt_per_1k": $, "completion_per_1k": $}
+    price_table: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         positive = {
@@ -114,7 +109,7 @@ class RunSettings:
 _FIELD_NAMES = set(RunSettings.__dataclass_fields__)
 
 
-def _parse_price_table(raw, source: str) -> dict[str, PriceEntry]:
+def _parse_price_table(raw, source: str) -> dict[str, dict[str, float]]:
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: 'price_table' must be an object")
     table = {}
@@ -129,7 +124,10 @@ def _parse_price_table(raw, source: str) -> dict[str, PriceEntry]:
                 raise ConfigError(
                     f"{source}: price_table[{model!r}] {name} must be a finite number >= 0, got {price!r}"
                 )
-        table[model] = PriceEntry(float(entry["prompt_per_1k"]), float(entry["completion_per_1k"]))
+        table[model] = {
+            "prompt_per_1k": float(entry["prompt_per_1k"]),
+            "completion_per_1k": float(entry["completion_per_1k"]),
+        }
     return table
 
 

@@ -12,17 +12,7 @@ from pathlib import Path
 
 from . import jsonl
 from .grading import clean_text, exact_fraction
-from .types import (
-    Category,
-    DatasetError,
-    NumericValue,
-    Option,
-    OptionLabel,
-    Question,
-    QuestionKind,
-    TextValue,
-    UnnormalizableAnswer,
-)
+from .types import Category, DatasetError, Option, Question, QuestionKind, UnnormalizableAnswer
 
 REQUIRED_FIELDS = {"id", "subject", "category", "question", "ground_truth", "kind"}
 OPTIONAL_FIELDS = {"context", "options"}
@@ -34,15 +24,12 @@ def _ground_truth_from_json(value, kind: QuestionKind, qid: str):
     if kind is QuestionKind.MCQA:
         if not isinstance(value, str):
             raise DatasetError(f"question {qid!r}: MCQA ground_truth must be a string label")
-        try:
-            return OptionLabel(value.strip().upper())
-        except UnnormalizableAnswer as exc:
-            raise DatasetError(f"question {qid!r}: {exc}") from None
+        return value.strip().upper()
     if kind is QuestionKind.OPEN_NUMERIC:
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise DatasetError(f"question {qid!r}: numeric ground_truth must be a number or string")
         try:
-            return NumericValue(exact_fraction(str(value)))
+            return exact_fraction(str(value))
         except UnnormalizableAnswer as exc:
             raise DatasetError(f"question {qid!r}: numeric ground_truth: {exc}") from None
     if not isinstance(value, str):
@@ -50,7 +37,7 @@ def _ground_truth_from_json(value, kind: QuestionKind, qid: str):
     cleaned = clean_text(value)
     if not cleaned:
         raise DatasetError(f"question {qid!r}: text ground_truth is empty after cleaning")
-    return TextValue(cleaned)
+    return cleaned
 
 
 def question_from_record(record: dict) -> Question:

@@ -391,8 +391,8 @@ class LiveBackend:
             raise ProviderError(f"malformed provider response: {exc}", retriable=False) from exc
         if not isinstance(text, str):
             raise ProviderError(f"malformed provider response: content is {text!r}", retriable=False)
-        usage = body.get("usage") or {}
-        counts = (usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)) if isinstance(usage, dict) else None
+        usage = body.get("usage")
+        counts = (usage.get("prompt_tokens"), usage.get("completion_tokens")) if isinstance(usage, dict) else None
         if counts is None or not _token_counts_valid(*counts):
             raise ProviderError(f"malformed provider usage: {usage!r}", retriable=False)
         return CompletionResult(text, *counts, latency)

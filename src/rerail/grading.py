@@ -20,17 +20,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .types import (
-    KindMismatch,
-    NormalizedAnswer,
-    NumericValue,
-    OptionLabel,
-    Question,
-    QuestionKind,
-    TextValue,
-    UnnormalizableAnswer,
-    VALID_OPTION_LABELS,
-)
+from .types import NormalizedAnswer, Question, QuestionKind, UnnormalizableAnswer, VALID_OPTION_LABELS
 
 _NON_ALNUM_SPACE_RE = re.compile(r"[^A-Za-z0-9 ]")
 _WS_RUN_RE = re.compile(r"\s+")
@@ -95,7 +85,7 @@ def parse_numeric(raw: str) -> Fraction:
     return value
 
 
-def _normalize_option(raw: str) -> OptionLabel:
+def _normalize_option(raw: str) -> str:
     cleaned = clean_text(raw)
     if not cleaned:
         raise UnnormalizableAnswer(f"no option letter in {raw!r}")
@@ -104,7 +94,7 @@ def _normalize_option(raw: str) -> OptionLabel:
         raise UnnormalizableAnswer(
             f"leading character {leading!r} of {raw!r} is not an option letter"
         )
-    return OptionLabel(leading)
+    return leading
 
 
 def normalize_answer(raw: str, kind: QuestionKind) -> NormalizedAnswer:
@@ -117,11 +107,11 @@ def normalize_answer(raw: str, kind: QuestionKind) -> NormalizedAnswer:
     if kind is QuestionKind.MCQA:
         return _normalize_option(raw)
     if kind is QuestionKind.OPEN_NUMERIC:
-        return NumericValue(parse_numeric(raw))
+        return parse_numeric(raw)
     cleaned = clean_text(raw)
     if not cleaned:
         raise UnnormalizableAnswer(f"text answer {raw!r} is empty after cleaning")
-    return TextValue(cleaned)
+    return cleaned
 
 
 def answer_bucket(raw: str, question: Question):
@@ -152,18 +142,12 @@ def _decimal_fraction(value) -> Fraction:
 
 
 def answers_equal(left: NormalizedAnswer, right: NormalizedAnswer, abs_tol, rel_tol) -> bool:
-    """Whether two normalized answers agree. Kinds must match."""
-    if isinstance(left, OptionLabel) and isinstance(right, OptionLabel):
-        return left.label == right.label
-    if isinstance(left, NumericValue) and isinstance(right, NumericValue):
-        difference = abs(left.value - right.value)
-        bound = max(_decimal_fraction(abs_tol), _decimal_fraction(rel_tol) * abs(right.value))
-        return difference <= bound
-    if isinstance(left, TextValue) and isinstance(right, TextValue):
-        return left.text == right.text
-    raise KindMismatch(
-        f"cannot compare {type(left).__name__} with {type(right).__name__}"
-    )
+    """Whether two normalized answers agree: within the tolerances when both
+    are numbers, equal otherwise."""
+    if type(left) is Fraction and type(right) is Fraction:
+        bound = max(_decimal_fraction(abs_tol), _decimal_fraction(rel_tol) * abs(right))
+        return abs(left - right) <= bound
+    return left == right
 
 
 def grade_safe(raw_answer: Optional[str], question: Question, abs_tol, rel_tol) -> tuple[bool, list[str]]:

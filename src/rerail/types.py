@@ -35,10 +35,6 @@ class UnnormalizableAnswer(RerailError):
     """A raw answer string could not be normalized for its question kind."""
 
 
-class KindMismatch(RerailError):
-    """Two answers of incompatible kinds were compared."""
-
-
 class DatasetError(RerailError):
     """A dataset record violates the input schema."""
 
@@ -55,34 +51,9 @@ class Category(str, Enum):
     ADVANCED_MATH_SCIENCE = "AdvancedMathScience"
 
 
-@dataclass(frozen=True)
-class OptionLabel:
-    """A multiple-choice answer: one of the labels A..F."""
-
-    label: str
-
-    def __post_init__(self) -> None:
-        if self.label not in VALID_OPTION_LABELS:
-            raise UnnormalizableAnswer(
-                f"option label must be one of {''.join(VALID_OPTION_LABELS)}, got {self.label!r}"
-            )
-
-
-@dataclass(frozen=True)
-class NumericValue:
-    """An exact numeric answer (stored as a rational)."""
-
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class TextValue:
-    """A free-text answer in cleaned, uppercased canonical form."""
-
-    text: str
-
-
-NormalizedAnswer = Union[OptionLabel, NumericValue, TextValue]
+# A normalized answer, and a question's ground truth: an option label for
+# MCQA, an exact Fraction for numeric, cleaned upper-case text for text.
+NormalizedAnswer = Union[str, Fraction]
 
 
 @dataclass(frozen=True)
@@ -119,18 +90,16 @@ class Question:
                     f"question {self.id!r}: option labels must come from "
                     f"{''.join(VALID_OPTION_LABELS)}, got {bad}"
                 )
-            if not isinstance(self.ground_truth, OptionLabel):
-                raise DatasetError(f"question {self.id!r}: MCQA ground truth must be an option label")
-            if self.ground_truth.label not in labels:
+            if self.ground_truth not in labels:
                 raise DatasetError(
-                    f"question {self.id!r}: ground truth {self.ground_truth.label!r} "
+                    f"question {self.id!r}: ground truth {self.ground_truth!r} "
                     f"is not among the option labels {labels}"
                 )
         elif self.kind is QuestionKind.OPEN_NUMERIC:
-            if not isinstance(self.ground_truth, NumericValue):
+            if type(self.ground_truth) is not Fraction:
                 raise DatasetError(f"question {self.id!r}: numeric question needs a numeric ground truth")
         elif self.kind is QuestionKind.OPEN_TEXT:
-            if not isinstance(self.ground_truth, TextValue):
+            if type(self.ground_truth) is not str:
                 raise DatasetError(f"question {self.id!r}: text question needs a text ground truth")
 
 

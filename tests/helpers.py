@@ -38,10 +38,7 @@ from rerail.gateway import (
 from rerail.prompts import PromptPair
 from rerail.types import (
     Category,
-    NormalizedAnswer,
-    NumericValue,
     Option,
-    OptionLabel,
     Question,
     QuestionKind,
     ReasoningPath,
@@ -51,7 +48,6 @@ from rerail.types import (
     STAGE_JUDGE,
     STAGE_MAD,
     STAGE_REANSWER,
-    TextValue,
 )
 
 
@@ -78,7 +74,7 @@ def mcqa_question(
         subject=subject,
         category=category,
         text=text,
-        ground_truth=OptionLabel(gt),
+        ground_truth=gt,
         kind=QuestionKind.MCQA,
         context=context,
         options=options,
@@ -97,7 +93,7 @@ def numeric_question(
         subject=subject,
         category=category,
         text=text,
-        ground_truth=NumericValue(Fraction(gt)),
+        ground_truth=Fraction(gt),
         kind=QuestionKind.OPEN_NUMERIC,
     )
 
@@ -114,18 +110,9 @@ def text_question(
         subject=subject,
         category=category,
         text=text,
-        ground_truth=TextValue(gt),
+        ground_truth=gt,
         kind=QuestionKind.OPEN_TEXT,
     )
-
-
-def as_text(answer: NormalizedAnswer) -> str:
-    """A normalized answer as the dataset schema writes its ground truth."""
-    if isinstance(answer, OptionLabel):
-        return answer.label
-    if isinstance(answer, NumericValue):
-        return str(answer.value)
-    return answer.text
 
 
 def write_dataset(path: str | Path, questions: list[Question]) -> None:
@@ -137,7 +124,7 @@ def write_dataset(path: str | Path, questions: list[Question]) -> None:
                 "subject": q.subject,
                 "category": q.category.value,
                 "question": q.text,
-                "ground_truth": as_text(q.ground_truth),
+                "ground_truth": str(q.ground_truth),
                 "kind": q.kind.value,
             }
             if q.context is not None:

@@ -465,7 +465,7 @@ LIVE_SMOKE = os.environ.get("RERAIL_LIVE_SMOKE") == "1"
     reason="manual live smoke test; set RERAIL_LIVE_SMOKE=1 (and RERAIL_API_KEY) to run",
 )
 def test_criterion_11_live_smoke(tmp_path):
-    from rerail.types import Category, Option, OptionLabel, Question, QuestionKind
+    from rerail.types import Category, Option, Question, QuestionKind
 
     questions = []
     for i in range(20):
@@ -483,7 +483,7 @@ def test_criterion_11_live_smoke(tmp_path):
                     Option(label=label, text=str(total + offset))
                     for label, offset in zip("ABCD", offsets)
                 ),
-                ground_truth=OptionLabel("A"),
+                ground_truth="A",
             )
         )
     settings = make_settings(

@@ -8,7 +8,6 @@ import pytest
 
 from rerail.config import (
     ConfigError,
-    PriceEntry,
     RunSettings,
     load_settings,
     question_seed,
@@ -181,13 +180,13 @@ class TestValidation:
     def test_zero_and_integer_prices_are_floats(self):
         s = settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": 0, "completion_per_1k": 2}}})
         assert s.to_json()["price_table"] == {"gpt-4": {"prompt_per_1k": 0.0, "completion_per_1k": 2.0}}
-        assert type(s.price_table["gpt-4"].completion_per_1k) is float
+        assert type(s.price_table["gpt-4"]["completion_per_1k"]) is float
 
     def test_price_table_parsed(self):
         s = settings_from_dict(
             {"price_table": {"gpt-4": {"prompt_per_1k": 0.03, "completion_per_1k": 0.06}}}
         )
-        assert s.price_table["gpt-4"] == PriceEntry(0.03, 0.06)
+        assert s.price_table["gpt-4"] == {"prompt_per_1k": 0.03, "completion_per_1k": 0.06}
 
     def test_snapshot_spells_out_every_price(self):
         table = {

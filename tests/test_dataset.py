@@ -7,15 +7,7 @@ import pytest
 
 from helpers import mcqa_question, numeric_question, text_question, write_dataset
 from rerail.dataset import load_dataset, question_from_record
-from rerail.types import (
-    Category,
-    DatasetError,
-    NumericValue,
-    OptionLabel,
-    Question,
-    QuestionKind,
-    TextValue,
-)
+from rerail.types import Category, DatasetError, Question, QuestionKind
 
 
 def record(**overrides):
@@ -43,7 +35,7 @@ class TestQuestionFromRecord:
         assert q.category is Category.ADVANCED_MATH_SCIENCE
         assert q.context == "Assume ideal conditions."
         assert [o.label for o in q.options] == ["A", "B"]
-        assert q.ground_truth == OptionLabel("B")
+        assert q.ground_truth == "B"
 
     def test_unknown_field_named(self):
         with pytest.raises(DatasetError, match="difficulty"):
@@ -93,7 +85,7 @@ class TestGroundTruth:
                 record(kind="OpenEndedNumeric", options=None, ground_truth=value,
                        category="Math")
             )
-            assert q.ground_truth == NumericValue(Fraction(expected))
+            assert type(q.ground_truth) is Fraction and q.ground_truth == expected
 
     def test_numeric_rejects_bool(self):
         with pytest.raises(DatasetError, match="numeric ground_truth"):
@@ -124,7 +116,7 @@ class TestGroundTruth:
             record(kind="OpenEndedText", options=None, ground_truth=" gravity! ",
                    category="CommonsenseReasoning")
         )
-        assert q.ground_truth == TextValue("GRAVITY")
+        assert q.ground_truth == "GRAVITY"
 
     def test_text_empty_after_cleaning_rejected(self):
         with pytest.raises(DatasetError, match="empty after cleaning"):
@@ -135,7 +127,7 @@ class TestGroundTruth:
 
     def test_mcqa_label_case_folded(self):
         q = question_from_record(record(ground_truth="b"))
-        assert q.ground_truth == OptionLabel("B")
+        assert q.ground_truth == "B"
 
 
 class TestQuestionInvariants:
@@ -169,8 +161,21 @@ class TestQuestionInvariants:
         with pytest.raises(DatasetError, match="numeric ground truth"):
             Question(
                 id=base.id, subject=base.subject, category=base.category,
-                text=base.text, ground_truth=TextValue("EIGHT"),
+                text=base.text, ground_truth="EIGHT",
                 kind=QuestionKind.OPEN_NUMERIC,
+            )
+
+    @pytest.mark.parametrize(
+        "make,truth",
+        [(mcqa_question, Fraction(1)), (numeric_question, "8"), (text_question, Fraction(8))],
+        ids=["mcqa", "numeric", "text"],
+    )
+    def test_ground_truth_of_the_wrong_type_rejected(self, make, truth):
+        base = make()
+        with pytest.raises(DatasetError, match="ground truth"):
+            Question(
+                id=base.id, subject=base.subject, category=base.category, text=base.text,
+                ground_truth=truth, kind=base.kind, options=base.options,
             )
 
 
@@ -191,9 +196,11 @@ class TestLoadDataset:
             (record(id=3), "field 'id' must be a non-empty string"),
             (record(id="q2", category="Trivia"), "question 'q2': field 'category' must be one of"),
             (record(id="q2", ground_truth="D"), "question 'q2': ground truth 'D' is not among"),
+            # a label outside A-F gets the same message
+            (record(id="q2", ground_truth="G"), "question 'q2': ground truth 'G' is not among the option labels"),
             (record(), "duplicate question id 'q1'"),
         ],
-        ids=["unknown-field", "id", "category", "ground-truth", "duplicate"],
+        ids=["unknown-field", "id", "category", "ground-truth", "ground-truth-outside-A-F", "duplicate"],
     )
     def test_every_error_names_the_file_and_line(self, tmp_path, bad, error):
         p = tmp_path / "data.jsonl"

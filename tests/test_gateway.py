@@ -982,6 +982,15 @@ class TestLiveBackend:
         [row] = harness.load_outcomes(tmp_path / harness.OUTCOMES_FILE)
         assert row.error.startswith("ProviderError: malformed provider usage")
 
+    @pytest.mark.parametrize(
+        "usage", [{}, {"usage": {}}, {"usage": {"prompt_tokens": 3}}], ids=["no-usage", "empty-usage", "one-count"]
+    )
+    def test_a_reply_without_both_counts_is_not_billed_as_zero(self, live, usage):
+        backend, _ = live(answer({"choices": [{"message": {"content": "x"}}], **usage}))
+        with pytest.raises(ProviderError, match="malformed provider usage") as err:
+            backend.call(PROMPT, PARAMS, CTX)
+        assert err.value.retriable is False
+
     @pytest.mark.parametrize("count", [1.9, "7", True, -1])
     def test_token_counts_are_not_rounded_or_converted(self, live, count):
         body = {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": 3, "completion_tokens": count}}
