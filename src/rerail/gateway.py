@@ -31,9 +31,8 @@ import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 from urllib.parse import SplitResult, urlsplit
@@ -89,10 +88,6 @@ class CompletionParams:
     model_id: str
     temperature: float
     seed: int
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 def _token_counts_valid(prompt_tokens, completion_tokens) -> bool:
@@ -398,57 +393,9 @@ class LiveBackend:
         return CompletionResult(text, *counts, latency)
 
 
-@dataclass(slots=True)
-class StageUsage:
-    """Accumulated usage for one (question, stage) pair."""
-
-    live_calls: int = 0
-    cached_calls: int = 0
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    billed_prompt_tokens: int = 0
-    billed_completion_tokens: int = 0
-    wall_time_s: float = 0.0
-
-    def merge(self, other: "StageUsage") -> None:
-        self.live_calls += other.live_calls
-        self.cached_calls += other.cached_calls
-        self.prompt_tokens += other.prompt_tokens
-        self.completion_tokens += other.completion_tokens
-        self.billed_prompt_tokens += other.billed_prompt_tokens
-        self.billed_completion_tokens += other.billed_completion_tokens
-        self.wall_time_s += other.wall_time_s
-
-    def to_json(self) -> dict:
-        return {
-            "live_calls": self.live_calls,
-            "cached_calls": self.cached_calls,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "billed_prompt_tokens": self.billed_prompt_tokens,
-            "billed_completion_tokens": self.billed_completion_tokens,
-            "wall_time_s": self.wall_time_s,
-        }
-
-    @classmethod
-    def from_json(cls, payload) -> "StageUsage":
-        """A persisted usage block, which must hold exactly the fields:
-        non-negative integer counts and a finite, non-negative number
-        wall_time_s. ValueError otherwise."""
-        try:
-            values = _usage_values(payload)  # KeyError for a missing field
-            exact = len(payload) == len(values)
-        except (KeyError, TypeError):  # TypeError: not an object
-            exact = False
-        # type() rather than isinstance(): a bool is an int subclass
-        if exact and tuple(map(type, values)) in _USAGE_TYPES and min(values) >= 0 and math.isfinite(values[-1]):
-            return cls(*values)
-        raise ValueError(f"malformed usage {payload!r}")
-
-
-_USAGE_NAMES = tuple(field.name for field in fields(StageUsage))
-_usage_values = itemgetter(*_USAGE_NAMES)
-_USAGE_TYPES = {(int,) * 6 + (float,), (int,) * 7}  # six counts, then wall_time_s
+# The fields of a stage's usage row: six counts, then wall_time_s.
+USAGE_FIELDS = ("live_calls", "cached_calls", "prompt_tokens", "completion_tokens",
+                "billed_prompt_tokens", "billed_completion_tokens", "wall_time_s")
 
 
 class UsageLedger:
@@ -458,27 +405,29 @@ class UsageLedger:
     def __init__(self) -> None:
         self.calls: list[tuple[str, CompletionResult]] = []
 
-    def question_usage(self) -> dict[str, StageUsage]:
-        """Usage per stage, in stage order. wall_time_s is the exact sum of
-        the stage's latencies (math.fsum), so the order the calls were
-        recorded in does not change it."""
+    def question_usage(self) -> dict[str, dict]:
+        """A usage row per stage, in stage order: USAGE_FIELDS to their
+        values. wall_time_s is the exact sum of the stage's latencies
+        (math.fsum), so the order the calls were recorded in does not
+        change it."""
         by_stage: dict[str, list[CompletionResult]] = {}
         for stage, result in self.calls:
             by_stage.setdefault(stage, []).append(result)
         rows = {}
         for stage in sorted(by_stage):
-            row = rows[stage] = StageUsage()
+            live = cached = prompt = completion = billed_prompt = billed_completion = 0
             for result in by_stage[stage]:
-                prompt, completion = result.prompt_tokens, result.completion_tokens
-                row.prompt_tokens += prompt
-                row.completion_tokens += completion
+                prompt += result.prompt_tokens
+                completion += result.completion_tokens
                 if result.from_cache:
-                    row.cached_calls += 1
+                    cached += 1
                 else:
-                    row.live_calls += 1
-                    row.billed_prompt_tokens += prompt
-                    row.billed_completion_tokens += completion
-            row.wall_time_s = math.fsum(result.latency_s for result in by_stage[stage])
+                    live += 1
+                    billed_prompt += result.prompt_tokens
+                    billed_completion += result.completion_tokens
+            wall_time_s = math.fsum(result.latency_s for result in by_stage[stage])
+            values = live, cached, prompt, completion, billed_prompt, billed_completion, wall_time_s
+            rows[stage] = dict(zip(USAGE_FIELDS, values))
         return rows
 
 

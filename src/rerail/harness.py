@@ -23,12 +23,14 @@ import io
 import json
 import os
 import signal
+import sys
 import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import partial, reduce
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -40,7 +42,7 @@ from .gateway import (
     Gateway,
     LiveBackend,
     ScriptedBackend,
-    StageUsage,
+    USAGE_FIELDS,
     complete_structured,
 )
 from .grading import answer_bucket, grade_safe, majority_answer
@@ -90,66 +92,78 @@ def cell_for(correct_baseline: bool, correct_final: bool) -> str:
     return CELL_FP
 
 
-@dataclass
-class QuestionOutcome:
-    question_id: str
-    category: str
-    routing: Optional[str] = None  # "consistent" | "derailed" | None for baselines
-    baseline_answer: Optional[str] = None
-    final_answer: Optional[str] = None
-    correct_baseline: Optional[bool] = None
-    correct_final: Optional[bool] = None
-    cell: Optional[str] = None
-    flags: list[str] = field(default_factory=list)
-    usage: dict[str, StageUsage] = field(default_factory=dict)
-    error: Optional[str] = None
-
-    def to_json(self) -> dict:
-        return dict(vars(self), usage={stage: row.to_json() for stage, row in self.usage.items()})
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "QuestionOutcome":
-        """A persisted outcome, each field checked and its usage read into
-        StageUsage rows; ValueError or TypeError for a malformed record."""
-        outcome = cls(**payload)
-        bad = outcome._malformed_field()
-        if bad is not None:
-            raise ValueError(f"malformed {bad} {getattr(outcome, bad)!r}")
-        outcome.usage = {stage: StageUsage.from_json(row) for stage, row in outcome.usage.items()}
-        return outcome
-
-    def _malformed_field(self) -> Optional[str]:
-        """The first field holding a value no run writes, if any."""
-        # type() rather than isinstance(): a bool is an int subclass
-        if type(self.question_id) is not str or not self.question_id:
-            return "question_id"
-        if self.category not in _CATEGORIES:
-            return "category"
-        if self.routing not in (None, "consistent", "derailed"):
-            return "routing"
-        if type(self.baseline_answer) not in _OPTIONAL_STR:
-            return "baseline_answer"
-        if type(self.final_answer) not in _OPTIONAL_STR:
-            return "final_answer"
-        if type(self.correct_baseline) not in _OPTIONAL_BOOL:
-            return "correct_baseline"
-        if type(self.correct_final) not in _OPTIONAL_BOOL:
-            return "correct_final"
-        if self.cell not in _OPTIONAL_CELLS:
-            return "cell"
-        if type(self.flags) is not list or not all(type(flag) is str for flag in self.flags):
-            return "flags"
-        if type(self.usage) is not dict:
-            return "usage"
-        if type(self.error) not in _OPTIONAL_STR:
-            return "error"
-        return None
-
-
+# An outcome row, as outcomes.jsonl holds it: each of these fields, no other.
+# routing is "consistent" or "derailed" in rerailer mode, None otherwise.
+OUTCOME_FIELDS = ("question_id", "category", "routing", "baseline_answer", "final_answer",
+                  "correct_baseline", "correct_final", "cell", "flags", "usage", "error")
+_OUTCOME_KEYS = frozenset(OUTCOME_FIELDS)
 _CATEGORIES = tuple(category.value for category in Category)
 _OPTIONAL_CELLS = (None, *CELLS)
 _OPTIONAL_STR = (str, type(None))
 _OPTIONAL_BOOL = (bool, type(None))
+_USAGE_KEYS = frozenset(USAGE_FIELDS)
+_usage_values = itemgetter(*USAGE_FIELDS)
+_USAGE_TYPES = {(int,) * 6 + (float,), (int,) * 7}  # six counts, then wall_time_s
+_NO_USAGE = (0,) * 6 + (0.0,)
+
+
+def outcome_row(question_id: str, category: str, **fields) -> dict:
+    """An outcome row: ``fields``, no flags, no usage, and None in every
+    other field."""
+    row = dict.fromkeys(OUTCOME_FIELDS)
+    row.update(question_id=question_id, category=category, flags=[], usage={})
+    row.update(fields)
+    return row
+
+
+def read_outcome(payload) -> dict:
+    """A persisted outcome row, each field checked, usage rows included;
+    ValueError saying what is wrong for a malformed one."""
+    if type(payload) is not dict:
+        raise ValueError("expected an object")
+    if payload.keys() != _OUTCOME_KEYS:
+        unknown = payload.keys() - _OUTCOME_KEYS
+        if unknown:
+            raise ValueError(f"unknown field {min(unknown)!r}")
+        raise ValueError(f"missing field {min(_OUTCOME_KEYS - payload.keys())!r}")
+    bad = _malformed_field(payload)
+    if bad is not None:
+        raise ValueError(f"malformed {bad} {payload[bad]!r}")
+    for row in payload["usage"].values():
+        values = _usage_values(row) if type(row) is dict and row.keys() == _USAGE_KEYS else ()
+        # type() rather than isinstance(): a bool is an int subclass. The
+        # wall time is a finite float, or an int a float can hold.
+        if tuple(map(type, values)) not in _USAGE_TYPES or min(values) < 0 or not values[-1] <= sys.float_info.max:
+            raise ValueError(f"malformed usage {row!r}")
+    return payload
+
+
+def _malformed_field(row: dict) -> Optional[str]:
+    """The first field holding a value no run writes, if any."""
+    # type() rather than isinstance(): a bool is an int subclass
+    if type(row["question_id"]) is not str or not row["question_id"]:
+        return "question_id"
+    if row["category"] not in _CATEGORIES:
+        return "category"
+    if row["routing"] not in (None, "consistent", "derailed"):
+        return "routing"
+    if type(row["baseline_answer"]) not in _OPTIONAL_STR:
+        return "baseline_answer"
+    if type(row["final_answer"]) not in _OPTIONAL_STR:
+        return "final_answer"
+    if type(row["correct_baseline"]) not in _OPTIONAL_BOOL:
+        return "correct_baseline"
+    if type(row["correct_final"]) not in _OPTIONAL_BOOL:
+        return "correct_final"
+    if row["cell"] not in _OPTIONAL_CELLS:
+        return "cell"
+    if type(row["flags"]) is not list or not all(type(flag) is str for flag in row["flags"]):
+        return "flags"
+    if type(row["usage"]) is not dict:
+        return "usage"
+    if type(row["error"]) not in _OPTIONAL_STR:
+        return "error"
+    return None
 
 
 @dataclass(frozen=True)
@@ -310,8 +324,8 @@ def make_gateway(
     )
 
 
-def grade_outcome(question: Question, mode_result: ModeResult, settings: RunSettings) -> QuestionOutcome:
-    """Grade a mode result into a persisted outcome record."""
+def grade_outcome(question: Question, mode_result: ModeResult, settings: RunSettings) -> dict:
+    """Grade a mode result into an outcome row."""
     tolerances = settings.abs_tolerance, settings.rel_tolerance
     correct_baseline, base_flags = grade_safe(mode_result.baseline_raw, question, *tolerances)
     correct_final, final_flags = correct_baseline, base_flags
@@ -321,9 +335,9 @@ def grade_outcome(question: Question, mode_result: ModeResult, settings: RunSett
     cell = None
     if mode_result.routing == "derailed":
         cell = cell_for(correct_baseline, correct_final)
-    return QuestionOutcome(
-        question_id=question.id,
-        category=question.category.value,
+    return outcome_row(
+        question.id,
+        question.category.value,
         routing=mode_result.routing,
         baseline_answer=mode_result.baseline_raw,
         final_answer=mode_result.final_raw,
@@ -336,7 +350,7 @@ def grade_outcome(question: Question, mode_result: ModeResult, settings: RunSett
 
 def run_question(
     question: Question, mode: str, gateway: Gateway, settings: RunSettings
-) -> tuple[QuestionOutcome, dict]:
+) -> tuple[dict, dict]:
     """Execute one question; a RerailError (provider, script, generation)
     becomes a recorded failed outcome, any other exception propagates."""
     runner = _MODE_RUNNERS[mode]
@@ -346,21 +360,18 @@ def run_question(
             outcome = grade_outcome(question, mode_result, settings)
             trace = mode_result.trace
         except RerailError as exc:  # recorded per question; the run continues
-            outcome = QuestionOutcome(
-                question_id=question.id,
-                category=question.category.value,
-                flags=["question-failed"],
-                error=f"{type(exc).__name__}: {exc}",
+            outcome = outcome_row(
+                question.id, question.category.value, flags=["question-failed"], error=f"{type(exc).__name__}: {exc}"
             )
-            trace = {"mode": mode, "error": outcome.error}
-    outcome.usage = ledger.question_usage()
+            trace = {"mode": mode, "error": outcome["error"]}
+    outcome["usage"] = ledger.question_usage()
     return outcome, trace
 
 
-def _accuracy_block(outcomes: list[QuestionOutcome], correct_field: str = "correct_final") -> dict:
+def _accuracy_block(outcomes: list[dict], correct_field: str = "correct_final") -> dict:
     """Correct count, graded total and accuracy of one correctness field."""
-    graded = [o for o in outcomes if o.error is None]
-    correct = sum(1 for o in graded if getattr(o, correct_field))
+    graded = [o for o in outcomes if o["error"] is None]
+    correct = sum(1 for o in graded if o[correct_field])
     total = len(graded)
     return {
         "correct": correct,
@@ -369,44 +380,49 @@ def _accuracy_block(outcomes: list[QuestionOutcome], correct_field: str = "corre
     }
 
 
-def _overall_and_by_category(outcomes: list[QuestionOutcome], block: Callable[[list[QuestionOutcome]], dict]) -> dict:
+def _overall_and_by_category(outcomes: list[dict], block: Callable[[list[dict]], dict]) -> dict:
     """``block`` of all the outcomes and of each category's, in category order."""
-    categories = sorted({o.category for o in outcomes})
+    categories = sorted({o["category"] for o in outcomes})
     return {
         "overall": block(outcomes),
-        "by_category": {cat: block([o for o in outcomes if o.category == cat]) for cat in categories},
+        "by_category": {cat: block([o for o in outcomes if o["category"] == cat]) for cat in categories},
     }
 
 
-def confusion_matrix(outcomes: list[QuestionOutcome]) -> dict:
+def confusion_matrix(outcomes: list[dict]) -> dict:
     """Cell counts overall and per category, over derailed questions only."""
-    def count(rows: list[QuestionOutcome]) -> dict:
+    def count(rows: list[dict]) -> dict:
         cells = {cell: 0 for cell in CELLS}
         for row in rows:
-            if row.cell is not None:
-                cells[row.cell] += 1
+            if row["cell"] is not None:
+                cells[row["cell"]] += 1
         return cells
 
     return _overall_and_by_category(outcomes, count)
 
 
-def _usage_by_stage(usages: Iterable[dict[str, StageUsage]]) -> dict[str, StageUsage]:
-    """Per-stage usage blocks summed by stage, in the given order."""
-    by_stage: dict[str, StageUsage] = defaultdict(StageUsage)
+def _usage_sum(rows: Iterable[dict]) -> dict:
+    """Usage rows summed field by field in the given order, each count from
+    0 and wall_time_s from 0.0 one addition at a time (sum() of floats is
+    not that on every Python)."""
+    *counts, wall_times = zip(_NO_USAGE, *map(_usage_values, rows))
+    return dict(zip(USAGE_FIELDS, (*map(sum, counts), reduce(add, wall_times))))
+
+
+def _usage_by_stage(usages: Iterable[dict[str, dict]]) -> dict[str, dict]:
+    """Per-stage usage rows summed by stage, stages in order of first appearance."""
+    rows_by_stage: dict[str, list[dict]] = defaultdict(list)
     for usage in usages:
         for stage, row in usage.items():
-            by_stage[stage].merge(row)
-    return by_stage
+            rows_by_stage[stage].append(row)
+    return {stage: _usage_sum(rows) for stage, rows in rows_by_stage.items()}
 
 
-def usage_totals(outcomes: list[QuestionOutcome]) -> dict:
+def usage_totals(outcomes: list[dict]) -> dict:
     """Aggregate per-stage usage across outcomes (pure, from persisted rows)."""
-    by_stage = _usage_by_stage(outcome.usage for outcome in outcomes)
-    total = StageUsage()
-    for row in by_stage.values():
-        total.merge(row)
-    payload = total.to_json()
-    payload["by_stage"] = {stage: row.to_json() for stage, row in sorted(by_stage.items())}
+    by_stage = _usage_by_stage(outcome["usage"] for outcome in outcomes)
+    payload = _usage_sum(by_stage.values())
+    payload["by_stage"] = dict(sorted(by_stage.items()))
     return payload
 
 
@@ -433,13 +449,13 @@ def cost_report(usage: dict, price_table: dict, model_id: str, n_questions: int)
     }
 
 
-def build_report(outcomes: list[QuestionOutcome], config_snapshot: dict) -> dict:
+def build_report(outcomes: list[dict], config_snapshot: dict) -> dict:
     """The full run report of the snapshot's mode. Pure: same outcomes + config -> same bytes."""
     mode = config_snapshot["mode"]
-    ordered = sorted(outcomes, key=lambda o: o.question_id)
-    graded = [o for o in ordered if o.error is None]
-    consistent_rows = [o for o in graded if o.routing == "consistent"]
-    derailed_rows = [o for o in graded if o.routing == "derailed"]
+    ordered = sorted(outcomes, key=itemgetter("question_id"))
+    graded = [o for o in ordered if o["error"] is None]
+    consistent_rows = [o for o in graded if o["routing"] == "consistent"]
+    derailed_rows = [o for o in graded if o["routing"] == "derailed"]
 
     counts = dict(total=len(ordered), failed=len(ordered) - len(graded), consistent=None, derailed=None)
     if mode == MODE_RERAILER:
@@ -517,24 +533,24 @@ def write_report(out_dir: str | Path, report: dict) -> bool:
     return changed
 
 
-def load_outcomes(path: Path) -> list[QuestionOutcome]:
-    """The outcome of each question, the last committed line for an id
+def load_outcomes(path: Path) -> list[dict]:
+    """The outcome row of each question, the last committed line for an id
     winning. A malformed committed line, usage block included, raises
     IncompleteTrace."""
-    latest: dict[str, QuestionOutcome] = {}
+    latest: dict[str, dict] = {}
     for line_no, line in jsonl.lines(path):
         try:
-            outcome = QuestionOutcome.from_json(jsonl.loads(line))
-        except (ValueError, TypeError) as exc:
+            outcome = read_outcome(jsonl.loads(line))
+        except ValueError as exc:
             raise IncompleteTrace(f"{path} line {line_no}: malformed outcome ({exc})") from None
-        latest[outcome.question_id] = outcome
+        latest[outcome["question_id"]] = outcome
     return list(latest.values())
 
 
 def read_snapshot(config_path: Path) -> Optional[dict]:
     """The config snapshot a run wrote: its settings plus the mode. None if
     the file is missing; IncompleteTrace naming the file unless it holds a
-    JSON object with a valid config and a mode of MODES."""
+    JSON object with a valid config, every field of it, and a mode of MODES."""
     try:
         snapshot = jsonl.loads(config_path.read_bytes())
     except FileNotFoundError:
@@ -546,7 +562,10 @@ def read_snapshot(config_path: Path) -> Optional[dict]:
     try:
         if snapshot.get("mode") not in MODES:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {snapshot.get('mode')!r}")
-        settings_from_dict({key: value for key, value in snapshot.items() if key != "mode"})
+        settings = settings_from_dict({key: value for key, value in snapshot.items() if key != "mode"})
+        missing = settings.to_json().keys() - snapshot.keys()
+        if missing:
+            raise ConfigError(f"missing field {min(missing)!r}")
     except ConfigError as exc:
         raise IncompleteTrace(f"{config_path} does not hold a valid config ({exc})") from None
     return snapshot
@@ -627,9 +646,9 @@ def run(
     out_path.mkdir(parents=True, exist_ok=True)
     with sole_writer(out_path):
         _check_resumable(out_path / CONFIG_FILE, config_snapshot)
-        stored: dict[str, QuestionOutcome] = {}
+        stored: dict[str, dict] = {}
         if outcomes_path.exists():
-            stored = {o.question_id: o for o in load_outcomes(outcomes_path)}
+            stored = {o["question_id"]: o for o in load_outcomes(outcomes_path)}
             ids = {q.id for q in questions}
             extra = next((qid for qid in stored if qid not in ids), None)
             if extra is not None:
@@ -637,7 +656,7 @@ def run(
                     f"{out_path} holds an outcome of question {extra!r}, which the dataset lacks; "
                     "use a new --out directory"
                 )
-        outcomes = {qid: o for qid, o in stored.items() if o.error is None}
+        outcomes = {qid: o for qid, o in stored.items() if o["error"] is None}
 
         _replace_whole(out_path / CONFIG_FILE, report_to_bytes(config_snapshot))
 
@@ -648,10 +667,10 @@ def run(
             def execute(question: Question) -> None:
                 outcome, trace = run_question(question, mode, gateway, settings)
                 if question.id in stored:  # a failed attempt, run again
-                    merged = _usage_by_stage([stored[question.id].usage, outcome.usage])
-                    outcome.usage = dict(sorted(merged.items()))
+                    merged = _usage_by_stage([stored[question.id]["usage"], outcome["usage"]])
+                    outcome["usage"] = dict(sorted(merged.items()))
                 trace_line = jsonl.encode({"question_id": question.id, "trace": trace})
-                outcome_line = jsonl.encode(outcome.to_json())
+                outcome_line = jsonl.encode(outcome)
                 with write_lock:
                     traces.write(trace_line)
                     traces.flush()

@@ -31,7 +31,7 @@ from rerail.gateway import (
     CompletionResult,
     Gateway,
     ScriptedBackend,
-    StageUsage,
+    USAGE_FIELDS,
     UsageLedger,
     chat_payload,
 )
@@ -257,19 +257,16 @@ def scripted_gateway(entries: list[dict], **gateway_kwargs) -> RecordingGateway:
 def question_calls(ledger: UsageLedger, stage: Optional[str] = None) -> int:
     """Completions a question's ledger holds, optionally one stage's."""
     return sum(
-        row.live_calls + row.cached_calls
+        row["live_calls"] + row["cached_calls"]
         for st, row in ledger.question_usage().items()
         if stage is None or st == stage
     )
 
 
-def ledger_totals(*ledgers: UsageLedger) -> StageUsage:
-    """Usage summed over every stage of the ledgers."""
-    total = StageUsage()
-    for ledger in ledgers:
-        for row in ledger.question_usage().values():
-            total.merge(row)
-    return total
+def ledger_totals(*ledgers: UsageLedger) -> dict:
+    """Usage summed over every stage of the ledgers, field by field."""
+    rows = [row for ledger in ledgers for row in ledger.question_usage().values()]
+    return {name: sum(row[name] for row in rows) for name in USAGE_FIELDS}
 
 
 def full_text(prompt: PromptPair) -> str:
@@ -691,9 +688,15 @@ def mad_reask_script(qid: str) -> list[dict]:
     ]
 
 
-def stage_calls(outcome_usage: dict[str, StageUsage]) -> dict[str, int]:
+def usage_row(**counts) -> dict:
+    """A stage's usage row: ``counts``, and 0 (wall_time_s 0.0) in every
+    other field."""
+    return dict(zip(USAGE_FIELDS, (0,) * 6 + (0.0,)), **counts)
+
+
+def stage_calls(outcome_usage: dict[str, dict]) -> dict[str, int]:
     """Per-stage completion counts from an outcome's usage."""
-    return {stage: row.live_calls + row.cached_calls for stage, row in outcome_usage.items()}
+    return {stage: row["live_calls"] + row["cached_calls"] for stage, row in outcome_usage.items()}
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,12 +34,12 @@ from helpers import (
 )
 from rerail.derailment import RULE_INCONSISTENT, check_consistency
 from rerail.harness import (
-    QuestionOutcome,
     cell_for,
     confusion_matrix,
     cost_report,
     load_outcomes,
     make_gateway,
+    outcome_row,
     replay,
     report_to_bytes,
     run,
@@ -138,9 +138,9 @@ def test_criterion_02_routing_and_budget_conservation(tmp_path):
     # per-pass budget: evaluator calls = index of the first flagged step
     # (or all unverified steps when none fires), debate within
     # [n_agents, n_agents * n_rounds], reanswer at most one per pass
-    outcomes = {o.question_id: o for o in load_outcomes(tmp_path / "run" / "outcomes.jsonl")}
+    outcomes = {o["question_id"]: o for o in load_outcomes(tmp_path / "run" / "outcomes.jsonl")}
     for qid, outcome in sorted(outcomes.items()):
-        calls = stage_calls(outcome.usage)
+        calls = stage_calls(outcome["usage"])
         number = int(qid[1:])
         if number <= 10:
             assert calls == {"cot": 3}  # zero judge and zero rerailer stages
@@ -320,13 +320,13 @@ def test_criterion_06_end_to_end_correction_reproduction(tmp_path):
     report = run([question], make_settings(), "rerailer", tmp_path / "fig", scripted_gateway(entries))
     (outcome,) = load_outcomes(tmp_path / "fig" / "outcomes.jsonl")
 
-    assert outcome.routing == "derailed"
-    assert outcome.baseline_answer == wrong
-    assert outcome.final_answer == truth
-    assert outcome.final_answer != outcome.baseline_answer
-    assert outcome.correct_baseline is False
-    assert outcome.correct_final is True
-    assert outcome.cell == "TN"
+    assert outcome["routing"] == "derailed"
+    assert outcome["baseline_answer"] == wrong
+    assert outcome["final_answer"] == truth
+    assert outcome["final_answer"] != outcome["baseline_answer"]
+    assert outcome["correct_baseline"] is False
+    assert outcome["correct_final"] is True
+    assert outcome["cell"] == "TN"
     assert report["confusion_matrix"]["overall"]["TN"] == 1
 
 
@@ -355,9 +355,9 @@ def test_criterion_07_confusion_matrix_semantics():
         baseline, final = rng.choice([True, False]), rng.choice([True, False])
         expected[reference_cell(baseline, final)] += 1
         rows.append(
-            QuestionOutcome(
-                question_id=f"d{i:02d}",
-                category=rng.choice(categories),
+            outcome_row(
+                f"d{i:02d}",
+                rng.choice(categories),
                 routing="derailed",
                 correct_baseline=baseline,
                 correct_final=final,
@@ -366,15 +366,15 @@ def test_criterion_07_confusion_matrix_semantics():
         )
     for i in range(10):
         rows.append(
-            QuestionOutcome(
-                question_id=f"c{i:02d}",
-                category=rng.choice(categories),
+            outcome_row(
+                f"c{i:02d}",
+                rng.choice(categories),
                 routing="consistent",
                 correct_baseline=True,
                 correct_final=True,
             )
         )
-    rows.append(QuestionOutcome(question_id="f1", category="Math", error="boom"))
+    rows.append(outcome_row("f1", "Math", error="boom"))
 
     matrix = confusion_matrix(rows)
     assert matrix["overall"] == expected

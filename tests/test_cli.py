@@ -656,6 +656,23 @@ class TestReplayCommand:
         assert err.startswith(f"error: {config} does not hold a valid config") and err.count("\n") == 1
         assert (tmp_path / "out" / "report.json").read_bytes() == report
 
+    @pytest.mark.parametrize("name", ["max_in_flight", "parallelism"])
+    def test_a_snapshot_missing_a_field_is_refused(self, small_run, tmp_path, capsys, name):
+        # max_in_flight is null and parallelism may change on resume, so only
+        # the missing field itself tells the snapshot from the run's config
+        assert main(run_args(small_run)) == 0
+        out = tmp_path / "out"
+        snapshot = json.loads((out / "resolved_config.json").read_text())
+        del snapshot[name]
+        (out / "resolved_config.json").write_text(json.dumps(snapshot))
+        before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+        capsys.readouterr()
+        assert main(["replay", "--trace", small_run["out"]]) == 1
+        assert main(run_args(small_run)) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"{out / 'resolved_config.json'} does not hold a valid config (missing field '{name}')") == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
+
     def test_replay_of_a_malformed_usage_block_fails(self, small_run, tmp_path, capsys):
         assert main(run_args(small_run)) == 0
         outcomes = tmp_path / "out" / "outcomes.jsonl"

@@ -1,5 +1,5 @@
-"""A run directory damaged in one place (a JSON value, a truncated line, a
-byte that is not UTF-8): ``rerail replay`` and a resumed ``rerail run``
+"""A run directory damaged in one place (a JSON value, a key of an object
+dropped, a truncated line, a byte that is not UTF-8): ``rerail replay`` and a resumed ``rerail run``
 each end in a documented exit code and raise nothing. A resume over a
 config snapshot that no longer holds the run's config is refused and
 writes nothing."""
@@ -46,22 +46,27 @@ def json_paths(value, prefix=()):
             yield from json_paths(child, prefix + (key,))
 
 
+def holder(document, path):
+    """The object or array holding the value at ``path`` (not empty)."""
+    inner = document
+    for key in path[:-1]:
+        inner = inner[key]
+    return inner
+
+
 def with_value(document, path, new):
     if not path:
         return new
-    *parents, last = path
-    inner = document
-    for key in parents:
-        inner = inner[key]
-    inner[last] = new
+    holder(document, path)[path[-1]] = new
     return document
 
 
 def damage(data, target):
-    """Change one JSON value, truncate one line, or put a byte that is not
-    UTF-8 in place of one byte of a committed line, of ``target``."""
-    how = data.draw(st.sampled_from(("value", "truncate", "byte")), label="how")
-    if how != "value":
+    """Change one JSON value, drop one key of an object, truncate one line,
+    or put a byte that is not UTF-8 in place of one byte of a committed
+    line, of ``target``."""
+    how = data.draw(st.sampled_from(("value", "drop", "truncate", "byte")), label="how")
+    if how in ("truncate", "byte"):
         lines = target.read_bytes().splitlines(keepends=True)
         index = data.draw(st.integers(0, len(lines) - 1), label="line")
         line = lines[index]
@@ -77,8 +82,14 @@ def damage(data, target):
     units = [text] if target.name == CONFIG_FILE else text.splitlines()
     index = data.draw(st.integers(0, len(units) - 1), label="line")
     document = json.loads(units[index])
-    path = data.draw(st.sampled_from(list(json_paths(document))), label="path")
-    units[index] = json.dumps(with_value(document, path, data.draw(st.sampled_from(VALUES), label="value")))
+    if how == "drop":  # a key of an object is a string, an index of an array an int
+        keys = [path for path in json_paths(document) if path and isinstance(path[-1], str)]
+        path = data.draw(st.sampled_from(keys), label="key")
+        del holder(document, path)[path[-1]]
+    else:
+        path = data.draw(st.sampled_from(list(json_paths(document))), label="path")
+        document = with_value(document, path, data.draw(st.sampled_from(VALUES), label="value"))
+    units[index] = json.dumps(document)
     target.write_text("\n".join(units) + "\n", encoding="utf-8")
 
 

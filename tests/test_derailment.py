@@ -281,10 +281,10 @@ class TestRoute:
             [sample(cot_text(["Shrug."], "zebra")) for _ in range(3)]
         )
         outcome, _ = run_question(mcqa_question(), "rerailer", gw, make_settings())
-        assert outcome.routing == "consistent"
-        assert outcome.final_answer == "zebra"
-        assert outcome.correct_final is False
-        assert "answer-unnormalizable" in outcome.flags
+        assert outcome["routing"] == "consistent"
+        assert outcome["final_answer"] == "zebra"
+        assert outcome["correct_final"] is False
+        assert "answer-unnormalizable" in outcome["flags"]
 
 
 LONG_ANSWERS = [

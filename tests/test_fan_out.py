@@ -288,7 +288,7 @@ def test_concurrent_samples_each_get_their_own_entry_under_contention():
     finally:
         sys.setswitchinterval(interval)
     assert texts == [f"sample {k}" for k in range(n)]
-    assert ledger.question_usage()[STAGE_COT].live_calls == n + 1
+    assert ledger.question_usage()[STAGE_COT]["live_calls"] == n + 1
 
 
 def test_questions_recording_at_once_keep_disjoint_ledgers():

@@ -57,7 +57,6 @@ from rerail.gateway import (
     ScriptExhausted,
     ScriptFormatError,
     ScriptedBackend,
-    StageUsage,
     UsageLedger,
     cache_key,
     complete_structured,
@@ -309,10 +308,10 @@ class TestCache:
         assert remaining(backend) == 1
 
         row = ledger.question_usage()[STAGE_COT]
-        assert (row.live_calls, row.cached_calls) == (1, 1)
-        assert row.prompt_tokens == 200
-        assert row.billed_prompt_tokens == 100  # cache hits are free
-        assert row.wall_time_s == pytest.approx(0.3)  # cached latency is zero
+        assert (row["live_calls"], row["cached_calls"]) == (1, 1)
+        assert row["prompt_tokens"] == 200
+        assert row["billed_prompt_tokens"] == 100  # cache hits are free
+        assert row["wall_time_s"] == pytest.approx(0.3)  # cached latency is zero
 
     def test_cache_persists_across_gateways(self, tmp_path):
         gw1 = Gateway(
@@ -464,9 +463,9 @@ class TestCache:
         assert list(texts) == [prompt.user for prompt in prompts * 2]
         assert all(question_calls(ledger) == 1 for ledger in ledgers)
         row = ledger_totals(*ledgers)
-        assert row.live_calls >= len(prompts) and row.live_calls + row.cached_calls == 2 * len(prompts)
+        assert row["live_calls"] >= len(prompts) and row["live_calls"] + row["cached_calls"] == 2 * len(prompts)
         lines = [json.loads(line) for line in (tmp_path / "completions.jsonl").read_text().splitlines()]
-        assert len(lines) == row.live_calls
+        assert len(lines) == row["live_calls"]
         fresh = Gateway(ScriptedBackend([]), cache_dir=tmp_path, cache_enabled=True)
         with fresh.run_scope():
             assert [fresh.complete(prompt, PARAMS, CTX).text for prompt in prompts] == [p.user for p in prompts]
@@ -683,10 +682,10 @@ class TestUsageLedger:
         usage = ledger.question_usage()
         assert list(usage) == [STAGE_COT, STAGE_JUDGE]
         row = usage[STAGE_COT]
-        assert row.prompt_tokens == 300
-        assert row.completion_tokens == 120
-        assert row.live_calls + row.cached_calls == 2
-        assert row.wall_time_s == 0.2 + 0.3
+        assert row["prompt_tokens"] == 300
+        assert row["completion_tokens"] == 120
+        assert row["live_calls"] + row["cached_calls"] == 2
+        assert row["wall_time_s"] == 0.2 + 0.3
         assert question_calls(ledger) == 3
         assert question_calls(ledger, STAGE_JUDGE) == 1
 
@@ -702,7 +701,7 @@ class TestUsageLedger:
             ledger.calls.extend(order)
             rows.append(ledger.question_usage())
         assert all(row == rows[0] for row in rows)
-        assert rows[0][STAGE_COT].wall_time_s == 1.3004
+        assert rows[0][STAGE_COT]["wall_time_s"] == 1.3004
 
     def test_unknown_question_has_no_usage(self):
         ledger = UsageLedger()
@@ -714,11 +713,11 @@ class TestUsageLedger:
         ledger.calls.append((STAGE_COT, self.result(100, 50, 0.2)))
         ledger.calls.append((STAGE_JUDGE, self.result(50, 25, 0.1, cached=True)))
         total = ledger_totals(ledger)
-        assert total.live_calls == 1
-        assert total.cached_calls == 1
-        assert total.prompt_tokens == 150
-        assert total.billed_prompt_tokens == 100
-        assert total.billed_completion_tokens == 50
+        assert total["live_calls"] == 1
+        assert total["cached_calls"] == 1
+        assert total["prompt_tokens"] == 150
+        assert total["billed_prompt_tokens"] == 100
+        assert total["billed_completion_tokens"] == 50
 
     def test_a_completion_records_into_the_ledger_its_context_names(self):
         gw = Gateway(ScriptedBackend([entry(STAGE_COT, "q1", "a"), entry(STAGE_COT, "q2", "b")]))
@@ -731,12 +730,6 @@ class TestUsageLedger:
         gw.complete(PROMPT, PARAMS, CallContext(STAGE_COT, "q2"))  # no ledger open for q2
         assert [(stage, result.text) for stage, result in first.calls] == [(STAGE_COT, "a")]
         assert second.calls == []
-
-    def test_stage_usage_round_trips_through_json(self):
-        row = StageUsage(live_calls=2, cached_calls=1, prompt_tokens=30,
-                         completion_tokens=10, billed_prompt_tokens=20,
-                         billed_completion_tokens=7, wall_time_s=0.4)
-        assert StageUsage.from_json(row.to_json()) == row
 
 
 class TestParseStructuredOutput:
@@ -980,7 +973,7 @@ class TestLiveBackend:
         assert report["counts"]["failed"] == 1
         assert len(provider.requests) == 1  # not retried
         [row] = harness.load_outcomes(tmp_path / harness.OUTCOMES_FILE)
-        assert row.error.startswith("ProviderError: malformed provider usage")
+        assert row["error"].startswith("ProviderError: malformed provider usage")
 
     @pytest.mark.parametrize(
         "usage", [{}, {"usage": {}}, {"usage": {"prompt_tokens": 3}}], ids=["no-usage", "empty-usage", "one-count"]
@@ -1016,9 +1009,9 @@ class TestLiveBackend:
         assert report["counts"]["failed"] == 1
         assert report["accuracy"]["overall"] == {"correct": 1, "total": 1, "accuracy": 1.0}
         assert len(provider.requests) == 2  # not retried
-        rows = {row.question_id: row for row in harness.load_outcomes(tmp_path / harness.OUTCOMES_FILE)}
-        assert rows["q1"].error.startswith("ProviderError: malformed provider response")
-        assert rows["q2"].error is None
+        rows = {row["question_id"]: row for row in harness.load_outcomes(tmp_path / harness.OUTCOMES_FILE)}
+        assert rows["q1"]["error"].startswith("ProviderError: malformed provider response")
+        assert rows["q2"]["error"] is None
 
 
 def test_live_session_keeps_a_connection_per_call_in_flight(monkeypatch, tmp_path):

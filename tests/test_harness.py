@@ -29,11 +29,12 @@ from helpers import (
     scripted_gateway,
     stage_calls,
     unfixable_script,
+    usage_row,
     write_script,
 )
 from rerail import harness
 from rerail.config import question_seed
-from rerail.gateway import Gateway, ProviderError, ScriptedBackend, StageUsage
+from rerail.gateway import Gateway, ProviderError, ScriptedBackend, UsageLedger
 from rerail.grading import grade_safe
 from rerail.harness import (
     CELL_FN,
@@ -46,7 +47,6 @@ from rerail.harness import (
     FLAG_MAD_TIE,
     FLAG_SC_TIE,
     IncompleteTrace,
-    QuestionOutcome,
     _extract_answer,
     build_report,
     cell_for,
@@ -55,6 +55,7 @@ from rerail.harness import (
     grade_outcome,
     load_outcomes,
     make_gateway,
+    outcome_row,
     replay,
     report_to_bytes,
     run,
@@ -225,17 +226,17 @@ class TestGrading:
         derailed = grade_outcome(
             q, ModeResult("A", "B", "derailed", (), {}), make_settings()
         )
-        assert derailed.cell == CELL_TN
-        assert derailed.correct_baseline is False
-        assert derailed.correct_final is True
+        assert derailed["cell"] == CELL_TN
+        assert derailed["correct_baseline"] is False
+        assert derailed["correct_final"] is True
 
         consistent = grade_outcome(
             q, ModeResult("B", "B", "consistent", (), {}), make_settings()
         )
-        assert consistent.cell is None
+        assert consistent["cell"] is None
 
         baseline = grade_outcome(q, ModeResult("B", "B", None, (), {}), make_settings())
-        assert baseline.cell is None
+        assert baseline["cell"] is None
 
     def test_grading_flags_surface_in_the_outcome(self):
         from rerail.harness import ModeResult
@@ -244,10 +245,10 @@ class TestGrading:
             mcqa_question(), ModeResult(None, "zebra", "derailed", ("custom",), {}),
             make_settings(),
         )
-        assert "answer-missing" in outcome.flags
-        assert "answer-unnormalizable" in outcome.flags
-        assert "custom" in outcome.flags
-        assert outcome.cell == CELL_FN  # fail-closed on both sides
+        assert "answer-missing" in outcome["flags"]
+        assert "answer-unnormalizable" in outcome["flags"]
+        assert "custom" in outcome["flags"]
+        assert outcome["cell"] == CELL_FN  # fail-closed on both sides
 
     @pytest.mark.parametrize(
         "mode,script,graded",
@@ -277,9 +278,9 @@ class TestGrading:
 
 def outcome(qid, cat="Math", routing=None, cell=None, correct_final=None,
             correct_baseline=None, error=None, usage=None, flags=None):
-    return QuestionOutcome(
-        question_id=qid,
-        category=cat,
+    return outcome_row(
+        qid,
+        cat,
         routing=routing,
         correct_baseline=correct_baseline,
         correct_final=correct_final,
@@ -303,13 +304,13 @@ class TestConfusionMatrix:
         assert matrix["overall"] == {"TP": 0, "TN": 2, "FN": 0, "FP": 1}
         assert matrix["by_category"]["Math"] == {"TP": 0, "TN": 1, "FN": 0, "FP": 1}
         assert sum(matrix["overall"].values()) == sum(
-            1 for r in rows if r.routing == "derailed"
+            1 for r in rows if r["routing"] == "derailed"
         )
 
 
 class TestUsageTotals:
     def block(self, live, prompt, completion, wall):
-        return StageUsage(
+        return usage_row(
             live_calls=live,
             prompt_tokens=prompt,
             completion_tokens=completion,
@@ -472,10 +473,10 @@ class TestRun:
 
     def test_per_question_call_budgets(self, tmp_path):
         _, _, out_dir, _ = self.run_fixture(tmp_path)
-        outcomes = {o.question_id: o for o in load_outcomes(out_dir / "outcomes.jsonl")}
-        assert stage_calls(outcomes["q01"].usage) == CONSISTENT_EXPECTED_CALLS
-        assert stage_calls(outcomes["q05"].usage) == FIXABLE_EXPECTED_CALLS
-        assert stage_calls(outcomes["q09"].usage) == UNFIXABLE_EXPECTED_CALLS
+        outcomes = {o["question_id"]: o for o in load_outcomes(out_dir / "outcomes.jsonl")}
+        assert stage_calls(outcomes["q01"]["usage"]) == CONSISTENT_EXPECTED_CALLS
+        assert stage_calls(outcomes["q05"]["usage"]) == FIXABLE_EXPECTED_CALLS
+        assert stage_calls(outcomes["q09"]["usage"]) == UNFIXABLE_EXPECTED_CALLS
 
     def test_rerun_over_the_same_directory_makes_no_calls(self, tmp_path):
         questions, _, out_dir, _ = self.run_fixture(tmp_path)
@@ -517,17 +518,17 @@ class TestRun:
         report = run(questions, make_settings(parallelism=2), "rerailer", tmp_path / "r", gw)
         assert report["usage"]["live_calls"] == 50 * sum(CONSISTENT_EXPECTED_CALLS.values())
         # Each question's usage is in its outcome; the gateway keeps none.
-        assert not any(isinstance(obj, StageUsage) for obj in reachable(gw))
+        assert not any(isinstance(obj, UsageLedger) for obj in reachable(gw))
 
     def test_failing_question_is_recorded_not_fatal(self, tmp_path):
         questions = [mcqa_question(qid="q1"), mcqa_question(qid="q2")]
         gw = scripted_gateway(consistent_script("q1"))
         report = run(questions, make_settings(), "rerailer", tmp_path / "r", gw)
         assert report["counts"] == {"total": 2, "failed": 1, "consistent": 1, "derailed": 0}
-        outcomes = {o.question_id: o for o in load_outcomes(tmp_path / "r" / "outcomes.jsonl")}
-        assert outcomes["q2"].error is not None
-        assert "ScriptExhausted" in outcomes["q2"].error
-        assert outcomes["q2"].flags == ["question-failed"]
+        outcomes = {o["question_id"]: o for o in load_outcomes(tmp_path / "r" / "outcomes.jsonl")}
+        assert outcomes["q2"]["error"] is not None
+        assert "ScriptExhausted" in outcomes["q2"]["error"]
+        assert outcomes["q2"]["flags"] == ["question-failed"]
         assert report["accuracy"]["overall"]["total"] == 1
 
     def test_failed_question_reruns_on_resume(self, tmp_path):
@@ -586,7 +587,7 @@ class TestRun:
         out_dir = tmp_path / "r"
         with pytest.raises(KeyboardInterrupt, match="^9 of 10 questions did not run"):
             run(questions, make_settings(parallelism=3), "rerailer", out_dir, Gateway(HeldBackend(entries)))
-        assert [o.question_id for o in load_outcomes(out_dir / "outcomes.jsonl")] == ["q01"]
+        assert [o["question_id"] for o in load_outcomes(out_dir / "outcomes.jsonl")] == ["q01"]
 
     def test_an_error_that_is_not_a_rerail_error_is_raised_once_the_questions_in_flight_finish(
         self, tmp_path, monkeypatch
@@ -617,7 +618,7 @@ class TestRun:
         out_dir = tmp_path / "r"
         with pytest.raises(RuntimeError, match="not a RerailError"):
             run(questions, make_settings(parallelism=2), "rerailer", out_dir, Gateway(backend))
-        assert [o.question_id for o in load_outcomes(out_dir / "outcomes.jsonl")] == ["q02"]
+        assert [o["question_id"] for o in load_outcomes(out_dir / "outcomes.jsonl")] == ["q02"]
 
     @pytest.mark.parametrize("parallelism,pending", [(1, 5), (3, 5), (8, 5), (4, 0)])
     def test_a_run_submits_one_task_per_worker_it_needs(self, tmp_path, monkeypatch, parallelism, pending):
@@ -664,53 +665,54 @@ class TestLoadOutcomes:
         return path
 
     def test_unterminated_last_line_is_ignored(self, tmp_path):
-        row = json.dumps(outcome("q1").to_json())
+        row = json.dumps(outcome("q1"))
         path = self.write(tmp_path / "o.jsonl", row + "\n" + row[:-5])
-        assert [o.question_id for o in load_outcomes(path)] == ["q1"]
+        assert [o["question_id"] for o in load_outcomes(path)] == ["q1"]
 
     def test_last_line_for_an_id_wins(self, tmp_path):
-        failed = json.dumps(outcome("q1", error="ProviderError: boom").to_json())
-        ok = json.dumps(outcome("q1").to_json())
+        failed = json.dumps(outcome("q1", error="ProviderError: boom"))
+        ok = json.dumps(outcome("q1"))
         path = self.write(tmp_path / "o.jsonl", failed + "\n" + ok + "\n")
         (loaded,) = load_outcomes(path)
-        assert loaded.error is None
+        assert loaded["error"] is None
 
     def test_malformed_committed_line_names_its_number(self, tmp_path):
-        row = json.dumps(outcome("q1").to_json())
+        row = json.dumps(outcome("q1"))
         path = self.write(tmp_path / "o.jsonl", row + "\n" + row[:-5] + "\n" + row + "\n")
         with pytest.raises(IncompleteTrace, match="line 2"):
             load_outcomes(path)
 
     def test_a_well_formed_usage_block_loads(self, tmp_path):
-        usage = {"cot": StageUsage(live_calls=3, prompt_tokens=30, wall_time_s=0.5)}
-        path = self.write(tmp_path / "o.jsonl", json.dumps(outcome("q1", usage=usage).to_json()) + "\n")
+        usage = {"cot": usage_row(live_calls=3, prompt_tokens=30, wall_time_s=0.5)}
+        path = self.write(tmp_path / "o.jsonl", json.dumps(outcome("q1", usage=usage)) + "\n")
         (loaded,) = load_outcomes(path)
-        assert loaded.usage == usage
+        assert loaded["usage"] == usage
 
     @pytest.mark.parametrize(
         "usage",
         [
             {"cot": [1]},
-            {"cot": dict(StageUsage().to_json(), live_calls="3")},
-            {"cot": dict(StageUsage().to_json(), live_calls=True)},
-            {"cot": dict(StageUsage().to_json(), live_calls=1.0)},
-            {"cot": dict(StageUsage().to_json(), wall_time_s="0.5")},
-            {"cot": dict(StageUsage().to_json(), retries=1)},
+            {"cot": usage_row(live_calls="3")},
+            {"cot": usage_row(live_calls=True)},
+            {"cot": usage_row(live_calls=1.0)},
+            {"cot": usage_row(wall_time_s="0.5")},
+            {"cot": usage_row(retries=1)},
             {"cot": {"live_calls": 1}},
             {"cot": 3},
             {"cot": None},
             [["cot", {}]],
             "cot",
-            {"cot": dict(StageUsage().to_json(), live_calls=-4)},
-            {"cot": dict(StageUsage().to_json(), billed_prompt_tokens=-1)},
-            {"cot": dict(StageUsage().to_json(), wall_time_s=-0.5)},
-            {"cot": dict(StageUsage().to_json(), wall_time_s=float("inf"))},
-            {"cot": dict(StageUsage().to_json(), wall_time_s=float("nan"))},
+            {"cot": usage_row(live_calls=-4)},
+            {"cot": usage_row(billed_prompt_tokens=-1)},
+            {"cot": usage_row(wall_time_s=-0.5)},
+            {"cot": usage_row(wall_time_s=float("inf"))},
+            {"cot": usage_row(wall_time_s=float("nan"))},
+            {"cot": usage_row(wall_time_s=10**400)},
         ],
     )
     def test_malformed_usage_names_its_line(self, tmp_path, usage):
-        good = json.dumps(outcome("q1").to_json())
-        bad = json.dumps(dict(outcome("q2").to_json(), usage=usage))
+        good = json.dumps(outcome("q1"))
+        bad = json.dumps(dict(outcome("q2"), usage=usage))
         path = self.write(tmp_path / "o.jsonl", good + "\n" + bad + "\n")
         with pytest.raises(IncompleteTrace, match=r"line 2: malformed outcome \(malformed usage"):
             load_outcomes(path)
@@ -736,20 +738,41 @@ class TestLoadOutcomes:
         ],
     )
     def test_malformed_field_names_its_line(self, tmp_path, name, value):
-        good = json.dumps(outcome("q1").to_json())
-        bad = json.dumps(dict(outcome("q2").to_json(), **{name: value}))
+        good = json.dumps(outcome("q1"))
+        bad = json.dumps(dict(outcome("q2"), **{name: value}))
         path = self.write(tmp_path / "o.jsonl", good + "\n" + bad + "\n")
         with pytest.raises(IncompleteTrace, match=rf"line 2: malformed outcome \(malformed {name} "):
+            load_outcomes(path)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "question_id", "category", "routing", "baseline_answer", "final_answer", "correct_baseline",
+            "correct_final", "cell", "flags", "usage", "error",
+            "x",  # a field no row holds
+        ],
+    )
+    def test_a_missing_or_unknown_field_names_its_line(self, tmp_path, name):
+        good = json.dumps(outcome("q1"))
+        row = outcome("q2")
+        if name in row:
+            del row[name]
+            problem = f"missing field '{name}'"
+        else:
+            row[name] = None
+            problem = f"unknown field '{name}'"
+        path = self.write(tmp_path / "o.jsonl", good + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(IncompleteTrace, match=rf"line 2: malformed outcome \({problem}\)"):
             load_outcomes(path)
 
 
 class TestRunQuestion:
     def test_usage_is_attached_to_the_outcome(self):
         gw = scripted_gateway(consistent_script("q1"))
-        outcome_row, trace = run_question(mcqa_question(), "rerailer", gw, make_settings())
-        assert stage_calls(outcome_row.usage) == CONSISTENT_EXPECTED_CALLS
+        outcome, trace = run_question(mcqa_question(), "rerailer", gw, make_settings())
+        assert stage_calls(outcome["usage"]) == CONSISTENT_EXPECTED_CALLS
         assert trace["routing"] == "consistent"
-        assert outcome_row.cell is None
+        assert outcome["cell"] is None
 
 
 class TestMakeGateway:
@@ -775,7 +798,7 @@ class TestMakeGateway:
         with gw.recording("q1") as ledger:
             run_cot(mcqa_question(), gw, make_settings())
             run_cot(mcqa_question(), gw, make_settings())
-        assert ledger_totals(ledger).cached_calls == 0
+        assert ledger_totals(ledger)["cached_calls"] == 0
         assert not (tmp_path / "cache").exists()
 
     def test_scripted_cache_can_be_opted_in(self, tmp_path):
@@ -788,5 +811,5 @@ class TestMakeGateway:
         with gw.run_scope(), gw.recording("q1") as ledger:
             run_cot(mcqa_question(), gw, settings)
             run_cot(mcqa_question(), gw, settings)
-        assert ledger_totals(ledger).cached_calls == 1
+        assert ledger_totals(ledger)["cached_calls"] == 1
         assert (tmp_path / "cache").exists()

@@ -59,5 +59,5 @@ def test_any_reply_ends_in_an_outcome(tmp_path_factory, mode, kind, replies):
     )
     harness.run([QUESTIONS[kind](qid="q1")], run_settings, mode, out, Gateway(Replies(replies)))
     (outcome,) = harness.load_outcomes(out / harness.OUTCOMES_FILE)
-    graded = outcome.error is None and isinstance(outcome.correct_final, bool)
-    assert graded or outcome.flags == ["question-failed"], outcome
+    graded = outcome["error"] is None and isinstance(outcome["correct_final"], bool)
+    assert graded or outcome["flags"] == ["question-failed"], outcome

@@ -204,9 +204,9 @@ def test_a_non_retriable_fault_fails_its_question_and_a_rerun_resumes_it(tmp_pat
         report = live_run(settings, "cot", tmp_path / "live")
         assert report["counts"]["failed"] == 1
         assert len(provider.requests) == 3  # not retried
-        [failed] = [row for row in load_outcomes(tmp_path / "live" / OUTCOMES_FILE) if row.error]
-        assert failed.question_id == "q2" and "question-failed" in failed.flags
-        assert failed.error.startswith(error)
+        [failed] = [row for row in load_outcomes(tmp_path / "live" / OUTCOMES_FILE) if row["error"]]
+        assert failed["question_id"] == "q2" and "question-failed" in failed["flags"]
+        assert failed["error"].startswith(error)
 
         report = live_run(settings, "cot", tmp_path / "live")
         assert len(provider.requests) == 4  # only the failed question ran again
