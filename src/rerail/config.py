@@ -9,7 +9,7 @@ key and the variable is read at backend construction time.
 from __future__ import annotations
 
 import hashlib
-import sys
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -25,10 +25,10 @@ class ConfigError(RerailError):
     """The config file is malformed or inconsistent."""
 
 
-def _is_amount(value) -> bool:
-    """A JSON number >= 0 that a float holds finitely (10**309 does not);
-    type(), as a bool is an int subclass."""
-    return type(value) in (int, float) and 0 <= value <= sys.float_info.max
+# The settings that are counts >= 1; the two throttles may also be null.
+_THROTTLES = ("max_in_flight", "requests_per_minute")
+_COUNT_FIELDS = ("n_samples", "sc_budget", "mad_agents", "mad_rounds", "n_debate_agents", "n_debate_rounds",
+                 "max_reanswer_steps", "max_rerail_iterations", "parallelism", *_THROTTLES)
 
 
 @dataclass(frozen=True)
@@ -60,23 +60,9 @@ class RunSettings:
     price_table: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        positive = {
-            "n_samples": self.n_samples,
-            "sc_budget": self.sc_budget,
-            "mad_agents": self.mad_agents,
-            "mad_rounds": self.mad_rounds,
-            "n_debate_agents": self.n_debate_agents,
-            "n_debate_rounds": self.n_debate_rounds,
-            "max_reanswer_steps": self.max_reanswer_steps,
-            "max_rerail_iterations": self.max_rerail_iterations,
-            "parallelism": self.parallelism,
-        }
-        for name in ("max_in_flight", "requests_per_minute"):
-            if getattr(self, name) is not None:
-                positive[name] = getattr(self, name)
-        # type() rather than isinstance(): a bool is an int subclass
-        for name, value in positive.items():
-            if type(value) is not int or value < 1:
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not jsonl.is_count(value, 1) and not (value is None and name in _THROTTLES):
                 raise ConfigError(f"config field {name!r} must be an integer >= 1, got {value!r}")
         if type(self.seed) is not int:
             raise ConfigError(f"config field 'seed' must be an integer, got {self.seed!r}")
@@ -88,10 +74,13 @@ class RunSettings:
             raise ConfigError("config field 'mad_agents' must be >= 2")
         for name in ("temperature", "sampling_temperature", "timeout_s", "abs_tolerance", "rel_tolerance"):
             value = getattr(self, name)
-            if not _is_amount(value):
+            if not jsonl.is_amount(value):
                 raise ConfigError(f"config field {name!r} must be a finite number >= 0, got {value!r}")
-        if not self.timeout_s > 0:
-            raise ConfigError(f"config field 'timeout_s' must be > 0, got {self.timeout_s!r}")
+        # a longer timeout makes every socket operation raise OverflowError
+        if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:
+            raise ConfigError(
+                f"config field 'timeout_s' must be > 0 and <= {threading.TIMEOUT_MAX}, got {self.timeout_s!r}"
+            )
         for name in ("model_id", "endpoint", "api_key_env"):
             if type(getattr(self, name)) is not str:
                 raise ConfigError(f"config field {name!r} must be a string, got {getattr(self, name)!r}")
@@ -106,7 +95,8 @@ class RunSettings:
         return replace(self, **filtered) if filtered else self
 
 
-_FIELD_NAMES = set(RunSettings.__dataclass_fields__)
+FIELD_NAMES = frozenset(RunSettings.__dataclass_fields__)
+_PRICE_FIELDS = frozenset(("prompt_per_1k", "completion_per_1k"))
 
 
 def _parse_price_table(raw, source: str) -> dict[str, dict[str, float]]:
@@ -114,13 +104,12 @@ def _parse_price_table(raw, source: str) -> dict[str, dict[str, float]]:
         raise ConfigError(f"{source}: 'price_table' must be an object")
     table = {}
     for model, entry in raw.items():
-        if not isinstance(entry, dict) or set(entry) != {"prompt_per_1k", "completion_per_1k"}:
-            raise ConfigError(
-                f"{source}: price_table[{model!r}] must have exactly "
-                "prompt_per_1k and completion_per_1k"
-            )
+        try:
+            jsonl.fields(entry, _PRICE_FIELDS, _PRICE_FIELDS)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: price_table[{model!r}] {exc}") from None
         for name, price in entry.items():
-            if not _is_amount(price):
+            if not jsonl.is_amount(price):
                 raise ConfigError(
                     f"{source}: price_table[{model!r}] {name} must be a finite number >= 0, got {price!r}"
                 )
@@ -132,18 +121,13 @@ def _parse_price_table(raw, source: str) -> dict[str, dict[str, float]]:
 
 
 def settings_from_dict(raw: dict, source: str = "config") -> RunSettings:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{source}: expected a JSON object")
-    unknown = sorted(set(raw) - _FIELD_NAMES)
-    if unknown:
-        raise ConfigError(f"{source}: unknown field {unknown[0]!r}")
-    values = dict(raw)
+    try:
+        values = dict(jsonl.fields(raw, frozenset(), FIELD_NAMES))
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
     if "price_table" in values:
         values["price_table"] = _parse_price_table(values["price_table"], source)
-    try:
-        return RunSettings(**values)
-    except TypeError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+    return RunSettings(**values)
 
 
 def question_seed(base_seed: int, question_id: str) -> int:

@@ -14,10 +14,9 @@ from . import jsonl
 from .grading import clean_text, exact_fraction
 from .types import Category, DatasetError, Option, Question, QuestionKind, UnnormalizableAnswer
 
-REQUIRED_FIELDS = {"id", "subject", "category", "question", "ground_truth", "kind"}
-OPTIONAL_FIELDS = {"context", "options"}
-ALLOWED_FIELDS = REQUIRED_FIELDS | OPTIONAL_FIELDS
-OPTION_FIELDS = {"label", "text"}
+REQUIRED_FIELDS = frozenset(("id", "subject", "category", "question", "ground_truth", "kind"))
+ALLOWED_FIELDS = REQUIRED_FIELDS | {"context", "options"}
+OPTION_FIELDS = frozenset(("label", "text"))
 
 
 def _ground_truth_from_json(value, kind: QuestionKind, qid: str):
@@ -43,15 +42,10 @@ def _ground_truth_from_json(value, kind: QuestionKind, qid: str):
 def question_from_record(record: dict) -> Question:
     """The question ``record`` holds; DatasetError saying what is wrong
     otherwise, which names the question once its id is known."""
-    if not isinstance(record, dict):
-        raise DatasetError("expected a JSON object")
-
-    unknown = sorted(set(record) - ALLOWED_FIELDS)
-    if unknown:
-        raise DatasetError(f"unknown field {unknown[0]!r}")
-    missing = sorted(REQUIRED_FIELDS - set(record))
-    if missing:
-        raise DatasetError(f"missing field {missing[0]!r}")
+    try:
+        jsonl.fields(record, REQUIRED_FIELDS, ALLOWED_FIELDS)
+    except ValueError as exc:
+        raise DatasetError(str(exc)) from None
 
     qid = record["id"]
     if not isinstance(qid, str) or not qid:
@@ -86,14 +80,10 @@ def question_from_record(record: dict) -> Question:
             raise DatasetError(f"question {qid!r}: field 'options' must be an array")
         parsed = []
         for position, entry in enumerate(raw_options):
-            if not isinstance(entry, dict):
-                raise DatasetError(f"question {qid!r}: options[{position}] must be an object")
-            extra = sorted(set(entry) - OPTION_FIELDS)
-            if extra:
-                raise DatasetError(f"question {qid!r}: options[{position}] unknown field {extra[0]!r}")
-            if set(entry) != OPTION_FIELDS:
-                lacking = sorted(OPTION_FIELDS - set(entry))
-                raise DatasetError(f"question {qid!r}: options[{position}] missing field {lacking[0]!r}")
+            try:
+                jsonl.fields(entry, OPTION_FIELDS, OPTION_FIELDS)
+            except ValueError as exc:
+                raise DatasetError(f"question {qid!r}: options[{position}] {exc}") from None
             if not isinstance(entry["label"], str) or not isinstance(entry["text"], str):
                 raise DatasetError(f"question {qid!r}: options[{position}] label and text must be strings")
             parsed.append(Option(label=entry["label"], text=entry["text"]))

@@ -90,14 +90,6 @@ class CompletionParams:
     seed: int
 
 
-def _token_counts_valid(prompt_tokens, completion_tokens) -> bool:
-    # type() rather than isinstance(): a bool is an int subclass
-    return (
-        type(prompt_tokens) is int and type(completion_tokens) is int
-        and prompt_tokens >= 0 and completion_tokens >= 0
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class CompletionResult:
     """One completion; its token counts are checked where it is built."""
@@ -125,8 +117,10 @@ class CallContext:
 
 
 _OPTIONAL_MATCH_KEYS = ("step_index", "agent_id", "round")
-_MATCH_KEYS = {"stage", "question_id", *_OPTIONAL_MATCH_KEYS}
-_ENTRY_KEYS = {"match", "response", "usage", "latency_ms"}
+_MATCH_REQUIRED = frozenset(("stage", "question_id"))
+_MATCH_ALLOWED = _MATCH_REQUIRED.union(_OPTIONAL_MATCH_KEYS)
+_ENTRY_REQUIRED = frozenset(("match", "response", "usage"))
+_ENTRY_ALLOWED = _ENTRY_REQUIRED | {"latency_ms"}
 _ANY = (None, None, None)
 
 
@@ -168,7 +162,7 @@ class ScriptedBackend:
         for number, raw in enumerate(entries, start=1):
             try:
                 self._add(raw)
-            except ScriptFormatError as exc:
+            except (ScriptFormatError, ValueError) as exc:
                 raise ScriptFormatError(f"script entry {number}: {exc}") from None
 
     @classmethod
@@ -184,42 +178,28 @@ class ScriptedBackend:
         return backend
 
     def _add(self, raw: dict) -> None:
-        """Queue one entry; ScriptFormatError saying what is wrong if it
-        breaks the script schema."""
-        if not isinstance(raw, dict):
-            raise ScriptFormatError("expected an object")
-        unknown = raw.keys() - _ENTRY_KEYS
-        if unknown:
-            raise ScriptFormatError(f"unknown field {min(unknown)!r}")
-        for required in ("match", "response", "usage"):
-            if required not in raw:
-                raise ScriptFormatError(f"missing field {required!r}")
-        match = raw["match"]
-        if not isinstance(match, dict) or "stage" not in match or "question_id" not in match:
-            raise ScriptFormatError("match must be an object with at least stage and question_id")
+        """Queue one entry; ScriptFormatError or ValueError saying what is
+        wrong if it breaks the script schema."""
+        jsonl.fields(raw, _ENTRY_REQUIRED, _ENTRY_ALLOWED)
+        try:
+            match = jsonl.fields(raw["match"], _MATCH_REQUIRED, _MATCH_ALLOWED)
+        except ValueError as exc:
+            raise ScriptFormatError(f"match: {exc}") from None
         stage, question_id = match["stage"], match["question_id"]
         if not isinstance(stage, str) or not isinstance(question_id, str):
             raise ScriptFormatError("stage and question_id must be strings")
-        bad = match.keys() - _MATCH_KEYS
-        if bad:
-            raise ScriptFormatError(f"unknown match field {min(bad)!r}")
-        usage = raw["usage"]
-        if not isinstance(usage, dict):
-            raise ScriptFormatError("usage must be an object")
-        prompt_tokens, completion_tokens = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
-        if not _token_counts_valid(prompt_tokens, completion_tokens):
-            raise ScriptFormatError(f"token counts must be non-negative integers, got {usage}")
+        prompt_tokens, completion_tokens = jsonl.usage_counts(raw["usage"])
         latency_ms = raw.get("latency_ms", 0)
-        if type(latency_ms) not in (int, float) or not 0 <= latency_ms < math.inf:
-            raise ScriptFormatError(f"latency_ms must be a non-negative number, got {latency_ms!r}")
+        if "latency_ms" in raw and not jsonl.is_amount(latency_ms):
+            raise ScriptFormatError(f"latency_ms must be a finite number >= 0, got {latency_ms!r}")
         text = raw["response"]
         if not isinstance(text, str):
             raise ScriptFormatError(f"response must be a string, got {text!r}")
         wanted = _ANY
         if len(match) > 2:
             for key in _OPTIONAL_MATCH_KEYS:
-                # type() rather than isinstance(): True would match step 1
-                if key in match and (type(match[key]) is not int or match[key] < 1):
+                # a count, as True would match step 1
+                if key in match and not jsonl.is_count(match[key], 1):
                     raise ScriptFormatError(f"{key} must be an integer >= 1, got {match[key]!r}")
             wanted = tuple(map(match.get, _OPTIONAL_MATCH_KEYS))
             wanted = self._wheres.setdefault(wanted, wanted)
@@ -387,8 +367,9 @@ class LiveBackend:
         if not isinstance(text, str):
             raise ProviderError(f"malformed provider response: content is {text!r}", retriable=False)
         usage = body.get("usage")
-        counts = (usage.get("prompt_tokens"), usage.get("completion_tokens")) if isinstance(usage, dict) else None
-        if counts is None or not _token_counts_valid(*counts):
+        known = usage if isinstance(usage, dict) else {}
+        counts = known.get("prompt_tokens"), known.get("completion_tokens")
+        if not (jsonl.is_count(counts[0], 0) and jsonl.is_count(counts[1], 0)):
             raise ProviderError(f"malformed provider usage: {usage!r}", retriable=False)
         return CompletionResult(text, *counts, latency)
 
@@ -630,15 +611,14 @@ class Gateway:
 
     def _cache_load(self) -> dict[str, CompletionResult]:
         """The stream's completions by key, the last line for a key winning.
-        A malformed line is skipped, so its key misses. A count missing from
-        ``usage`` is 0; a key it does not know is malformed."""
+        A malformed line is skipped, so its key misses; its ``usage`` is
+        read by ``jsonl.usage_counts``."""
         entries: dict[str, CompletionResult] = {}
         for _, line in jsonl.lines(self._cache_file):
             try:
                 payload = jsonl.loads(line)
-                usage, text = {**payload["usage"]}, payload["text"]
-                counts = usage.pop("prompt_tokens", 0), usage.pop("completion_tokens", 0)
-                if isinstance(text, str) and not usage and _token_counts_valid(*counts):
+                text, counts = payload["text"], jsonl.usage_counts(payload["usage"])
+                if isinstance(text, str):
                     entries[payload["key"]] = CompletionResult(text, *counts, 0.0, from_cache=True)
             except (ValueError, KeyError, TypeError):
                 pass

@@ -23,7 +23,6 @@ import io
 import json
 import os
 import signal
-import sys
 import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -35,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import jsonl
-from .config import ConfigError, RunSettings, call_params, settings_from_dict
+from .config import FIELD_NAMES, ConfigError, RunSettings, call_params, settings_from_dict
 from .derailment import generate_rps, route
 from .gateway import (
     CallContext,
@@ -103,8 +102,8 @@ _OPTIONAL_STR = (str, type(None))
 _OPTIONAL_BOOL = (bool, type(None))
 _USAGE_KEYS = frozenset(USAGE_FIELDS)
 _usage_values = itemgetter(*USAGE_FIELDS)
-_USAGE_TYPES = {(int,) * 6 + (float,), (int,) * 7}  # six counts, then wall_time_s
-_NO_USAGE = (0,) * 6 + (0.0,)
+_counts = itemgetter(*USAGE_FIELDS[:-1])
+_NO_USAGE = (0,) * 6 + (0.0,)  # also the least value of each count
 
 
 def outcome_row(question_id: str, category: str, **fields) -> dict:
@@ -119,21 +118,15 @@ def outcome_row(question_id: str, category: str, **fields) -> dict:
 def read_outcome(payload) -> dict:
     """A persisted outcome row, each field checked, usage rows included;
     ValueError saying what is wrong for a malformed one."""
-    if type(payload) is not dict:
-        raise ValueError("expected an object")
-    if payload.keys() != _OUTCOME_KEYS:
-        unknown = payload.keys() - _OUTCOME_KEYS
-        if unknown:
-            raise ValueError(f"unknown field {min(unknown)!r}")
-        raise ValueError(f"missing field {min(_OUTCOME_KEYS - payload.keys())!r}")
+    jsonl.fields(payload, _OUTCOME_KEYS, _OUTCOME_KEYS)
     bad = _malformed_field(payload)
     if bad is not None:
         raise ValueError(f"malformed {bad} {payload[bad]!r}")
     for row in payload["usage"].values():
-        values = _usage_values(row) if type(row) is dict and row.keys() == _USAGE_KEYS else ()
-        # type() rather than isinstance(): a bool is an int subclass. The
-        # wall time is a finite float, or an int a float can hold.
-        if tuple(map(type, values)) not in _USAGE_TYPES or min(values) < 0 or not values[-1] <= sys.float_info.max:
+        # six counts, each at least its 0 in _NO_USAGE, then wall_time_s, an amount
+        if type(row) is not dict or row.keys() != _USAGE_KEYS or not (
+            all(map(jsonl.is_count, _counts(row), _NO_USAGE)) and jsonl.is_amount(row["wall_time_s"])
+        ):
             raise ValueError(f"malformed usage {row!r}")
     return payload
 
@@ -283,6 +276,7 @@ _MODE_RUNNERS = {
     MODE_RERAILER: run_rerailer_mode,
 }
 MODES = tuple(_MODE_RUNNERS)
+_SNAPSHOT_FIELDS = FIELD_NAMES | {"mode"}  # resolved_config.json: every setting, and the mode
 BACKENDS = ("live", "scripted")  # the backends make_gateway builds
 
 
@@ -560,13 +554,11 @@ def read_snapshot(config_path: Path) -> Optional[dict]:
     if not isinstance(snapshot, dict):
         raise IncompleteTrace(f"{config_path} does not hold a config object")
     try:
-        if snapshot.get("mode") not in MODES:
-            raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {snapshot.get('mode')!r}")
-        settings = settings_from_dict({key: value for key, value in snapshot.items() if key != "mode"})
-        missing = settings.to_json().keys() - snapshot.keys()
-        if missing:
-            raise ConfigError(f"missing field {min(missing)!r}")
-    except ConfigError as exc:
+        jsonl.fields(snapshot, _SNAPSHOT_FIELDS, _SNAPSHOT_FIELDS)
+        if snapshot["mode"] not in MODES:
+            raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {snapshot['mode']!r}")
+        settings_from_dict({key: value for key, value in snapshot.items() if key != "mode"})
+    except (ConfigError, ValueError) as exc:
         raise IncompleteTrace(f"{config_path} does not hold a valid config ({exc})") from None
     return snapshot
 

@@ -11,12 +11,18 @@ skip it, and ``append`` cuts it off before the stream is written to, so the
 next line is not glued onto it. ``append`` finds the tail by reading back
 from the end of the stream in blocks of TAIL_BLOCK bytes to the last
 newline, so opening a stream costs the size of its tail, not of the stream.
+
+Every reader of a JSON input holds its values to the same four rules, kept
+here: an object's exact fields (``fields``), a count (``is_count``), an
+amount (``is_amount``), and a script entry's or cache line's usage block
+(``usage_counts``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 from typing import BinaryIO, Iterator, TextIO
 
@@ -28,9 +34,54 @@ TAIL_BLOCK = 64 * 1024
 SORTED_KEYS = json.JSONEncoder(sort_keys=True)
 
 # The scanner of a default JSONDecoder, the one json.loads runs, and the
-# whitespace json.loads allows after a value.
+# whitespace JSON allows after a value.
 _scan_once = json.scanner.make_scanner(json.JSONDecoder())
-_WHITESPACE = json.decoder.WHITESPACE
+_WHITESPACE = " \t\n\r"
+
+_USAGE_KEYS = frozenset(("prompt_tokens", "completion_tokens"))
+_NO_KEYS = frozenset()
+
+
+def fields(value, required: frozenset, allowed: frozenset) -> dict:
+    """``value`` if it is a JSON object with every ``required`` key and no
+    key outside ``allowed``; ValueError naming the least unknown key, else
+    the least missing one, otherwise."""
+    if type(value) is not dict:
+        raise ValueError("expected a JSON object")
+    keys = value.keys()
+    if keys != allowed and not required <= keys <= allowed:
+        unknown = keys - allowed
+        if unknown:
+            raise ValueError(f"unknown field {min(unknown)!r}")
+        raise ValueError(f"missing field {min(required - keys)!r}")
+    return value
+
+
+def is_count(value, least: int) -> bool:
+    """Whether ``value`` is a JSON integer, not a bool, >= ``least``."""
+    # type() rather than isinstance(): a bool is an int subclass
+    return type(value) is int and value >= least
+
+
+def is_amount(value) -> bool:
+    """Whether ``value`` is a JSON number, not a bool, from 0 to the largest
+    float: 10**400 is none, as float() of it overflows."""
+    return type(value) in (int, float) and 0 <= value <= sys.float_info.max
+
+
+def usage_counts(block) -> tuple[int, int]:
+    """The (prompt_tokens, completion_tokens) of a script entry's or cache
+    line's usage block: an object with no other key, each a count >= 0, one
+    left out counting as 0. ValueError saying what is wrong otherwise."""
+    if type(block) is not dict or not block.keys() <= _USAGE_KEYS:
+        try:
+            fields(block, _NO_KEYS, _USAGE_KEYS)  # raises: not an object, or an unknown key
+        except ValueError as exc:
+            raise ValueError(f"usage: {exc}") from None
+    counts = block.get("prompt_tokens", 0), block.get("completion_tokens", 0)
+    if not (is_count(counts[0], 0) and is_count(counts[1], 0)):
+        raise ValueError(f"token counts must be non-negative integers, got {block}")
+    return counts
 
 
 def encode(record: dict) -> str:
@@ -62,7 +113,7 @@ def loads(data: bytes):
     text = decode(data)
     try:
         value, end = _scan_once(text, 0)
-        if end == len(text) or _WHITESPACE.match(text, end).end() == len(text):
+        if not text[end:].strip(_WHITESPACE):
             return value
     except (StopIteration, ValueError, RecursionError):
         pass
@@ -80,7 +131,7 @@ def lines(path: str | Path, whole: bool = False) -> Iterator[tuple[int, bytes]]:
     last line need not end in a newline."""
     with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
-            if (whole or line.endswith(b"\n")) and line.strip():
+            if (whole or line.endswith(b"\n")) and not line.isspace():
                 yield line_no, line
 
 

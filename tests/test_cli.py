@@ -104,7 +104,7 @@ class TestValidate:
         "field,value",
         [
             ("api_key_env", 3), ("model_id", 5), ("temperature", True), ("timeout_s", True),
-            ("abs_tolerance", float("inf")),
+            ("abs_tolerance", float("inf")), ("timeout_s", 1e308),
         ],
     )
     def test_mistyped_field_fails(self, config_file, capsys, field, value):
@@ -218,6 +218,24 @@ class TestRun:
         write_script(small_run["script"], entries)
         assert main(run_args(small_run)) == 1
         assert f"script {small_run['script']} line 2: token counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            # float() of the latency ended the run in an OverflowError traceback
+            ("latency_ms", 10**400, f"latency_ms must be a finite number >= 0, got {10**400}"),
+            # the misspelled count was billed as 0
+            ("usage", {"prompt_tokens": 5, "completion_tokns": 3}, "usage: unknown field 'completion_tokns'"),
+        ],
+        ids=["latency-10**400", "usage-misspelled-key"],
+    )
+    def test_a_script_line_beyond_the_shared_rules_fails_cleanly(self, small_run, capsys, field, value, problem):
+        entries = [json.loads(line) for line in Path(small_run["script"]).read_text().splitlines()]
+        entries[6][field] = value
+        write_script(small_run["script"], entries)
+        assert main(run_args(small_run)) == 1
+        assert one_error_line(capsys) == f"error: script {small_run['script']} line 7: {problem}\n"
+        assert not Path(small_run["out"]).exists()
 
     def test_unparseable_price_is_a_config_error(self, small_run, config_file, capsys):
         small_run["config"] = config_file(
@@ -656,7 +674,7 @@ class TestReplayCommand:
         assert err.startswith(f"error: {config} does not hold a valid config") and err.count("\n") == 1
         assert (tmp_path / "out" / "report.json").read_bytes() == report
 
-    @pytest.mark.parametrize("name", ["max_in_flight", "parallelism"])
+    @pytest.mark.parametrize("name", ["max_in_flight", "parallelism", "mode"])
     def test_a_snapshot_missing_a_field_is_refused(self, small_run, tmp_path, capsys, name):
         # max_in_flight is null and parallelism may change on resume, so only
         # the missing field itself tells the snapshot from the run's config
@@ -672,6 +690,14 @@ class TestReplayCommand:
         err = capsys.readouterr().err
         assert err.count(f"{out / 'resolved_config.json'} does not hold a valid config (missing field '{name}')") == 2
         assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
+
+    def test_a_snapshot_with_an_unknown_field_is_refused(self, small_run, tmp_path, capsys):
+        assert main(run_args(small_run)) == 0
+        config = tmp_path / "out" / "resolved_config.json"
+        config.write_text(json.dumps(dict(json.loads(config.read_text()), n_sample=3)))
+        capsys.readouterr()
+        assert main(["replay", "--trace", small_run["out"]]) == 1
+        assert one_error_line(capsys) == f"error: {config} does not hold a valid config (unknown field 'n_sample')\n"
 
     def test_replay_of_a_malformed_usage_block_fails(self, small_run, tmp_path, capsys):
         assert main(run_args(small_run)) == 0

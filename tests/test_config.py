@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,11 @@ class TestValidation:
             ("max_in_flight", -1),
             ("requests_per_minute", 0),
             ("requests_per_minute", 1.5),
+            # the boundary values every reader is held to
+            ("n_samples", 1.0),
+            ("sc_budget", 1.7976931348623157e308),
+            ("parallelism", True),
+            ("mad_rounds", -1),
         ],
     )
     def test_counts_must_be_positive_integers(self, field, value):
@@ -117,6 +123,10 @@ class TestValidation:
             ("timeout_s", -1.0),
             ("abs_tolerance", -1e-6),
             ("rel_tolerance", -0.1),
+            # the boundary values every reader is held to
+            pytest.param("rel_tolerance", 10**400, id="rel_tolerance-10**400"),
+            ("abs_tolerance", True),
+            ("temperature", -1),
         ],
     )
     def test_timeout_positive_and_tolerances_non_negative(self, field, value):
@@ -145,6 +155,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             settings_from_dict({field: value})
 
+    def test_a_timeout_longer_than_a_socket_takes_is_refused(self):
+        # 1e308 passed, and every live call then raised OverflowError from
+        # socket.settimeout; the longest a thread can wait is the bound
+        with pytest.raises(ConfigError) as raised:
+            settings_from_dict({"timeout_s": 1e308})
+        assert str(raised.value) == (
+            f"config field 'timeout_s' must be > 0 and <= {threading.TIMEOUT_MAX}, got 1e+308"
+        )
+        assert settings_from_dict({"timeout_s": threading.TIMEOUT_MAX}).timeout_s == threading.TIMEOUT_MAX
+
     def test_throttles_may_stay_unset_or_be_one(self):
         assert settings_from_dict({"max_in_flight": None}).max_in_flight is None
         s = settings_from_dict({"max_in_flight": 1, "requests_per_minute": 1, "abs_tolerance": 0})
@@ -163,10 +183,20 @@ class TestValidation:
             settings_from_dict({"model_id": ""})
 
     def test_price_table_shape_enforced(self):
-        with pytest.raises(ConfigError, match="price_table"):
+        with pytest.raises(ConfigError) as raised:
             settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": 0.03}}})
+        assert str(raised.value) == "config: price_table['gpt-4'] missing field 'completion_per_1k'"
+        with pytest.raises(ConfigError) as raised:
+            settings_from_dict({"price_table": {"gpt-4": [0.03, 0.06]}})
+        assert str(raised.value) == "config: price_table['gpt-4'] expected a JSON object"
 
-    @pytest.mark.parametrize("price", ["x", None, [1], True, float("nan"), float("inf"), -1, "0.03"])
+    @pytest.mark.parametrize(
+        "price",
+        [
+            "x", None, [1], True, float("nan"), float("inf"), -1, "0.03",
+            pytest.param(10**400, id="10**400"),
+        ],
+    )
     def test_price_must_be_a_number(self, price):
         # a boolean, a non-finite, a negative or a quoted price is never priced
         with pytest.raises(ConfigError, match=r"price_table\['gpt-4'\]"):

@@ -199,8 +199,23 @@ class TestLoadDataset:
             # a label outside A-F gets the same message
             (record(id="q2", ground_truth="G"), "question 'q2': ground truth 'G' is not among the option labels"),
             (record(), "duplicate question id 'q1'"),
+            # the boundary values every reader is held to
+            (record(id=10**400), "field 'id' must be a non-empty string"),
+            (record(id=1.7976931348623157e308), "field 'id' must be a non-empty string"),
+            (record(id=True), "field 'id' must be a non-empty string"),
+            (record(id=-1), "field 'id' must be a non-empty string"),
+            (record(id="q2", options=[1.0]), "question 'q2': options[0] expected a JSON object"),
+            (record(id="q2", options=[{"label": "A", "text": "x", "txet": "y"}]),
+             "question 'q2': options[0] unknown field 'txet'"),
+            (record(id="q2", options=[{"label": "A"}]), "question 'q2': options[0] missing field 'text'"),
+            (record(id="q2", kind="OpenEndedNumeric", options=None, ground_truth=True),
+             "question 'q2': numeric ground_truth must be a number or string"),
         ],
-        ids=["unknown-field", "id", "category", "ground-truth", "ground-truth-outside-A-F", "duplicate"],
+        ids=[
+            "unknown-field", "id", "category", "ground-truth", "ground-truth-outside-A-F", "duplicate",
+            "id-10**400", "id-max-float", "id-true", "id--1", "option-1.0", "option-unknown-field",
+            "option-missing-field", "numeric-ground-truth-true",
+        ],
     )
     def test_every_error_names_the_file_and_line(self, tmp_path, bad, error):
         p = tmp_path / "data.jsonl"

@@ -153,7 +153,7 @@ class TestScriptedBackend:
         bad = {"schema": json.dumps(dict(good, usage=3)), "json": "{oops"}
         path = tmp_path / "s.jsonl"
         path.write_text(f"{json.dumps(good)}\n{bad[second]}\n{bad[third]}\n")
-        expected = {"schema": "usage must be an object", "json": "invalid JSON"}[second]
+        expected = {"schema": "usage: expected a JSON object", "json": "invalid JSON"}[second]
         with pytest.raises(ScriptFormatError, match=f"line 2: {expected}"):
             ScriptedBackend.from_file(path)
 
@@ -262,6 +262,39 @@ class TestScriptedBackend:
             # null is not "any": an entry that sets a key must give it a value
             ({"match": {"stage": "cot", "question_id": "q", "round": None}, "response": "x", "usage": {}},
              "round must be an integer >= 1, got None"),
+            # the boundary values every reader is held to, and the messages
+            # the shared rules word
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": "x", "usage": {}, "latency_ms": 10**400},
+             "^script entry 1: latency_ms must be a finite number >= 0, got 1(0){400}$"),
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": "x", "usage": {}, "latency_ms": True},
+             "^script entry 1: latency_ms must be a finite number >= 0, got True$"),
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": "x", "usage": {}, "latency_ms": -1},
+             "^script entry 1: latency_ms must be a finite number >= 0, got -1$"),
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": "x",
+              "usage": {"prompt_tokens": 1.7976931348623157e308}},
+             "^script entry 1: token counts must be non-negative integers, got {'prompt_tokens': 1.79769.*e[+]308}$"),
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": "x", "usage": {"prompt_tokens": True}},
+             "^script entry 1: token counts must be non-negative integers, got {'prompt_tokens': True}$"),
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": "x", "usage": {"completion_tokens": 1.0}},
+             "^script entry 1: token counts must be non-negative integers, got {'completion_tokens': 1.0}$"),
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": "x", "usage": {"completion_tokens": -1}},
+             "^script entry 1: token counts must be non-negative integers, got {'completion_tokens': -1}$"),
+            # a misspelled count was billed as 0
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": "x",
+              "usage": {"prompt_tokens": 5, "completion_tokns": 3}},
+             "^script entry 1: usage: unknown field 'completion_tokns'$"),
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": "x", "usage": [5, 3]},
+             "^script entry 1: usage: expected a JSON object$"),
+            ({"match": {"stage": "cot", "question_id": "q", "step_index": 1.0}, "response": "x", "usage": {}},
+             "^script entry 1: step_index must be an integer >= 1, got 1.0$"),
+            ({"match": {"stage": "cot", "question_id": "q", "agent_id": -1}, "response": "x", "usage": {}},
+             "^script entry 1: agent_id must be an integer >= 1, got -1$"),
+            ({"match": {"stage": "cot", "question_id": "q", "mood": "?"}, "response": "x", "usage": {}},
+             "^script entry 1: match: unknown field 'mood'$"),
+            ({"match": {"stage": "cot"}, "response": "x", "usage": {}},
+             "^script entry 1: match: missing field 'question_id'$"),
+            ({"match": ["cot", "q"], "response": "x", "usage": {}}, "^script entry 1: match: expected a JSON object$"),
+            ([], "^script entry 1: expected a JSON object$"),
         ],
     )
     def test_entry_schema_enforced(self, raw, fragment):
@@ -414,6 +447,14 @@ class TestCache:
             ([["prompt_tokens", 3]], None),
             (None, None),
             (7, None),
+            # a count has no upper bound; an amount, a bool or a misspelled
+            # count is no count
+            ({"prompt_tokens": 10**400}, (10**400, 0)),
+            ({"prompt_tokens": 1.7976931348623157e308}, None),
+            ({"completion_tokens": True}, None),
+            ({"prompt_tokens": 1.0}, None),
+            ({"completion_tokens": -1}, None),
+            ({"prompt_tokens": 5, "completion_tokns": 3}, None),
         ],
     )
     def test_a_cache_line_hits_as_its_usage_says(self, tmp_path, usage, counts):
@@ -895,6 +936,10 @@ class TestLiveBackend:
         with pytest.raises(TypeError, match="timeout_s"):
             LiveBackend("http://127.0.0.1:9/v1/chat", self.ENV)
 
+    def test_the_longest_timeout_validation_admits_serves_a_call(self, live):
+        backend, _ = live(answer(GOOD_BODY), timeout_s=threading.TIMEOUT_MAX)
+        assert backend.call(PROMPT, PARAMS, CTX).text == "plain completion"
+
     def test_payload_shape_and_headers(self, live):
         backend, provider = live(answer(GOOD_BODY))
         params = CompletionParams(model_id="m1", temperature=0.25, seed=5)
@@ -984,7 +1029,7 @@ class TestLiveBackend:
             backend.call(PROMPT, PARAMS, CTX)
         assert err.value.retriable is False
 
-    @pytest.mark.parametrize("count", [1.9, "7", True, -1])
+    @pytest.mark.parametrize("count", [1.9, "7", True, -1, 1.7976931348623157e308, 1.0])
     def test_token_counts_are_not_rounded_or_converted(self, live, count):
         body = {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": 3, "completion_tokens": count}}
         backend, _ = live(answer(body))

@@ -682,8 +682,18 @@ class TestLoadOutcomes:
         with pytest.raises(IncompleteTrace, match="line 2"):
             load_outcomes(path)
 
+    def test_a_line_that_is_not_an_object_names_its_line(self, tmp_path):
+        path = self.write(tmp_path / "o.jsonl", json.dumps(outcome("q1")) + "\n[]\n")
+        with pytest.raises(IncompleteTrace) as raised:
+            load_outcomes(path)
+        assert str(raised.value) == f"{path} line 2: malformed outcome (expected a JSON object)"
+
     def test_a_well_formed_usage_block_loads(self, tmp_path):
-        usage = {"cot": usage_row(live_calls=3, prompt_tokens=30, wall_time_s=0.5)}
+        # a count has no upper bound, and an amount reaches the largest float
+        usage = {
+            "cot": usage_row(live_calls=3, prompt_tokens=30, wall_time_s=0.5),
+            "judge": usage_row(prompt_tokens=10**400, wall_time_s=1.7976931348623157e308),
+        }
         path = self.write(tmp_path / "o.jsonl", json.dumps(outcome("q1", usage=usage)) + "\n")
         (loaded,) = load_outcomes(path)
         assert loaded["usage"] == usage
@@ -708,6 +718,14 @@ class TestLoadOutcomes:
             {"cot": usage_row(wall_time_s=float("inf"))},
             {"cot": usage_row(wall_time_s=float("nan"))},
             {"cot": usage_row(wall_time_s=10**400)},
+            # the boundary values every reader is held to
+            {"cot": usage_row(prompt_tokens=1.7976931348623157e308)},
+            {"cot": usage_row(completion_tokens=True)},
+            {"cot": usage_row(billed_completion_tokens=1.0)},
+            {"cot": usage_row(cached_calls=-1)},
+            {"cot": usage_row(wall_time_s=True)},
+            {"cot": usage_row(wall_time_s=-1)},
+            {"cot": usage_row(completion_tokns=3)},
         ],
     )
     def test_malformed_usage_names_its_line(self, tmp_path, usage):
@@ -735,6 +753,10 @@ class TestLoadOutcomes:
             ("flags", [1]),
             ("flags", None),
             ("error", 1),
+            ("routing", 1.0),
+            ("correct_final", -1),
+            ("question_id", 10**400),
+            ("flags", [True]),
         ],
     )
     def test_malformed_field_names_its_line(self, tmp_path, name, value):

@@ -105,3 +105,65 @@ def read(loads, data: bytes):
 @given(data=documents())
 def test_loads_reads_every_line_as_json_loads_does(data):
     assert read(jsonl.loads, data) == read(reference_loads, data)
+
+
+@pytest.mark.parametrize(
+    "value, count, amount",
+    [
+        (0, True, True),
+        (10**400, True, False),  # float() of it overflows
+        (1.7976931348623157e308, False, True),
+        (True, False, False),
+        (1.0, False, True),
+        (-1, False, False),
+        (float("nan"), False, False),
+        (float("inf"), False, False),
+        ("1", False, False),
+        (None, False, False),
+    ],
+    ids=["0", "10**400", "max-float", "true", "1.0", "-1", "nan", "inf", "string", "null"],
+)
+def test_the_count_and_amount_rules(value, count, amount):
+    assert jsonl.is_count(value, 0) is count
+    assert jsonl.is_amount(value) is amount
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        ({"a": 1, "b": 2}, None),
+        ({"a": 1}, None),
+        ({"b": 2}, "missing field 'a'"),
+        ({"b": 2, "z": 0, "c": 0}, "unknown field 'c'"),  # an unknown key is named before a missing one
+        ([], "expected a JSON object"),
+        (None, "expected a JSON object"),
+    ],
+)
+def test_the_exact_fields_rule(value, error):
+    if error is None:
+        assert jsonl.fields(value, frozenset("a"), frozenset("ab")) is value
+    else:
+        with pytest.raises(ValueError) as raised:
+            jsonl.fields(value, frozenset("a"), frozenset("ab"))
+        assert str(raised.value) == error
+
+
+@pytest.mark.parametrize(
+    "block, read",
+    [
+        ({}, (0, 0)),
+        ({"completion_tokens": 3}, (0, 3)),
+        ({"prompt_tokens": 10**400, "completion_tokens": 3}, (10**400, 3)),
+        ({"prompt_tokens": 5, "completion_tokns": 3}, "usage: unknown field 'completion_tokns'"),
+        ([5, 3], "usage: expected a JSON object"),
+        ({"prompt_tokens": 1.0}, "token counts must be non-negative integers, got {'prompt_tokens': 1.0}"),
+        ({"completion_tokens": -1}, "token counts must be non-negative integers, got {'completion_tokens': -1}"),
+    ],
+)
+def test_the_usage_block_rule(block, read):
+    if isinstance(read, tuple):
+        assert jsonl.usage_counts(block) == read
+    else:
+        with pytest.raises(ValueError) as raised:
+            jsonl.usage_counts(block)
+        assert str(raised.value) == read
