@@ -97,6 +97,7 @@ class RunSettings:
 
 FIELD_NAMES = frozenset(RunSettings.__dataclass_fields__)
 _PRICE_FIELDS = frozenset(("prompt_per_1k", "completion_per_1k"))
+MAX_PRICE = 10**6  # $ per 1k tokens; the cost of a run's tokens at it stays finite
 
 
 def _parse_price_table(raw, source: str) -> dict[str, dict[str, float]]:
@@ -113,6 +114,8 @@ def _parse_price_table(raw, source: str) -> dict[str, dict[str, float]]:
                 raise ConfigError(
                     f"{source}: price_table[{model!r}] {name} must be a finite number >= 0, got {price!r}"
                 )
+            if price > MAX_PRICE:
+                raise ConfigError(f"{source}: price_table[{model!r}] {name} must be at most {MAX_PRICE}, got {price!r}")
         table[model] = {
             "prompt_per_1k": float(entry["prompt_per_1k"]),
             "completion_per_1k": float(entry["completion_per_1k"]),

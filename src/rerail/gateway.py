@@ -121,6 +121,9 @@ _MATCH_REQUIRED = frozenset(("stage", "question_id"))
 _MATCH_ALLOWED = _MATCH_REQUIRED.union(_OPTIONAL_MATCH_KEYS)
 _ENTRY_REQUIRED = frozenset(("match", "response", "usage"))
 _ENTRY_ALLOWED = _ENTRY_REQUIRED | {"latency_ms"}
+# The longest latency a script entry may give, the longest a live call can
+# wait, so a run's summed wall time stays finite.
+MAX_LATENCY_MS = threading.TIMEOUT_MAX * 1000
 _ANY = (None, None, None)
 
 
@@ -192,6 +195,8 @@ class ScriptedBackend:
         latency_ms = raw.get("latency_ms", 0)
         if "latency_ms" in raw and not jsonl.is_amount(latency_ms):
             raise ScriptFormatError(f"latency_ms must be a finite number >= 0, got {latency_ms!r}")
+        if latency_ms > MAX_LATENCY_MS:
+            raise ScriptFormatError(f"latency_ms must be at most {MAX_LATENCY_MS}, got {latency_ms!r}")
         text = raw["response"]
         if not isinstance(text, str):
             raise ScriptFormatError(f"response must be a string, got {text!r}")
@@ -369,7 +374,7 @@ class LiveBackend:
         usage = body.get("usage")
         known = usage if isinstance(usage, dict) else {}
         counts = known.get("prompt_tokens"), known.get("completion_tokens")
-        if not (jsonl.is_count(counts[0], 0) and jsonl.is_count(counts[1], 0)):
+        if not (jsonl.is_count(counts[0], 0) and jsonl.is_count(counts[1], 0)) or max(counts) > jsonl.MAX_TOKENS:
             raise ProviderError(f"malformed provider usage: {usage!r}", retriable=False)
         return CompletionResult(text, *counts, latency)
 

@@ -27,7 +27,6 @@ import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add, itemgetter
 from pathlib import Path
@@ -159,44 +158,33 @@ def _malformed_field(row: dict) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class ModeResult:
-    """What a mode runner produces for one question, before grading."""
-
-    baseline_raw: Optional[str]
-    final_raw: Optional[str]
-    routing: Optional[str]
-    flags: tuple[str, ...]
-    trace: dict
-
-
 def _extract_answer(text: str) -> Optional[str]:
     """Text after the last answer marker; tolerates missing step structure."""
     marker = last_answer_marker(text)
     return None if marker is None else marker.group(1).strip() or None
 
 
-def run_cot(question: Question, gateway: Gateway, settings: RunSettings) -> ModeResult:
+# What a mode runner returns for one question, before grading: (baseline
+# answer, final answer, flags, trace), each answer raw as the model gave it.
+Answered = tuple[Optional[str], Optional[str], tuple[str, ...], dict]
+
+
+def run_cot(question: Question, gateway: Gateway, settings: RunSettings) -> Answered:
     """Single chain-of-thought completion at temperature 0. One call, ever."""
     context = CallContext(STAGE_COT, question.id)
     prompt = render_prompt(TEMPLATE_RAW_COT, question)
     result = gateway.complete(prompt, call_params(settings, context), context)
     answer = _extract_answer(result.text)
     flags = () if answer is not None else (FLAG_COT_UNPARSEABLE,)
-    return ModeResult(answer, answer, None, flags, {"mode": MODE_COT})
+    return answer, answer, flags, {"mode": MODE_COT}
 
 
-def run_sc_baseline(question: Question, gateway: Gateway, settings: RunSettings) -> ModeResult:
+def run_sc_baseline(question: Question, gateway: Gateway, settings: RunSettings) -> Answered:
     """Self-consistency: sample sc_budget paths, majority-vote the answer."""
-    paths = generate_rps(question, gateway, settings, n=settings.sc_budget)
-    answer, tied = majority_answer([p.final_answer for p in paths], question)
+    answers = [p.final_answer for p in generate_rps(question, gateway, settings, n=settings.sc_budget)]
+    answer, tied = majority_answer(answers, question)
     flags = (FLAG_SC_TIE,) if tied else ()
-    trace = {
-        "mode": MODE_SC,
-        "answers": [p.final_answer for p in paths],
-        "modal_answer": answer,
-    }
-    return ModeResult(answer, answer, None, flags, trace)
+    return answer, answer, flags, {"mode": MODE_SC, "answers": answers, "modal_answer": answer}
 
 
 def _read_answer(fields: dict[str, str]) -> str:
@@ -207,7 +195,7 @@ def _read_answer(fields: dict[str, str]) -> str:
     return answer
 
 
-def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings) -> ModeResult:
+def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings) -> Answered:
     """Debate baseline: independent answers, then revision rounds.
 
     Stops early when all agents agree; the final answer is the last-round
@@ -250,23 +238,23 @@ def run_mad_baseline(question: Question, gateway: Gateway, settings: RunSettings
 
     present = [a for a in answers if a is not None]
     if not present:
-        return ModeResult(None, None, None, tuple(flags), {"mode": MODE_MAD, "transcript": transcript})
+        return None, None, tuple(flags), {"mode": MODE_MAD, "transcript": transcript}
     final, tied = majority_answer(present, question)
     if tied:
         flags.append(FLAG_MAD_TIE)
     trace = {"mode": MODE_MAD, "transcript": transcript, "rounds_run": round_no}
-    return ModeResult(final, final, None, tuple(flags), trace)
+    return final, final, tuple(flags), trace
 
 
-def run_rerailer_mode(question: Question, gateway: Gateway, settings: RunSettings) -> ModeResult:
+def run_rerailer_mode(question: Question, gateway: Gateway, settings: RunSettings) -> Answered:
     """Full pipeline: route on consistency, then repair derailed paths."""
     answer, selected, flags, fields = route(question, gateway, settings)
     trace = {"mode": MODE_RERAILER, **fields}
     if selected is None:
-        return ModeResult(answer, answer, "consistent", tuple(flags), trace)
+        return answer, answer, tuple(flags), trace
     path, repair_flags, repair_fields = rerail(question, selected, gateway, settings)
     trace.update(repair_fields)
-    return ModeResult(answer, path.final_answer, "derailed", (*flags, *repair_flags), trace)
+    return answer, path.final_answer, (*flags, *repair_flags), trace
 
 
 _MODE_RUNNERS = {
@@ -318,27 +306,27 @@ def make_gateway(
     )
 
 
-def grade_outcome(question: Question, mode_result: ModeResult, settings: RunSettings) -> dict:
-    """Grade a mode result into an outcome row."""
+def grade_outcome(
+    question: Question, settings: RunSettings, baseline: Optional[str], final: Optional[str],
+    flags: Iterable[str], routing: Optional[str],
+) -> dict:
+    """The outcome row of a runner's answers and flags, graded; a cell only
+    on the derailed route."""
     tolerances = settings.abs_tolerance, settings.rel_tolerance
-    correct_baseline, base_flags = grade_safe(mode_result.baseline_raw, question, *tolerances)
+    correct_baseline, base_flags = grade_safe(baseline, question, *tolerances)
     correct_final, final_flags = correct_baseline, base_flags
-    if mode_result.final_raw != mode_result.baseline_raw:
-        correct_final, final_flags = grade_safe(mode_result.final_raw, question, *tolerances)
-    flags = sorted(set(mode_result.flags) | set(base_flags) | set(final_flags))
-    cell = None
-    if mode_result.routing == "derailed":
-        cell = cell_for(correct_baseline, correct_final)
+    if final != baseline:
+        correct_final, final_flags = grade_safe(final, question, *tolerances)
     return outcome_row(
         question.id,
         question.category.value,
-        routing=mode_result.routing,
-        baseline_answer=mode_result.baseline_raw,
-        final_answer=mode_result.final_raw,
+        routing=routing,
+        baseline_answer=baseline,
+        final_answer=final,
         correct_baseline=correct_baseline,
         correct_final=correct_final,
-        cell=cell,
-        flags=flags,
+        cell=cell_for(correct_baseline, correct_final) if routing == "derailed" else None,
+        flags=sorted({*flags, *base_flags, *final_flags}),
     )
 
 
@@ -350,9 +338,8 @@ def run_question(
     runner = _MODE_RUNNERS[mode]
     with gateway.recording(question.id) as ledger:
         try:
-            mode_result = runner(question, gateway, settings)
-            outcome = grade_outcome(question, mode_result, settings)
-            trace = mode_result.trace
+            baseline, final, flags, trace = runner(question, gateway, settings)
+            outcome = grade_outcome(question, settings, baseline, final, flags, trace.get("routing"))
         except RerailError as exc:  # recorded per question; the run continues
             outcome = outcome_row(
                 question.id, question.category.value, flags=["question-failed"], error=f"{type(exc).__name__}: {exc}"

@@ -15,7 +15,7 @@ newline, so opening a stream costs the size of its tail, not of the stream.
 Every reader of a JSON input holds its values to the same four rules, kept
 here: an object's exact fields (``fields``), a count (``is_count``), an
 amount (``is_amount``), and a script entry's or cache line's usage block
-(``usage_counts``).
+(``usage_counts``), whose token counts are at most MAX_TOKENS.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ _scan_once = json.scanner.make_scanner(json.JSONDecoder())
 _WHITESPACE = " \t\n\r"
 
 _USAGE_KEYS = frozenset(("prompt_tokens", "completion_tokens"))
+# The most tokens one call may report: 2**53 - 1, up to which a float holds
+# every integer exactly. A run's token sums, and the cost priced from them,
+# then stay finite.
+MAX_TOKENS = 2**53 - 1
 _NO_KEYS = frozenset()
 
 
@@ -71,8 +75,9 @@ def is_amount(value) -> bool:
 
 def usage_counts(block) -> tuple[int, int]:
     """The (prompt_tokens, completion_tokens) of a script entry's or cache
-    line's usage block: an object with no other key, each a count >= 0, one
-    left out counting as 0. ValueError saying what is wrong otherwise."""
+    line's usage block: an object with no other key, each a count from 0 to
+    MAX_TOKENS, one left out counting as 0. ValueError saying what is wrong
+    otherwise."""
     if type(block) is not dict or not block.keys() <= _USAGE_KEYS:
         try:
             fields(block, _NO_KEYS, _USAGE_KEYS)  # raises: not an object, or an unknown key
@@ -81,6 +86,8 @@ def usage_counts(block) -> tuple[int, int]:
     counts = block.get("prompt_tokens", 0), block.get("completion_tokens", 0)
     if not (is_count(counts[0], 0) and is_count(counts[1], 0)):
         raise ValueError(f"token counts must be non-negative integers, got {block}")
+    if counts[0] > MAX_TOKENS or counts[1] > MAX_TOKENS:
+        raise ValueError(f"token counts must be at most {MAX_TOKENS}, got {block}")
     return counts
 
 

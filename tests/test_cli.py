@@ -23,6 +23,7 @@ from helpers import (
     write_script,
 )
 from rerail.cli import EXIT_INTERRUPTED, main
+from rerail.gateway import MAX_LATENCY_MS
 from rerail.harness import CSV_TABLES
 from rerail.types import STAGE_MAD
 
@@ -118,6 +119,14 @@ class TestValidate:
         table = {"gpt-4": {"prompt_per_1k": price, "completion_per_1k": 0.06}}
         assert main(["validate", "--config", config_file(price_table=table)]) == 1
         assert "price_table['gpt-4']" in capsys.readouterr().err
+
+    def test_price_above_the_maximum_fails(self, config_file, capsys):
+        # 1e308 passed, and the run wrote Infinity into report.json and inf into cost.csv
+        table = {"gpt-4": {"prompt_per_1k": 1e308, "completion_per_1k": 0.06}}
+        assert main(["validate", "--config", config_file(price_table=table)]) == 1
+        assert one_error_line(capsys).endswith(
+            "price_table['gpt-4'] prompt_per_1k must be at most 1000000, got 1e+308\n"
+        )
 
     def test_price_too_large_for_a_float_fails(self, config_file, capsys):
         # a 401-digit integer passed, and float() ended validate in a traceback
@@ -226,8 +235,15 @@ class TestRun:
             ("latency_ms", 10**400, f"latency_ms must be a finite number >= 0, got {10**400}"),
             # the misspelled count was billed as 0
             ("usage", {"prompt_tokens": 5, "completion_tokns": 3}, "usage: unknown field 'completion_tokns'"),
+            # a priced run wrote every outcome, then float() of the summed
+            # count ended it in an OverflowError traceback
+            ("usage", {"prompt_tokens": 2**53},
+             "token counts must be at most 9007199254740991, got {'prompt_tokens': 9007199254740992}"),
+            # the summed wall time was Infinity in report.json
+            ("latency_ms", sys.float_info.max,
+             f"latency_ms must be at most {MAX_LATENCY_MS}, got {sys.float_info.max!r}"),
         ],
-        ids=["latency-10**400", "usage-misspelled-key"],
+        ids=["latency-10**400", "usage-misspelled-key", "usage-2**53", "latency-largest-float"],
     )
     def test_a_script_line_beyond_the_shared_rules_fails_cleanly(self, small_run, capsys, field, value, problem):
         entries = [json.loads(line) for line in Path(small_run["script"]).read_text().splitlines()]

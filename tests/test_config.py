@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from rerail.config import (
+    MAX_PRICE,
     ConfigError,
     RunSettings,
     load_settings,
@@ -194,7 +195,7 @@ class TestValidation:
         "price",
         [
             "x", None, [1], True, float("nan"), float("inf"), -1, "0.03",
-            pytest.param(10**400, id="10**400"),
+            pytest.param(10**400, id="10**400"), 1e308, MAX_PRICE + 0.5,
         ],
     )
     def test_price_must_be_a_number(self, price):
@@ -206,6 +207,10 @@ class TestValidation:
         # a 401-digit integer passed, then float() raised OverflowError
         with pytest.raises(ConfigError, match=r"price_table\['gpt-4'\] completion_per_1k must be a finite number"):
             settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": 0.03, "completion_per_1k": 10**400}}})
+
+    def test_the_highest_price_is_accepted(self):
+        s = settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": MAX_PRICE, "completion_per_1k": 1e6}}})
+        assert s.price_table["gpt-4"] == {"prompt_per_1k": 1e6, "completion_per_1k": 1e6}
 
     def test_zero_and_integer_prices_are_floats(self):
         s = settings_from_dict({"price_table": {"gpt-4": {"prompt_per_1k": 0, "completion_per_1k": 2}}})

@@ -80,6 +80,13 @@ class TestScriptedBackend:
         assert result.latency_s == pytest.approx(0.25)
         assert result.from_cache is False
 
+    def test_the_longest_latency_and_the_most_tokens_are_served(self):
+        raw = entry(STAGE_COT, "q1", "slow", latency_ms=threading.TIMEOUT_MAX * 1000)
+        raw["usage"] = {"prompt_tokens": 2**53 - 1, "completion_tokens": 2**53 - 1}
+        result = ScriptedBackend([raw]).call(PROMPT, PARAMS, CTX)
+        assert (result.prompt_tokens, result.completion_tokens) == (2**53 - 1, 2**53 - 1)
+        assert result.latency_s == threading.TIMEOUT_MAX
+
     def test_same_match_forms_a_queue(self):
         backend = ScriptedBackend(
             [entry(STAGE_COT, "q1", "first"), entry(STAGE_COT, "q1", "second")]
@@ -295,6 +302,15 @@ class TestScriptedBackend:
              "^script entry 1: match: missing field 'question_id'$"),
             ({"match": ["cot", "q"], "response": "x", "usage": {}}, "^script entry 1: match: expected a JSON object$"),
             ([], "^script entry 1: expected a JSON object$"),
+            # a priced run's cost of such a count raised OverflowError
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": "x", "usage": {"prompt_tokens": 2**53}},
+             "^script entry 1: token counts must be at most 9007199254740991, "
+             "got {'prompt_tokens': 9007199254740992}$"),
+            # a run of such entries summed its wall time to Infinity
+            ({"match": {"stage": "cot", "question_id": "q"}, "response": "x", "usage": {},
+              "latency_ms": sys.float_info.max},
+             f"^script entry 1: latency_ms must be at most {threading.TIMEOUT_MAX * 1000}, "
+             "got 1.7976931348623157e[+]308$"),
         ],
     )
     def test_entry_schema_enforced(self, raw, fragment):
@@ -447,14 +463,16 @@ class TestCache:
             ([["prompt_tokens", 3]], None),
             (None, None),
             (7, None),
-            # a count has no upper bound; an amount, a bool or a misspelled
-            # count is no count
-            ({"prompt_tokens": 10**400}, (10**400, 0)),
+            # a count is at most 2**53 - 1, which a float holds exactly; an
+            # amount, a bool or a misspelled count is no count
+            ({"prompt_tokens": 2**53 - 1}, (2**53 - 1, 0)),
             ({"prompt_tokens": 1.7976931348623157e308}, None),
             ({"completion_tokens": True}, None),
             ({"prompt_tokens": 1.0}, None),
             ({"completion_tokens": -1}, None),
             ({"prompt_tokens": 5, "completion_tokns": 3}, None),
+            ({"prompt_tokens": 2**53}, None),
+            ({"completion_tokens": 10**400}, None),
         ],
     )
     def test_a_cache_line_hits_as_its_usage_says(self, tmp_path, usage, counts):
@@ -1029,7 +1047,8 @@ class TestLiveBackend:
             backend.call(PROMPT, PARAMS, CTX)
         assert err.value.retriable is False
 
-    @pytest.mark.parametrize("count", [1.9, "7", True, -1, 1.7976931348623157e308, 1.0])
+    # 2**53 passed, and a priced run then ended in OverflowError
+    @pytest.mark.parametrize("count", [1.9, "7", True, -1, 1.7976931348623157e308, 1.0, 2**53])
     def test_token_counts_are_not_rounded_or_converted(self, live, count):
         body = {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": 3, "completion_tokens": count}}
         backend, _ = live(answer(body))

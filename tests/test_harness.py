@@ -33,8 +33,8 @@ from helpers import (
     write_script,
 )
 from rerail import harness
-from rerail.config import question_seed
-from rerail.gateway import Gateway, ProviderError, ScriptedBackend, UsageLedger
+from rerail.config import MAX_PRICE, question_seed
+from rerail.gateway import MAX_LATENCY_MS, Gateway, ProviderError, ScriptedBackend, UsageLedger
 from rerail.grading import grade_safe
 from rerail.harness import (
     CELL_FN,
@@ -66,6 +66,7 @@ from rerail.harness import (
     usage_totals,
     write_report,
 )
+from rerail.jsonl import MAX_TOKENS
 from rerail.types import STAGE_COT, STAGE_MAD
 
 
@@ -86,10 +87,10 @@ class TestRunCot:
             ScriptedBackend([entry(STAGE_COT, "q1", cot_text(["Consider."], "B"))])
         )
         gw = Gateway(backend)
-        result = run_cot(mcqa_question(), gw, make_settings())
-        assert result.baseline_raw == "B"
-        assert result.final_raw == "B"
-        assert result.routing is None
+        baseline, final, _, trace = run_cot(mcqa_question(), gw, make_settings())
+        assert baseline == "B"
+        assert final == "B"
+        assert "routing" not in trace
         assert len(backend.calls) == 1
         params, _ = backend.calls[0]
         assert params.temperature == 0.0
@@ -97,9 +98,9 @@ class TestRunCot:
 
     def test_unparseable_output_is_flagged(self):
         gw = scripted_gateway([entry(STAGE_COT, "q1", "word salad")])
-        result = run_cot(mcqa_question(), gw, make_settings())
-        assert result.final_raw is None
-        assert FLAG_COT_UNPARSEABLE in result.flags
+        _, final, flags, _ = run_cot(mcqa_question(), gw, make_settings())
+        assert final is None
+        assert FLAG_COT_UNPARSEABLE in flags
 
 
 def sc_entry(answer, qid="q1"):
@@ -111,30 +112,30 @@ class TestRunScBaseline:
         entries = [sc_entry("A") for _ in range(21)] + [sc_entry("B") for _ in range(19)]
         gw = scripted_gateway(entries)
         with gw.recording("q1") as ledger:
-            result = run_sc_baseline(mcqa_question(), gw, make_settings())
-        assert result.final_raw == "A"
-        assert result.flags == ()
+            _, final, flags, _ = run_sc_baseline(mcqa_question(), gw, make_settings())
+        assert final == "A"
+        assert flags == ()
         assert question_calls(ledger, STAGE_COT) == 40
 
     def test_tie_takes_the_first_reached_answer_and_flags(self):
         entries = [sc_entry("A") for _ in range(20)] + [sc_entry("B") for _ in range(20)]
         gw = scripted_gateway(entries)
-        result = run_sc_baseline(mcqa_question(), gw, make_settings())
-        assert result.final_raw == "A"
-        assert FLAG_SC_TIE in result.flags
+        _, final, flags, _ = run_sc_baseline(mcqa_question(), gw, make_settings())
+        assert final == "A"
+        assert FLAG_SC_TIE in flags
 
     def test_budget_is_configurable(self):
         gw = scripted_gateway([sc_entry("B") for _ in range(5)])
         with gw.recording("q1") as ledger:
-            result = run_sc_baseline(mcqa_question(), gw, make_settings(sc_budget=5))
-        assert result.final_raw == "B"
+            _, final, _, _ = run_sc_baseline(mcqa_question(), gw, make_settings(sc_budget=5))
+        assert final == "B"
         assert question_calls(ledger, STAGE_COT) == 5
 
     def test_votes_are_pooled_by_normalized_answer(self):
         entries = [sc_entry("b) choice B"), sc_entry("B."), sc_entry("A")]
         gw = scripted_gateway(entries)
-        result = run_sc_baseline(mcqa_question(), gw, make_settings(sc_budget=3))
-        assert result.final_raw == "b) choice B"  # first raw of the winning bucket
+        _, final, _, _ = run_sc_baseline(mcqa_question(), gw, make_settings(sc_budget=3))
+        assert final == "b) choice B"  # first raw of the winning bucket
 
 
 def mad_entry(answer, agent, round_no, qid="q1"):
@@ -145,11 +146,11 @@ class TestRunMadBaseline:
     def test_immediate_agreement_costs_two_calls(self):
         gw = scripted_gateway([mad_entry("B", 1, 1), mad_entry("B", 2, 1)])
         with gw.recording("q1") as ledger:
-            result = run_mad_baseline(mcqa_question(), gw, make_settings())
-        assert result.final_raw == "B"
-        assert result.flags == ()
+            _, final, flags, trace = run_mad_baseline(mcqa_question(), gw, make_settings())
+        assert final == "B"
+        assert flags == ()
         assert question_calls(ledger, STAGE_MAD) == 2
-        assert result.trace["rounds_run"] == 1
+        assert trace["rounds_run"] == 1
 
     def test_convergence_in_round_two_costs_four_calls(self):
         gw = scripted_gateway(
@@ -161,8 +162,8 @@ class TestRunMadBaseline:
             ],
         )
         with gw.recording("q1") as ledger:
-            result = run_mad_baseline(mcqa_question(), gw, make_settings())
-        assert result.final_raw == "B"
+            _, final, _, _ = run_mad_baseline(mcqa_question(), gw, make_settings())
+        assert final == "B"
         assert question_calls(ledger, STAGE_MAD) == 4
         round_two = [p for c, p in gw.for_stage(STAGE_MAD) if c.round == 2]
         assert "Agent 1 answered: A" in round_two[0].user
@@ -175,11 +176,11 @@ class TestRunMadBaseline:
             entries.append(mad_entry("B", 2, round_no))
         gw = scripted_gateway(entries)
         with gw.recording("q1") as ledger:
-            result = run_mad_baseline(mcqa_question(), gw, make_settings())
+            _, final, flags, trace = run_mad_baseline(mcqa_question(), gw, make_settings())
         assert question_calls(ledger, STAGE_MAD) == 6
-        assert result.final_raw == "A"
-        assert FLAG_MAD_TIE in result.flags
-        assert result.trace["rounds_run"] == 3
+        assert final == "A"
+        assert FLAG_MAD_TIE in flags
+        assert trace["rounds_run"] == 3
 
     def test_tie_among_five_agents_keeps_a_leading_answer(self):
         answers = ["A", "B", "B", "C", "C"]
@@ -190,9 +191,9 @@ class TestRunMadBaseline:
         ]
         gw = scripted_gateway(entries)
         with gw.recording("q1") as ledger:
-            result = run_mad_baseline(mcqa_question(), gw, make_settings(mad_agents=5))
-        assert result.final_raw == "B"  # agent 1's "A" has a single vote
-        assert FLAG_MAD_TIE in result.flags
+            _, final, flags, _ = run_mad_baseline(mcqa_question(), gw, make_settings(mad_agents=5))
+        assert final == "B"  # agent 1's "A" has a single vote
+        assert FLAG_MAD_TIE in flags
         assert question_calls(ledger, STAGE_MAD) == 15
 
     def test_unparseable_agent_keeps_its_prior_answer(self):
@@ -206,9 +207,9 @@ class TestRunMadBaseline:
             ]
         )
         with gw.recording("q1") as ledger:
-            result = run_mad_baseline(mcqa_question(), gw, make_settings())
-        assert result.final_raw == "B"
-        assert FLAG_MAD_FAIL_OPEN in result.flags
+            _, final, flags, _ = run_mad_baseline(mcqa_question(), gw, make_settings())
+        assert final == "B"
+        assert FLAG_MAD_FAIL_OPEN in flags
         assert question_calls(ledger, STAGE_MAD) == 5
 
 
@@ -220,31 +221,20 @@ class TestGrading:
         assert cell_for(True, False) == CELL_FP
 
     def test_cells_are_assigned_only_on_the_derailed_route(self):
-        from rerail.harness import ModeResult
-
         q = mcqa_question()
-        derailed = grade_outcome(
-            q, ModeResult("A", "B", "derailed", (), {}), make_settings()
-        )
+        derailed = grade_outcome(q, make_settings(), "A", "B", (), "derailed")
         assert derailed["cell"] == CELL_TN
         assert derailed["correct_baseline"] is False
         assert derailed["correct_final"] is True
 
-        consistent = grade_outcome(
-            q, ModeResult("B", "B", "consistent", (), {}), make_settings()
-        )
+        consistent = grade_outcome(q, make_settings(), "B", "B", (), "consistent")
         assert consistent["cell"] is None
 
-        baseline = grade_outcome(q, ModeResult("B", "B", None, (), {}), make_settings())
+        baseline = grade_outcome(q, make_settings(), "B", "B", (), None)
         assert baseline["cell"] is None
 
     def test_grading_flags_surface_in_the_outcome(self):
-        from rerail.harness import ModeResult
-
-        outcome = grade_outcome(
-            mcqa_question(), ModeResult(None, "zebra", "derailed", ("custom",), {}),
-            make_settings(),
-        )
+        outcome = grade_outcome(mcqa_question(), make_settings(), None, "zebra", ("custom",), "derailed")
         assert "answer-missing" in outcome["flags"]
         assert "answer-unnormalizable" in outcome["flags"]
         assert "custom" in outcome["flags"]
@@ -404,6 +394,25 @@ class TestBuildReport:
         a = report_to_bytes(build_report(self.rows(), self.snapshot()))
         b = report_to_bytes(build_report(list(reversed(self.rows())), self.snapshot()))
         assert a == b  # outcome order cannot matter
+
+    def test_every_number_stays_finite_at_the_input_maxima(self, tmp_path):
+        # 10,008 questions of 100,000 calls each (a benchmark question makes
+        # about 10), every call at the most tokens and the longest latency an
+        # input may give, priced at the highest price
+        calls, tokens = 100_000, 100_000 * MAX_TOKENS
+        usage = usage_row(live_calls=calls, prompt_tokens=tokens, completion_tokens=tokens,
+                          billed_prompt_tokens=tokens, billed_completion_tokens=tokens,
+                          wall_time_s=calls * MAX_LATENCY_MS / 1000.0)
+        rows = [outcome(f"q{i}", routing="consistent", correct_final=True, usage={"cot": usage}) for i in range(10_008)]
+        prices = {"gpt-4": {"prompt_per_1k": float(MAX_PRICE), "completion_per_1k": float(MAX_PRICE)}}
+        write_report(tmp_path, build_report(rows, self.snapshot(price_table=prices)))
+
+        def not_json(token):
+            raise AssertionError(f"{token} in report.json")
+
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=not_json)
+        assert report["cost"]["cost_per_1000_usd"] > 0
+        assert "inf" not in (tmp_path / "cost.csv").read_text()
 
 
 class TestWriteReport:

@@ -153,11 +153,16 @@ def test_the_exact_fields_rule(value, error):
     [
         ({}, (0, 0)),
         ({"completion_tokens": 3}, (0, 3)),
-        ({"prompt_tokens": 10**400, "completion_tokens": 3}, (10**400, 3)),
+        ({"prompt_tokens": 2**53 - 1, "completion_tokens": 3}, (2**53 - 1, 3)),
         ({"prompt_tokens": 5, "completion_tokns": 3}, "usage: unknown field 'completion_tokns'"),
         ([5, 3], "usage: expected a JSON object"),
         ({"prompt_tokens": 1.0}, "token counts must be non-negative integers, got {'prompt_tokens': 1.0}"),
         ({"completion_tokens": -1}, "token counts must be non-negative integers, got {'completion_tokens': -1}"),
+        # a count a float cannot hold exactly made a priced run's cost raise OverflowError
+        ({"completion_tokens": 2**53},
+         "token counts must be at most 9007199254740991, got {'completion_tokens': 9007199254740992}"),
+        pytest.param({"prompt_tokens": 10**400},
+                     f"token counts must be at most 9007199254740991, got {{'prompt_tokens': {10**400}}}", id="10**400"),
     ],
 )
 def test_the_usage_block_rule(block, read):
